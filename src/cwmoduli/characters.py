@@ -68,14 +68,13 @@ class CharacterTable:
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyData,
                  prime: WorkingPrime, irreducibles: Tuple[Character, ...],
-                 *, k_max: int, g_max: int, seed: int):
+                 *, k_max: int, g_max: int):
         self.group = group
         self.classes = classes
         self.prime = prime
         self.irreducibles = irreducibles
         self.session_k_max = k_max
         self.session_g_max = g_max
-        self.session_seed = seed
         self._mult_cache: Dict[Tuple[int, int], EigenvalueMultiplicities] = {}
         self._cw_cache: Dict[tuple, Tuple[int, ...]] = {}
         self._validated: Dict[tuple, int] = {}  # vector key -> genus
@@ -105,13 +104,14 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
 
     k_max and g_max size the working prime so that later multiplicity queries
     up to that pluricanonical level and genus recover exactly; they do not
-    change the characters themselves.
+    change the characters themselves. seed is accepted for compatibility and
+    no longer changes anything.
     """
     conj = conjugacy_classes(G)
-    wp = choose_prime(G, k_max, g_max, seed=seed)
+    wp = choose_prime(G, k_max, g_max)
     raw = _class_matrix_characters(G, conj, wp)
     chars = _sort_characters(raw, wp, G.order)
-    return CharacterTable(G, conj, wp, chars, k_max=k_max, g_max=g_max, seed=seed)
+    return CharacterTable(G, conj, wp, chars, k_max=k_max, g_max=g_max)
 
 
 def eigenvalue_multiplicities(T: CharacterTable, rho: int,

@@ -81,7 +81,7 @@ def _table_for(T: CharacterTable, k: int, g: int):
             return W, perm
     wk = max(2 * k, 2 * T.group.order)
     wg = max(g, T.session_g_max, 2)
-    W = character_table(T.group, k_max=wk, g_max=wg, seed=T.session_seed)
+    W = character_table(T.group, k_max=wk, g_max=wg)
     perm = _match_characters(T, W)
     T._widened[(wk, wg)] = (W, perm)
     return W, perm

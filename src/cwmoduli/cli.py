@@ -3,7 +3,8 @@
 Commands: group-info, hurwitz-enumerate, cw, decompose, metacyclic-h2,
 metacyclic-rr-bound (the latter three also reachable as `group info`,
 `metacyclic h2`, `metacyclic rr-bound`). Exit codes: 0 success, 1 domain
-error, 2 usage error. Output is byte-identical for identical inputs and seed.
+error, 2 usage error. Output is byte-identical for identical inputs; --seed
+is accepted and changes nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class SessionConfig:
     up_to_conjugacy: bool = False
     output: str = "text"
     enumeration_cap: int = 10 ** 6
-    seed: int = 0
+    seed: int = 0  # accepted for compatibility; changes nothing
     vector_json: Optional[str] = None
     k_range: Optional[str] = None
     m: Optional[int] = None
@@ -150,7 +151,7 @@ def _character_cell(T: CharacterTable, rho: int, cls: int) -> str:
 
 def _cmd_group_info(cfg: SessionConfig, out: IO[str]) -> None:
     G = _build_group(cfg)
-    T = character_table(G, k_max=cfg.k_max or 1, seed=cfg.seed)
+    T = character_table(G, k_max=cfg.k_max or 1)
     conj = T.classes
     s = conj.class_count
     rational = [[rational_character_value(T, rho, c) for c in range(s)]
@@ -246,7 +247,7 @@ def _cmd_cw(cfg: SessionConfig, out: IO[str]) -> None:
     v = _parse_vector(cfg, G)
     validate(v, G)
     g = genus(v, G)
-    T = character_table(G, k_max=max(k_hi, 1), g_max=max(g, 2), seed=cfg.seed)
+    T = character_table(G, k_max=max(k_hi, 1), g_max=max(g, 2))
     mvs = [cw_character(v, T, k) for k in range(k_lo, k_hi + 1)]
     if cfg.output == "json" or T.class_count > TEXT_TABLE_LIMIT:
         for mv in mvs:
@@ -268,7 +269,7 @@ def _cmd_decompose(cfg: SessionConfig, out: IO[str]) -> None:
     for _, vectors in groups:
         items.extend(vectors)
     k_hi = cfg.k_max or G.order
-    T = character_table(G, k_max=k_hi, g_max=max(g, 2), seed=cfg.seed)
+    T = character_table(G, k_max=k_hi, g_max=max(g, 2))
     result: CanonicalDecomposition = _refine_through(tuple(items), T, k_hi)
     D = result.decomposition
     granularity = "orbit" if cfg.up_to_conjugacy else "raw"
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "| perm:cycles;... | table:path")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized internals (default 0)")
+                       help="accepted for compatibility; changes nothing")
 
     p = sub.add_parser("group-info", help="order, classes, character table")
     common(p)

@@ -3,16 +3,16 @@
 A vector (a_1, b_1, ..., a_g', b_g'; c_1, ..., c_r) encodes a Galois cover of
 a genus-g' curve branched at r points: branch entries have order > 1, the
 surface relation prod [a_i, b_i] prod c_j = 1 holds, and the entries generate
-the group. Enumeration is depth-first in element-id order, so output is
-deterministic and lexicographic.
+the group. Enumeration is one serial depth-first search in element-id
+order, so output is deterministic and lexicographic. Its cap counts the
+vectors of one branching datum as they are emitted, so the list of one datum
+never grows past the cap.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
@@ -177,13 +177,13 @@ def enumerate_branching_data(G: FiniteGroup, g: int) -> List[BranchingData]:
 class EnumerationOptions:
     """Knobs for enumerate_hurwitz_vectors.
 
-    prefix pins the first entries of the flattened (handles + branches) tuple;
-    it is how parallel workers partition the search tree.
+    up_to_conjugacy keeps one vector per simultaneous-conjugation orbit.
+    max_vectors caps the vectors emitted by one call, that is, for one
+    branching datum; it is checked as each vector is emitted.
     """
 
     up_to_conjugacy: bool = False
     max_vectors: int = 10 ** 6
-    prefix: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.max_vectors < 1:
@@ -198,16 +198,14 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     Handles range over all of G; branch entry j ranges over elements of order
     branch_orders[j]; the final branch entry is forced by the relation. With
     up_to_conjugacy only the smallest vector of each simultaneous-conjugation
-    orbit is emitted. Exceeding max_vectors raises EnumerationCapExceeded.
+    orbit is emitted. Emitting more than max_vectors vectors raises
+    EnumerationCapExceeded in place of the first vector past the cap.
     """
     opts = opts or EnumerationOptions()
     n_handles = 2 * data.g_quot
     orders = data.branch_orders
     r = len(orders)
     total = n_handles + r
-    prefix = tuple(opts.prefix or ())
-    if len(prefix) > total:
-        raise ValueError(f"prefix length {len(prefix)} exceeds {total} slots")
 
     by_order: Dict[int, List[int]] = {}
     for m in set(orders):
@@ -218,12 +216,6 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     all_elems = list(G.elements())
     rows = G.mul_rows()
     inv = [G.inv(x) for x in G.elements()]
-
-    def candidates(slot: int) -> Sequence[int]:
-        base = all_elems if slot < n_handles else by_order[orders[slot - n_handles]]
-        if slot < len(prefix):
-            return [prefix[slot]] if prefix[slot] in base else []
-        return base
 
     gen_memo: Dict[FrozenSet[int], bool] = {}
 
@@ -264,8 +256,6 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
             forced = inv[acc]
             if G.elem_order(forced) != orders[-1]:
                 return
-            if slot < len(prefix) and prefix[slot] != forced:
-                return
             flat[slot] = forced
             yield from finish()
             return
@@ -274,7 +264,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
                 yield from finish()
             return
         if slot < n_handles:
-            for x in candidates(slot):
+            for x in all_elems:
                 flat[slot] = x
                 if slot % 2 == 1:
                     comm = _commutator(G, flat[slot - 1], x)
@@ -282,7 +272,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
                 else:
                     yield from dfs(slot + 1, acc)
         else:
-            for x in candidates(slot):
+            for x in by_order[orders[slot - n_handles]]:
                 flat[slot] = x
                 yield from dfs(slot + 1, rows[acc][x])
 
@@ -290,38 +280,12 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
 
 
 def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,
-                                       opts: Optional[EnumerationOptions] = None,
-                                       threads: Optional[int] = None
+                                       opts: Optional[EnumerationOptions] = None
                                        ) -> List[HurwitzVector]:
-    """Enumerate by splitting the search tree on the next free slot.
+    """The vectors of enumerate_hurwitz_vectors, as a list.
 
-    Workers receive disjoint one-entry prefix extensions and their outputs are
-    concatenated in prefix order, so the result equals the serial stream
-    exactly. Thread count defaults to CW_MODULI_THREADS or the cpu count.
+    Enumeration is serial; this name stays because it is exported in
+    __all__, and because the benchmark's traced run times CLI enumeration by
+    wrapping it by name (bench/tracing.py).
     """
-    opts = opts or EnumerationOptions()
-    if threads is None:
-        threads = int(os.environ.get("CW_MODULI_THREADS", "0")) or (os.cpu_count() or 1)
-    threads = max(1, threads)
-    n_handles = 2 * data.g_quot
-    total = n_handles + len(data.branch_orders)
-    base = tuple(opts.prefix or ())
-    slot = len(base)
-    forced_slot = total - 1 if data.branch_orders else total
-    if threads == 1 or slot >= forced_slot:
-        return list(enumerate_hurwitz_vectors(G, data, opts))
-    if slot < n_handles:
-        cands: List[int] = list(G.elements())
-    else:
-        m = data.branch_orders[slot - n_handles]
-        cands = [x for x in G.elements() if G.elem_order(x) == m]
-    subopts = [replace(opts, prefix=base + (x,)) for x in cands]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(lambda o: list(enumerate_hurwitz_vectors(G, data, o)), subopts)
-        out: List[HurwitzVector] = []
-        for chunk in chunks:
-            out.extend(chunk)
-    if len(out) > opts.max_vectors:
-        raise EnumerationCapExceeded(
-            f"enumeration exceeded the cap of {opts.max_vectors} vectors")
-    return out
+    return list(enumerate_hurwitz_vectors(G, data, opts))

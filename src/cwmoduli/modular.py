@@ -9,7 +9,6 @@ inside (-p/2, p/2), so lifting to the least absolute residue is exact.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -111,8 +110,9 @@ def choose_prime(G: FiniteGroup, k_max: int = 1, g_max: int = 2, *,
     """Pick the smallest suitable prime and a primitive e-th root of unity.
 
     e is the group exponent; the prime must satisfy p = 1 mod e and
-    p > 2 * session_bound. The root search tries seeded random candidates
-    first, then scans deterministically, so results are reproducible.
+    p > 2 * session_bound. The root is found by a deterministic scan, so z
+    depends on p alone. seed is accepted for compatibility and no longer
+    changes anything.
     """
     e = G.exponent()
     B = session_bound(G.order, k_max, g_max)
@@ -124,14 +124,15 @@ def choose_prime(G: FiniteGroup, k_max: int = 1, g_max: int = 2, *,
         step = 1
     while candidate <= PRIME_SEARCH_LIMIT:
         if candidate > 2 * B and _is_prime(candidate):
-            z = _find_unity_root(candidate, e, seed)
+            z = _find_unity_root(candidate, e)
             return WorkingPrime(candidate, e, z, B)
         candidate += step
     raise PrimeSearchExceeded(
         f"no prime p = 1 mod {e} with p > {2 * B} below {PRIME_SEARCH_LIMIT}")
 
 
-def _find_unity_root(p: int, e: int, seed: int) -> int:
+def _find_unity_root(p: int, e: int) -> int:
+    """The first c**((p-1)/e) over c = 2, 3, ... that has order exactly e."""
     if e == 1:
         return 1
     quots = [e // q for q in _prime_factors(e)]
@@ -145,11 +146,6 @@ def _find_unity_root(p: int, e: int, seed: int) -> int:
             return 0
         return z
 
-    rng = random.Random(seed)
-    for _ in range(128):
-        z = try_base(rng.randrange(2, p))
-        if z:
-            return z
     for c in range(2, p):
         z = try_base(c)
         if z:

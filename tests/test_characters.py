@@ -292,8 +292,8 @@ class TestDeterminism:
         assert a.prime == b.prime
 
     def test_values_independent_of_seed(self):
-        # the residues are intrinsic to the prime; the seed only steers the
-        # internal random splitting and the choice of primitive root
+        # the seed changes nothing: the prime and its root of unity both come
+        # from deterministic searches
         G = build_from_permutations(S4_PERM_GENS)
         rows0 = character_table(G, seed=0).irreducibles
         rows7 = character_table(G, seed=7).irreducibles

@@ -232,23 +232,6 @@ class TestEnumerationOrder:
         b = [flat(v) for v in enumerate_hurwitz_vectors(s3, data)]
         assert a == b == sorted(a)
 
-    def test_prefix_partition_is_exact(self, s3):
-        data = BranchingData(1, (2, 2, 2))
-        full = [flat(v) for v in enumerate_hurwitz_vectors(s3, data)]
-        pieces = []
-        for x in range(6):
-            opts = EnumerationOptions(prefix=(x,))
-            pieces.extend(flat(v) for v in enumerate_hurwitz_vectors(s3, data, opts))
-        assert pieces == full
-
-    def test_prefix_must_match_emitted(self, s3):
-        data = BranchingData(0, (2, 2, 3, 3))
-        opts = EnumerationOptions(prefix=(1, 3))
-        got = [flat(v) for v in enumerate_hurwitz_vectors(s3, data, opts)]
-        assert got == [f for f in
-                       (flat(v) for v in enumerate_hurwitz_vectors(s3, data))
-                       if f[:2] == (1, 3)]
-
 
 class TestUpToConjugacy:
     def brute_orbit_count(self, G, vecs):
@@ -294,43 +277,50 @@ class TestCap:
         opts = EnumerationOptions(max_vectors=86)
         assert len(list(enumerate_hurwitz_vectors(z3, data, opts))) == 86
 
+    def test_generator_yields_the_cap_then_raises(self, z3):
+        # the cap is checked as vectors are emitted, not after collecting them
+        data = BranchingData(0, (3,) * 8)
+        stream = enumerate_hurwitz_vectors(z3, data, EnumerationOptions(max_vectors=10))
+        got = [next(stream) for _ in range(10)]
+        assert [flat(v) for v in got] == [
+            flat(v) for v in itertools.islice(enumerate_hurwitz_vectors(z3, data), 10)]
+        with pytest.raises(EnumerationCapExceeded):
+            next(stream)
+
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             EnumerationOptions(max_vectors=0)
 
 
 class TestParallel:
-    def test_matches_serial(self, s3, z3, monkeypatch):
+    def test_matches_serial(self, s3, z3):
         cases = [
             (s3, BranchingData(0, (2, 2, 3, 3))),
             (s3, BranchingData(1, (2, 2, 2))),
             (z3, BranchingData(0, (3,) * 8)),
             (z3, BranchingData(2, (3, 3))),
         ]
-        for threads in (1, 2, 3):
-            monkeypatch.setenv("CW_MODULI_THREADS", str(threads))
-            for G, data in cases:
-                serial = [flat(v) for v in enumerate_hurwitz_vectors(G, data)]
-                par = [flat(v) for v in enumerate_hurwitz_vectors_parallel(G, data)]
-                assert par == serial
-
-    def test_explicit_thread_count(self, s3):
-        data = BranchingData(0, (2, 2, 3, 3))
-        serial = [flat(v) for v in enumerate_hurwitz_vectors(s3, data)]
-        par = [flat(v) for v in
-               enumerate_hurwitz_vectors_parallel(s3, data, threads=4)]
-        assert par == serial
+        for G, data in cases:
+            serial = [flat(v) for v in enumerate_hurwitz_vectors(G, data)]
+            listed = [flat(v) for v in enumerate_hurwitz_vectors_parallel(G, data)]
+            assert listed == serial
 
     def test_conjugacy_and_cap_respected(self, s3):
         data = BranchingData(0, (2, 2, 3, 3))
         opts = EnumerationOptions(up_to_conjugacy=True)
         serial = [flat(v) for v in enumerate_hurwitz_vectors(s3, data, opts)]
-        par = [flat(v) for v in
-               enumerate_hurwitz_vectors_parallel(s3, data, opts, threads=3)]
-        assert par == serial
+        listed = [flat(v) for v in enumerate_hurwitz_vectors_parallel(s3, data, opts)]
+        assert listed == serial
         tight = EnumerationOptions(max_vectors=5)
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_hurwitz_vectors_parallel(s3, data, tight, threads=2)
+            enumerate_hurwitz_vectors_parallel(s3, data, tight)
+
+    def test_cap_equal_to_count_returns_everything(self, s3):
+        data = BranchingData(0, (2, 2, 3, 3))
+        exact = EnumerationOptions(max_vectors=12)
+        got = [flat(v) for v in enumerate_hurwitz_vectors_parallel(s3, data, exact)]
+        assert got == [flat(v) for v in enumerate_hurwitz_vectors(s3, data)]
+        assert len(got) == 12
 
 
 class TestMetacyclicEnumeration:
@@ -341,3 +331,122 @@ class TestMetacyclicEnumeration:
             for v in vecs:
                 assert validate(v, G) is v
                 assert genus(v, G) == 3
+
+
+# Independent counting oracle. It reads only the multiplication rows, the
+# inverses and the element orders of a group, and shares no code with the
+# enumerator: tuples satisfying the relation are counted in every subgroup by
+# dynamic programming over partial products, and Hall's Moebius inversion over
+# the subgroup lattice (Hall 1936, "The Eulerian functions of a group") keeps
+# the tuples that generate the whole group.
+
+def _subgroup_lattice(G):
+    """mu(H, G) for every subgroup H, keyed by H as a frozenset."""
+    rows = G.mul_rows()
+
+    def closure(gens):
+        seen = {G.identity}
+        frontier = [G.identity]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for x in gens:
+                    b = rows[a][x]
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return frozenset(seen)
+
+    # every subgroup is reached from the trivial one by adding one element at
+    # a time along a chain of subgroups
+    subgroups = {frozenset([G.identity])}
+    frontier = list(subgroups)
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for x in range(G.order):
+                if x not in H:
+                    K = closure(set(H) | {x})
+                    if K not in subgroups:
+                        subgroups.add(K)
+                        nxt.append(K)
+        frontier = nxt
+    by_size = sorted(subgroups, key=len, reverse=True)
+    mu = {}
+    for H in by_size:
+        mu[H] = 1 if len(H) == G.order else -sum(
+            mu[K] for K in by_size if len(K) > len(H) and H < K)
+    return mu
+
+
+def _relation_count(G, H, data):
+    """Tuples in H with prod [a_i, b_i] prod c_j = 1 and ord c_j = m_j."""
+    rows = G.mul_rows()
+    inv = [G.inv(x) for x in range(G.order)]
+    elems = sorted(H)
+    dist = {G.identity: 1}
+
+    def step(dist, weights):
+        out = {}
+        for x, n in dist.items():
+            row = rows[x]
+            for y, w in weights.items():
+                z = row[y]
+                out[z] = out.get(z, 0) + n * w
+        return out
+
+    if data.g_quot:
+        comm = {}
+        for a in elems:
+            for b in elems:
+                c = rows[rows[rows[a][b]][inv[a]]][inv[b]]
+                comm[c] = comm.get(c, 0) + 1
+        for _ in range(data.g_quot):
+            dist = step(dist, comm)
+    for m in data.branch_orders:
+        dist = step(dist, {x: 1 for x in elems if G.elem_order(x) == m})
+    return dist.get(G.identity, 0)
+
+
+def _oracle_count(G, mu, data):
+    return sum(mu_h * _relation_count(G, H, data) for H, mu_h in mu.items() if mu_h)
+
+
+def _center_order(G):
+    rows = G.mul_rows()
+    return sum(1 for z in range(G.order)
+               if all(rows[z][x] == rows[x][z] for x in range(G.order)))
+
+
+class TestCountingOracle:
+    GENERA = range(2, 7)
+
+    def test_oracle_on_s3_brute_force(self, s3):
+        # the literal brute force of TestEnumerationCounts gives 12
+        mu = _subgroup_lattice(s3)
+        assert len(mu) == 6
+        assert _oracle_count(s3, mu, BranchingData(0, (2, 2, 3, 3))) == 12
+
+    def test_counts_match_enumeration(self, catalog):
+        checked = 0
+        for label, G in catalog:
+            assert G.order <= 24
+            mu = _subgroup_lattice(G)
+            for g in self.GENERA:
+                for data in enumerate_branching_data(G, g):
+                    got = sum(1 for _ in enumerate_hurwitz_vectors(G, data))
+                    assert got == _oracle_count(G, mu, data), (label, data)
+                    checked += 1
+        assert checked == 488
+
+    def test_orbits_times_group_order(self, catalog):
+        # G/Z(G) acts freely on generating vectors by simultaneous conjugation
+        opts = EnumerationOptions(up_to_conjugacy=True)
+        for label, G in catalog:
+            z = _center_order(G)
+            for g in self.GENERA:
+                for data in enumerate_branching_data(G, g):
+                    raw = sum(1 for _ in enumerate_hurwitz_vectors(G, data))
+                    orbits = sum(1 for _ in enumerate_hurwitz_vectors(G, data, opts))
+                    assert raw * z == orbits * G.order, (label, data)

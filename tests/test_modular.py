@@ -97,6 +97,7 @@ class TestChoosePrime:
         assert a.p == b.p
         assert a.bound == b.bound
         assert pow(b.z, b.e, b.p) == 1
+        assert a == b  # the root does not depend on the seed either
 
     def test_smallest_qualifying_prime(self):
         # exhaustively confirm no smaller prime works for the genus-6 session
