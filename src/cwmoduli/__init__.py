@@ -5,8 +5,9 @@ The pipeline: build a group, enumerate Hurwitz vectors for a genus, evaluate
 the multiplicity of every irreducible character in H^0 of each pluricanonical
 bundle, and partition the vectors by those multiplicities. A companion module
 bounds the component count of the regular-representation locus for split
-metacyclic groups. All arithmetic is exact, done in a prime field sized so
-that every reported integer is recovered uniquely.
+metacyclic groups. All arithmetic is exact: character values live in a prime
+field sized so that every reported integer is recovered uniquely, and the
+multiplicities are integer arithmetic on the recovered eigenvalue counts.
 """
 
 from .errors import (AbelianGroup, CwModuliError, EnumerationCapExceeded,
@@ -21,7 +22,7 @@ from .modular import (PRIME_SEARCH_LIMIT, WorkingPrime, choose_prime,
                       recover_integer, root_power_sum, session_bound)
 from .characters import (Character, CharacterTable, EigenvalueMultiplicities,
                          character_fingerprint, character_table,
-                         eigenvalue_multiplicities, inner_product,
+                         eigenvalue_counts, eigenvalue_multiplicities, inner_product,
                          rational_character_value)
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       branching_data_of, conjugate_vector,
@@ -56,8 +57,8 @@ __all__ = [
     "recover_integer", "root_power_sum",
     # characters
     "Character", "CharacterTable", "EigenvalueMultiplicities",
-    "character_table", "eigenvalue_multiplicities", "inner_product",
-    "rational_character_value", "character_fingerprint",
+    "character_table", "eigenvalue_counts", "eigenvalue_multiplicities",
+    "inner_product", "rational_character_value", "character_fingerprint",
     # hurwitz
     "BranchingData", "HurwitzVector", "EnumerationOptions", "validate", "genus",
     "branching_data_of", "conjugate_vector", "enumerate_branching_data",

@@ -6,7 +6,8 @@ GF(p) are, up to scale, the columns j -> |C_j| chi(g_j) / chi(1). A random
 field combination of the class matrices separates the eigenspaces; degrees and
 values are then recovered from orthogonality. Everything is exact: p is chosen
 by the modular module so that every reported integer is a least absolute
-residue.
+residue. The eigenvalue counts of every character at a class come from one
+matrix product per class and are kept as integers.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .groups import FiniteGroup, ConjugacyData, conjugacy_classes
-from .modular import WorkingPrime, choose_prime, recover_integer, root_power_sum
+from .modular import WorkingPrime, choose_prime, recover_integer
 
 __all__ = [
     "Character",
     "CharacterTable",
     "EigenvalueMultiplicities",
     "character_table",
+    "eigenvalue_counts",
     "eigenvalue_multiplicities",
     "inner_product",
     "rational_character_value",
@@ -62,31 +64,29 @@ class CharacterTable:
     """Irreducible characters of a group, all values as residues mod prime.p.
 
     irreducibles[0] is the trivial character; the rest are sorted by degree and
-    then by recovered values. The table is immutable apart from internal
-    memoization caches.
+    then by recovered values. degrees lists the character degrees in the same
+    order. The characters do not change after construction; the table memoizes
+    the eigenvalue counts of each class on first use, and the multiplicity
+    module keeps its per-table caches here.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyData,
-                 prime: WorkingPrime, irreducibles: Tuple[Character, ...],
-                 *, k_max: int, g_max: int):
+                 prime: WorkingPrime, irreducibles: Tuple[Character, ...]):
         self.group = group
         self.classes = classes
         self.prime = prime
         self.irreducibles = irreducibles
-        self.session_k_max = k_max
-        self.session_g_max = g_max
-        self._mult_cache: Dict[Tuple[int, int], EigenvalueMultiplicities] = {}
+        self.degrees: Tuple[int, ...] = tuple(c.degree for c in irreducibles)
+        self._values = np.array([c.values for c in irreducibles], dtype=np.int64)
+        # class index -> (eigenvalue counts, rationality of each character)
+        self._counts: Dict[int, Tuple[np.ndarray, Tuple[bool, ...]]] = {}
         self._cw_cache: Dict[tuple, Tuple[int, ...]] = {}
-        self._validated: Dict[tuple, int] = {}  # vector key -> genus
-        self._widened: Dict[Tuple[int, int], tuple] = {}
+        # vector key -> (genus, sorted class ids of the branch entries)
+        self._validated: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
 
     @property
     def class_count(self) -> int:
         return self.classes.class_count
-
-    @property
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(c.degree for c in self.irreducibles)
 
     @property
     def regular_character(self) -> Tuple[int, ...]:
@@ -102,47 +102,77 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
                     seed: int = 0) -> CharacterTable:
     """Compute the full irreducible character table of G.
 
-    k_max and g_max size the working prime so that later multiplicity queries
-    up to that pluricanonical level and genus recover exactly; they do not
-    change the characters themselves. seed is accepted for compatibility and
-    no longer changes anything.
+    k_max and g_max size the working prime; they do not change the characters
+    themselves, and multiplicity queries at any level and genus are exact on
+    any table. seed is accepted for compatibility and no longer changes
+    anything.
     """
     conj = conjugacy_classes(G)
     wp = choose_prime(G, k_max, g_max)
     raw = _class_matrix_characters(G, conj, wp)
     chars = _sort_characters(raw, wp, G.order)
-    return CharacterTable(G, conj, wp, chars, k_max=k_max, g_max=g_max)
+    return CharacterTable(G, conj, wp, chars)
+
+
+def _class_counts(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, ...]]:
+    hit = T._counts.get(cls)
+    if hit is None:
+        hit = T._counts[cls] = _count_matrix(T, cls)
+    return hit
+
+
+def _count_matrix(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, ...]]:
+    """Eigenvalue counts of every character at one class, and their rationality.
+
+    N = V F over GF(p), where V[rho, j] = chi_rho(g^j) and
+    F[j, a] = zeta_m^(-a j) / m, then lifted to integers. F is split into
+    16-bit limbs so that every int64 partial product stays below 2^47 and
+    every row sum below 2^56 (p < 2^31, m <= 512).
+    """
+    wp = T.prime
+    p = wp.p
+    m = T.group.elem_order(T.classes.representatives[cls])
+    V = T._values[:, T.classes.power_class[cls, :m]]
+    zeta = np.array([wp.unity_root(t * (wp.e // m)) for t in range(m)], dtype=np.int64)
+    j = np.arange(m)
+    F = zeta[np.outer(j, -j) % m] * wp.inv(m) % p
+    N = ((V @ (F >> 16)) % p * 65536 + V @ (F & 0xFFFF)) % p
+    N[2 * N > p] -= p
+    degrees = np.array(T.degrees, dtype=np.int64)
+    bad = np.flatnonzero((N < 0).any(axis=1) | (N > degrees[:, None]).any(axis=1)
+                         | (N.sum(axis=1) != degrees))
+    if bad.size:
+        rho = int(bad[0])
+        raise InternalConsistencyError(
+            f"eigenvalue counts {N[rho].tolist()} of character {rho} at class {cls} "
+            f"are not in [0, {T.degrees[rho]}] with sum {T.degrees[rho]}")
+    N.flags.writeable = False
+    # chi(g) is rational iff its counts are constant on each orbit of the
+    # units mod m, i.e. depend only on gcd(a, m)
+    rational = (N[:, np.gcd(j, m) % m] == N).all(axis=1)
+    return N, tuple(bool(r) for r in rational)
+
+
+def eigenvalue_counts(T: CharacterTable, class_index: int) -> np.ndarray:
+    """Read-only integer matrix N[rho, a] for the given class.
+
+    N[rho, a] is the multiplicity of zeta_m^a as an eigenvalue of rho(g), for
+    g in the class, m its order and zeta_m = z^(e/m). Computed on first use of
+    the class with one matrix product; rows are in range [0, deg] and sum to
+    the degree, which is asserted.
+    """
+    return _class_counts(T, class_index)[0]
 
 
 def eigenvalue_multiplicities(T: CharacterTable, rho: int,
                               c: int) -> EigenvalueMultiplicities:
     """Eigenvalue multiplicities of rho evaluated at the element c.
 
-    counts[a] is recovered from the inverse DFT of j -> chi(c^j) over the
-    cyclic group generated by c; it counts the eigenvalue zeta_m^a of rho(c).
+    counts[a] is row rho of the count matrix of the class of c: the number of
+    eigenvalues zeta_m^a of rho(c).
     """
-    cls = int(T.classes.class_of[c])
-    key = (rho, cls)
-    hit = T._mult_cache.get(key)
-    if hit is not None:
-        return hit
-    chi = T.irreducibles[rho]
-    m = T.group.elem_order(c)
-    values = [chi.values[int(T.classes.power_class[cls, j])] for j in range(m)]
-    counts = []
-    for alpha in range(m):
-        n = recover_integer(root_power_sum(values, alpha, m, T.prime), T.prime)
-        if not 0 <= n <= chi.degree:
-            raise InternalConsistencyError(
-                f"eigenvalue count {n} for character {rho} at class {cls} "
-                f"falls outside [0, {chi.degree}]")
-        counts.append(n)
-    if sum(counts) != chi.degree:
-        raise InternalConsistencyError(
-            f"eigenvalue counts {counts} do not sum to the degree {chi.degree}")
-    out = EigenvalueMultiplicities(m, tuple(counts))
-    T._mult_cache[key] = out
-    return out
+    N = eigenvalue_counts(T, int(T.classes.class_of[c]))
+    return EigenvalueMultiplicities(N.shape[1], tuple(N[rho].tolist()))
 
 
 def inner_product(T: CharacterTable, a: Sequence[int], b: int) -> int:
@@ -171,14 +201,8 @@ def rational_character_value(T: CharacterTable, rho: int,
     value is rational iff counts[t*a mod m] = counts[a] for every t coprime
     to m.
     """
-    rep = T.classes.representatives[class_index]
-    em = eigenvalue_multiplicities(T, rho, rep)
-    m = em.m
-    for t in range(2, m):
-        if math.gcd(t, m) != 1:
-            continue
-        if any(em.counts[t * a % m] != em.counts[a] for a in range(m)):
-            return None
+    if not _class_counts(T, class_index)[1][rho]:
+        return None
     return recover_integer(T.irreducibles[rho].values[class_index], T.prime)
 
 
@@ -189,9 +213,8 @@ def character_fingerprint(T: CharacterTable, rho: int) -> tuple:
     get distinct fingerprints; used to match characters across tables built
     with different working primes.
     """
-    profile = tuple(
-        eigenvalue_multiplicities(T, rho, T.classes.representatives[cls]).counts
-        for cls in range(T.classes.class_count))
+    profile = tuple(tuple(eigenvalue_counts(T, cls)[rho].tolist())
+                    for cls in range(T.classes.class_count))
     return (T.irreducibles[rho].degree, profile)
 
 

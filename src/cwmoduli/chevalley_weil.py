@@ -6,21 +6,25 @@ closed expressions in the quotient genus, the branch data, and the eigenvalue
 counts of the characters. The two levels stay separate: k = 1 carries the
 extra +1 on the trivial character, k >= 2 is uniform.
 
-Everything is evaluated in the working prime field and recovered once per
-multiplicity; range and dimension identities are asserted, never assumed.
+The formulas depend only on k, the quotient genus and the multiset of
+conjugacy classes of the branch entries, so that triple is the unit of work
+and of caching. The eigenvalue counts are exact integers read from the
+character table; after multiplying by |G| (every branch order divides |G|)
+each formula is integer arithmetic, and the final division by |G| is asserted
+to be exact. Range and dimension identities are asserted, never assumed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .characters import (CharacterTable, character_fingerprint, character_table,
-                         eigenvalue_multiplicities)
+import numpy as np
+
+from .characters import CharacterTable, eigenvalue_counts
 from .errors import InternalConsistencyError
-from .groups import FiniteGroup
 from .hurwitz import HurwitzVector, genus, validate
-from .modular import recover_integer, session_bound
 
 __all__ = [
     "MultiplicityVector",
@@ -40,130 +44,80 @@ class MultiplicityVector:
     mults: Tuple[int, ...]
 
 
-def _genus_of(v: HurwitzVector, T: CharacterTable) -> int:
-    """Validate v once per table and memoize its genus."""
+def _genus_and_classes(v: HurwitzVector,
+                       T: CharacterTable) -> Tuple[int, Tuple[int, ...]]:
+    """Validate v once per table; memoize its genus and sorted branch class ids."""
     key = (v.g_quot, v.handles, v.branches)
-    g = T._validated.get(key)
-    if g is None:
+    hit = T._validated.get(key)
+    if hit is None:
         validate(v, T.group)
-        g = genus(v, T.group)
-        T._validated[key] = g
-    return g
+        class_of = T.classes.class_of
+        hit = (genus(v, T.group), tuple(sorted(int(class_of[c]) for c in v.branches)))
+        T._validated[key] = hit
+    return hit
 
 
-def _match_characters(T: CharacterTable, W: CharacterTable) -> Tuple[int, ...]:
-    """Map T's character indices to W's via prime-independent fingerprints."""
-    by_fp = {character_fingerprint(W, j): j for j in range(W.class_count)}
-    perm = []
-    for i in range(T.class_count):
-        j = by_fp.get(character_fingerprint(T, i))
-        if j is None:
-            raise InternalConsistencyError(
-                "widened table is missing a character of the original table")
-        perm.append(j)
-    if perm[0] != 0:
-        raise InternalConsistencyError("trivial character moved during widening")
-    return tuple(perm)
+def _evaluate(T: CharacterTable, k: int, g_quot: int, g: int,
+              class_key: Tuple[int, ...]) -> Tuple[int, ...]:
+    """All multiplicities at level k, in integers, from the eigenvalue counts.
 
-
-def _table_for(T: CharacterTable, k: int, g: int):
-    """A table whose prime bound covers a level-k genus-g query.
-
-    Returns (table, index map). The session table is reused when its bound
-    suffices; otherwise a wider table is built once, matched to T's character
-    order by fingerprints, and cached on T.
+    With N = counts at the class of c_i (order m_i), |G| times the multiplicity
+    of rho is
+      k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
+      k >= 2: 2k deg (g-1) - |G| deg (g'-1)
+              - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i}.
     """
-    need = session_bound(T.group.order, k, max(g, 2))
-    if need <= T.prime.bound:
-        return T, None
-    for W, perm in T._widened.values():
-        if need <= W.prime.bound:
-            return W, perm
-    wk = max(2 * k, 2 * T.group.order)
-    wg = max(g, T.session_g_max, 2)
-    W = character_table(T.group, k_max=wk, g_max=wg)
-    perm = _match_characters(T, W)
-    T._widened[(wk, wg)] = (W, perm)
-    return W, perm
-
-
-def _evaluate_k1(v: HurwitzVector, W: CharacterTable, rho_w: int, g: int,
-                 trivial: bool) -> int:
-    """deg(rho)(g'-1) + sum_i sum_{a=1..m_i-1} a N_{i,a} / m_i (+1 if trivial)."""
-    wp = W.prime
-    p = wp.p
-    chi = W.irreducibles[rho_w]
-    total = chi.degree * ((v.g_quot - 1) % p) % p
-    for c in v.branches:
-        em = eigenvalue_multiplicities(W, rho_w, c)
-        acc = 0
-        for alpha in range(1, em.m):
-            acc += alpha * em.counts[alpha]
-        total = (total + acc * wp.inv(em.m)) % p
-    if trivial:
-        total = (total + 1) % p
-    val = recover_integer(total, wp)
-    if not 0 <= val <= g:
+    order = T.group.order
+    if k == 1:
+        scaled = [order * d * (g_quot - 1) for d in T.degrees]
+        scaled[0] += order
+    else:
+        scaled = [2 * k * d * (g - 1) - order * d * (g_quot - 1) for d in T.degrees]
+    for cls, times in Counter(class_key).items():
+        N = eigenvalue_counts(T, cls)
+        m = N.shape[1]
+        a = np.arange(m)
+        weights = a if k == 1 else (-a - k % m) % m
+        factor = order // m * times * (1 if k == 1 else -1)
+        # |N @ weights| <= deg * m^2 <= 2^23: exact in int64
+        scaled = [x + factor * y for x, y in zip(scaled, (N @ weights).tolist())]
+    dim = g if k == 1 else (2 * k - 1) * (g - 1)
+    mults = []
+    for x in scaled:
+        q, r = divmod(x, order)
+        if r:
+            raise InternalConsistencyError(
+                f"level-{k} multiplicity {x}/{order} is not an integer")
+        if not 0 <= q <= dim:
+            raise InternalConsistencyError(
+                f"level-{k} multiplicity {q} falls outside [0, {dim}]")
+        mults.append(q)
+    total = sum(m * d for m, d in zip(mults, T.degrees))
+    if total != dim:
         raise InternalConsistencyError(
-            f"level-1 multiplicity {val} falls outside [0, {g}]")
-    return val
-
-
-def _evaluate_k(v: HurwitzVector, W: CharacterTable, rho_w: int, g: int,
-                k: int) -> int:
-    """(2k/|G|) deg (g-1) - deg (g'-1) - sum_i sum_a N_{i,a} [-a-k]_{m_i} / m_i."""
-    wp = W.prime
-    p = wp.p
-    chi = W.irreducibles[rho_w]
-    order = W.group.order
-    total = 2 * k % p * wp.inv(order) % p * chi.degree % p * ((g - 1) % p) % p
-    total = (total - chi.degree * ((v.g_quot - 1) % p)) % p
-    for c in v.branches:
-        em = eigenvalue_multiplicities(W, rho_w, c)
-        acc = 0
-        for alpha in range(em.m):
-            acc += em.counts[alpha] * ((-alpha - k) % em.m)
-        total = (total - acc * wp.inv(em.m)) % p
-    val = recover_integer(total, wp)
-    bound = (2 * k - 1) * (g - 1)
-    if not 0 <= val <= bound:
-        raise InternalConsistencyError(
-            f"level-{k} multiplicity {val} falls outside [0, {bound}]")
-    return val
+            f"multiplicities contract to dimension {total}, expected {dim}")
+    return tuple(mults)
 
 
 def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVector:
     """All irreducible multiplicities of the level-k representation of v.
 
-    The result depends only on (k, quotient genus, branch entries), so repeat
-    queries are served from a cache on the table. The dimension identity
-    sum mult * degree = g (k = 1) or (2k-1)(g-1) (k >= 2) is asserted.
+    The result depends only on (k, quotient genus, branch class multiset), so
+    repeat queries are served from a cache on the table. The dimension
+    identity sum mult * degree = g (k = 1) or (2k-1)(g-1) (k >= 2) is asserted.
     """
     if k < 1:
         raise ValueError(f"pluricanonical level must be >= 1, got {k}")
-    g = _genus_of(v, T)
+    g, class_key = _genus_and_classes(v, T)
     if g < 2:
         raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
-    key = (k, v.g_quot, v.branches)
+    key = (k, v.g_quot, class_key)
     hit = T._cw_cache.get(key)
     if hit is not None:
         return MultiplicityVector(k, hit)
-    W, perm = _table_for(T, k, g)
-    mults: List[int] = []
-    for rho in range(T.class_count):
-        rho_w = rho if perm is None else perm[rho]
-        if k == 1:
-            mults.append(_evaluate_k1(v, W, rho_w, g, trivial=rho == 0))
-        else:
-            mults.append(_evaluate_k(v, W, rho_w, g, k))
-    dim = g if k == 1 else (2 * k - 1) * (g - 1)
-    total = sum(m * d for m, d in zip(mults, T.degrees))
-    if total != dim:
-        raise InternalConsistencyError(
-            f"multiplicities contract to dimension {total}, expected {dim}")
-    out = tuple(mults)
-    T._cw_cache[key] = out
-    return MultiplicityVector(k, out)
+    mults = _evaluate(T, k, v.g_quot, g, class_key)
+    T._cw_cache[key] = mults
+    return MultiplicityVector(k, mults)
 
 
 def cw_multiplicity_k1(v: HurwitzVector, T: CharacterTable, rho: int) -> int:
@@ -201,7 +155,7 @@ def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int,
         raise ValueError(f"pluricanonical level must be >= 1, got {k}")
     low = cw_character(v, T, k)
     high = cw_character(v, T, k + T.group.order)
-    g = _genus_of(v, T)
+    g = _genus_and_classes(v, T)[0]
     delta = tuple(b - a for a, b in zip(low.mults, high.mults))
     for rho, d in enumerate(delta):
         expect = 2 * T.degrees[rho] * (g - 1) - (1 if k == 1 and rho == 0 else 0)

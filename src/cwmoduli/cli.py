@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import (CharacterTable, character_table, rational_character_value)
 from .chevalley_weil import cw_character
@@ -204,22 +204,29 @@ def _cmd_group_info(cfg: SessionConfig, out: IO[str]) -> None:
 
 
 def _enumerate_all(G: FiniteGroup, g: int, cfg: SessionConfig
-                   ) -> List[Tuple[BranchingData, List[HurwitzVector]]]:
+                   ) -> Iterator[Tuple[BranchingData, List[HurwitzVector]]]:
+    """Each branching datum of genus g with its vectors, one datum at a time.
+
+    The data are listed, and the genus checked, before any vector is.
+    """
     opts = EnumerationOptions(up_to_conjugacy=cfg.up_to_conjugacy,
                               max_vectors=cfg.enumeration_cap)
-    out = []
-    for data in enumerate_branching_data(G, g):
-        out.append((data, enumerate_hurwitz_vectors_parallel(G, data, opts)))
-    return out
+    return ((data, enumerate_hurwitz_vectors_parallel(G, data, opts))
+            for data in enumerate_branching_data(G, g))
 
 
 def _cmd_hurwitz_enumerate(cfg: SessionConfig, out: IO[str]) -> None:
+    """Render each datum as soon as it is enumerated; only its list is held."""
     G = _build_group(cfg)
     g = _require(cfg.genus, "--genus")
     groups = _enumerate_all(G, g, cfg)
-    total = sum(len(vs) for _, vs in groups)
-    if cfg.output == "json":
-        for data, vectors in groups:
+    total = 0
+    if cfg.output == "text":
+        print(f"group: {G.label}  genus: {g}  "
+              f"granularity: {'orbit' if cfg.up_to_conjugacy else 'raw'}", file=out)
+    for data, vectors in groups:
+        total += len(vectors)
+        if cfg.output == "json":
             print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
                               "g_quot": data.g_quot,
                               "branch_orders": list(data.branch_orders),
@@ -227,18 +234,17 @@ def _cmd_hurwitz_enumerate(cfg: SessionConfig, out: IO[str]) -> None:
             for v in vectors:
                 print(json.dumps(dict(_vector_record(v), kind="hurwitz-vector")),
                       file=out)
-        print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
-              file=out)
-        return
-    print(f"group: {G.label}  genus: {g}  "
-          f"granularity: {'orbit' if cfg.up_to_conjugacy else 'raw'}", file=out)
-    for data, vectors in groups:
+            continue
         orders = ",".join(str(m) for m in data.branch_orders)
         print(f"branching data g_quot={data.g_quot} orders=[{orders}]: "
               f"{len(vectors)} vectors", file=out)
         for v in vectors:
             print(f"  {_vector_text(v)}", file=out)
-    print(f"total: {total}", file=out)
+    if cfg.output == "json":
+        print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
+              file=out)
+    else:
+        print(f"total: {total}", file=out)
 
 
 def _cmd_cw(cfg: SessionConfig, out: IO[str]) -> None:
@@ -264,7 +270,7 @@ def _cmd_cw(cfg: SessionConfig, out: IO[str]) -> None:
 def _cmd_decompose(cfg: SessionConfig, out: IO[str]) -> None:
     G = _build_group(cfg)
     g = _require(cfg.genus, "--genus")
-    groups = _enumerate_all(G, g, cfg)
+    groups = list(_enumerate_all(G, g, cfg))
     items: List[HurwitzVector] = []
     for _, vectors in groups:
         items.extend(vectors)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .characters import CharacterTable
-from .chevalley_weil import MultiplicityVector, _genus_of, cw_character
+from .chevalley_weil import MultiplicityVector, _genus_and_classes, cw_character
 from .errors import InternalConsistencyError
 from .hurwitz import HurwitzVector
 
@@ -91,20 +91,28 @@ def _assemble(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...],
                          tuple(ordered))
 
 
-def _require_uniform_genus(items: Tuple[HurwitzVector, ...],
-                           T: CharacterTable) -> None:
-    genera = {_genus_of(v, T) for v in items}
+def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
+                   k: int) -> Decomposition:
+    """Partition items by their level-k multiplicity vector.
+
+    Items sharing a quotient genus and a multiset of branch classes share
+    their multiplicities, so each such class key is evaluated once.
+    """
+    items = tuple(items)
+    genera = set()
+    by_class: Dict[tuple, List[int]] = {}
+    for idx, v in enumerate(items):
+        g, class_key = _genus_and_classes(v, T)
+        genera.add(g)
+        by_class.setdefault((v.g_quot, class_key), []).append(idx)
     if len(genera) > 1:
         raise ValueError(f"items span several genera {sorted(genera)}; "
                          "a decomposition needs a single genus")
-
-
-def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
-                   k: int) -> Decomposition:
-    """Partition items by their level-k multiplicity vector."""
-    items = tuple(items)
-    _require_uniform_genus(items, T)
-    item_keys = [(cw_character(v, T, k).mults,) for v in items]
+    item_keys: List[BlockKey] = [()] * len(items)
+    for members in by_class.values():
+        key = (cw_character(items[members[0]], T, k).mults,)
+        for idx in members:
+            item_keys[idx] = key
     return _assemble(items, (k,), item_keys)
 
 

@@ -1,9 +1,11 @@
-"""Prime-field arithmetic shared by the character-table and multiplicity code.
+"""Prime-field arithmetic for the character tables.
 
 All character data lives in GF(p) for a single working prime chosen per
 session. The prime is taken large enough that every integer we ever need to
-recover (character degrees, inner products, multiplicities) sits strictly
+recover (character degrees, inner products, eigenvalue counts) sits strictly
 inside (-p/2, p/2), so lifting to the least absolute residue is exact.
+Multiplicities are integer arithmetic on the recovered counts and need no
+prime of their own.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ class WorkingPrime:
 def session_bound(order: int, k_max: int, g_max: int) -> int:
     """Largest integer the session must recover from GF(p).
 
-    Covers character degrees (d^2 <= |G|, so d <= ceil(2 sqrt(|G|)) is ample),
-    inner-product numerators bounded by |G|, and multiplicities bounded by the
-    bundle dimension (2k-1)(g-1).
+    Covers character degrees (d^2 <= |G|, so d <= ceil(2 sqrt(|G|)) is ample)
+    and inner-product numerators bounded by |G|. The term (2k-1)(g-1)|G|
+    once covered multiplicities recovered from GF(p); it no longer affects
+    correctness, but it still fixes the prime and with it the order of the
+    irrational characters.
     """
     if order < 1 or k_max < 1 or g_max < 2:
         raise ValueError(

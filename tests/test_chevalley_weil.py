@@ -1,5 +1,6 @@
 """Multiplicity formulas: frozen golden values, dimension identities,
-invariance, periodicity, and session widening."""
+invariance, periodicity, large levels and genera on a default table, and a
+prime-field reference evaluation as an oracle for the integer path."""
 
 import math
 import random
@@ -13,16 +14,21 @@ from cwmoduli import (
     MetacyclicParams,
     build_cyclic,
     build_metacyclic,
+    character_fingerprint,
     character_table,
+    conjugacy_classes,
     conjugate_vector,
     cw_character,
     cw_multiplicity_k,
     cw_multiplicity_k1,
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
+    eigenvalue_counts,
     genus,
     periodicity_delta,
+    recover_integer,
     regular_multiple,
+    root_power_sum,
     validate,
 )
 
@@ -203,16 +209,25 @@ class TestSessionWidening:
             for k in (1, 2, 3):
                 assert (cw_character(vec, small, k).mults
                         == cw_character(vec, big, k).mults)
-        assert small._widened  # the recomputation actually happened
 
-    def test_widened_table_is_cached(self, genus6_vectors):
+    def test_large_level_and_genus_on_default_table(self):
+        # the default table's prime covers only k = 1, g = 2; the integer path
+        # needs no wider prime, so none of these raises PrimeSearchExceeded
         G = build_cyclic(3)
-        small = character_table(G)
-        v, _ = genus6_vectors
-        cw_character(v, small, 3)
-        n = len(small._widened)
-        cw_character(v, small, 3)
-        assert len(small._widened) == n
+        T = character_table(G)
+        free = HurwitzVector(3334, (1,) + (0,) * 6667, ())
+        ramified = HurwitzVector(3333, (1,) + (0,) * 6665, (1, 2))
+        for v in (free, ramified):
+            g = genus(v, G)
+            assert 9_999 <= g <= 10_000
+            for k in (1, 2, 97, 10 ** 6 + 1):
+                mv = cw_character(v, T, k)
+                dim = g if k == 1 else (2 * k - 1) * (g - 1)
+                assert sum(m * d for m, d in zip(mv.mults, T.degrees)) == dim
+                assert all(m >= 0 for m in mv.mults)
+                expect = tuple(2 * d * (g - 1) - (1 if k == 1 and rho == 0 else 0)
+                               for rho, d in enumerate(T.degrees))
+                assert periodicity_delta(v, T, k) == expect
 
     def test_widening_across_group_types(self):
         G = build_metacyclic(MetacyclicParams(4, 2, 3))
@@ -222,6 +237,132 @@ class TestSessionWidening:
         v = next(iter(enumerate_hurwitz_vectors(G, data)))
         for k in (2, 5, 8):
             assert cw_character(v, small, k).mults == cw_character(v, big, k).mults
+
+
+def _reference_counts(W, rho, c):
+    """Eigenvalue counts of rho at c, one GF(p) root power sum per eigenvalue."""
+    cls = int(W.classes.class_of[c])
+    chi = W.irreducibles[rho]
+    m = W.group.elem_order(c)
+    values = [chi.values[int(W.classes.power_class[cls, j])] for j in range(m)]
+    return [recover_integer(root_power_sum(values, a, m, W.prime), W.prime)
+            for a in range(m)]
+
+
+def reference_multiplicities(v, W, k):
+    """Per-element evaluation of both formulas in GF(p), then recovered.
+
+    Exact only when W's prime is sized for level k and the genus of v.
+    """
+    wp = W.prime
+    p = wp.p
+    order = W.group.order
+    g = genus(v, W.group)
+    out = []
+    for rho, chi in enumerate(W.irreducibles):
+        if k == 1:
+            total = chi.degree * (v.g_quot - 1) + (1 if rho == 0 else 0)
+        else:
+            total = (2 * k * wp.inv(order) * chi.degree * (g - 1)
+                     - chi.degree * (v.g_quot - 1))
+        for c in v.branches:
+            counts = _reference_counts(W, rho, c)
+            m = len(counts)
+            if k == 1:
+                total += sum(a * counts[a] for a in range(1, m)) * wp.inv(m)
+            else:
+                total -= sum(counts[a] * ((-a - k) % m) for a in range(m)) * wp.inv(m)
+        out.append(recover_integer(total % p, wp))
+    return tuple(out)
+
+
+def _one_vector_per_datum(G, genera):
+    for g in genera:
+        for d in enumerate_branching_data(G, g):
+            v = next(iter(enumerate_hurwitz_vectors(G, d)), None)
+            if v is not None:
+                yield g, v
+
+
+class TestPrimeFieldOracle:
+    def test_integer_path_matches_reference(self, catalog_le_12):
+        checked = 0
+        for label, G in catalog_le_12:
+            T = character_table(G)
+            presized = {}
+            for g, v in _one_vector_per_datum(G, (2, 3, 4)):
+                for k in (1, 2, 3, 2 * G.order + 1):
+                    if (k, g) not in presized:
+                        # g_max = g + 1: the prime bound (2k-1)(g_max-1)|G| must
+                        # reach the level-1 multiplicity g of the trivial group
+                        presized[k, g] = character_table(G, k_max=k, g_max=g + 1)
+                    W = presized[k, g]
+                    ref = reference_multiplicities(v, W, k)
+                    assert cw_character(v, W, k).mults == ref, (label, v, k)
+                    # the default table may order irrational characters
+                    # differently; match them by fingerprint
+                    index = {character_fingerprint(W, j): j
+                             for j in range(W.class_count)}
+                    small = cw_character(v, T, k).mults
+                    assert small == tuple(
+                        ref[index[character_fingerprint(T, rho)]]
+                        for rho in range(T.class_count)), (label, v, k)
+                    checked += 1
+        assert checked > 300
+
+    def test_conjugate_and_reordered_classes_agree(self, catalog_le_12):
+        # the class-multiset key is sound: conjugating, or braiding two
+        # adjacent branch entries of different classes, keeps the reference
+        # multiplicities
+        moved = 0
+        for label, G in catalog_le_12:
+            class_of = conjugacy_classes(G).class_of
+            W = character_table(G, k_max=3, g_max=4)
+            for g, v in _one_vector_per_datum(G, (2, 3, 4)):
+                b = list(v.branches)
+                i = next((i for i in range(len(b) - 1)
+                          if class_of[b[i]] != class_of[b[i + 1]]), None)
+                if i is None:
+                    continue
+                b[i], b[i + 1] = b[i + 1], G.mul(G.mul(G.inv(b[i + 1]), b[i]), b[i + 1])
+                braided = validate(HurwitzVector(v.g_quot, v.handles, tuple(b)), G)
+                assert ([class_of[c] for c in braided.branches]
+                        != [class_of[c] for c in v.branches])
+                conjugate = conjugate_vector(v, G, G.order - 1)
+                base = [reference_multiplicities(v, W, k) for k in (1, 2, 3)]
+                for w in (conjugate, braided):
+                    # a fresh table, so that no class key is cached yet
+                    fresh = character_table(G, k_max=3, g_max=4)
+                    for k in (1, 2, 3):
+                        assert reference_multiplicities(w, W, k) == base[k - 1], (label, w)
+                        assert cw_character(w, fresh, k).mults == base[k - 1], (label, w)
+                moved += 1
+        assert moved > 50
+
+    def test_count_matrix_matches_root_power_sums(self, catalog):
+        for label, G in catalog:
+            T = character_table(G)
+            for cls in range(T.class_count):
+                N = eigenvalue_counts(T, cls)
+                assert not N.flags.writeable
+                rep = T.classes.representatives[cls]
+                assert N.shape == (T.class_count, G.elem_order(rep))
+                for rho in range(T.class_count):
+                    assert N[rho].tolist() == _reference_counts(T, rho, rep), (label, cls)
+
+    def test_count_matrix_with_a_prime_near_the_limit(self, catalog):
+        # default primes stay below 2^16, where the high limb is zero; a
+        # table sized for genus ~9e8/|G| works with p > 2^30
+        for label, G in catalog:
+            if label not in ("cyclic:12", "perm:S4", "perm:Q8", "metacyclic:5,4,2"):
+                continue
+            W = character_table(G, g_max=900_000_000 // G.order + 1)
+            assert W.prime.p > 2 ** 30
+            for cls in range(W.class_count):
+                N = eigenvalue_counts(W, cls)
+                rep = W.classes.representatives[cls]
+                for rho in range(W.class_count):
+                    assert N[rho].tolist() == _reference_counts(W, rho, rep), (label, cls)
 
 
 class TestDomainChecks:
@@ -243,3 +384,10 @@ class TestDomainChecks:
         assert genus(v, G) == 2
         assert cw_character(v, T, 1).mults == (2,)
         assert cw_character(v, T, 2).mults == (3,)
+
+    def test_trivial_group_level_one_beyond_the_prime_bound(self):
+        # mult = g exceeds the default prime's bound (p = 5) from g = 3 on
+        T = character_table(build_cyclic(1))
+        for g in (3, 4, 50):
+            v = HurwitzVector(g, (0,) * (2 * g), ())
+            assert cw_character(v, T, 1).mults == (g,)

@@ -93,6 +93,34 @@ class TestTextReports:
         assert "  ( ; 1 1 1 1 1 1)" in lines
         assert lines[-1] == "total: 5"
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_hurwitz_enumerate_streams_each_datum(self, monkeypatch, output):
+        # a datum's vectors are written before the next datum is enumerated
+        import cwmoduli.cli as cli
+        original = cli.enumerate_hurwitz_vectors_parallel
+        calls = []
+
+        def fail_on_second(G, data, opts):
+            calls.append(data)
+            if len(calls) == 2:
+                raise RuntimeError("second datum")
+            return original(G, data, opts)
+
+        monkeypatch.setattr(cli, "enumerate_hurwitz_vectors_parallel", fail_on_second)
+        out = io.StringIO()
+        with pytest.raises(RuntimeError):
+            run("hurwitz-enumerate",
+                SessionConfig(group_spec="cyclic:2", genus=2, output=output), out=out)
+        lines = out.getvalue().splitlines()
+        if output == "text":
+            assert lines == ["group: cyclic:2  genus: 2  granularity: raw",
+                             "branching data g_quot=0 orders=[2,2,2,2,2,2]: 1 vectors",
+                             "  ( ; 1 1 1 1 1 1)"]
+        else:
+            records = json_lines(out.getvalue())
+            assert [r["kind"] for r in records] == ["branching-data", "hurwitz-vector"]
+            assert records[0]["count"] == 1
+
     def test_decompose_text_report(self):
         code, out, _ = invoke("decompose", group_spec="cyclic:3", genus=6)
         assert code == 0
