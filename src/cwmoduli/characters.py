@@ -80,7 +80,8 @@ class CharacterTable:
         self._values = np.array([c.values for c in irreducibles], dtype=np.int64)
         # class index -> (eigenvalue counts, rationality of each character)
         self._counts: Dict[int, Tuple[np.ndarray, Tuple[bool, ...]]] = {}
-        self._cw_cache: Dict[tuple, Tuple[int, ...]] = {}
+        # (k, quotient genus, class key) -> frozen MultiplicityVector
+        self._cw_cache: Dict[tuple, object] = {}
         # vector key -> (genus, sorted class ids of the branch entries)
         self._validated: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
 

@@ -103,8 +103,9 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     """All irreducible multiplicities of the level-k representation of v.
 
     The result depends only on (k, quotient genus, branch class multiset), so
-    repeat queries are served from a cache on the table. The dimension
-    identity sum mult * degree = g (k = 1) or (2k-1)(g-1) (k >= 2) is asserted.
+    repeat queries return the same frozen object from a cache on the table.
+    The dimension identity sum mult * degree = g (k = 1) or (2k-1)(g-1)
+    (k >= 2) is asserted.
     """
     if k < 1:
         raise ValueError(f"pluricanonical level must be >= 1, got {k}")
@@ -113,11 +114,10 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
         raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
     key = (k, v.g_quot, class_key)
     hit = T._cw_cache.get(key)
-    if hit is not None:
-        return MultiplicityVector(k, hit)
-    mults = _evaluate(T, k, v.g_quot, g, class_key)
-    T._cw_cache[key] = mults
-    return MultiplicityVector(k, mults)
+    if hit is None:
+        hit = T._cw_cache[key] = MultiplicityVector(
+            k, _evaluate(T, k, v.g_quot, g, class_key))
+    return hit
 
 
 def cw_multiplicity_k1(v: HurwitzVector, T: CharacterTable, rho: int) -> int:

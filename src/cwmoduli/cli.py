@@ -126,8 +126,8 @@ def _vector_record(v: HurwitzVector) -> dict:
 
 
 def _vector_text(v: HurwitzVector) -> str:
-    handles = " ".join(str(x) for x in v.handles)
-    branches = " ".join(str(x) for x in v.branches)
+    handles = " ".join(map(str, v.handles))
+    branches = " ".join(map(str, v.branches))
     return f"({handles} ; {branches})"
 
 
@@ -253,7 +253,9 @@ def _cmd_cw(cfg: SessionConfig, out: IO[str]) -> None:
     v = _parse_vector(cfg, G)
     validate(v, G)
     g = genus(v, G)
-    T = character_table(G, k_max=max(k_hi, 1), g_max=max(g, 2))
+    # the table group-info prints for the same --k-max, so the column labels
+    # do not depend on --k (multiplicities are exact on any table)
+    T = character_table(G, k_max=cfg.k_max or 1)
     mvs = [cw_character(v, T, k) for k in range(k_lo, k_hi + 1)]
     if cfg.output == "json" or T.class_count > TEXT_TABLE_LIMIT:
         for mv in mvs:

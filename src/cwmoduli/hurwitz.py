@@ -7,6 +7,16 @@ the group. Enumeration is one serial depth-first search in element-id
 order, so output is deterministic and lexicographic. Its cap counts the
 vectors of one branching datum as they are emitted, so the list of one datum
 never grows past the cap.
+
+Up to simultaneous conjugation, the representative of an orbit is its
+lexicographically smallest vector, and the search prunes prefixes instead of
+testing whole vectors (canonical augmentation; Breuer, LMS LN 280). A vector
+is minimal iff no conjugation makes any prefix smaller, and only conjugators
+that fix the prefix so far can still decide. So each node carries the
+conjugation rows of the non-central h that fix its prefix; placing x prunes
+the subtree if one of them maps x below x, drops those that map x above x and
+keeps those that fix it. Without conjugacy the list is empty and the search
+is the same.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ class HurwitzVector:
     branches: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "handles", tuple(int(x) for x in self.handles))
-        object.__setattr__(self, "branches", tuple(int(x) for x in self.branches))
+        object.__setattr__(self, "handles", tuple(map(int, self.handles)))
+        object.__setattr__(self, "branches", tuple(map(int, self.branches)))
         if self.g_quot < 0:
             raise ValueError(f"quotient genus must be nonnegative, got {self.g_quot}")
         if len(self.handles) != 2 * self.g_quot:
@@ -190,6 +200,30 @@ class EnumerationOptions:
             raise ValueError(f"max_vectors must be >= 1, got {self.max_vectors}")
 
 
+def _conjugation_rows(G: FiniteGroup) -> List[List[int]]:
+    """The rows x -> h x h^-1 of every non-central h, in element-id order."""
+    rows = G.mul_rows()
+    out = []
+    for h in G.elements():
+        row_h, hi = rows[h], G.inv(h)
+        conj = [rows[row_h[x]][hi] for x in G.elements()]
+        if conj != rows[0]:
+            out.append(conj)
+    return out
+
+
+def _tied(x: int, conj: List[List[int]]) -> Optional[List[List[int]]]:
+    """The conjugation rows that fix x; None if one of them moves x lower."""
+    keep = []
+    for c in conj:
+        y = c[x]
+        if y < x:
+            return None
+        if y == x:
+            keep.append(c)
+    return keep
+
+
 def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
                               opts: Optional[EnumerationOptions] = None
                               ) -> Iterator[HurwitzVector]:
@@ -198,8 +232,9 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     Handles range over all of G; branch entry j ranges over elements of order
     branch_orders[j]; the final branch entry is forced by the relation. With
     up_to_conjugacy only the smallest vector of each simultaneous-conjugation
-    orbit is emitted. Emitting more than max_vectors vectors raises
-    EnumerationCapExceeded in place of the first vector past the cap.
+    orbit is emitted, found by pruning prefixes (see the module docstring).
+    Emitting more than max_vectors vectors raises EnumerationCapExceeded in
+    place of the first vector past the cap.
     """
     opts = opts or EnumerationOptions()
     n_handles = 2 * data.g_quot
@@ -207,76 +242,90 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     r = len(orders)
     total = n_handles + r
 
+    order_of = G.element_orders()
     by_order: Dict[int, List[int]] = {}
     for m in set(orders):
-        cand = [x for x in G.elements() if G.elem_order(x) == m]
+        cand = [x for x in G.elements() if order_of[x] == m]
         if not cand:
             return
         by_order[m] = cand
-    all_elems = list(G.elements())
     rows = G.mul_rows()
     inv = [G.inv(x) for x in G.elements()]
+    all_elems = list(G.elements())
+    # placing x multiplies the relation product by step[x]: by x itself in a
+    # branch slot (the identity row), by the commutator [a, x] in the second
+    # slot of a handle (a, x), and by the identity in the first
+    as_is = rows[0]
+    if n_handles:
+        no_step = [G.identity] * G.order
+        comm = [[rows[rows[rows[a][b]][inv[a]]][inv[b]] for b in all_elems]
+                for a in all_elems]
+    # every slot but a forced last branch entry is chosen freely
+    slots = [all_elems] * n_handles + [by_order[m] for m in orders[:-1]]
+    last_order = orders[-1] if r else None
 
     gen_memo: Dict[FrozenSet[int], bool] = {}
-
-    def gen_ok(entries: Tuple[int, ...]) -> bool:
-        key = frozenset(entries)
-        hit = gen_memo.get(key)
-        if hit is None:
-            hit = len(closure(G, key)) == G.order
-            gen_memo[key] = hit
-        return hit
-
-    def orbit_min(flat_t: Tuple[int, ...]) -> bool:
-        for h in range(1, G.order):
-            row_h = rows[h]
-            hi = inv[h]
-            if tuple(rows[row_h[x]][hi] for x in flat_t) < flat_t:
-                return False
-        return True
-
     flat = [0] * total
     emitted = 0
 
-    def finish() -> Iterator[HurwitzVector]:
+    def close(acc: int) -> Optional[HurwitzVector]:
+        """The vector whose free slots have relation product acc, if valid.
+
+        A forced last branch entry needs no conjugacy test: the conjugators
+        still carried fix every free entry, so they fix acc and its inverse.
+        A vector that passes every test counts against the cap.
+        """
         nonlocal emitted
+        if r:
+            forced = inv[acc]
+            if order_of[forced] != last_order:
+                return None
+            flat[-1] = forced
+        elif acc != G.identity:
+            return None
         flat_t = tuple(flat)
-        if not gen_ok(flat_t):
-            return
-        if opts.up_to_conjugacy and not orbit_min(flat_t):
-            return
+        key = frozenset(flat_t)
+        ok = gen_memo.get(key)
+        if ok is None:
+            ok = gen_memo[key] = len(closure(G, key)) == G.order
+        if not ok:
+            return None
         emitted += 1
         if emitted > opts.max_vectors:
             raise EnumerationCapExceeded(
                 f"enumeration exceeded the cap of {opts.max_vectors} vectors")
-        yield HurwitzVector(data.g_quot, flat_t[:n_handles], flat_t[n_handles:])
+        return HurwitzVector(data.g_quot, flat_t[:n_handles], flat_t[n_handles:])
 
-    def dfs(slot: int, acc: int) -> Iterator[HurwitzVector]:
-        if r > 0 and slot == total - 1:
-            forced = inv[acc]
-            if G.elem_order(forced) != orders[-1]:
-                return
-            flat[slot] = forced
-            yield from finish()
-            return
-        if slot == total:
-            if acc == G.identity:
-                yield from finish()
-            return
-        if slot < n_handles:
-            for x in all_elems:
-                flat[slot] = x
-                if slot % 2 == 1:
-                    comm = _commutator(G, flat[slot - 1], x)
-                    yield from dfs(slot + 1, rows[acc][comm])
-                else:
-                    yield from dfs(slot + 1, acc)
+    def dfs(slot: int, acc: int, conj: List[List[int]]) -> Iterator[HurwitzVector]:
+        if slot >= n_handles:
+            step = as_is
+        elif slot % 2:
+            step = comm[flat[slot - 1]]
         else:
-            for x in by_order[orders[slot - n_handles]]:
-                flat[slot] = x
-                yield from dfs(slot + 1, rows[acc][x])
+            step = no_step
+        row_acc = rows[acc]
+        last = slot == len(slots) - 1
+        for x in slots[slot]:
+            keep = conj
+            if conj:
+                keep = _tied(x, conj)
+                if keep is None:
+                    continue
+            flat[slot] = x
+            if not last:
+                yield from dfs(slot + 1, row_acc[step[x]], keep)
+                continue
+            v = close(row_acc[step[x]])
+            if v is not None:
+                yield v
 
-    yield from dfs(0, G.identity)
+    if slots:
+        conj = _conjugation_rows(G) if opts.up_to_conjugacy else []
+        yield from dfs(0, G.identity, conj)
+    else:
+        v = close(G.identity)
+        if v is not None:
+            yield v
 
 
 def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,

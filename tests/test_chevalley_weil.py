@@ -48,6 +48,8 @@ class TestGoldenValues:
                 mv = cw_character(vec, z3_table, k)
                 assert mv.k == k
                 assert mv.mults == want
+                # a cache hit returns the stored frozen object itself
+                assert cw_character(vec, z3_table, k) is mv
 
     def test_the_two_loci_separate_at_k1_fuse_at_k2(self, z3_table, genus6_vectors):
         v, v_alt = genus6_vectors

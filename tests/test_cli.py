@@ -455,3 +455,35 @@ class TestLevelRange:
         _, out, _ = invoke("cw", group_spec="cyclic:2", vector_json=self.VEC2,
                            k_range="1..2", output="json")
         assert [rec["mults"] for rec in json_lines(out)] == [[0, 2], [3, 0]]
+
+
+class TestCwLabels:
+    """cw columns follow the character order of group-info at the same --k-max."""
+
+    VEC = '{"g_quot": 0, "handles": [], "branches": [1, 1, 3]}'
+
+    def rows(self, **kw):
+        code, out, err = invoke("cw", group_spec="cyclic:5", vector_json=self.VEC,
+                                output="json", **kw)
+        assert (code, err) == (0, "")
+        return {rec["k"]: rec["mults"] for rec in json_lines(out)}
+
+    def test_rows_do_not_depend_on_the_level_range(self):
+        short, long = self.rows(k_range="1..3"), self.rows(k_range="1..97")
+        assert all(long[k] == mults for k, mults in short.items())
+        assert short[1] == [0, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize("k_max", [None, 2, 97])
+    def test_labels_follow_group_info(self, k_max):
+        code, out, _ = invoke("group-info", group_spec="cyclic:5", k_max=k_max,
+                              output="json")
+        assert code == 0
+        info = json_lines(out)[0]
+        G = group_from_spec("cyclic:5")
+        T = character_table(G, k_max=k_max or 1)
+        assert info["prime"]["p"] == T.prime.p
+        assert [chi["values"] for chi in info["characters"]] == [
+            list(chi.values) for chi in T.irreducibles]
+        v = HurwitzVector(0, (), (1, 1, 3))
+        assert self.rows(k_range="1..6", k_max=k_max) == {
+            k: list(cw_character(v, T, k).mults) for k in range(1, 7)}

@@ -1,5 +1,6 @@
 """Group construction, axioms, conjugacy, and spec-string parsing."""
 
+import io
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from cwmoduli import (
     GroupSizeError,
     GroupSpecError,
     MetacyclicParams,
+    SessionConfig,
     build_abelian,
     build_cyclic,
     build_from_permutations,
@@ -21,6 +23,7 @@ from cwmoduli import (
     conjugacy_classes,
     generates,
     group_from_spec,
+    run,
 )
 
 # order-5 loop: latin square with two-sided identity 0 but (1*1)*2 != 1*(1*2)
@@ -181,6 +184,67 @@ class TestAxioms:
         assert t[t[1][1]][2] != t[1][t[1][2]]
         with pytest.raises(ValueError):
             FiniteGroup(t)
+
+    def test_nonassociative_table_file_of_order_260_is_rejected(self, tmp_path):
+        # Z/260 with the intercalate on rows 1, 131 and columns 2, 132 swapped:
+        # still a latin square with identity 0, but no longer associative
+        table = build_cyclic(260).mul_rows()
+        for a in (1, 131):
+            table[a][2], table[a][132] = table[a][132], table[a][2]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps({"order": 260, "mul": table}))
+        with pytest.raises(GroupSpecError, match="not associative"):
+            group_from_spec(f"table:{path}")
+        out, err = io.StringIO(), io.StringIO()
+        code = run("group-info", SessionConfig(group_spec=f"table:{path}"),
+                   out=out, err=err)
+        assert (code, out.getvalue()) == (2, "")
+        assert "not associative" in err.getvalue()
+
+    def test_table_file_at_the_order_cap_is_accepted(self, tmp_path):
+        G = build_metacyclic(MetacyclicParams(32, 16, 3))
+        path = tmp_path / "m512.json"
+        path.write_text(json.dumps({"order": 512, "mul": G.mul_rows()}))
+        assert np.array_equal(group_from_spec(f"table:{path}").mul_table, G.mul_table)
+        out, err = io.StringIO(), io.StringIO()
+        code = run("hurwitz-enumerate", SessionConfig(group_spec=f"table:{path}", genus=2),
+                   out=out, err=err)
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue().splitlines()[-1] == "total: 0"
+
+    def test_light_test_matches_brute_force(self):
+        # every intercalate swap away from the identity row and column of a
+        # few small group tables, and random relabelings of the same tables:
+        # accepted iff the O(n^3) check passes
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        for G in (build_cyclic(6), build_metacyclic(MetacyclicParams(3, 2, 2)),
+                  build_metacyclic(MetacyclicParams(4, 2, 3)), build_abelian([2, 4])):
+            n = G.order
+            rows = G.mul_rows()
+            tables = []
+            for a, b in itertools.combinations(range(1, n), 2):
+                for c, d in itertools.combinations(range(1, n), 2):
+                    if rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]:
+                        t = [row[:] for row in rows]
+                        t[a][c], t[a][d] = t[a][d], t[a][c]
+                        t[b][c], t[b][d] = t[b][d], t[b][c]
+                        tables.append(t)
+            for _ in range(5):
+                perm = [0] + rng.sample(range(1, n), n - 1)
+                back = {p: i for i, p in enumerate(perm)}
+                tables.append([[back[rows[perm[x]][perm[y]]] for y in range(n)]
+                               for x in range(n)])
+            for t in tables:
+                assoc = all(t[t[x][y]][z] == t[x][t[y][z]]
+                            for x, y, z in itertools.product(range(n), repeat=3))
+                seen[assoc] += 1
+                if assoc:
+                    FiniteGroup(t)
+                else:
+                    with pytest.raises(ValueError, match="not associative"):
+                        FiniteGroup(t)
+        assert seen == {True: 20, False: 88}
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from cwmoduli import (
     genus,
     validate,
 )
+from cwmoduli.hurwitz import _conjugation_rows
 
 
 def flat(v):
@@ -450,3 +451,51 @@ class TestCountingOracle:
                     raw = sum(1 for _ in enumerate_hurwitz_vectors(G, data))
                     orbits = sum(1 for _ in enumerate_hurwitz_vectors(G, data, opts))
                     assert raw * z == orbits * G.order, (label, data)
+
+
+def _is_orbit_minimum(G, t):
+    """Brute force: no simultaneous conjugate of the flat tuple t is smaller."""
+    rows = G.mul_rows()
+    for h in range(G.order):
+        hi = G.inv(h)
+        if tuple(rows[rows[h][x]][hi] for x in t) < t:
+            return False
+    return True
+
+
+class TestPrefixPruning:
+    """Orbit representatives against whole-vector minimality tests."""
+
+    def test_matches_filtered_raw_output(self, catalog):
+        opts = EnumerationOptions(up_to_conjugacy=True)
+        checked = 0
+        for label, G in catalog:
+            assert G.order <= 24
+            for g in TestCountingOracle.GENERA:
+                for data in enumerate_branching_data(G, g):
+                    raw = [flat(v) for v in enumerate_hurwitz_vectors(G, data)]
+                    expect = [t for t in raw if _is_orbit_minimum(G, t)]
+                    got = [flat(v) for v in enumerate_hurwitz_vectors(G, data, opts)]
+                    assert got == expect, (label, data)
+                    checked += 1
+        assert checked == 488
+
+    def test_conjugators_are_the_non_central_elements(self, catalog):
+        for label, G in catalog:
+            rows = _conjugation_rows(G)
+            assert len(rows) == G.order - _center_order(G), label
+            assert all(sorted(row) == list(range(G.order)) for row in rows), label
+
+    def test_cap_counts_representatives(self):
+        G = build_metacyclic(MetacyclicParams(5, 2, 4))
+        data = BranchingData(1, (2, 2))
+        opts = EnumerationOptions(up_to_conjugacy=True)
+        reps = [flat(v) for v in enumerate_hurwitz_vectors(G, data, opts)]
+        assert len(reps) == 48
+        exact = EnumerationOptions(up_to_conjugacy=True, max_vectors=len(reps))
+        assert [flat(v) for v in enumerate_hurwitz_vectors(G, data, exact)] == reps
+        short = EnumerationOptions(up_to_conjugacy=True, max_vectors=len(reps) - 1)
+        stream = enumerate_hurwitz_vectors(G, data, short)
+        assert [flat(next(stream)) for _ in range(len(reps) - 1)] == reps[:-1]
+        with pytest.raises(EnumerationCapExceeded):
+            next(stream)
