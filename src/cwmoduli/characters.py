@@ -1,12 +1,17 @@
 """Exact irreducible character tables over a prime field.
 
-The table is found by the classical class-matrix method: the structure-constant
-matrices of the class sums commute, and their simultaneous eigenvectors over
-GF(p) are, up to scale, the columns j -> |C_j| chi(g_j) / chi(1). A random
-field combination of the class matrices separates the eigenspaces; degrees and
-values are then recovered from orthogonality. Everything is exact: p is chosen
-by the modular module so that every reported integer is a least absolute
-residue. The eigenvalue counts of every character at a class come from one
+The table is found by the class-matrix method of Dixon (1967) and Schneider
+(1990): the structure-constant matrices of the class sums commute, and their
+simultaneous eigenvectors over GF(p) are, up to scale, the vectors
+j -> |C_j| chi(g_j) / chi(1). Here they are reached by spinning the
+identity-class vector: a Krylov sequence under one class matrix at a time
+splits it into its eigenspace components, classes of a generating set first,
+until there are as many pieces as classes. Degrees and values are then
+recovered from the norm, and the result is checked against the eigenvector
+equations and row orthogonality. Everything is exact: p is chosen by the
+modular module so that every reported integer is a least absolute residue,
+and the matrix products run in float64 only on integer limbs whose sums stay
+below 2^53. The eigenvalue counts of every character at a class come from one
 matrix product per class and are kept as integers.
 """
 
@@ -14,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .groups import FiniteGroup, ConjugacyData, conjugacy_classes
+from .groups import FiniteGroup, ConjugacyData, conjugacy_classes, greedy_generators
 from .modular import WorkingPrime, choose_prime, recover_integer
 
 __all__ = [
@@ -110,8 +115,8 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
     """
     conj = conjugacy_classes(G)
     wp = choose_prime(G, k_max, g_max)
-    raw = _class_matrix_characters(G, conj, wp)
-    chars = _sort_characters(raw, wp, G.order)
+    degrees, X = _class_matrix_characters(G, conj, wp)
+    chars = _sort_characters(degrees, X, wp, G.order)
     return CharacterTable(G, conj, wp, chars)
 
 
@@ -126,9 +131,7 @@ def _count_matrix(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, 
     """Eigenvalue counts of every character at one class, and their rationality.
 
     N = V F over GF(p), where V[rho, j] = chi_rho(g^j) and
-    F[j, a] = zeta_m^(-a j) / m, then lifted to integers. F is split into
-    16-bit limbs so that every int64 partial product stays below 2^47 and
-    every row sum below 2^56 (p < 2^31, m <= 512).
+    F[j, a] = zeta_m^(-a j) / m, then lifted to integers.
     """
     wp = T.prime
     p = wp.p
@@ -137,7 +140,7 @@ def _count_matrix(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, 
     zeta = np.array([wp.unity_root(t * (wp.e // m)) for t in range(m)], dtype=np.int64)
     j = np.arange(m)
     F = zeta[np.outer(j, -j) % m] * wp.inv(m) % p
-    N = ((V @ (F >> 16)) % p * 65536 + V @ (F & 0xFFFF)) % p
+    N = _matmul_mod(V, F, p)
     N[2 * N > p] -= p
     degrees = np.array(T.degrees, dtype=np.int64)
     bad = np.flatnonzero((N < 0).any(axis=1) | (N > degrees[:, None]).any(axis=1)
@@ -240,179 +243,240 @@ def _class_matrix(G: FiniteGroup, conj: ConjugacyData, i: int) -> np.ndarray:
 
 
 def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
-                             wp: WorkingPrime) -> List[Tuple[int, Tuple[int, ...]]]:
-    """All (degree, values mod p) pairs, in no particular order.
+                             wp: WorkingPrime) -> Tuple[np.ndarray, np.ndarray]:
+    """Degrees and value rows mod p of all irreducible characters, in no particular order.
 
-    Iteratively refines the full space by the eigenspaces of each class matrix
-    in turn. The class algebra is semisimple mod p (p > |G|) and its central
-    characters stay pairwise distinct, so the refinement always terminates in
-    one-dimensional common eigenspaces. Matrix order and pivot choice are
-    fixed, so the outcome is deterministic.
+    Spins the identity-class vector e_0 into the common eigenvectors. In the
+    basis w_chi (w_chi[0] = 1), e_0 = sum_chi chi(1)^2/|G| w_chi, and every
+    partial sum of those coefficients is nonzero mod p because p > |G|. So
+    each piece below is a multiple of the projection of e_0 onto a joint
+    eigenspace of the class matrices used so far, scaled so that its
+    coordinate 0 is 1. For each class matrix M in turn, built one at a time,
+    each piece u is kept if M is a scalar on it, and otherwise replaced by
+    its components in the eigenspaces of M (see _spin). Classes of a greedy
+    generating set come first; the split stops at s pieces. Root and class
+    order are fixed, so the outcome is deterministic.
     """
     s = conj.class_count
     if s == 1:
-        return [(1, (1,))]
+        return np.ones(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
     p = wp.p
-    mats = [_class_matrix(G, conj, i) for i in range(s)]
-    subspaces = [np.eye(s, dtype=np.int64)]
-    for Mi in mats[1:]:  # M_0 is the identity and never splits anything
-        nxt: List[np.ndarray] = []
-        for basis in subspaces:
-            if basis.shape[0] == 1:
-                nxt.append(basis)
-            else:
-                nxt.extend(_split_subspace(basis, Mi, p))
-        subspaces = nxt
-        if all(b.shape[0] == 1 for b in subspaces):
-            break
-    if any(b.shape[0] > 1 for b in subspaces):
+    if s * G.order * p >= 2 ** 53:
+        raise ValueError(f"order {G.order} with p = {p} is too large for exact float64 products")
+    pieces = np.zeros((1, s), dtype=np.int64)
+    pieces[0, 0] = 1
+    used: List[int] = []
+    for i in _splitting_order(G, conj):
+        M = _class_matrix(G, conj, i).astype(np.float64)
+        images = (pieces @ M.T).astype(np.int64) % p  # exact, as in _spin
+        moved = ((images - images[:, :1] * pieces) % p).any(axis=1)
+        if moved.any():
+            used.append(i)
+            pieces = np.vstack([_spin(M, u, p) if m else u[None]
+                                for u, m in zip(pieces, moved)])
+            if len(pieces) == s:
+                break
+    if len(pieces) != s:
         raise InternalConsistencyError(
             "class matrices failed to separate the common eigenspaces")
-    vectors = []
-    for basis in subspaces:
-        w = [int(x) for x in basis[0]]
-        if w[0] == 0:
-            raise InternalConsistencyError("common eigenvector vanishes at the identity")
-        inv0 = pow(w[0], p - 2, p)
-        vectors.append([x * inv0 % p for x in w])
-    if not _common_eigenvectors(mats, vectors, p):
-        raise InternalConsistencyError(
-            "candidate vectors are not common eigenvectors of all class matrices")
-    return [_character_from_vector(G, conj, wp, w) for w in vectors]
+    _check_common_eigenvectors((_class_matrix(G, conj, i) for i in used), pieces, p)
+    return _characters_from_vectors(G, conj, wp, pieces)
 
 
-def _split_subspace(basis: np.ndarray, Mi: np.ndarray, p: int) -> List[np.ndarray]:
-    """Refine an invariant subspace into the eigenspaces of Mi restricted to it.
+def _splitting_order(G: FiniteGroup, conj: ConjugacyData) -> List[int]:
+    """Classes of a greedy generating set, then every other nonidentity class."""
+    first = dict.fromkeys(int(conj.class_of[g]) for g in greedy_generators(G.mul_rows()))
+    return list(first) + [i for i in range(1, conj.class_count) if i not in first]
 
-    basis rows are in reduced row echelon form, so coordinates of any vector
-    in the span can be read off at the pivot columns.
+
+def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """The components of u in the eigenspaces of M, as rows with coordinate 0 equal to 1.
+
+    M is a class matrix in float64. Builds the Krylov sequence u, Mu, M^2 u,
+    ... while keeping a reduced echelon basis of its span, each basis row
+    written as a polynomial in M applied to u, until the next vector is
+    dependent; that dependence is the monic minimal polynomial mu of M on u.
+    mu is squarefree and splits over GF(p), since u is a sum of common
+    eigenvectors, and q(M) u for q = mu / (x - lam) is the component at the
+    root lam, up to the nonzero factor q(lam). M u is exact in float64: the
+    row sums of M are at most s |G| and the entries of u are below p, so
+    every sum is below 2^53 (2^49 at the order cap).
     """
-    d = basis.shape[0]
-    pivots = [int(np.flatnonzero(row)[0]) for row in basis]
-    # images of basis vectors: Mi entries <= |G|, basis entries < p <= 2^31
-    images = Mi @ basis.T % p  # column t = Mi b_t
-    A = images[pivots, :]  # A[t1, t2]: coefficient of b_t1 in Mi b_t2
-    if ((A.T @ basis - images.T) % p).any():
-        raise InternalConsistencyError("subspace is not invariant under a class matrix")
-    f = _charpoly_mod(A, p)
-    g = _poly_gcd(f, _poly_derivative(f, p), p)
-    h, rem = _poly_divmod(f, g, p)
-    if _poly_trim(rem) != [0]:
-        raise InternalConsistencyError("squarefree reduction of a charpoly failed")
-    roots = sorted(_roots_of_split_poly(h, p))
-    if len(roots) == 1:
-        return [basis]  # Mi acts as a scalar here; nothing to refine
-    parts: List[np.ndarray] = []
-    total = 0
-    for lam in roots:
-        coeffs = _nullspace_basis((A - lam * np.eye(d, dtype=np.int64)) % p, p)
-        rows = np.array(coeffs, dtype=np.int64) @ basis % p
-        part, _ = _rref(rows, p)
-        total += part.shape[0]
-        parts.append(part)
-    if total != d:
+    s = u.shape[0]
+    krylov = np.empty((s + 1, s), dtype=np.int64)  # rows past k are never read
+    basis = np.empty((s, s), dtype=np.int64)
+    polys = np.empty((s, s + 1), dtype=np.int64)
+    pivots: List[int] = []
+    krylov[0] = u
+    for k in range(s + 1):
+        v = krylov[k]
+        c = v[pivots]
+        rows = np.flatnonzero(c)
+        r = (v - _matmul_mod(c[rows], basis[rows], p)) % p
+        poly = (-_matmul_mod(c[rows], polys[rows, :k + 1], p)) % p
+        poly[k] = 1
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            break
+        j = int(nonzero[0])
+        scale = pow(int(r[j]), p - 2, p)
+        basis[k] = r * scale % p
+        polys[k, :k + 1] = poly * scale % p
+        polys[k, k + 1:] = 0
+        col = basis[:k, j].copy()
+        rows = np.flatnonzero(col)
+        basis[rows] = (basis[rows] - col[rows, None] * basis[k]) % p
+        polys[rows, :k + 1] = (polys[rows, :k + 1] - col[rows, None] * polys[k, :k + 1]) % p
+        pivots.append(j)
+        krylov[k + 1] = (M @ v).astype(np.int64) % p
+    roots = sorted(_roots_of_split_poly(poly, p))
+    if len(roots) != k:
         raise InternalConsistencyError(
-            "eigenspace dimensions do not add up; a class matrix is not semisimple")
-    return parts
+            "minimal polynomial of a class matrix is not squarefree")
+    lam = np.array(roots, dtype=np.int64)
+    Q = np.zeros((k, k), dtype=np.int64)  # row t: coefficients of mu / (x - lam_t)
+    Q[:, k - 1] = 1
+    for j in range(k - 1, 0, -1):
+        Q[:, j - 1] = (poly[j] + lam * Q[:, j]) % p
+    parts = _matmul_mod(Q, krylov[:k], p)
+    if not parts[:, 0].all():
+        raise InternalConsistencyError("a split piece vanishes at the identity class")
+    return parts * np.array([pow(int(x), p - 2, p) for x in parts[:, 0]],
+                            dtype=np.int64)[:, None] % p
 
 
-def _common_eigenvectors(mats: Sequence[np.ndarray], vectors: Sequence[List[int]],
-                         p: int) -> bool:
-    """Check M_i w = omega_i w for every class matrix and candidate vector."""
-    W = [np.asarray(w, dtype=np.int64) for w in vectors]
-    for Mi in mats:
-        for w in W:
-            u = (Mi @ w) % p  # |entries| < |G| * p * s < 2^63
-            if ((u - int(u[0]) * w) % p).any():  # w[0] = 1, so omega = u[0]
-                return False
-    return True
+def _check_common_eigenvectors(mats: Iterable[np.ndarray], W: np.ndarray,
+                               p: int) -> None:
+    """Assert that the rows of W are common eigenvectors with distinct eigenvalues.
+
+    W rows have coordinate 0 equal to 1, so the eigenvalue of M at w is
+    (M w)[0]. If every row is an eigenvector of every matrix given and the
+    tuples of eigenvalues are pairwise distinct, the s rows span the space
+    and each joint eigenspace is a line; the commutative class algebra
+    preserves those lines, so the rows are common eigenvectors of every
+    class matrix, used or not.
+    """
+    eigenvalues = []
+    for M in mats:
+        MW = _matmul_mod(M, W.T, p)
+        if ((MW - MW[0] * W.T) % p).any():
+            raise InternalConsistencyError(
+                "candidate vectors are not eigenvectors of every class matrix used")
+        eigenvalues.append(MW[0])
+    tuples = set(zip(*(row.tolist() for row in eigenvalues)))
+    if len(tuples) != W.shape[0]:
+        raise InternalConsistencyError(
+            "two candidate vectors share their eigenvalues on every class matrix used")
 
 
-def _character_from_vector(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPrime,
-                           w: List[int]) -> Tuple[int, Tuple[int, ...]]:
-    """Recover (degree, chi values) from w_j = |C_j| chi(g_j) / chi(1)."""
+def _characters_from_vectors(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPrime,
+                             W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Recover degrees and chi values from the rows w_j = |C_j| chi(g_j) / chi(1).
+
+    chi(1)^2 = |G| / sum_j w_j w_{j'} / |C_j|, where j' is the class of the
+    inverses. Row orthogonality, sum_j |C_j| chi(g_j) psi(g_j^-1) = |G| delta,
+    is asserted as one s x s product.
+    """
     p = wp.p
     s = conj.class_count
-    denom = 0
-    for j in range(s):
-        denom += w[j] * w[conj.inverse_class(j)] % p * wp.inv(conj.class_sizes[j])
-    denom %= p
-    if denom == 0:
-        raise InternalConsistencyError("degree denominator vanished mod p")
-    d2 = recover_integer(G.order * wp.inv(denom) % p, wp)
-    d = math.isqrt(max(d2, 0))
-    if d2 < 1 or d * d != d2:
-        raise InternalConsistencyError(f"recovered squared degree {d2} is not a square")
-    values = tuple(d * w[j] % p * wp.inv(conj.class_sizes[j]) % p for j in range(s))
-    return d, values
+    inv_class = np.array([conj.inverse_class(j) for j in range(s)])
+    sizes = np.array(conj.class_sizes, dtype=np.int64)
+    inv_sizes = np.array([wp.inv(c) for c in conj.class_sizes], dtype=np.int64)
+    denoms = (W * W[:, inv_class] % p * inv_sizes % p).sum(axis=1) % p
+    degrees = []
+    for denom in denoms.tolist():
+        if denom == 0:
+            raise InternalConsistencyError("degree denominator vanished mod p")
+        d2 = recover_integer(G.order * wp.inv(denom) % p, wp)
+        d = math.isqrt(max(d2, 0))
+        if d2 < 1 or d * d != d2:
+            raise InternalConsistencyError(f"recovered squared degree {d2} is not a square")
+        degrees.append(d)
+    degrees = np.array(degrees, dtype=np.int64)
+    X = W * degrees[:, None] % p * inv_sizes % p
+    gram = _matmul_mod(X, (X[:, inv_class] * sizes % p).T, p)
+    if not np.array_equal(gram, G.order % p * np.eye(s, dtype=np.int64)):
+        raise InternalConsistencyError("recovered characters are not orthonormal")
+    return degrees, X
 
 
-def _sort_characters(raw: List[Tuple[int, Tuple[int, ...]]], wp: WorkingPrime,
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p, exactly, for nonnegative int64 A and B with entries of B below p.
+
+    The product runs in float64 (BLAS) on limbs of A sized so that every
+    partial sum stays below 2^52 and is therefore an exact integer.
+    """
+    inner = A.shape[-1]
+    bits = 52 - (p - 1).bit_length() - inner.bit_length()
+    if bits < 1:
+        raise ValueError(f"inner dimension {inner} too large for exact products mod {p}")
+    Bf = B.astype(np.float64)
+    limbs = max(1, -(-int(A.max(initial=0)).bit_length() // bits))
+    acc = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+    for t in reversed(range(limbs)):
+        limb = ((A >> (t * bits)) & ((1 << bits) - 1)).astype(np.float64)
+        acc = (acc * (1 << bits) + (limb @ Bf).astype(np.int64)) % p
+    return acc
+
+
+def _sort_characters(degrees: np.ndarray, X: np.ndarray, wp: WorkingPrime,
                      order: int) -> Tuple[Character, ...]:
-    if sum(d * d for d, _ in raw) != order:
+    """Trivial character first, then by degree and lifted values class by class."""
+    total = int((degrees * degrees).sum())
+    if total != order:
         raise InternalConsistencyError(
-            f"squared degrees sum to {sum(d * d for d, _ in raw)}, expected {order}")
-    trivial = [rv for rv in raw if all(v == 1 for v in rv[1])]
+            f"squared degrees sum to {total}, expected {order}")
+    trivial = np.flatnonzero((X == 1).all(axis=1))
     if len(trivial) != 1:
         raise InternalConsistencyError(
             f"expected exactly one trivial character, found {len(trivial)}")
-    rest = [rv for rv in raw if rv is not trivial[0]]
-    rest.sort(key=lambda rv: (rv[0], tuple(recover_integer(v, wp) for v in rv[1])))
-    ordered = trivial + rest
-    return tuple(Character(d, values, i) for i, (d, values) in enumerate(ordered))
+    lifted = np.where(2 * X > wp.p, X - wp.p, X)
+    ranked = np.lexsort(np.vstack([lifted.T[::-1], degrees]))
+    ordered = [int(trivial[0])] + [int(i) for i in ranked if i != trivial[0]]
+    return tuple(Character(int(degrees[i]), tuple(X[i].tolist()), t)
+                 for t, i in enumerate(ordered))
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic mod p (coefficient lists, ascending powers)
+# polynomial arithmetic mod p (int64 coefficient arrays, ascending powers,
+# entries in [0, p), degree at most the class count)
 
 
-def _poly_trim(f: List[int]) -> List[int]:
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
+def _poly_trim(f: np.ndarray) -> np.ndarray:
+    n = len(f)
+    while n > 1 and not f[n - 1]:
+        n -= 1
+    return f[:n]
 
 
-def _poly_deg(f: Sequence[int]) -> int:
-    return len(f) - 1
+def _poly_mul(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """f g mod p; g is split into 16-bit limbs so every int64 sum stays below 2^58."""
+    high = np.convolve(f, g >> 16) % p
+    return _poly_trim((high * 65536 + np.convolve(f, g & 0xFFFF)) % p)
 
 
-def _poly_derivative(f: Sequence[int], p: int) -> List[int]:
-    return _poly_trim([i * c % p for i, c in enumerate(f)][1:] or [0])
-
-
-def _poly_mul(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(f: Sequence[int], g: Sequence[int], p: int) -> Tuple[List[int], List[int]]:
-    rem = list(f)
-    dg = _poly_deg(g)
-    lead_inv = pow(g[-1], p - 2, p)
-    quot = [0] * max(len(f) - dg, 1)
+def _poly_divmod(f: np.ndarray, g: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    rem = f.copy()
+    dg = len(g) - 1
+    lead_inv = pow(int(g[-1]), p - 2, p)
+    quot = np.zeros(max(len(f) - dg, 1), dtype=np.int64)
     for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i] * lead_inv % p
+        c = int(rem[i]) * lead_inv % p
         if c:
             quot[i - dg] = c
-            for j, b in enumerate(g):
-                rem[i - dg + j] = (rem[i - dg + j] - c * b) % p
-    return _poly_trim(quot), _poly_trim(rem[:dg] or [0])
+            rem[i - dg:i + 1] = (rem[i - dg:i + 1] - c * g) % p
+    return _poly_trim(quot), _poly_trim(rem[:dg] if dg else np.zeros(1, dtype=np.int64))
 
 
-def _poly_gcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
-    a, b = _poly_trim(list(f)), _poly_trim(list(g))
-    while b != [0]:
+def _poly_gcd(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    a, b = _poly_trim(f), _poly_trim(g)
+    while b.any():
         a, b = b, _poly_divmod(a, b, p)[1]
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+    return a * pow(int(a[-1]), p - 2, p) % p
 
 
-def _poly_powmod(base: Sequence[int], exp: int, mod: Sequence[int], p: int) -> List[int]:
-    result = [1]
+def _poly_powmod(base: np.ndarray, exp: int, mod: np.ndarray, p: int) -> np.ndarray:
+    result = np.ones(1, dtype=np.int64)
     acc = _poly_divmod(base, mod, p)[1]
     while exp:
         if exp & 1:
@@ -422,115 +486,33 @@ def _poly_powmod(base: Sequence[int], exp: int, mod: Sequence[int], p: int) -> L
     return result
 
 
-def _charpoly_mod(M: np.ndarray, p: int) -> List[int]:
-    """Characteristic polynomial of M over GF(p), monic, ascending coefficients.
-
-    M is first reduced to upper Hessenberg form by similarity row/column
-    operations, then the determinant recurrence for Hessenberg matrices runs
-    in exact field arithmetic.
-    """
-    H = M.copy() % p
-    n = H.shape[0]
-    for col in range(n - 2):
-        piv = next((r for r in range(col + 1, n) if H[r, col]), None)
-        if piv is None:
-            continue
-        if piv != col + 1:
-            H[[col + 1, piv]] = H[[piv, col + 1]]
-            H[:, [col + 1, piv]] = H[:, [piv, col + 1]]
-        inv = pow(int(H[col + 1, col]), p - 2, p)
-        for r in range(col + 2, n):
-            factor = int(H[r, col]) * inv % p
-            if factor:
-                H[r] = (H[r] - factor * H[col + 1]) % p
-                H[:, col + 1] = (H[:, col + 1] + factor * H[:, r]) % p
-    polys: List[List[int]] = [[1]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [0] + list(prev)  # x * prev
-        hkk = int(H[k - 1, k - 1])
-        for idx, c in enumerate(prev):
-            cur[idx] = (cur[idx] - hkk * c) % p
-        prod = 1
-        for i in range(k - 1, 0, -1):  # cumulative subdiagonal product
-            prod = prod * int(H[i, i - 1]) % p
-            if prod == 0:
-                break
-            coef = int(H[i - 1, k - 1]) * prod % p
-            if coef:
-                for idx, c in enumerate(polys[i - 1]):
-                    cur[idx] = (cur[idx] - coef * c) % p
-        polys.append(cur)
-    return polys[n]
-
-
-def _roots_of_split_poly(f: Sequence[int], p: int) -> List[int]:
+def _roots_of_split_poly(f: np.ndarray, p: int) -> List[int]:
     """Roots of a squarefree polynomial known to split into linear factors.
 
     Splits recursively with gcd(f, (x+shift)^((p-1)/2) - 1) over a
-    deterministic shift scan; a polynomial that refuses to split signals
-    eigenvalues outside the field, which the working-prime choice rules out.
+    deterministic shift scan. Neither part of a split can be split by the
+    shift that made it or by the shifts that failed before, so each part
+    resumes the scan at the next shift. A polynomial that refuses to split
+    signals eigenvalues outside the field, which the working-prime choice
+    rules out.
     """
-    inv = pow(f[-1], p - 2, p)
-    stack = [[c * inv % p for c in f]]
+    stack = [(f * pow(int(f[-1]), p - 2, p) % p, 0)]
     roots: List[int] = []
     while stack:
-        h = stack.pop()
-        if _poly_deg(h) == 0:
+        h, first = stack.pop()
+        if len(h) == 2:
+            roots.append(int(-h[0] % p))
+        if len(h) <= 2:
             continue
-        if _poly_deg(h) == 1:
-            roots.append(-h[0] % p)
-            continue
-        for shift in range(MAX_ROOT_SHIFTS):
-            a = _poly_powmod([shift, 1], (p - 1) // 2, h, p)
-            a = _poly_trim([(a[0] - 1) % p] + list(a[1:]))
+        for shift in range(first, MAX_ROOT_SHIFTS):
+            a = _poly_powmod(np.array([shift, 1], dtype=np.int64), (p - 1) // 2, h, p)
+            a[0] = (a[0] - 1) % p
             g = _poly_gcd(a, h, p)
-            if 0 < _poly_deg(g) < _poly_deg(h):
-                stack.append(g)
-                stack.append(_poly_divmod(h, g, p)[0])
+            if 1 < len(g) < len(h):
+                stack.append((g, shift + 1))
+                stack.append((_poly_divmod(h, g, p)[0], shift + 1))
                 break
         else:
             raise InternalConsistencyError(
-                f"degree-{_poly_deg(h)} factor did not split over GF({p})")
+                f"degree-{len(h) - 1} factor did not split over GF({p})")
     return roots
-
-
-def _rref(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form mod p with its pivot columns, zero rows dropped.
-
-    Pivots are chosen lexicographically (first nonzero row, leftmost column)
-    so the result is deterministic.
-    """
-    A = A.copy() % p
-    rows, cols = A.shape
-    pivot_cols: List[int] = []
-    row = 0
-    for col in range(cols):
-        sel = next((r for r in range(row, rows) if A[r, col]), None)
-        if sel is None:
-            continue
-        if sel != row:
-            A[[row, sel]] = A[[sel, row]]
-        A[row] = A[row] * pow(int(A[row, col]), p - 2, p) % p
-        for r in range(rows):
-            if r != row and A[r, col]:
-                A[r] = (A[r] - int(A[r, col]) * A[row]) % p
-        pivot_cols.append(col)
-        row += 1
-        if row == rows:
-            break
-    return A[:row], pivot_cols
-
-
-def _nullspace_basis(A: np.ndarray, p: int) -> List[List[int]]:
-    """Kernel basis of a square matrix mod p, one vector per free column."""
-    n = A.shape[1]
-    R, pivot_cols = _rref(A, p)
-    basis = []
-    for free in (c for c in range(n) if c not in pivot_cols):
-        w = [0] * n
-        w[free] = 1
-        for r, c in enumerate(pivot_cols):
-            w[c] = int(-R[r, free]) % p
-        basis.append(w)
-    return basis

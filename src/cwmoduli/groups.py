@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "conjugacy_classes",
     "closure",
     "generates",
+    "greedy_generators",
     "group_from_spec",
 ]
 
@@ -135,14 +136,22 @@ def _check_group_axioms(tbl: np.ndarray) -> None:
 def _check_associative(tbl: np.ndarray) -> None:
     """Light's test: (a*s)*c == a*(s*c) for all a, c and s in a generating set.
 
-    The s passing it are closed under products, so once every element is a
-    product of checked s the whole table is associative. Generators are
-    picked greedily in id order, each one outside what the previous ones
-    reach; in a group each at least doubles that set, so this costs
-    O(n^2 log n) instead of O(n^3).
+    The s passing it are closed under products, so this proves associativity
+    in O(n^2 log n). Each s is tested before the generating set grows past it.
     """
-    n = tbl.shape[0]
-    rows = tbl.tolist()
+    for s in greedy_generators(tbl.tolist()):
+        if not np.array_equal(tbl[tbl[:, s]], tbl[:, tbl[s]]):
+            raise ValueError(f"multiplication is not associative (first failure at s={s})")
+
+
+def greedy_generators(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Yield a generating set of the group with multiplication table rows.
+
+    Each generator is the smallest id outside what the previous ones reach by
+    breadth-first search, so each at least doubles that set and there are at
+    most log2(n). The search past a generator runs only when the next is asked for.
+    """
+    n = len(rows)
     reached = [False] * n
     reached[0] = True
     found = [0]
@@ -150,8 +159,7 @@ def _check_associative(tbl: np.ndarray) -> None:
     for s in range(n):
         if reached[s]:
             continue
-        if not np.array_equal(tbl[tbl[:, s]], tbl[:, tbl[s]]):
-            raise ValueError(f"multiplication is not associative (first failure at s={s})")
+        yield s
         gens.append(s)
         frontier = list(found)
         while frontier:
@@ -380,25 +388,26 @@ def build_from_permutations(generator_strs: Sequence[str],
     ident = tuple(range(degree))
     ids: Dict[Tuple[int, ...], int] = {ident: 0}
     elems: List[Tuple[int, ...]] = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                prod = tuple(q[i] for i in p)
-                if prod not in ids:
-                    if len(elems) >= order_cap:
-                        raise GroupSizeError(
-                            f"permutation closure exceeds the cap of {order_cap}")
-                    ids[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    parent = [(0, 0)]  # elems[b] = elems[a] * gens[t]
+    right: List[int] = []  # right[a * len(gens) + t] = id of elems[a] * gens[t]
+    for a, p in enumerate(elems):  # elems grows meanwhile: breadth-first order
+        for t, q in enumerate(gens):
+            prod = tuple(q[i] for i in p)
+            if prod not in ids:
+                if len(elems) >= order_cap:
+                    raise GroupSizeError(
+                        f"permutation closure exceeds the cap of {order_cap}")
+                ids[prod] = len(elems)
+                elems.append(prod)
+                parent.append((a, t))
+            right.append(ids[prod])
     n = len(elems)
+    R = np.array(right, dtype=np.int64).reshape(n, len(gens))
     table = np.empty((n, n), dtype=np.int64)
-    for a, p in enumerate(elems):
-        for b, q in enumerate(elems):
-            table[a, b] = ids[tuple(q[i] for i in p)]
+    table[:, 0] = np.arange(n)
+    for b in range(1, n):  # x * elems[b] = (x * elems[a]) * gens[t], with a < b
+        a, t = parent[b]
+        table[:, b] = R[table[:, a], t]
     label = "perm:" + ";".join(s.strip() for s in generator_strs)
     return FiniteGroup(table, label, order_cap=order_cap)
 

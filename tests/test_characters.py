@@ -7,7 +7,7 @@ class size, so no class-ordering assumption leaks in.
 
 import math
 import random
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,11 +21,16 @@ from cwmoduli import (
     build_metacyclic,
     character_fingerprint,
     character_table,
+    conjugacy_classes,
     eigenvalue_multiplicities,
     inner_product,
     rational_character_value,
+    recover_integer,
 )
-from cwmoduli.characters import _charpoly_mod
+from cwmoduli.characters import (_characters_from_vectors, _check_common_eigenvectors,
+                                 _class_matrix, _matmul_mod, _poly_mul,
+                                 _roots_of_split_poly, _splitting_order)
+from cwmoduli.groups import greedy_generators
 
 from conftest import ABELIAN_FACTOR_LISTS, S4_PERM_GENS
 
@@ -152,6 +157,10 @@ class TestNonabelianTables:
              rational_character_value(T, rho, cyc4))
             for rho in range(5) if T.degrees[rho] == 3)
         assert deg3 == [(-1, 1), (1, -1)]
+
+    def test_a6_degrees(self):
+        T = character_table(build_from_permutations(["(1,2,3)", "(2,3,4,5,6)"]))
+        assert sorted(T.degrees) == [1, 5, 5, 8, 8, 9, 10]
 
     def test_frobenius21_degrees(self):
         T = character_table(build_metacyclic(MetacyclicParams(7, 3, 2)))
@@ -303,8 +312,9 @@ class TestDeterminism:
         for _, G in catalog:
             T = character_table(G)
             assert T.irreducibles[0].values == (1,) * T.class_count
-            degs = T.degrees
-            assert list(degs[1:]) == sorted(degs[1:])
+            keys = [(chi.degree, tuple(recover_integer(v, T.prime) for v in chi.values))
+                    for chi in T.irreducibles[1:]]
+            assert keys == sorted(keys)
             for i, chi in enumerate(T.irreducibles):
                 assert chi.index == i
 
@@ -316,38 +326,110 @@ class TestDeterminism:
             assert len(set(prints)) == len(prints)
 
 
-class TestCharpoly:
-    def test_matches_leibniz_determinant(self):
-        p = 101
-        rng = random.Random(23)
-        for _ in range(20):
-            n = rng.randrange(1, 5)
-            M = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
-                         dtype=np.int64)
-            f = _charpoly_mod(M, p)
-            assert len(f) == n + 1
-            for x0 in [0, 1, 2, p - 1, rng.randrange(p)]:
-                A = [[(x0 if i == j else 0) - M[i, j] for j in range(n)]
-                     for i in range(n)]
-                det = 0
-                for perm in permutations(range(n)):
-                    sign = 1
-                    seen = [False] * n
-                    # count transpositions via cycle structure
-                    for start in range(n):
-                        if seen[start]:
-                            continue
-                        length = 0
-                        j = start
-                        while not seen[j]:
-                            seen[j] = True
-                            j = perm[j]
-                            length += 1
-                        if length % 2 == 0:
-                            sign = -sign
-                    term = sign
-                    for i in range(n):
-                        term = term * A[i][perm[i]] % p
-                    det = (det + term) % p
-                val = sum(c * pow(x0, i, p) for i, c in enumerate(f)) % p
-                assert val == det
+def eigenvector_rows(T):
+    """Rows w_j = |C_j| chi(g_j) / chi(1) mod p, one per character."""
+    p = T.prime.p
+    sizes = np.array(T.classes.class_sizes, dtype=np.int64)
+    return np.array([np.array(chi.values) * sizes % p * pow(chi.degree, p - 2, p) % p
+                     for chi in T.irreducibles], dtype=np.int64)
+
+
+class TestSpinChecks:
+    """The assertions that guard the spinning split must reject bad vectors."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        G = build_metacyclic(MetacyclicParams(5, 4, 2))
+        T = character_table(G)
+        mats = [_class_matrix(G, T.classes, i) for i in range(T.class_count)]
+        return G, T, mats, eigenvector_rows(T)
+
+    def test_true_eigenvectors_pass(self, setup):
+        G, T, mats, W = setup
+        _check_common_eigenvectors(mats, W, T.prime.p)
+        degrees, X = _characters_from_vectors(G, T.classes, T.prime, W)
+        assert sorted(degrees.tolist()) == sorted(T.degrees)
+
+    def test_corrupted_coordinate_is_rejected(self, setup):
+        G, T, mats, W = setup
+        bad = W.copy()
+        bad[2, 3] = (bad[2, 3] + 1) % T.prime.p
+        with pytest.raises(InternalConsistencyError, match="not eigenvectors"):
+            _check_common_eigenvectors(mats, bad, T.prime.p)
+
+    def test_duplicated_eigenvalue_tuple_is_rejected(self, setup):
+        G, T, mats, W = setup
+        bad = W.copy()
+        bad[1] = bad[2]
+        with pytest.raises(InternalConsistencyError, match="share their eigenvalues"):
+            _check_common_eigenvectors(mats, bad, T.prime.p)
+
+    def test_duplicated_character_fails_orthogonality(self, setup):
+        G, T, mats, W = setup
+        bad = W.copy()
+        bad[1] = bad[2]
+        with pytest.raises(InternalConsistencyError, match="not orthonormal"):
+            _characters_from_vectors(G, T.classes, T.prime, bad)
+
+    def test_generator_classes_come_first(self):
+        for G in [build_from_permutations(["(1,2,3)", "(2,3,4,5,6)"]),
+                  build_abelian([2] * 8), build_metacyclic(MetacyclicParams(32, 16, 3))]:
+            conj = conjugacy_classes(G)
+            order = _splitting_order(G, conj)
+            first = list(dict.fromkeys(int(conj.class_of[g])
+                                       for g in greedy_generators(G.mul_rows())))
+            assert order[:len(first)] == first
+            assert sorted(order) == list(range(1, conj.class_count))
+
+
+class TestExactArithmetic:
+    """The numpy field arithmetic against Python integers, at a small and a 31-bit prime."""
+
+    PRIMES = [7681, 2 ** 31 - 1]
+
+    def test_matmul_mod(self):
+        rng = np.random.default_rng(5)
+        for p in self.PRIMES:
+            A = rng.integers(0, p, size=(3, 512))
+            B = rng.integers(0, p, size=(512, 4))
+            expect = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T]
+                      for row in A]
+            assert _matmul_mod(A, B, p).tolist() == expect
+
+    def test_poly_mul_and_roots(self):
+        for p in self.PRIMES:
+            rng = random.Random(p)
+            roots = rng.sample(range(p), 40)
+            f = [1]
+            for r in roots:  # f *= (x - r) in Python integers
+                f = [((f[i - 1] if i else 0) - r * (f[i] if i < len(f) else 0)) % p
+                     for i in range(len(f) + 1)]
+            g = np.ones(1, dtype=np.int64)
+            for r in roots:
+                g = _poly_mul(g, np.array([-r % p, 1], dtype=np.int64), p)
+            assert g.tolist() == f
+            assert sorted(_roots_of_split_poly(g, p)) == sorted(roots)
+
+
+class TestOrderCap:
+    """Tables at order 256 and 512, checked by both orthogonality relations."""
+
+    @pytest.mark.parametrize("G", [
+        build_cyclic(256),
+        build_abelian([2] * 8),
+        build_metacyclic(MetacyclicParams(32, 16, 3)),
+    ], ids=["cyclic:256", "abelian:2^8", "metacyclic:32,16,3"])
+    def test_orthogonality_and_fingerprints(self, G):
+        T = character_table(G)
+        p, s = T.prime.p, T.class_count
+        assert p * p * s < 2 ** 63  # plain int64 products below are exact
+        X = np.array([chi.values for chi in T.irreducibles], dtype=np.int64)
+        sizes = np.array(T.classes.class_sizes, dtype=np.int64)
+        inv = [T.classes.inverse_class(j) for j in range(s)]
+        rows = X @ (X[:, inv] * sizes % p).T % p
+        assert np.array_equal(rows, G.order % p * np.eye(s, dtype=np.int64))
+        cols = X.T @ X[:, inv] % p
+        assert np.array_equal(cols, np.diag(G.order // sizes % p))
+        assert sum(d * d for d in T.degrees) == G.order
+        prints = {character_fingerprint(T, rho) for rho in range(s)}
+        assert len(prints) == s

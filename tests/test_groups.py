@@ -25,6 +25,11 @@ from cwmoduli import (
     group_from_spec,
     run,
 )
+from cwmoduli.groups import greedy_generators
+
+from conftest import A4_PERM_GENS, Q8_PERM_GENS, S3_PERM_GENS, S4_PERM_GENS
+
+A6_PERM_GENS = ["(1,2,3)", "(2,3,4,5,6)"]
 
 # order-5 loop: latin square with two-sided identity 0 but (1*1)*2 != 1*(1*2)
 NONASSOC_LOOP = [
@@ -130,6 +135,33 @@ class TestBuilders:
         # ids follow BFS discovery: 0 = e, 1 = (1,2), 2 = (2,3)
         # (1,2) then (2,3) maps 1 -> 2 -> 3, a 3-cycle
         assert G.elem_order(G.mul(1, 2)) == 3
+
+    @pytest.mark.parametrize("gens", [S3_PERM_GENS, A4_PERM_GENS, S4_PERM_GENS,
+                                      Q8_PERM_GENS, A6_PERM_GENS])
+    def test_permutation_table_matches_brute_force(self, gens):
+        # ids in breadth-first discovery order, then every product composed
+        # point by point: (p*q)(x) = q(p(x))
+        degree = max(int(t) for g in gens for t in g.replace("(", ",").replace(")", ",")
+                     .split(",") if t)
+        perms = []
+        for g in gens:
+            img = list(range(degree))
+            for cyc in g.strip("()").split(")("):
+                pts = [int(t) - 1 for t in cyc.split(",")]
+                for a, b in zip(pts, pts[1:] + pts[:1]):
+                    img[a] = b
+            perms.append(tuple(img))
+        elems = [tuple(range(degree))]
+        ids = {elems[0]: 0}
+        for p in elems:
+            for q in perms:
+                r = tuple(q[x] for x in p)
+                if r not in ids:
+                    ids[r] = len(elems)
+                    elems.append(r)
+        expect = [[ids[tuple(q[x] for x in p)] for q in elems] for p in elems]
+        G = build_from_permutations(gens)
+        assert G.mul_table.tolist() == expect
 
     def test_permutation_cap(self):
         with pytest.raises(GroupSizeError):
@@ -354,6 +386,22 @@ class TestClosure:
         assert generates(G, [x, y])
         assert not generates(G, [x])
         assert closure(G, [x]) == {0, 4, 8, 12, 16}
+
+
+class TestGreedyGenerators:
+    def test_generates_with_at_most_log2_order_elements(self, catalog):
+        for _, G in catalog:
+            gens = list(greedy_generators(G.mul_rows()))
+            assert generates(G, gens)
+            assert 2 ** len(gens) <= G.order
+            assert gens == sorted(gens)
+            # each one lies outside the subgroup the earlier ones generate
+            for i, g in enumerate(gens):
+                assert g not in closure(G, gens[:i])
+
+    def test_abelian_2_power_picks_the_unit_vectors(self):
+        G = build_abelian([2] * 6)
+        assert list(greedy_generators(G.mul_rows())) == [1, 2, 4, 8, 16, 32]
 
 
 class TestGroupFromSpec:
