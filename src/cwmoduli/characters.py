@@ -150,6 +150,7 @@ def _count_matrix(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, 
         raise InternalConsistencyError(
             f"eigenvalue counts {N[rho].tolist()} of character {rho} at class {cls} "
             f"are not in [0, {T.degrees[rho]}] with sum {T.degrees[rho]}")
+    N = N.astype(np.min_scalar_type(max(T.degrees)))  # uint8 under the order cap
     N.flags.writeable = False
     # chi(g) is rational iff its counts are constant on each orbit of the
     # units mod m, i.e. depend only on gcd(a, m)

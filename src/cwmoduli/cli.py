@@ -17,7 +17,7 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import (CharacterTable, character_table, rational_character_value)
 from .chevalley_weil import cw_character
-from .decomposition import CanonicalDecomposition, _refine_through, stabilization_report
+from .decomposition import stabilization_report
 from .errors import CwModuliError, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
@@ -278,9 +278,9 @@ def _cmd_decompose(cfg: SessionConfig, out: IO[str]) -> None:
         items.extend(vectors)
     k_hi = cfg.k_max or G.order
     T = character_table(G, k_max=k_hi, g_max=max(g, 2))
-    result: CanonicalDecomposition = _refine_through(tuple(items), T, k_hi)
-    D = result.decomposition
     granularity = "orbit" if cfg.up_to_conjugacy else "raw"
+    result = stabilization_report(items, T, k_hi, granularity=granularity)
+    D = result.final
     if cfg.output == "json":
         record = {
             "schema": SCHEMA,

@@ -2,9 +2,10 @@
 
 Items carrying equal multiplicity vectors at level k share a block of the
 level-k decomposition; the canonical decomposition is the common refinement
-over k = 1..|G|, which the periodicity of the multiplicity formulas proves is
-already the limit. The stabilization report re-checks that claim numerically
-instead of assuming it.
+over k = 1..|G|, which periodicity proves is already the limit. One pass reads
+each item's (quotient genus, branch-class multiset) key once and evaluates
+each distinct key once per level; the stabilization report re-checks the
+limit numerically, reading its checks from the distinct type tuples.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ def _assemble(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...],
                          tuple(ordered))
 
 
-def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
-                   k: int) -> Decomposition:
-    """Partition items by their level-k multiplicity vector.
+def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
+               ks: Tuple[int, ...]) -> Decomposition:
+    """Partition items by their multiplicity vectors at every level in ks.
 
     Items sharing a quotient genus and a multiset of branch classes share
-    their multiplicities, so each such class key is evaluated once.
+    their multiplicities, so each item's class key is read once and each
+    distinct key is evaluated once per level.
     """
     items = tuple(items)
     genera = set()
@@ -110,10 +112,16 @@ def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
                          "a decomposition needs a single genus")
     item_keys: List[BlockKey] = [()] * len(items)
     for members in by_class.values():
-        key = (cw_character(items[members[0]], T, k).mults,)
+        key = tuple(cw_character(items[members[0]], T, k).mults for k in ks)
         for idx in members:
             item_keys[idx] = key
-    return _assemble(items, (k,), item_keys)
+    return _assemble(items, ks, item_keys)
+
+
+def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
+                   k: int) -> Decomposition:
+    """Partition items by their level-k multiplicity vector."""
+    return _decompose(items, T, (k,))
 
 
 def _item_keys(D: Decomposition) -> List[BlockKey]:
@@ -145,18 +153,6 @@ class CanonicalDecomposition:
     stabilization_depth: int
 
 
-def _refine_through(items: Tuple[HurwitzVector, ...], T: CharacterTable,
-                    k_hi: int) -> CanonicalDecomposition:
-    running = decompose_at_k(items, T, 1)
-    depth = 1
-    for k in range(2, k_hi + 1):
-        refined = refine(running, decompose_at_k(items, T, k))
-        if refined.partition() != running.partition():
-            depth = k
-        running = refined
-    return CanonicalDecomposition(running, depth)
-
-
 def canonical_decomposition(items: Sequence[HurwitzVector],
                             T: CharacterTable) -> CanonicalDecomposition:
     """The common refinement of the level-k partitions for k = 1..|G|.
@@ -166,7 +162,8 @@ def canonical_decomposition(items: Sequence[HurwitzVector],
     stabilization depth is the smallest K with refinement through K already
     equal to the result.
     """
-    return _refine_through(tuple(items), T, T.group.order)
+    rep = stabilization_report(items, T, T.group.order)
+    return CanonicalDecomposition(rep.final, rep.stabilization_depth)
 
 
 @dataclass(frozen=True)
@@ -202,32 +199,32 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    items = tuple(items)
     order = T.group.order
-    per_level: Dict[int, Decomposition] = {}
+    final = _decompose(items, T, tuple(range(1, k_max + 1)))
+
+    def distinct(*ks: int) -> int:
+        """Number of distinct type tuples restricted to the levels ks."""
+        return len({tuple(key[k - 1] for k in ks) for key in final.keys})
+
     levels: List[LevelReport] = []
-    running = None
     depth = 1
+    prefixes = min(1, len(final.keys))
     for k in range(1, k_max + 1):
-        Dk = decompose_at_k(items, T, k)
-        per_level[k] = Dk
-        if running is None:
-            refined = Dk
-            split = len(items) > 0 and Dk.block_count > 1
-        else:
-            refined = refine(running, Dk)
-            split = refined.partition() != running.partition()
+        # level k splits the running partition iff it adds a length-k prefix
+        count = distinct(*range(1, k + 1))
+        split = count > prefixes
         if split:
             depth = k
             if k > order:
                 raise InternalConsistencyError(
                     f"level {k} split the refinement of levels 1..{k - 1} although "
                     f"periodicity caps new splits at |G| = {order}")
-        levels.append(LevelReport(k, Dk.block_count, split))
-        running = refined
+        levels.append(LevelReport(k, distinct(k), split))
+        prefixes = count
     for k in range(1, k_max - order + 1):
-        if per_level[k].partition() != per_level[k + order].partition():
+        # two partitions agree iff each has as many blocks as their meet
+        if not distinct(k) == distinct(k + order) == distinct(k, k + order):
             raise InternalConsistencyError(
                 f"partitions at levels {k} and {k + order} differ, contradicting "
                 "the periodicity of the multiplicity formulas")
-    return StabilizationReport(granularity, tuple(levels), depth, running)
+    return StabilizationReport(granularity, tuple(levels), depth, final)

@@ -22,6 +22,7 @@ from cwmoduli import (
     character_fingerprint,
     character_table,
     conjugacy_classes,
+    eigenvalue_counts,
     eigenvalue_multiplicities,
     inner_product,
     rational_character_value,
@@ -433,3 +434,5 @@ class TestOrderCap:
         assert sum(d * d for d in T.degrees) == G.order
         prints = {character_fingerprint(T, rho) for rho in range(s)}
         assert len(prints) == s
+        # degrees <= sqrt(|G|) <= 22, so each cached count matrix holds bytes
+        assert all(eigenvalue_counts(T, cls).itemsize == 1 for cls in range(s))

@@ -137,6 +137,18 @@ class TestTextReports:
         assert "stabilization depth: 1" in lines
         assert "blocks: 6" in lines
 
+    def test_decompose_past_the_period_keeps_the_blocks(self):
+        # --k-max 7 > |G| also runs both periodicity checks
+        def blocks(**kw):
+            code, out, _ = invoke("decompose", group_spec="cyclic:3", genus=6, **kw)
+            assert code == 0
+            return [line for line in out.splitlines()
+                    if line.startswith("block ") or line.lstrip().startswith("members:")]
+
+        long = blocks(k_max=7)
+        assert len(long) == 12
+        assert long == blocks()
+
 
 class TestJsonReports:
     def test_enumerate_records_parse_and_revalidate(self):

@@ -1,17 +1,22 @@
 """Representation-type partitions, refinement laws, and stabilization scans."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import cwmoduli.decomposition as decomposition
 from cwmoduli import (
     BranchingData,
     CanonicalDecomposition,
     EnumerationOptions,
     HurwitzVector,
     InternalConsistencyError,
+    LevelReport,
+    MultiplicityVector,
     RepresentationType,
     canonical_decomposition,
+    character_table,
     conjugate_vector,
     cw_character,
     decompose_at_k,
@@ -28,6 +33,34 @@ def census(G, g):
         for d in enumerate_branching_data(G, g)
         for v in enumerate_hurwitz_vectors(G, d)
     ]
+
+
+def class_key(v, T):
+    """(quotient genus, sorted branch class ids): what multiplicities depend on."""
+    return v.g_quot, tuple(sorted(int(T.classes.class_of[c]) for c in v.branches))
+
+
+def reference_report(items, T, k_max):
+    """The level-by-level algorithm: decompose_at_k at every level, then refine.
+
+    Returns the final refinement, the stabilization depth and the level
+    reports, comparing partitions level by level; periodicity is asserted.
+    """
+    per_level = [decompose_at_k(items, T, k) for k in range(1, k_max + 1)]
+    running = None
+    before = frozenset([frozenset(range(len(items)))] if items else [])
+    depth, levels = 1, []
+    for k, Dk in enumerate(per_level, start=1):
+        running = Dk if running is None else refine(running, Dk)
+        split = running.partition() != before
+        if split:
+            depth = k
+        levels.append(LevelReport(k, Dk.block_count, split))
+        before = running.partition()
+    order = T.group.order
+    for k in range(1, k_max - order + 1):
+        assert per_level[k - 1].partition() == per_level[k + order - 1].partition()
+    return running, depth, levels
 
 
 def meet_by_hand(p1, p2, n):
@@ -239,3 +272,94 @@ class TestStabilizationReport:
         rep = stabilization_report(items, s3_table, 14)
         assert rep.levels[-1].k == 14
         assert rep.stabilization_depth <= 6
+
+
+class TestOnePassOracle:
+    """The one-pass scan against decompose_at_k per level followed by refine."""
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["raw", "orbit"])
+    def test_matches_level_by_level_refinement(self, catalog_le_12, orbits):
+        opts = EnumerationOptions(up_to_conjugacy=orbits)
+        for label, G in catalog_le_12:
+            T = character_table(G)
+            for g in (2, 3, 4):
+                items = [v for d in enumerate_branching_data(G, g)
+                         for v in enumerate_hurwitz_vectors(G, d, opts)]
+                for k_max in sorted({1, G.order, 2 * G.order + 1}):
+                    final, depth, levels = reference_report(items, T, k_max)
+                    rep = stabilization_report(items, T, k_max)
+                    case = (label, g, k_max)
+                    assert rep.final == final, case  # items, ks, blocks, keys
+                    assert rep.stabilization_depth == depth, case
+                    assert list(rep.levels) == levels, case
+                    if k_max == G.order:
+                        CD = canonical_decomposition(items, T)
+                        assert CD.decomposition == final, case
+                        assert CD.stabilization_depth == depth, case
+
+    def test_one_cw_call_per_class_key_and_level(self, monkeypatch, s3, s3_table):
+        items = census(s3, 3)
+        keys = {class_key(v, s3_table) for v in items}
+        assert 1 < len(keys) < len(items)
+        cw_calls, key_reads = Counter(), Counter()
+        real_cw = decomposition.cw_character
+        real_read = decomposition._genus_and_classes
+
+        def counting_cw(v, T, k):
+            cw_calls[class_key(v, T) + (k,)] += 1
+            return real_cw(v, T, k)
+
+        def counting_read(v, T):
+            key_reads[v] += 1
+            return real_read(v, T)
+
+        monkeypatch.setattr(decomposition, "cw_character", counting_cw)
+        monkeypatch.setattr(decomposition, "_genus_and_classes", counting_read)
+        runs = [(lambda: decompose_at_k(items, s3_table, 4), (4,)),
+                (lambda: canonical_decomposition(items, s3_table), range(1, 7)),
+                (lambda: stabilization_report(items, s3_table, 13), range(1, 14))]
+        for call, ks in runs:
+            cw_calls.clear()
+            key_reads.clear()
+            call()
+            assert cw_calls == Counter({key + (k,): 1 for key in keys for k in ks})
+            assert key_reads == Counter(items)
+
+
+class TestPeriodicityChecksBite:
+    """A cw_character that breaks periodicity above |G| must be caught."""
+
+    def test_split_beyond_the_period_raises(self, monkeypatch, z3_table,
+                                            genus6_vectors):
+        # both keys share one type through |G| = 3; v's type differs at level 4
+        v, _ = genus6_vectors
+        target = class_key(v, z3_table)
+
+        def collapsed(w, T, k):
+            mults = [0] * T.class_count
+            if k > T.group.order and class_key(w, T) == target:
+                mults[0] = 1
+            return MultiplicityVector(k, tuple(mults))
+
+        monkeypatch.setattr(decomposition, "cw_character", collapsed)
+        rep = stabilization_report(genus6_vectors, z3_table, 3)
+        assert rep.final.block_count == 1
+        with pytest.raises(InternalConsistencyError, match="split the refinement"):
+            stabilization_report(genus6_vectors, z3_table, 4)
+
+    def test_partitions_k_and_k_plus_order_that_differ_raise(self, monkeypatch,
+                                                             z3_table, genus6_vectors):
+        # v_alt takes v's level-4 vector: level 4 merges what level 1 separates
+        v, v_alt = genus6_vectors
+        target = class_key(v_alt, z3_table)
+        real_cw = decomposition.cw_character
+
+        def merged(w, T, k):
+            if k == T.group.order + 1 and class_key(w, T) == target:
+                return real_cw(v, T, k)
+            return real_cw(w, T, k)
+
+        monkeypatch.setattr(decomposition, "cw_character", merged)
+        assert stabilization_report(genus6_vectors, z3_table, 3).final.block_count == 2
+        with pytest.raises(InternalConsistencyError, match="differ"):
+            stabilization_report(genus6_vectors, z3_table, 4)
