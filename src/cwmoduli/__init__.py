@@ -28,9 +28,8 @@ from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       branching_data_of, conjugate_vector,
                       enumerate_branching_data, enumerate_hurwitz_vectors,
                       enumerate_hurwitz_vectors_parallel, genus, validate)
-from .chevalley_weil import (MultiplicityVector, cw_character,
-                             cw_multiplicity_k, cw_multiplicity_k1,
-                             periodicity_delta, regular_multiple)
+from .chevalley_weil import (MultiplicityVector, cw_character, periodicity_delta,
+                             regular_multiple)
 from .decomposition import (CanonicalDecomposition, Decomposition, LevelReport,
                             RepresentationType, StabilizationReport,
                             canonical_decomposition, decompose_at_k, refine,
@@ -64,8 +63,7 @@ __all__ = [
     "branching_data_of", "conjugate_vector", "enumerate_branching_data",
     "enumerate_hurwitz_vectors", "enumerate_hurwitz_vectors_parallel",
     # chevalley-weil
-    "MultiplicityVector", "cw_character", "cw_multiplicity_k1",
-    "cw_multiplicity_k", "regular_multiple", "periodicity_delta",
+    "MultiplicityVector", "cw_character", "regular_multiple", "periodicity_delta",
     # decomposition
     "RepresentationType", "Decomposition", "CanonicalDecomposition",
     "LevelReport", "StabilizationReport", "decompose_at_k", "refine",

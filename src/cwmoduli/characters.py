@@ -11,8 +11,10 @@ recovered from the norm, and the result is checked against the eigenvector
 equations and row orthogonality. Everything is exact: p is chosen by the
 modular module so that every reported integer is a least absolute residue,
 and the matrix products run in float64 only on integer limbs whose sums stay
-below 2^53. The eigenvalue counts of every character at a class come from one
-matrix product per class and are kept as integers.
+below 2^53. Built with the table: which values are rational, from the Galois
+action on classes given by the power map. Memoized per class on first use:
+the integer eigenvalue counts, one matrix product per class, which only
+multiplicities and fingerprints read.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ class CharacterTable:
 
     irreducibles[0] is the trivial character; the rest are sorted by degree and
     then by recovered values. degrees lists the character degrees in the same
-    order. The characters do not change after construction; the table memoizes
-    the eigenvalue counts of each class on first use, and the multiplicity
-    module keeps its per-table caches here.
+    order. Construction also fixes a read-only matrix saying which values are
+    rational. None of this changes afterwards; the table memoizes the
+    eigenvalue counts of each class on first use, and the multiplicity module
+    keeps its per-table caches here.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyData,
@@ -83,8 +86,9 @@ class CharacterTable:
         self.irreducibles = irreducibles
         self.degrees: Tuple[int, ...] = tuple(c.degree for c in irreducibles)
         self._values = np.array([c.values for c in irreducibles], dtype=np.int64)
-        # class index -> (eigenvalue counts, rationality of each character)
-        self._counts: Dict[int, Tuple[np.ndarray, Tuple[bool, ...]]] = {}
+        self._rational = _galois_rational(self._values, classes.power_class)
+        # class index -> eigenvalue counts of every character
+        self._counts: Dict[int, np.ndarray] = {}
         # (k, quotient genus, class key) -> frozen MultiplicityVector
         self._cw_cache: Dict[tuple, object] = {}
         # vector key -> (genus, sorted class ids of the branch entries)
@@ -93,11 +97,6 @@ class CharacterTable:
     @property
     def class_count(self) -> int:
         return self.classes.class_count
-
-    @property
-    def regular_character(self) -> Tuple[int, ...]:
-        """Multiplicities of the regular representation: degree(rho) at each rho."""
-        return self.degrees
 
     def __repr__(self) -> str:
         return (f"CharacterTable({self.group.label!r}, classes={self.class_count}, "
@@ -120,15 +119,26 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
     return CharacterTable(G, conj, wp, chars)
 
 
-def _class_counts(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, ...]]:
-    hit = T._counts.get(cls)
-    if hit is None:
-        hit = T._counts[cls] = _count_matrix(T, cls)
-    return hit
+def _galois_rational(values: np.ndarray, power_class: np.ndarray) -> np.ndarray:
+    """Read-only boolean matrix: [rho, c] iff chi_rho has one residue on c's Galois orbit.
+
+    The orbit {class of g^t : t prime to the exponent} is named by its
+    smallest class; residues are compared with the one there, and a grouped
+    OR spreads any difference over the orbit (see rational_character_value).
+    """
+    e = power_class.shape[1]
+    units = [t for t in range(e) if math.gcd(t, e) == 1]
+    root = power_class[:, units].min(axis=1)
+    differs = values != values[:, root]
+    spoiled = np.zeros_like(differs)  # column r: some class of orbit r differs
+    np.logical_or.at(spoiled.T, root, differs.T)
+    rational = ~spoiled[:, root]
+    rational.flags.writeable = False
+    return rational
 
 
-def _count_matrix(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, ...]]:
-    """Eigenvalue counts of every character at one class, and their rationality.
+def _count_matrix(T: CharacterTable, cls: int) -> np.ndarray:
+    """Eigenvalue counts of every character at one class.
 
     N = V F over GF(p), where V[rho, j] = chi_rho(g^j) and
     F[j, a] = zeta_m^(-a j) / m, then lifted to integers.
@@ -152,10 +162,7 @@ def _count_matrix(T: CharacterTable, cls: int) -> Tuple[np.ndarray, Tuple[bool, 
             f"are not in [0, {T.degrees[rho]}] with sum {T.degrees[rho]}")
     N = N.astype(np.min_scalar_type(max(T.degrees)))  # uint8 under the order cap
     N.flags.writeable = False
-    # chi(g) is rational iff its counts are constant on each orbit of the
-    # units mod m, i.e. depend only on gcd(a, m)
-    rational = (N[:, np.gcd(j, m) % m] == N).all(axis=1)
-    return N, tuple(bool(r) for r in rational)
+    return N
 
 
 def eigenvalue_counts(T: CharacterTable, class_index: int) -> np.ndarray:
@@ -166,7 +173,10 @@ def eigenvalue_counts(T: CharacterTable, class_index: int) -> np.ndarray:
     the class with one matrix product; rows are in range [0, deg] and sum to
     the degree, which is asserted.
     """
-    return _class_counts(T, class_index)[0]
+    N = T._counts.get(class_index)
+    if N is None:
+        N = T._counts[class_index] = _count_matrix(T, class_index)
+    return N
 
 
 def eigenvalue_multiplicities(T: CharacterTable, rho: int,
@@ -202,11 +212,17 @@ def rational_character_value(T: CharacterTable, rho: int,
                              class_index: int) -> Optional[int]:
     """The integer chi_rho(g) if the value is rational, else None.
 
-    Rationality is decided by Galois stability of the eigenvalue counts: the
-    value is rational iff counts[t*a mod m] = counts[a] for every t coprime
-    to m.
+    Read from the matrix built with the table: chi(g) is rational iff its
+    residue is the same at every class of g^t, t prime to the exponent, since
+    chi(g^t) = sigma_t(chi(g)). This is exact: if c is the least absolute
+    residue and the residues agree, chi(g) - c lies in every prime of
+    Z[zeta_m] over p (p = 1 mod m), hence in p Z[zeta_m]; its conjugates have
+    modulus at most deg + p/2 < p, so (chi(g) - c)/p has norm below 1 and is 0.
+    This is rationality at g, not on all of <g>: in the modular group of
+    order 16 the degree-2 characters are 0 at elements of order 8 but
+    irrational at their squares.
     """
-    if not _class_counts(T, class_index)[1][rho]:
+    if not T._rational[rho, class_index]:
         return None
     return recover_integer(T.irreducibles[rho].values[class_index], T.prime)
 

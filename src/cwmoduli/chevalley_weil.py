@@ -29,8 +29,6 @@ from .hurwitz import HurwitzVector, genus, validate
 __all__ = [
     "MultiplicityVector",
     "cw_character",
-    "cw_multiplicity_k1",
-    "cw_multiplicity_k",
     "regular_multiple",
     "periodicity_delta",
 ]
@@ -118,18 +116,6 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
         hit = T._cw_cache[key] = MultiplicityVector(
             k, _evaluate(T, k, v.g_quot, g, class_key))
     return hit
-
-
-def cw_multiplicity_k1(v: HurwitzVector, T: CharacterTable, rho: int) -> int:
-    """Multiplicity of character rho in the canonical (k = 1) representation."""
-    return cw_character(v, T, 1).mults[rho]
-
-
-def cw_multiplicity_k(v: HurwitzVector, T: CharacterTable, rho: int, k: int) -> int:
-    """Multiplicity of character rho at pluricanonical level k >= 2."""
-    if k < 2:
-        raise ValueError(f"this entry point needs k >= 2, got {k}")
-    return cw_character(v, T, k).mults[rho]
 
 
 def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]:

@@ -140,8 +140,7 @@ def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     return lines
 
 
-def _character_cell(T: CharacterTable, rho: int, cls: int) -> str:
-    val = rational_character_value(T, rho, cls)
+def _character_cell(T: CharacterTable, rho: int, cls: int, val: Optional[int]) -> str:
     if val is not None:
         return str(val)
     residue = T.irreducibles[rho].values[cls]
@@ -197,7 +196,7 @@ def _cmd_group_info(cfg: SessionConfig, out: IO[str]) -> None:
         return
     print("character table:", file=out)
     headers = ["", *(f"C{c}" for c in range(s))]
-    rows = [[f"chi_{rho}", *(_character_cell(T, rho, c) for c in range(s))]
+    rows = [[f"chi_{rho}", *(_character_cell(T, rho, c, rational[rho][c]) for c in range(s))]
             for rho in range(s)]
     for line in _format_table(headers, rows):
         print(line, file=out)

@@ -7,6 +7,7 @@ class size, so no class-ordering assumption leaks in.
 
 import math
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -24,6 +25,7 @@ from cwmoduli import (
     conjugacy_classes,
     eigenvalue_counts,
     eigenvalue_multiplicities,
+    group_from_spec,
     inner_product,
     rational_character_value,
     recover_integer,
@@ -56,6 +58,36 @@ def dual_characters(factors, wp):
         rows.add(tuple(row))
     assert len(rows) == n
     return rows
+
+
+# groups with characters rational at an element but irrational at its powers:
+# the modular group of order 16, its order-32 analogue, C9 : C3, A4 x C5 and
+# an order-512 metacyclic group
+MIXED_RATIONALITY_SPECS = ["metacyclic:8,2,5", "metacyclic:16,2,9", "metacyclic:9,3,4",
+                           "perm:(1,2,3);(2,3,4);(5,6,7,8,9)", "metacyclic:32,16,3"]
+
+
+def int_poly_divmod(f, g):
+    """Quotient and remainder of integer polynomials, g monic (ascending coefficients)."""
+    rem = list(f)
+    dg = len(g) - 1
+    quot = [0] * max(len(f) - dg, 1)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = quot[i - dg] = rem[i]
+        for j, gj in enumerate(g):
+            rem[i - dg + j] -= c * gj
+    return quot, rem[:dg]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m):
+    """Phi_m: x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    f = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            f, rem = int_poly_divmod(f, cyclotomic(d))
+            assert not any(rem)
+    return tuple(f)
 
 
 def row_as_size_value_multiset(T, rho):
@@ -197,7 +229,6 @@ class TestOrthogonality:
         for _, G in catalog:
             T = character_table(G)
             assert sum(d * d for d in T.degrees) == G.order
-            assert T.regular_character == T.degrees
 
 
 class TestEigenvalueMultiplicities:
@@ -282,6 +313,25 @@ class TestRationality:
         assert len(faithful) == 2
         for rho in faithful:
             assert rational_character_value(T, rho, 2) == -1
+
+    def test_cyclotomic_oracle(self, catalog_le_12):
+        """chi(g) = sum_a N[a] zeta_m^a is rational iff the sum reduced mod Phi_m is constant.
+
+        Integer arithmetic on the eigenvalue counts only; no residue is read.
+        The catalog's cyclic:1 is the trivial group.
+        """
+        groups = [G for _, G in catalog_le_12]
+        groups += [group_from_spec(spec) for spec in MIXED_RATIONALITY_SPECS]
+        for G in groups:
+            T = character_table(G)
+            for cls in range(T.class_count):
+                N = eigenvalue_counts(T, cls)
+                phi = cyclotomic(N.shape[1])
+                for rho in range(len(T.irreducibles)):
+                    rem = int_poly_divmod(N[rho].tolist(), phi)[1]
+                    expect = None if any(rem[1:]) else rem[0]
+                    assert rational_character_value(T, rho, cls) == expect, \
+                        (G.label, rho, cls)
 
     def test_all_rational_groups(self):
         for G in [build_metacyclic(MetacyclicParams(3, 2, 2)),

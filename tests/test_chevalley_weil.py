@@ -19,8 +19,6 @@ from cwmoduli import (
     conjugacy_classes,
     conjugate_vector,
     cw_character,
-    cw_multiplicity_k,
-    cw_multiplicity_k1,
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
     eigenvalue_counts,
@@ -59,10 +57,8 @@ class TestGoldenValues:
 
     def test_single_multiplicity_accessors(self, z3_table, genus6_vectors):
         v, _ = genus6_vectors
-        assert [cw_multiplicity_k1(v, z3_table, rho) for rho in range(3)] == [2, 2, 2]
-        assert [cw_multiplicity_k(v, z3_table, rho, 3) for rho in range(3)] == [9, 8, 8]
-        with pytest.raises(ValueError):
-            cw_multiplicity_k(v, z3_table, 0, 1)
+        assert list(cw_character(v, z3_table, 1).mults) == [2, 2, 2]
+        assert list(cw_character(v, z3_table, 3).mults) == [9, 8, 8]
         with pytest.raises(ValueError):
             cw_character(v, z3_table, 0)
 

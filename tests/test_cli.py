@@ -264,6 +264,42 @@ class TestJsonReports:
                                    "genus": 9, "bound": 2}
 
 
+class TestRationalCells:
+    """Cells are integers exactly where the value is, read without count matrices."""
+
+    def test_modular_group_zeros_print_as_integers(self):
+        # metacyclic:8,2,5 is the modular group of order 16: its degree-2
+        # characters vanish at the elements of order 8 but not at their squares
+        code, out, _ = invoke("group-info", group_spec="metacyclic:8,2,5")
+        assert code == 0
+        lines = out.splitlines()
+        orders = next(line for line in lines if line.startswith("representative orders:"))
+        order8 = [c for c, o in enumerate(orders.split(":")[1].split()) if o == "8"]
+        assert len(order8) == 4
+        rows = {line.split()[0]: line.split()[1:] for line in lines
+                if line.lstrip().startswith("chi_")}
+        for name in ("chi_8", "chi_9"):
+            assert [rows[name][c] for c in order8] == ["0"] * 4
+
+    def test_modular_group_json_rational_values(self):
+        code, out, _ = invoke("group-info", group_spec="metacyclic:8,2,5", output="json")
+        assert code == 0
+        assert json.loads(out)["rational_values"][8] == [2, 0, 0, 0, None, 0, 0, 0, -2, None]
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("spec", ["cyclic:24", "metacyclic:8,2,5"])
+    def test_group_info_builds_no_count_matrix(self, monkeypatch, spec, output):
+        import cwmoduli.characters as characters
+
+        def refuse(T, cls):
+            raise AssertionError("group-info built a count matrix")
+
+        monkeypatch.setattr(characters, "_count_matrix", refuse)
+        code, out, err = invoke("group-info", group_spec=spec, output=output)
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestDeterminism:
     CASES = [
         ("hurwitz-enumerate",
