@@ -31,11 +31,11 @@ from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
 from .chevalley_weil import (MultiplicityVector, cw_character, periodicity_delta,
                              regular_multiple)
 from .decomposition import (CanonicalDecomposition, Decomposition, LevelReport,
-                            RepresentationType, StabilizationReport,
+                            StabilizationReport,
                             canonical_decomposition, decompose_at_k, refine,
                             stabilization_report)
 from .metacyclic import SchurResult, rr_component_lower_bound, schur_multiplier_order
-from .cli import SessionConfig, run
+from .cli import run
 
 __version__ = "0.1.0"
 
@@ -65,11 +65,11 @@ __all__ = [
     # chevalley-weil
     "MultiplicityVector", "cw_character", "regular_multiple", "periodicity_delta",
     # decomposition
-    "RepresentationType", "Decomposition", "CanonicalDecomposition",
+    "Decomposition", "CanonicalDecomposition",
     "LevelReport", "StabilizationReport", "decompose_at_k", "refine",
     "canonical_decomposition", "stabilization_report",
     # metacyclic
     "SchurResult", "schur_multiplier_order", "rr_component_lower_bound",
     # cli
-    "SessionConfig", "run",
+    "run",
 ]

@@ -2,7 +2,11 @@
 
 Commands: group-info, hurwitz-enumerate, cw, decompose, metacyclic-h2,
 metacyclic-rr-bound (the latter three also reachable as `group info`,
-`metacyclic h2`, `metacyclic rr-bound`). Exit codes: 0 success, 1 domain
+`metacyclic h2`, `metacyclic rr-bound`). `run(argv, out, err)` parses argv
+and writes the report to out; `main` is the console entry point and calls it.
+The argparse parser is the one description of the options: handlers read its
+namespace, and every parse error (missing or malformed flag, unknown command)
+becomes one `usage error: ...` line on err. Exit codes: 0 success, 1 domain
 error, 2 usage error. Output is byte-identical for identical inputs; --seed
 is accepted and changes nothing.
 """
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import (CharacterTable, character_table, rational_character_value)
@@ -25,7 +28,7 @@ from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       genus, validate)
 from .metacyclic import rr_component_lower_bound, schur_multiplier_order
 
-__all__ = ["SessionConfig", "run", "main", "SCHEMA"]
+__all__ = ["run", "main", "SCHEMA"]
 
 SCHEMA = "cw-moduli/1"
 
@@ -33,49 +36,41 @@ SCHEMA = "cw-moduli/1"
 TEXT_TABLE_LIMIT = 20
 
 
-@dataclass
-class SessionConfig:
-    """Everything a command needs, normalized from flags or built directly."""
-
-    group_spec: str = ""
-    genus: Optional[int] = None
-    k_max: Optional[int] = None  # defaults to the group order once known
-    up_to_conjugacy: bool = False
-    output: str = "text"
-    enumeration_cap: int = 10 ** 6
-    seed: int = 0  # accepted for compatibility; changes nothing
-    vector_json: Optional[str] = None
-    k_range: Optional[str] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    r: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.enumeration_cap < 1:
-            raise ValueError(f"enumeration cap must be >= 1, got {self.enumeration_cap}")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
-
-
 class _UsageError(Exception):
     """Malformed input (flags, specs, JSON); maps to exit code 2."""
 
 
-def _require(cfg_value, flag: str):
-    if cfg_value is None:
-        raise _UsageError(f"missing required option {flag}")
-    return cfg_value
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise instead of printing usage and exiting."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
 
 
-def _build_group(cfg: SessionConfig) -> FiniteGroup:
-    spec = _require(cfg.group_spec or None, "--group")
-    return group_from_spec(spec)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _parse_vector(cfg: SessionConfig, G: FiniteGroup) -> HurwitzVector:
-    text = _require(cfg.vector_json, "--vector")
+def _level_range(text: str) -> Tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        k_lo = int(lo)
+        k_hi = int(hi) if sep else k_lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad level range {text!r}; expected 'k' or 'a..b'") from None
+    if k_lo < 1 or k_hi < k_lo:
+        raise argparse.ArgumentTypeError(f"bad level range {text!r}; need 1 <= a <= b")
+    return k_lo, k_hi
+
+
+def _parse_vector(text: str, G: FiniteGroup) -> HurwitzVector:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -96,28 +91,6 @@ def _parse_vector(cfg: SessionConfig, G: FiniteGroup) -> HurwitzVector:
             raise _UsageError(
                 f"entry {x} is outside the element ids 0..{G.order - 1}")
     return v
-
-
-def _parse_k_range(cfg: SessionConfig, default_hi: int) -> Tuple[int, int]:
-    text = cfg.k_range
-    if text is None:
-        return 1, default_hi
-    lo, sep, hi = text.partition("..")
-    try:
-        k_lo = int(lo)
-        k_hi = int(hi) if sep else k_lo
-    except ValueError as exc:
-        raise _UsageError(f"bad level range {text!r}; expected 'k' or 'a..b'") from exc
-    if k_lo < 1 or k_hi < k_lo:
-        raise _UsageError(f"bad level range {text!r}; need 1 <= a <= b")
-    return k_lo, k_hi
-
-
-def _metacyclic_params(cfg: SessionConfig) -> MetacyclicParams:
-    m = _require(cfg.m, "--m")
-    n = _require(cfg.n, "--n")
-    r = _require(cfg.r, "--r")
-    return MetacyclicParams(m, n, r)
 
 
 def _vector_record(v: HurwitzVector) -> dict:
@@ -148,14 +121,14 @@ def _character_cell(T: CharacterTable, rho: int, cls: int, val: Optional[int]) -
     return f"{residue}(ord{order})"
 
 
-def _cmd_group_info(cfg: SessionConfig, out: IO[str]) -> None:
-    G = _build_group(cfg)
-    T = character_table(G, k_max=cfg.k_max or 1)
+def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
+    G = group_from_spec(args.group)
+    T = character_table(G)
     conj = T.classes
     s = conj.class_count
     rational = [[rational_character_value(T, rho, c) for c in range(s)]
                 for rho in range(s)]
-    if cfg.output == "json":
+    if args.json:
         record = {
             "schema": SCHEMA,
             "group": G.label,
@@ -202,30 +175,29 @@ def _cmd_group_info(cfg: SessionConfig, out: IO[str]) -> None:
         print(line, file=out)
 
 
-def _enumerate_all(G: FiniteGroup, g: int, cfg: SessionConfig
+def _enumerate_all(G: FiniteGroup, args: argparse.Namespace
                    ) -> Iterator[Tuple[BranchingData, List[HurwitzVector]]]:
-    """Each branching datum of genus g with its vectors, one datum at a time.
+    """Each branching datum of the requested genus with its vectors, one at a time.
 
     The data are listed, and the genus checked, before any vector is.
     """
-    opts = EnumerationOptions(up_to_conjugacy=cfg.up_to_conjugacy,
-                              max_vectors=cfg.enumeration_cap)
+    opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy,
+                              max_vectors=args.cap)
     return ((data, enumerate_hurwitz_vectors_parallel(G, data, opts))
-            for data in enumerate_branching_data(G, g))
+            for data in enumerate_branching_data(G, args.genus))
 
 
-def _cmd_hurwitz_enumerate(cfg: SessionConfig, out: IO[str]) -> None:
+def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     """Render each datum as soon as it is enumerated; only its list is held."""
-    G = _build_group(cfg)
-    g = _require(cfg.genus, "--genus")
-    groups = _enumerate_all(G, g, cfg)
+    G = group_from_spec(args.group)
+    groups = _enumerate_all(G, args)
     total = 0
-    if cfg.output == "text":
-        print(f"group: {G.label}  genus: {g}  "
-              f"granularity: {'orbit' if cfg.up_to_conjugacy else 'raw'}", file=out)
+    if not args.json:
+        print(f"group: {G.label}  genus: {args.genus}  "
+              f"granularity: {'orbit' if args.up_to_conjugacy else 'raw'}", file=out)
     for data, vectors in groups:
         total += len(vectors)
-        if cfg.output == "json":
+        if args.json:
             print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
                               "g_quot": data.g_quot,
                               "branch_orders": list(data.branch_orders),
@@ -239,24 +211,24 @@ def _cmd_hurwitz_enumerate(cfg: SessionConfig, out: IO[str]) -> None:
               f"{len(vectors)} vectors", file=out)
         for v in vectors:
             print(f"  {_vector_text(v)}", file=out)
-    if cfg.output == "json":
+    if args.json:
         print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
               file=out)
     else:
         print(f"total: {total}", file=out)
 
 
-def _cmd_cw(cfg: SessionConfig, out: IO[str]) -> None:
-    G = _build_group(cfg)
-    k_lo, k_hi = _parse_k_range(cfg, cfg.k_max or G.order)
-    v = _parse_vector(cfg, G)
+def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
+    G = group_from_spec(args.group)
+    k_lo, k_hi = args.k or (1, args.k_max or G.order)
+    v = _parse_vector(args.vector, G)
     validate(v, G)
     g = genus(v, G)
-    # the table group-info prints for the same --k-max, so the column labels
-    # do not depend on --k (multiplicities are exact on any table)
-    T = character_table(G, k_max=cfg.k_max or 1)
+    # the table group-info prints, so the column labels depend on neither --k
+    # nor --k-max (multiplicities are exact on any table)
+    T = character_table(G)
     mvs = [cw_character(v, T, k) for k in range(k_lo, k_hi + 1)]
-    if cfg.output == "json" or T.class_count > TEXT_TABLE_LIMIT:
+    if args.json or T.class_count > TEXT_TABLE_LIMIT:
         for mv in mvs:
             print(json.dumps({"schema": SCHEMA, "k": mv.k, "mults": list(mv.mults)}),
                   file=out)
@@ -268,19 +240,19 @@ def _cmd_cw(cfg: SessionConfig, out: IO[str]) -> None:
         print(line, file=out)
 
 
-def _cmd_decompose(cfg: SessionConfig, out: IO[str]) -> None:
-    G = _build_group(cfg)
-    g = _require(cfg.genus, "--genus")
-    groups = list(_enumerate_all(G, g, cfg))
+def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
+    G = group_from_spec(args.group)
+    g = args.genus
+    groups = list(_enumerate_all(G, args))
     items: List[HurwitzVector] = []
     for _, vectors in groups:
         items.extend(vectors)
-    k_hi = cfg.k_max or G.order
+    k_hi = args.k_max or G.order
     T = character_table(G, k_max=k_hi, g_max=max(g, 2))
-    granularity = "orbit" if cfg.up_to_conjugacy else "raw"
+    granularity = "orbit" if args.up_to_conjugacy else "raw"
     result = stabilization_report(items, T, k_hi, granularity=granularity)
     D = result.final
-    if cfg.output == "json":
+    if args.json:
         record = {
             "schema": SCHEMA,
             "group": G.label,
@@ -313,60 +285,25 @@ def _cmd_decompose(cfg: SessionConfig, out: IO[str]) -> None:
         print(f"  members: {preview}{suffix}", file=out)
 
 
-def _cmd_metacyclic_h2(cfg: SessionConfig, out: IO[str]) -> None:
-    params = _metacyclic_params(cfg)
+def _cmd_metacyclic_h2(args: argparse.Namespace, out: IO[str]) -> None:
+    params = MetacyclicParams(args.m, args.n, args.r)
     res = schur_multiplier_order(params)
-    if cfg.output == "json":
+    if args.json:
         print(json.dumps({"schema": SCHEMA, "m": params.m, "n": params.n,
                           "r": params.r, "d": res.d}), file=out)
     else:
         print(res.d, file=out)
 
 
-def _cmd_metacyclic_rr_bound(cfg: SessionConfig, out: IO[str]) -> None:
-    params = _metacyclic_params(cfg)
-    g = _require(cfg.genus, "--genus")
+def _cmd_metacyclic_rr_bound(args: argparse.Namespace, out: IO[str]) -> None:
+    params = MetacyclicParams(args.m, args.n, args.r)
+    g = args.genus
     bound = rr_component_lower_bound(params, g)
-    if cfg.output == "json":
+    if args.json:
         print(json.dumps({"schema": SCHEMA, "m": params.m, "n": params.n,
                           "r": params.r, "genus": g, "bound": bound}), file=out)
     else:
         print(bound, file=out)
-
-
-_HANDLERS = {
-    "group-info": _cmd_group_info,
-    "hurwitz-enumerate": _cmd_hurwitz_enumerate,
-    "cw": _cmd_cw,
-    "decompose": _cmd_decompose,
-    "metacyclic-h2": _cmd_metacyclic_h2,
-    "metacyclic-rr-bound": _cmd_metacyclic_rr_bound,
-}
-
-
-def run(command: str, cfg: SessionConfig, out: Optional[IO[str]] = None,
-        err: Optional[IO[str]] = None) -> int:
-    """Execute one command; report goes to out, diagnostics to err.
-
-    Returns 0 on success, 1 on domain errors (invalid vector, no free action,
-    non-integral genus, caps), 2 on usage errors (unknown command, malformed
-    specs or JSON, out-of-range ids).
-    """
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        print(f"usage error: unknown command {command!r}", file=err)
-        return 2
-    try:
-        handler(cfg, out)
-    except (_UsageError, GroupSpecError) as exc:
-        print(f"usage error: {exc}", file=err)
-        return 2
-    except (CwModuliError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    return 0
 
 
 def _normalize_argv(argv: List[str]) -> List[str]:
@@ -381,13 +318,15 @@ def _normalize_argv(argv: List[str]) -> List[str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cw-moduli",
         description="Exact pluricanonical representation types of curves "
                     "with a finite group action.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, group=True) -> None:
+    def command(name: str, handler, summary: str, *, group=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if group:
             p.add_argument("--group", required=True,
                            help="cyclic:n | abelian:n1,n2,... | metacyclic:m,n,r "
@@ -395,42 +334,38 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--seed", type=int, default=0,
                        help="accepted for compatibility; changes nothing")
+        return p
 
-    p = sub.add_parser("group-info", help="order, classes, character table")
-    common(p)
-    p.add_argument("--k-max", type=int, default=None,
-                   help="size the working prime for levels up to K")
+    command("group-info", _cmd_group_info, "order, classes, character table")
 
-    p = sub.add_parser("hurwitz-enumerate",
-                       help="branching data and vectors for a genus")
-    common(p)
+    p = command("hurwitz-enumerate", _cmd_hurwitz_enumerate,
+                "branching data and vectors for a genus")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--up-to-conjugacy", action="store_true",
                    help="one representative per simultaneous-conjugation orbit")
-    p.add_argument("--cap", type=int, default=10 ** 6,
+    p.add_argument("--cap", type=_positive_int, default=10 ** 6,
                    help="enumeration cap (default 1000000)")
 
-    p = sub.add_parser("cw", help="multiplicity table of a vector over levels")
-    common(p)
+    p = command("cw", _cmd_cw, "multiplicity table of a vector over levels")
     p.add_argument("--vector", required=True,
                    help='JSON {"g_quot": int, "handles": [...], "branches": [...]}')
-    p.add_argument("--k", default=None, help="level or range a..b (default 1..|G|)")
-    p.add_argument("--k-max", type=int, default=None,
+    p.add_argument("--k", type=_level_range, default=None,
+                   help="level or range a..b (default 1..|G|)")
+    p.add_argument("--k-max", type=_positive_int, default=None,
                    help="default upper level when --k is omitted")
 
-    p = sub.add_parser("decompose",
-                       help="representation-type decomposition for a genus")
-    common(p)
+    p = command("decompose", _cmd_decompose,
+                "representation-type decomposition for a genus")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=None,
+    p.add_argument("--k-max", type=_positive_int, default=None,
                    help="refine levels 1..K (default |G|)")
     p.add_argument("--up-to-conjugacy", action="store_true")
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=_positive_int, default=10 ** 6)
 
-    for name in ("metacyclic-h2", "metacyclic-rr-bound"):
-        p = sub.add_parser(name, help="Schur multiplier order"
-                           if name.endswith("h2") else "component lower bound")
-        common(p, group=False)
+    for name, handler, summary in (
+            ("metacyclic-h2", _cmd_metacyclic_h2, "Schur multiplier order"),
+            ("metacyclic-rr-bound", _cmd_metacyclic_rr_bound, "component lower bound")):
+        p = command(name, handler, summary, group=False)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--r", type=int, required=True)
@@ -440,29 +375,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(_normalize_argv(argv) if argv else argv)
+def run(argv: Sequence[str], out: Optional[IO[str]] = None,
+        err: Optional[IO[str]] = None) -> int:
+    """Parse argv and execute its command; report goes to out, diagnostics to err.
+
+    Returns 0 on success, 1 on domain errors (invalid vector, no free action,
+    non-integral genus, caps), 2 on usage errors (unknown command, missing or
+    malformed flags, malformed specs or JSON, out-of-range ids).
+    """
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     try:
-        cfg = SessionConfig(
-            group_spec=getattr(args, "group", ""),
-            genus=getattr(args, "genus", None),
-            k_max=getattr(args, "k_max", None),
-            up_to_conjugacy=getattr(args, "up_to_conjugacy", False),
-            output="json" if args.json else "text",
-            enumeration_cap=getattr(args, "cap", 10 ** 6),
-            seed=args.seed,
-            vector_json=getattr(args, "vector", None),
-            k_range=getattr(args, "k", None),
-            m=getattr(args, "m", None),
-            n=getattr(args, "n", None),
-            r=getattr(args, "r", None),
-        )
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        args = _build_parser().parse_args(_normalize_argv(list(argv)))
+        args.handler(args, out)
+    except (_UsageError, GroupSpecError) as exc:
+        print(f"usage error: {exc}", file=err)
         return 2
+    except (CwModuliError, ValueError) as exc:
+        print(f"error: {exc}", file=err)
+        return 1
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return run(args.command, cfg)
+        return run(sys.argv[1:] if argv is None else argv)
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; suppress the
         # interpreter's final flush complaint and leave quietly

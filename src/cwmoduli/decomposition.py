@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .characters import CharacterTable
-from .chevalley_weil import MultiplicityVector, _genus_and_classes, cw_character
+from .chevalley_weil import _genus_and_classes, cw_character
 from .errors import InternalConsistencyError
 from .hurwitz import HurwitzVector
 
 __all__ = [
-    "RepresentationType",
     "Decomposition",
     "CanonicalDecomposition",
     "LevelReport",
@@ -32,25 +31,6 @@ __all__ = [
 
 # A block key is one multiplicity tuple per covered level, in level order.
 BlockKey = Tuple[Tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class RepresentationType:
-    """Multiplicity vectors over a consecutive range of levels."""
-
-    k_range: Tuple[int, int]
-    vectors: Tuple[MultiplicityVector, ...]
-
-    def __post_init__(self) -> None:
-        lo, hi = self.k_range
-        expected = tuple(range(lo, hi + 1))
-        if tuple(mv.k for mv in self.vectors) != expected:
-            raise ValueError(
-                f"vector levels {[mv.k for mv in self.vectors]} do not cover {lo}..{hi}")
-
-    @property
-    def key(self) -> BlockKey:
-        return tuple(mv.mults for mv in self.vectors)
 
 
 @dataclass(frozen=True)

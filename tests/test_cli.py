@@ -7,7 +7,6 @@ import pytest
 
 from cwmoduli import (
     HurwitzVector,
-    SessionConfig,
     character_table,
     cw_character,
     genus,
@@ -21,9 +20,21 @@ V_GENUS6 = '{"g_quot": 2, "handles": [1, 0, 0, 2], "branches": [2, 1]}'
 V_ALT = '{"g_quot": 0, "handles": [], "branches": [1, 1, 2, 2, 1, 1, 2, 2]}'
 
 
+def argv_of(command, **kw):
+    """The argv of one command: x_y=v becomes --x-y v, True a bare flag."""
+    argv = [command]
+    for key, value in kw.items():
+        if value is None or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv
+
+
 def invoke(command, **kw):
     out, err = io.StringIO(), io.StringIO()
-    code = run(command, SessionConfig(**kw), out=out, err=err)
+    code = run(argv_of(command, **kw), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -41,8 +52,8 @@ class TestTextReports:
         assert (code, out, err) == (0, "2\n", "")
 
     def test_cw_table_rows_match_multiplicities(self):
-        code, out, err = invoke("cw", group_spec="cyclic:3",
-                                vector_json=V_GENUS6, k_range="1..3")
+        code, out, err = invoke("cw", group="cyclic:3",
+                                vector=V_GENUS6, k="1..3")
         assert code == 0 and err == ""
         rows = [line.split() for line in out.splitlines()
                 if line and line.split()[0].isdigit()]
@@ -52,7 +63,7 @@ class TestTextReports:
         assert out.splitlines()[0].startswith("group: cyclic:3")
 
     def test_group_info_lists_invariants_and_table(self):
-        code, out, _ = invoke("group-info", group_spec="metacyclic:3,2,2")
+        code, out, _ = invoke("group-info", group="metacyclic:3,2,2")
         assert code == 0
         lines = out.splitlines()
         assert "order: 6" in lines
@@ -66,11 +77,11 @@ class TestTextReports:
         assert all(cell.lstrip("-").isdigit() for row in table for cell in row)
 
     def test_group_info_marks_irrational_values(self):
-        _, out, _ = invoke("group-info", group_spec="cyclic:3")
+        _, out, _ = invoke("group-info", group="cyclic:3")
         assert "(ord3)" in out
 
     def test_wide_table_falls_back_to_json_lines(self):
-        code, out, _ = invoke("group-info", group_spec="cyclic:24")
+        code, out, _ = invoke("group-info", group="cyclic:24")
         assert code == 0
         lines = out.splitlines()
         marker = [i for i, line in enumerate(lines)
@@ -82,7 +93,7 @@ class TestTextReports:
                    for rec in records)
 
     def test_hurwitz_enumerate_text_report(self):
-        code, out, _ = invoke("hurwitz-enumerate", group_spec="cyclic:2",
+        code, out, _ = invoke("hurwitz-enumerate", group="cyclic:2",
                               genus=2)
         assert code == 0
         lines = out.splitlines()
@@ -109,8 +120,8 @@ class TestTextReports:
         monkeypatch.setattr(cli, "enumerate_hurwitz_vectors_parallel", fail_on_second)
         out = io.StringIO()
         with pytest.raises(RuntimeError):
-            run("hurwitz-enumerate",
-                SessionConfig(group_spec="cyclic:2", genus=2, output=output), out=out)
+            run(argv_of("hurwitz-enumerate", group="cyclic:2", genus=2,
+                        json=output == "json"), out=out)
         lines = out.getvalue().splitlines()
         if output == "text":
             assert lines == ["group: cyclic:2  genus: 2  granularity: raw",
@@ -122,7 +133,7 @@ class TestTextReports:
             assert records[0]["count"] == 1
 
     def test_decompose_text_report(self):
-        code, out, _ = invoke("decompose", group_spec="cyclic:3", genus=6)
+        code, out, _ = invoke("decompose", group="cyclic:3", genus=6)
         assert code == 0
         lines = out.splitlines()
         data_lines = [line for line in lines
@@ -140,7 +151,7 @@ class TestTextReports:
     def test_decompose_past_the_period_keeps_the_blocks(self):
         # --k-max 7 > |G| also runs both periodicity checks
         def blocks(**kw):
-            code, out, _ = invoke("decompose", group_spec="cyclic:3", genus=6, **kw)
+            code, out, _ = invoke("decompose", group="cyclic:3", genus=6, **kw)
             assert code == 0
             return [line for line in out.splitlines()
                     if line.startswith("block ") or line.lstrip().startswith("members:")]
@@ -153,8 +164,8 @@ class TestTextReports:
 class TestJsonReports:
     def test_enumerate_records_parse_and_revalidate(self):
         G = group_from_spec("cyclic:3")
-        code, out, _ = invoke("hurwitz-enumerate", group_spec="cyclic:3",
-                              genus=6, output="json")
+        code, out, _ = invoke("hurwitz-enumerate", group="cyclic:3",
+                              genus=6, json=True)
         assert code == 0
         records = json_lines(out)
         assert all(rec["schema"] == SCHEMA for rec in records)
@@ -173,12 +184,12 @@ class TestJsonReports:
             assert genus(v, G) == 6
 
     def test_enumerated_vector_line_feeds_cw(self):
-        _, out, _ = invoke("hurwitz-enumerate", group_spec="cyclic:2",
-                           genus=2, output="json")
+        _, out, _ = invoke("hurwitz-enumerate", group="cyclic:2",
+                           genus=2, json=True)
         rec = next(r for r in json_lines(out) if r["kind"] == "hurwitz-vector")
-        code, out, _ = invoke("cw", group_spec="cyclic:2",
-                              vector_json=json.dumps(rec), k_range="1..2",
-                              output="json")
+        code, out, _ = invoke("cw", group="cyclic:2",
+                              vector=json.dumps(rec), k="1..2",
+                              json=True)
         assert code == 0
         G = group_from_spec("cyclic:2")
         T = character_table(G, k_max=2, g_max=2)
@@ -190,9 +201,9 @@ class TestJsonReports:
         assert json_lines(out) == expect
 
     def test_cw_json_golden(self):
-        code, out, _ = invoke("cw", group_spec="cyclic:3",
-                              vector_json=V_GENUS6, k_range="1..3",
-                              output="json")
+        code, out, _ = invoke("cw", group="cyclic:3",
+                              vector=V_GENUS6, k="1..3",
+                              json=True)
         assert code == 0
         assert json_lines(out) == [
             {"schema": SCHEMA, "k": 1, "mults": [2, 2, 2]},
@@ -201,8 +212,8 @@ class TestJsonReports:
         ]
 
     def test_decompose_json_structure(self):
-        code, out, _ = invoke("decompose", group_spec="cyclic:3", genus=6,
-                              output="json")
+        code, out, _ = invoke("decompose", group="cyclic:3", genus=6,
+                              json=True)
         assert code == 0
         rec = json.loads(out)
         assert rec["schema"] == SCHEMA
@@ -220,8 +231,8 @@ class TestJsonReports:
             assert all(len(mults) == 3 for mults in block["key"])
 
     def test_decompose_separates_the_two_genus6_vectors(self):
-        _, out, _ = invoke("decompose", group_spec="cyclic:3", genus=6,
-                           output="json")
+        _, out, _ = invoke("decompose", group="cyclic:3", genus=6,
+                           json=True)
         rec = json.loads(out)
         items = [(r["g_quot"], tuple(r["handles"]), tuple(r["branches"]))
                  for r in rec["items"]]
@@ -238,8 +249,8 @@ class TestJsonReports:
         assert key_i[1] == key_j[1] == [5, 5, 5]
 
     def test_group_info_json_record(self):
-        code, out, _ = invoke("group-info", group_spec="cyclic:3",
-                              output="json")
+        code, out, _ = invoke("group-info", group="cyclic:3",
+                              json=True)
         assert code == 0
         rec = json.loads(out)
         assert rec["schema"] == SCHEMA
@@ -255,11 +266,11 @@ class TestJsonReports:
         assert rec["rational_values"][1][1] is None
 
     def test_metacyclic_json_records(self):
-        _, out, _ = invoke("metacyclic-h2", m=4, n=2, r=3, output="json")
+        _, out, _ = invoke("metacyclic-h2", m=4, n=2, r=3, json=True)
         assert json.loads(out) == {"schema": SCHEMA, "m": 4, "n": 2, "r": 3,
                                    "d": 2}
         _, out, _ = invoke("metacyclic-rr-bound", m=4, n=2, r=3, genus=9,
-                           output="json")
+                           json=True)
         assert json.loads(out) == {"schema": SCHEMA, "m": 4, "n": 2, "r": 3,
                                    "genus": 9, "bound": 2}
 
@@ -270,7 +281,7 @@ class TestRationalCells:
     def test_modular_group_zeros_print_as_integers(self):
         # metacyclic:8,2,5 is the modular group of order 16: its degree-2
         # characters vanish at the elements of order 8 but not at their squares
-        code, out, _ = invoke("group-info", group_spec="metacyclic:8,2,5")
+        code, out, _ = invoke("group-info", group="metacyclic:8,2,5")
         assert code == 0
         lines = out.splitlines()
         orders = next(line for line in lines if line.startswith("representative orders:"))
@@ -282,7 +293,7 @@ class TestRationalCells:
             assert [rows[name][c] for c in order8] == ["0"] * 4
 
     def test_modular_group_json_rational_values(self):
-        code, out, _ = invoke("group-info", group_spec="metacyclic:8,2,5", output="json")
+        code, out, _ = invoke("group-info", group="metacyclic:8,2,5", json=True)
         assert code == 0
         assert json.loads(out)["rational_values"][8] == [2, 0, 0, 0, None, 0, 0, 0, -2, None]
 
@@ -295,7 +306,7 @@ class TestRationalCells:
             raise AssertionError("group-info built a count matrix")
 
         monkeypatch.setattr(characters, "_count_matrix", refuse)
-        code, out, err = invoke("group-info", group_spec=spec, output=output)
+        code, out, err = invoke("group-info", group=spec, json=output == "json")
         assert (code, err) == (0, "")
         assert out
 
@@ -303,11 +314,11 @@ class TestRationalCells:
 class TestDeterminism:
     CASES = [
         ("hurwitz-enumerate",
-         dict(group_spec="cyclic:3", genus=6, output="json")),
-        ("decompose", dict(group_spec="cyclic:2", genus=3, output="json")),
-        ("group-info", dict(group_spec="metacyclic:3,2,2", output="json")),
-        ("cw", dict(group_spec="cyclic:3", vector_json=V_GENUS6,
-                    k_range="1..3")),
+         dict(group="cyclic:3", genus=6, json=True)),
+        ("decompose", dict(group="cyclic:2", genus=3, json=True)),
+        ("group-info", dict(group="metacyclic:3,2,2", json=True)),
+        ("cw", dict(group="cyclic:3", vector=V_GENUS6,
+                    k="1..3")),
     ]
 
     def test_byte_identical_reruns(self):
@@ -317,17 +328,17 @@ class TestDeterminism:
             assert first == second, command
 
     def test_multiplicities_ignore_seed(self):
-        outputs = {invoke("cw", group_spec="metacyclic:3,2,2",
-                          vector_json='{"g_quot": 2, "handles": [1, 0, 0, 0],'
+        outputs = {invoke("cw", group="metacyclic:3,2,2",
+                          vector='{"g_quot": 2, "handles": [1, 0, 0, 0],'
                                       ' "branches": []}',
-                          k_range="1..4", seed=seed)[1]
+                          k="1..4", seed=seed)[1]
                    for seed in (0, 7, 123)}
         assert len(outputs) == 1
 
     def test_decompose_ignores_seed(self):
         # the characters of cyclic:8 are labelled through the working field's
         # primitive 8th root of unity, which must not depend on the seed
-        outputs = {invoke("decompose", group_spec="cyclic:8", genus=9, seed=seed)
+        outputs = {invoke("decompose", group="cyclic:8", genus=9, seed=seed)
                    for seed in range(4)}
         assert len(outputs) == 1
         (code, _, err), = outputs
@@ -336,36 +347,36 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_success_is_zero_with_empty_stderr(self):
-        code, _, err = invoke("group-info", group_spec="cyclic:2")
+        code, _, err = invoke("group-info", group="cyclic:2")
         assert code == 0 and err == ""
 
     def test_relation_violation_is_domain_error(self):
         code, out, err = invoke(
-            "cw", group_spec="cyclic:3",
-            vector_json='{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1]}')
+            "cw", group="cyclic:3",
+            vector='{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1]}')
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
     def test_identity_branch_is_domain_error(self):
         code, _, err = invoke(
-            "cw", group_spec="cyclic:3",
-            vector_json='{"g_quot": 0, "handles": [], "branches": [0, 1, 2]}')
+            "cw", group="cyclic:3",
+            vector='{"g_quot": 0, "handles": [], "branches": [0, 1, 2]}')
         assert code == 1 and "c_1" in err
 
     def test_low_genus_cover_is_domain_error(self):
         code, _, err = invoke(
-            "cw", group_spec="cyclic:2",
-            vector_json='{"g_quot": 1, "handles": [1, 0], "branches": []}')
+            "cw", group="cyclic:2",
+            vector='{"g_quot": 1, "handles": [1, 0], "branches": []}')
         assert code == 1 and err.startswith("error: ")
 
     def test_enumeration_genus_below_two_is_domain_error(self):
-        code, _, err = invoke("hurwitz-enumerate", group_spec="cyclic:2",
+        code, _, err = invoke("hurwitz-enumerate", group="cyclic:2",
                               genus=1)
         assert code == 1 and err.startswith("error: ")
 
     def test_cap_exceeded_is_domain_error(self):
-        code, _, err = invoke("hurwitz-enumerate", group_spec="cyclic:3",
-                              genus=6, enumeration_cap=10)
+        code, _, err = invoke("hurwitz-enumerate", group="cyclic:3",
+                              genus=6, cap=10)
         assert code == 1 and err.startswith("error: ")
 
     def test_impossible_metacyclic_params_are_domain_error(self):
@@ -386,19 +397,19 @@ class TestExitCodes:
         assert code == 1 and "below 2" in err
 
     def test_unknown_command_is_usage_error(self):
-        code, out, err = invoke("frobnicate", group_spec="cyclic:2")
+        code, out, err = invoke("frobnicate", group="cyclic:2")
         assert code == 2 and out == ""
-        assert err == "usage error: unknown command 'frobnicate'\n"
+        assert err.startswith("usage error: ") and "'frobnicate'" in err
 
     def test_bad_group_spec_is_usage_error(self):
         for spec in ("nosuch:3", "cyclic:zero", "cyclic:"):
-            code, _, err = invoke("group-info", group_spec=spec)
+            code, _, err = invoke("group-info", group=spec)
             assert code == 2 and err.startswith("usage error: "), spec
 
     def test_missing_required_option_is_usage_error(self):
-        code, _, err = invoke("hurwitz-enumerate", group_spec="cyclic:2")
+        code, _, err = invoke("hurwitz-enumerate", group="cyclic:2")
         assert code == 2 and "--genus" in err
-        code, _, err = invoke("cw", group_spec="cyclic:2")
+        code, _, err = invoke("cw", group="cyclic:2")
         assert code == 2 and "--vector" in err
         code, _, err = invoke("metacyclic-h2", m=4, n=2)
         assert code == 2 and "--r" in err
@@ -406,29 +417,59 @@ class TestExitCodes:
     def test_malformed_vector_json_is_usage_error(self):
         for text in ("{", "[1, 2]", '{"g_quot": 0}',
                      '{"g_quot": 0, "handles": ["a"], "branches": []}'):
-            code, _, err = invoke("cw", group_spec="cyclic:3",
-                                  vector_json=text)
+            code, _, err = invoke("cw", group="cyclic:3",
+                                  vector=text)
             assert code == 2 and err.startswith("usage error: "), text
 
     def test_out_of_range_element_id_is_usage_error(self):
         code, _, err = invoke(
-            "cw", group_spec="cyclic:2",
-            vector_json='{"g_quot": 0, "handles": [], "branches": [5, 1]}')
+            "cw", group="cyclic:2",
+            vector='{"g_quot": 0, "handles": [], "branches": [5, 1]}')
         assert code == 2 and "0..1" in err
 
     def test_bad_k_range_is_usage_error(self):
         for text in ("0..3", "3..1", "x", "1..b"):
-            code, _, err = invoke("cw", group_spec="cyclic:3",
-                                  vector_json=V_GENUS6, k_range=text)
+            code, _, err = invoke("cw", group="cyclic:3",
+                                  vector=V_GENUS6, k=text)
             assert code == 2 and err.startswith("usage error: "), text
 
-    def test_config_invariants_reject_bad_values(self):
-        with pytest.raises(ValueError):
-            SessionConfig(k_max=0)
-        with pytest.raises(ValueError):
-            SessionConfig(enumeration_cap=0)
-        with pytest.raises(ValueError):
-            SessionConfig(output="yaml")
+
+
+VEC_Z2 = '{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1, 1, 1]}'
+
+# argv rejected by the parser, and the flag or word its message must name
+USAGE_ERRORS = {
+    "decompose-without-genus": (["decompose", "--group", "cyclic:2"], "--genus"),
+    "genus-not-int": (["decompose", "--group", "cyclic:2", "--genus", "x"], "--genus"),
+    "cap-0": (["hurwitz-enumerate", "--group", "cyclic:2", "--genus", "2", "--cap", "0"],
+              "--cap"),
+    "cw-k-max-0": (["cw", "--group", "cyclic:2", "--vector", VEC_Z2, "--k-max", "0"],
+                   "--k-max"),
+    "decompose-k-max-0": (["decompose", "--group", "cyclic:2", "--genus", "3",
+                           "--k-max", "0"], "--k-max"),
+    "h2-without-r": (["metacyclic-h2", "--m", "4", "--n", "2"], "--r"),
+    "unknown-subcommand": (["frobnicate"], "frobnicate"),
+    "group-info-k-max": (["group-info", "--group", "cyclic:2", "--k-max", "2"], "--k-max"),
+}
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+class TestUsageErrors:
+    """Parse errors: one `usage error:` line naming the flag, exit code 2, no report."""
+
+    def test_run_writes_one_usage_line(self, argv, named):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out=out, err=err) == 2
+        assert out.getvalue() == ""
+        text = err.getvalue()
+        assert text.startswith("usage error: ") and text.count("\n") == 1
+        assert named in text
+
+    def test_main_returns_two(self, argv, named, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and named in captured.err
 
 
 class TestMainEntry:
@@ -454,9 +495,9 @@ class TestMainEntry:
         assert main(["cw", "--group", "cyclic:3", "--vector", V_GENUS6,
                      "--k", "1..3", "--json"]) == 0
         via_main = capsys.readouterr().out
-        assert via_main == invoke("cw", group_spec="cyclic:3",
-                                  vector_json=V_GENUS6, k_range="1..3",
-                                  output="json")[1]
+        assert via_main == invoke("cw", group="cyclic:3",
+                                  vector=V_GENUS6, k="1..3",
+                                  json=True)[1]
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["cw", "--group", "cyclic:3", "--vector", "notjson"]) == 2
@@ -470,68 +511,71 @@ class TestMainEntry:
     def test_config_invariant_maps_to_usage_exit(self, capsys):
         assert main(["decompose", "--group", "cyclic:2", "--genus", "3",
                      "--cap", "0"]) == 2
-        assert "enumeration cap" in capsys.readouterr().err
+        assert "--cap" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert main(["no-such-command"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 class TestLevelRange:
     VEC2 = '{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1, 1, 1]}'
 
     def ks(self, **kw):
-        _, out, _ = invoke("cw", group_spec="cyclic:2", vector_json=self.VEC2,
-                           output="json", **kw)
+        _, out, _ = invoke("cw", group="cyclic:2", vector=self.VEC2,
+                           json=True, **kw)
         return [rec["k"] for rec in json_lines(out)]
 
     def test_default_range_is_one_to_group_order(self):
         assert self.ks() == [1, 2]
 
     def test_single_level(self):
-        assert self.ks(k_range="2") == [2]
+        assert self.ks(k="2") == [2]
 
     def test_explicit_range(self):
-        assert self.ks(k_range="2..5") == [2, 3, 4, 5]
+        assert self.ks(k="2..5") == [2, 3, 4, 5]
 
     def test_k_max_widens_the_default(self):
         assert self.ks(k_max=4) == [1, 2, 3, 4]
 
     def test_golden_multiplicities_for_z2_cover(self):
-        _, out, _ = invoke("cw", group_spec="cyclic:2", vector_json=self.VEC2,
-                           k_range="1..2", output="json")
+        _, out, _ = invoke("cw", group="cyclic:2", vector=self.VEC2,
+                           k="1..2", json=True)
         assert [rec["mults"] for rec in json_lines(out)] == [[0, 2], [3, 0]]
 
 
 class TestCwLabels:
-    """cw columns follow the character order of group-info at the same --k-max."""
+    """cw columns follow the character order of group-info, whatever --k and --k-max."""
 
     VEC = '{"g_quot": 0, "handles": [], "branches": [1, 1, 3]}'
 
     def rows(self, **kw):
-        code, out, err = invoke("cw", group_spec="cyclic:5", vector_json=self.VEC,
-                                output="json", **kw)
+        code, out, err = invoke("cw", group="cyclic:5", vector=self.VEC,
+                                json=True, **kw)
         assert (code, err) == (0, "")
         return {rec["k"]: rec["mults"] for rec in json_lines(out)}
 
     def test_rows_do_not_depend_on_the_level_range(self):
-        short, long = self.rows(k_range="1..3"), self.rows(k_range="1..97")
+        short, long = self.rows(k="1..3"), self.rows(k="1..97")
         assert all(long[k] == mults for k, mults in short.items())
         assert short[1] == [0, 1, 1, 0, 0]
 
     @pytest.mark.parametrize("k_max", [None, 2, 97])
     def test_labels_follow_group_info(self, k_max):
-        code, out, _ = invoke("group-info", group_spec="cyclic:5", k_max=k_max,
-                              output="json")
+        code, out, _ = invoke("group-info", group="cyclic:5", json=True)
         assert code == 0
         info = json_lines(out)[0]
-        G = group_from_spec("cyclic:5")
-        T = character_table(G, k_max=k_max or 1)
+        T = character_table(group_from_spec("cyclic:5"))
         assert info["prime"]["p"] == T.prime.p
         assert [chi["values"] for chi in info["characters"]] == [
             list(chi.values) for chi in T.irreducibles]
         v = HurwitzVector(0, (), (1, 1, 3))
-        assert self.rows(k_range="1..6", k_max=k_max) == {
+        assert self.rows(k="1..6", k_max=k_max) == {
             k: list(cw_character(v, T, k).mults) for k in range(1, 7)}
+
+    def test_huge_k_max_sets_only_the_range(self):
+        code, out, err = invoke("cw", group="cyclic:3", vector=V_GENUS6, k="1..2",
+                                k_max=10 ** 9, json=True)
+        assert (code, err) == (0, "")
+        assert out == invoke("cw", group="cyclic:3", vector=V_GENUS6, k="1..2",
+                             json=True)[1]

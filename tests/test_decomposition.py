@@ -14,7 +14,6 @@ from cwmoduli import (
     InternalConsistencyError,
     LevelReport,
     MultiplicityVector,
-    RepresentationType,
     canonical_decomposition,
     character_table,
     conjugate_vector,
@@ -213,18 +212,6 @@ class TestCanonical:
         raw_keys = {canonical_decomposition(raw, s3_table).decomposition.keys}
         rep_keys = {canonical_decomposition(reps, s3_table).decomposition.keys}
         assert raw_keys == rep_keys
-
-
-class TestRepresentationType:
-    def test_key_and_validation(self, z3_table, genus6_vectors):
-        v, _ = genus6_vectors
-        vecs = tuple(cw_character(v, z3_table, k) for k in (1, 2, 3))
-        rt = RepresentationType((1, 3), vecs)
-        assert rt.key == ((2, 2, 2), (5, 5, 5), (9, 8, 8))
-        with pytest.raises(ValueError):
-            RepresentationType((1, 2), vecs)
-        with pytest.raises(ValueError):
-            RepresentationType((2, 4), vecs)
 
 
 class TestStabilizationReport:

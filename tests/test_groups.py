@@ -13,7 +13,6 @@ from cwmoduli import (
     GroupSizeError,
     GroupSpecError,
     MetacyclicParams,
-    SessionConfig,
     build_abelian,
     build_cyclic,
     build_from_permutations,
@@ -228,8 +227,7 @@ class TestAxioms:
         with pytest.raises(GroupSpecError, match="not associative"):
             group_from_spec(f"table:{path}")
         out, err = io.StringIO(), io.StringIO()
-        code = run("group-info", SessionConfig(group_spec=f"table:{path}"),
-                   out=out, err=err)
+        code = run(["group-info", "--group", f"table:{path}"], out=out, err=err)
         assert (code, out.getvalue()) == (2, "")
         assert "not associative" in err.getvalue()
 
@@ -239,7 +237,7 @@ class TestAxioms:
         path.write_text(json.dumps({"order": 512, "mul": G.mul_rows()}))
         assert np.array_equal(group_from_spec(f"table:{path}").mul_table, G.mul_table)
         out, err = io.StringIO(), io.StringIO()
-        code = run("hurwitz-enumerate", SessionConfig(group_spec=f"table:{path}", genus=2),
+        code = run(["hurwitz-enumerate", "--group", f"table:{path}", "--genus", "2"],
                    out=out, err=err)
         assert (code, err.getvalue()) == (0, "")
         assert out.getvalue().splitlines()[-1] == "total: 0"
