@@ -3,7 +3,7 @@
 Commands: group-info, hurwitz-enumerate, cw, decompose, metacyclic-h2,
 metacyclic-rr-bound (the latter three also reachable as `group info`,
 `metacyclic h2`, `metacyclic rr-bound`). `run(argv, out, err)` parses argv
-and writes the report to out; `main` is the console entry point and calls it.
+and writes the report, or the --help text, to out; `main` is the entry point.
 The argparse parser is the one description of the options: handlers read its
 namespace, and every parse error (missing or malformed flag, unknown command)
 becomes one `usage error: ...` line on err. Exit codes: 0 success, 1 domain
@@ -14,6 +14,7 @@ is accepted and changes nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import IO, Iterator, List, Optional, Sequence, Tuple
@@ -250,7 +251,7 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     k_hi = args.k_max or G.order
     T = character_table(G, k_max=k_hi, g_max=max(g, 2))
     granularity = "orbit" if args.up_to_conjugacy else "raw"
-    result = stabilization_report(items, T, k_hi, granularity=granularity)
+    result = stabilization_report(items, T, k_hi)
     D = result.final
     if args.json:
         record = {
@@ -379,15 +380,18 @@ def run(argv: Sequence[str], out: Optional[IO[str]] = None,
         err: Optional[IO[str]] = None) -> int:
     """Parse argv and execute its command; report goes to out, diagnostics to err.
 
-    Returns 0 on success, 1 on domain errors (invalid vector, no free action,
-    non-integral genus, caps), 2 on usage errors (unknown command, missing or
-    malformed flags, malformed specs or JSON, out-of-range ids).
+    Returns 0 on success or `--help`, 1 on domain errors (invalid vector, no
+    free action, non-integral genus, caps), 2 on usage errors (unknown command,
+    missing or malformed flags, malformed specs or JSON, out-of-range ids).
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(_normalize_argv(list(argv)))
+        with contextlib.redirect_stdout(out):  # argparse prints --help to sys.stdout
+            args = _build_parser().parse_args(_normalize_argv(list(argv)))
         args.handler(args, out)
+    except SystemExit:  # only --help exits, once its text is printed
+        return 0
     except (_UsageError, GroupSpecError) as exc:
         print(f"usage error: {exc}", file=err)
         return 2

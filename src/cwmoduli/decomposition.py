@@ -161,21 +161,18 @@ class LevelReport:
 
 @dataclass(frozen=True)
 class StabilizationReport:
-    granularity: str
     levels: Tuple[LevelReport, ...]
     stabilization_depth: int
     final: Decomposition
 
 
 def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
-                         k_max: int, *, granularity: str = "raw"
-                         ) -> StabilizationReport:
+                         k_max: int) -> StabilizationReport:
     """Scan levels 1..k_max and verify the two periodicity consequences.
 
     Checks, raising on violation: no level beyond |G| refines the running
     partition further, and the standalone partitions at k and k + |G| are
-    identical whenever both are in range. granularity is a free-form label
-    ("raw" or "orbit") recording what the items are.
+    identical whenever both are in range.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -207,4 +204,4 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
             raise InternalConsistencyError(
                 f"partitions at levels {k} and {k + order} differ, contradicting "
                 "the periodicity of the multiplicity formulas")
-    return StabilizationReport(granularity, tuple(levels), depth, final)
+    return StabilizationReport(tuple(levels), depth, final)

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,25 +37,30 @@ __all__ = [
 DEFAULT_ORDER_CAP = 512
 
 
+def _check_order(n: int) -> None:
+    """Reject a group of order n above the cap, before anything of size n is built."""
+    if n > DEFAULT_ORDER_CAP:
+        raise GroupSizeError(f"group order {n} exceeds the cap of {DEFAULT_ORDER_CAP}")
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     The table is validated at construction: element 0 must be a two-sided
     identity, every element must have an inverse, and multiplication must be
-    associative, at every order.
+    associative, at every order. The cap is checked before the table is copied.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], label: str = "",
-                 *, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, table: Sequence[Sequence[int]], label: str = ""):
+        _check_order(len(table))
         tbl = np.asarray(table, dtype=np.int64)
         if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1] or tbl.shape[0] == 0:
             raise ValueError("multiplication table must be a nonempty square matrix")
         n = int(tbl.shape[0])
-        if n > order_cap:
-            raise GroupSizeError(f"group order {n} exceeds the cap of {order_cap}")
         if tbl.min() < 0 or tbl.max() >= n:
             raise ValueError("table entries must be element ids in 0..order-1")
-        _check_group_axioms(tbl)
+        self._rows = tbl.tolist()
+        _check_group_axioms(tbl, self._rows)
         tbl.flags.writeable = False
         self._table = tbl
         self.order = n
@@ -65,7 +70,6 @@ class FiniteGroup:
         self._orders = _element_orders(tbl)
         self._orders.flags.writeable = False
         self._exponent = int(lcm(*(int(o) for o in self._orders)))
-        self._rows: Optional[List[List[int]]] = None
 
     @property
     def identity(self) -> int:
@@ -117,12 +121,10 @@ class FiniteGroup:
 
     def mul_rows(self) -> List[List[int]]:
         """Table as nested lists; faster than numpy scalar indexing in hot loops."""
-        if self._rows is None:
-            self._rows = self._table.tolist()
         return self._rows
 
 
-def _check_group_axioms(tbl: np.ndarray) -> None:
+def _check_group_axioms(tbl: np.ndarray, rows: List[List[int]]) -> None:
     n = tbl.shape[0]
     idx = np.arange(n)
     if not (np.array_equal(tbl[0], idx) and np.array_equal(tbl[:, 0], idx)):
@@ -130,16 +132,16 @@ def _check_group_axioms(tbl: np.ndarray) -> None:
     if not (np.array_equal(np.sort(tbl, axis=1), np.broadcast_to(idx, (n, n)))
             and np.array_equal(np.sort(tbl, axis=0), np.broadcast_to(idx[:, None], (n, n)))):
         raise ValueError("each row and column of the table must be a permutation")
-    _check_associative(tbl)
+    _check_associative(tbl, rows)
 
 
-def _check_associative(tbl: np.ndarray) -> None:
+def _check_associative(tbl: np.ndarray, rows: List[List[int]]) -> None:
     """Light's test: (a*s)*c == a*(s*c) for all a, c and s in a generating set.
 
     The s passing it are closed under products, so this proves associativity
     in O(n^2 log n). Each s is tested before the generating set grows past it.
     """
-    for s in greedy_generators(tbl.tolist()):
+    for s in greedy_generators(rows):
         if not np.array_equal(tbl[tbl[:, s]], tbl[:, tbl[s]]):
             raise ValueError(f"multiplication is not associative (first failure at s={s})")
 
@@ -293,22 +295,23 @@ class MetacyclicParams:
             raise ValueError(f"m and n must be positive, got m={self.m}, n={self.n}")
         if not 1 <= self.r <= self.m:
             raise ValueError(f"r must satisfy 1 <= r <= m, got r={self.r} with m={self.m}")
-        if (self.r ** self.n - 1) % self.m != 0:
+        if pow(self.r, self.n, self.m) != 1 % self.m:
             raise ValueError(
                 f"r^n = {self.r}^{self.n} is not 1 mod m = {self.m}; "
                 "the presentation does not define a group of order m*n")
 
 
-def build_cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition; element k has id k."""
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
+    _check_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, f"cyclic:{n}", order_cap=order_cap)
+    return FiniteGroup(table, f"cyclic:{n}")
 
 
-def build_abelian(factors: Sequence[int], *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_abelian(factors: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups, components added pointwise.
 
     Element ids encode tuples lexicographically: the leftmost factor is the
@@ -322,16 +325,14 @@ def build_abelian(factors: Sequence[int], *, order_cap: int = DEFAULT_ORDER_CAP)
     n = 1
     for f in factors:
         n *= f
-    if n > order_cap:
-        raise GroupSizeError(f"group order {n} exceeds the cap of {order_cap}")
+    _check_order(n)
     coords = np.unravel_index(np.arange(n), factors)
     sums = tuple((c[:, None] + c[None, :]) % f for c, f in zip(coords, factors))
     table = np.ravel_multi_index(sums, factors)
-    return FiniteGroup(table, "abelian:" + ",".join(str(f) for f in factors),
-                       order_cap=order_cap)
+    return FiniteGroup(table, "abelian:" + ",".join(str(f) for f in factors))
 
 
-def build_metacyclic(p: MetacyclicParams, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_metacyclic(p: MetacyclicParams) -> FiniteGroup:
     """Split metacyclic group <x, y | x^m, y^n, y x y^-1 = x^r> of order m*n.
 
     Element x^i y^j has id i*n + j, so the identity is id 0 and pairs are
@@ -339,15 +340,14 @@ def build_metacyclic(p: MetacyclicParams, *, order_cap: int = DEFAULT_ORDER_CAP)
     """
     m, n, r = p.m, p.n, p.r
     total = m * n
-    if total > order_cap:
-        raise GroupSizeError(f"group order {total} exceeds the cap of {order_cap}")
+    _check_order(total)
     ids = np.arange(total)
     xi, yj = np.divmod(ids, n)
     # y^j x = x^(r^j) y^j, hence (x^i y^j)(x^k y^l) = x^(i + k r^j) y^(j + l)
     rpow = np.array([pow(r, int(j), m) for j in range(n)], dtype=np.int64)
     X = (xi[:, None] + xi[None, :] * rpow[yj][:, None]) % m
     Y = (yj[:, None] + yj[None, :]) % n
-    return FiniteGroup(X * n + Y, f"metacyclic:{m},{n},{r}", order_cap=order_cap)
+    return FiniteGroup(X * n + Y, f"metacyclic:{m},{n},{r}")
 
 
 def _parse_cycle_string(text: str) -> List[List[int]]:
@@ -368,24 +368,23 @@ def _parse_cycle_string(text: str) -> List[List[int]]:
     return cycles
 
 
-def build_from_permutations(generator_strs: Sequence[str],
-                            *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Group generated by permutations in cycle notation on points 1..k.
+def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
+    """Group generated by permutations in cycle notation on positive points.
 
     Products compose left to right: (p*q)(point) = q(p(point)). Element ids
     follow breadth-first discovery from the identity, so they are stable for a
-    fixed generator list.
+    fixed generator list. Only the points written are used, in increasing order.
     """
     all_cycles = [_parse_cycle_string(s) for s in generator_strs]
-    degree = max((p for cs in all_cycles for c in cs for p in c), default=1)
+    index = {p: i for i, p in enumerate(sorted({x for cs in all_cycles for c in cs for x in c}))}
     gens: List[Tuple[int, ...]] = []
     for cycles in all_cycles:
-        images = list(range(degree))
+        images = list(range(len(index)))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a - 1] = b - 1
+                images[index[a]] = index[b]
         gens.append(tuple(images))
-    ident = tuple(range(degree))
+    ident = tuple(range(len(index)))
     ids: Dict[Tuple[int, ...], int] = {ident: 0}
     elems: List[Tuple[int, ...]] = [ident]
     parent = [(0, 0)]  # elems[b] = elems[a] * gens[t]
@@ -394,9 +393,9 @@ def build_from_permutations(generator_strs: Sequence[str],
         for t, q in enumerate(gens):
             prod = tuple(q[i] for i in p)
             if prod not in ids:
-                if len(elems) >= order_cap:
+                if len(elems) >= DEFAULT_ORDER_CAP:
                     raise GroupSizeError(
-                        f"permutation closure exceeds the cap of {order_cap}")
+                        f"permutation closure exceeds the cap of {DEFAULT_ORDER_CAP}")
                 ids[prod] = len(elems)
                 elems.append(prod)
                 parent.append((a, t))
@@ -409,10 +408,10 @@ def build_from_permutations(generator_strs: Sequence[str],
         a, t = parent[b]
         table[:, b] = R[table[:, a], t]
     label = "perm:" + ";".join(s.strip() for s in generator_strs)
-    return FiniteGroup(table, label, order_cap=order_cap)
+    return FiniteGroup(table, label)
 
 
-def build_from_table(source, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_from_table(source) -> FiniteGroup:
     """Group from a JSON object {"order": N, "mul": [[...]]} or a path to one."""
     if isinstance(source, (str,)):
         try:
@@ -427,7 +426,7 @@ def build_from_table(source, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGro
     if not isinstance(data, dict) or "order" not in data or "mul" not in data:
         raise GroupSpecError('table JSON must be {"order": N, "mul": [[...]]}')
     try:
-        G = FiniteGroup(data["mul"], label, order_cap=order_cap)
+        G = FiniteGroup(data["mul"], label)
     except (ValueError, TypeError) as exc:
         raise GroupSpecError(f"table is not a valid group: {exc}") from exc
     if G.order != data["order"]:
@@ -443,7 +442,7 @@ def _parse_ints(text: str, what: str) -> List[int]:
         raise GroupSpecError(f"malformed {what} in group spec: {text!r}") from exc
 
 
-def group_from_spec(spec: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_spec(spec: str) -> FiniteGroup:
     """Build a group from a specification string.
 
     Grammar: cyclic:n | abelian:n1,n2,... | metacyclic:m,n,r |
@@ -458,18 +457,18 @@ def group_from_spec(spec: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
         vals = _parse_ints(arg, "cyclic order")
         if len(vals) != 1 or vals[0] < 1:
             raise GroupSpecError(f"cyclic spec needs one positive integer: {spec!r}")
-        return build_cyclic(vals[0], order_cap=order_cap)
+        return build_cyclic(vals[0])
     if kind == "abelian":
         vals = _parse_ints(arg, "factor list")
         if not vals or any(v < 1 for v in vals):
             raise GroupSpecError(f"abelian spec needs positive factors: {spec!r}")
-        return build_abelian(vals, order_cap=order_cap)
+        return build_abelian(vals)
     if kind == "metacyclic":
         vals = _parse_ints(arg, "parameter list")
         if len(vals) != 3:
             raise GroupSpecError(f"metacyclic spec needs m,n,r: {spec!r}")
-        return build_metacyclic(MetacyclicParams(*vals), order_cap=order_cap)
+        return build_metacyclic(MetacyclicParams(*vals))
     if kind == "perm":
         parts = [s for s in arg.split(";") if s.strip()]
-        return build_from_permutations(parts, order_cap=order_cap)
-    return build_from_table(arg.strip(), order_cap=order_cap)
+        return build_from_permutations(parts)
+    return build_from_table(arg.strip())

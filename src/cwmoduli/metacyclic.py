@@ -26,11 +26,12 @@ class SchurResult:
 def schur_multiplier_order(p: MetacyclicParams) -> SchurResult:
     """|H_2(G, Z)| = gcd(m, r-1) gcd(m, sum_{i<n} r^i) / m.
 
-    The geometric sum is taken as an exact integer before the gcd; the
-    division is asserted exact because the formula guarantees it.
+    The geometric sum (r^n - 1)/(r - 1) is needed only mod m, so it comes from
+    r^n mod m(r - 1); the division by m is asserted exact.
     """
     m, n, r = p.m, p.n, p.r
-    geometric = (r ** n - 1) // (r - 1) if r > 1 else n
+    mod = m * (r - 1)
+    geometric = (pow(r, n, mod) - 1) % mod // (r - 1) if r > 1 else n
     d, rem = divmod(math.gcd(m, r - 1) * math.gcd(m, geometric), m)
     if rem != 0 or d < 1:
         raise InternalConsistencyError(

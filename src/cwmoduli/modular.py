@@ -109,14 +109,12 @@ def session_bound(order: int, k_max: int, g_max: int) -> int:
     return max(order, root, dim)
 
 
-def choose_prime(G: FiniteGroup, k_max: int = 1, g_max: int = 2, *,
-                 seed: int = 0) -> WorkingPrime:
+def choose_prime(G: FiniteGroup, k_max: int = 1, g_max: int = 2) -> WorkingPrime:
     """Pick the smallest suitable prime and a primitive e-th root of unity.
 
     e is the group exponent; the prime must satisfy p = 1 mod e and
     p > 2 * session_bound. The root is found by a deterministic scan, so z
-    depends on p alone. seed is accepted for compatibility and no longer
-    changes anything.
+    depends on p alone.
     """
     e = G.exponent()
     B = session_bound(G.order, k_max, g_max)

@@ -517,6 +517,18 @@ class TestMainEntry:
         assert main(["no-such-command"]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["cw", "--help"]])
+    def test_run_writes_help_to_out(self, argv, capsys):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out=out, err=err) == 0
+        assert out.getvalue().startswith("usage: cw-moduli")
+        assert err.getvalue() == ""
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_help_returns_zero(self, capsys):
+        assert main(["group-info", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cw-moduli group-info")
+
 
 class TestLevelRange:
     VEC2 = '{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1, 1, 1]}'

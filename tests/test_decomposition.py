@@ -217,7 +217,6 @@ class TestCanonical:
 class TestStabilizationReport:
     def test_two_loci_schedule(self, z3_table, genus6_vectors):
         rep = stabilization_report(genus6_vectors, z3_table, 6)
-        assert rep.granularity == "raw"
         assert rep.stabilization_depth == 1
         got = [(lv.k, lv.block_count, lv.split_running) for lv in rep.levels]
         assert got == [
@@ -232,7 +231,7 @@ class TestStabilizationReport:
 
     def test_census_depth_one(self, z3, z3_table):
         items = census(z3, 6)
-        rep = stabilization_report(items, z3_table, 9, granularity="raw")
+        rep = stabilization_report(items, z3_table, 9)
         assert rep.stabilization_depth == 1
         assert [lv.split_running for lv in rep.levels] == [True] + [False] * 8
 
@@ -245,13 +244,6 @@ class TestStabilizationReport:
     def test_k_max_validation(self, z3_table, genus6_vectors):
         with pytest.raises(ValueError):
             stabilization_report(list(genus6_vectors), z3_table, 0)
-
-    def test_granularity_label(self, s3, s3_table):
-        data = BranchingData(0, (2, 2, 3, 3))
-        reps = list(enumerate_hurwitz_vectors(
-            s3, data, EnumerationOptions(up_to_conjugacy=True)))
-        rep = stabilization_report(reps, s3_table, 6, granularity="orbit")
-        assert rep.granularity == "orbit"
 
     def test_s3_long_scan_consistent(self, s3, s3_table):
         # runs the internal periodicity cross-checks out to 2|G| + 2

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestBuilders:
         expect = [[ids[tuple(q[x] for x in p)] for q in elems] for p in elems]
         G = build_from_permutations(gens)
         assert G.mul_table.tolist() == expect
+
+    def test_points_are_relabelled_to_those_written(self):
+        # only the two points written are acted on, not 1..300000
+        tracemalloc.start()
+        try:
+            G = group_from_spec("perm:(1,300000)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.order == 2
+        assert peak < 2 ** 20
+
+    def test_relabelling_points_keeps_the_table(self):
+        G = group_from_spec("perm:(1,1000);(1000,7,3)")
+        H = group_from_spec("perm:(1,4);(4,3,2)")
+        assert np.array_equal(G.mul_table, H.mul_table)
 
     def test_permutation_cap(self):
         with pytest.raises(GroupSizeError):
@@ -433,4 +450,15 @@ class TestGroupFromSpec:
 
     def test_order_cap_respected(self):
         with pytest.raises(GroupSizeError):
-            group_from_spec("cyclic:40", order_cap=30)
+            group_from_spec("cyclic:513")
+
+    @pytest.mark.parametrize("spec", ["cyclic:3000", "metacyclic:3,30000000,2"])
+    def test_cap_is_checked_before_allocation(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSizeError):
+                group_from_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20

@@ -1,6 +1,7 @@
 """Schur multiplier orders and the free-action component bound."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -59,6 +60,18 @@ class TestSchurMultiplier:
                         continue
                     p = MetacyclicParams(m, n, r)
                     assert schur_multiplier_order(p).d == brute_multiplier(m, n, r)
+
+    def test_large_n_needs_no_large_power(self):
+        # 2 has order 3 mod 7, so the geometric sum is 0 mod 7 as for n = 3;
+        # r^n itself would have 3 * 10^7 bits
+        tracemalloc.start()
+        try:
+            d = schur_multiplier_order(MetacyclicParams(7, 3 * 10 ** 7, 2)).d
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == brute_multiplier(7, 3, 2)
+        assert peak < 2 ** 20
 
     def test_trivial_edges(self):
         assert schur_multiplier_order(MetacyclicParams(1, 5, 1)).d == 1
