@@ -89,10 +89,12 @@ class CharacterTable:
         self._rational = _galois_rational(self._values, classes.power_class)
         # class index -> eigenvalue counts of every character
         self._counts: Dict[int, np.ndarray] = {}
-        # (k, quotient genus, class key) -> frozen MultiplicityVector
-        self._cw_cache: Dict[tuple, object] = {}
-        # vector key -> (genus, sorted class ids of the branch entries)
-        self._validated: Dict[tuple, Tuple[int, Tuple[int, ...]]] = {}
+        # one entry per validated vector: (quotient genus, handles, branches)
+        # -> (genus, sorted class ids of the branch entries, level dict)
+        self._validated: Dict[tuple, tuple] = {}
+        # (quotient genus, class key) -> level dict {k: MultiplicityVector},
+        # shared by the memo entries of every vector with that key
+        self._levels: Dict[tuple, Dict[int, object]] = {}
 
     @property
     def class_count(self) -> int:

@@ -12,13 +12,18 @@ and of caching. The eigenvalue counts are exact integers read from the
 character table; after multiplying by |G| (every branch order divides |G|)
 each formula is integer arithmetic, and the final division by |G| is asserted
 to be exact. Range and dimension identities are asserted, never assumed.
+
+Each table memoizes one entry per validated vector, (genus, class key,
+levels), where levels is the dict level -> MultiplicityVector shared by every
+vector with the same (quotient genus, class key). A cached query is therefore
+one lookup of the vector key and one of the level.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,27 +41,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiplicityVector:
-    """Multiplicities of each irreducible character at pluricanonical level k."""
+    """Multiplicities of each irreducible character at pluricanonical level k.
+
+    regular is n when mults = n * (degrees of the regular character), else
+    None; cw_character computes it once, when the vector is evaluated.
+    """
 
     k: int
     mults: Tuple[int, ...]
+    regular: Optional[int]
 
 
-def _genus_and_classes(v: HurwitzVector,
-                       T: CharacterTable) -> Tuple[int, Tuple[int, ...]]:
-    """Validate v once per table; memoize its genus and sorted branch class ids."""
+# (genus, sorted branch class ids, level -> MultiplicityVector)
+_Entry = Tuple[int, Tuple[int, ...], Dict[int, MultiplicityVector]]
+
+
+def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
+    """Validate v once per table; memoize its genus, class key and level dict.
+
+    The level dict is shared by every vector with the same quotient genus and
+    branch class multiset. An invalid vector raises and is not memoized.
+    """
     key = (v.g_quot, v.handles, v.branches)
     hit = T._validated.get(key)
     if hit is None:
         validate(v, T.group)
         class_of = T.classes.class_of
-        hit = (genus(v, T.group), tuple(sorted(int(class_of[c]) for c in v.branches)))
-        T._validated[key] = hit
+        class_key = tuple(sorted(int(class_of[c]) for c in v.branches))
+        levels = T._levels.setdefault((v.g_quot, class_key), {})
+        hit = T._validated[key] = (genus(v, T.group), class_key, levels)
     return hit
 
 
 def _evaluate(T: CharacterTable, k: int, g_quot: int, g: int,
-              class_key: Tuple[int, ...]) -> Tuple[int, ...]:
+              class_key: Tuple[int, ...]) -> MultiplicityVector:
     """All multiplicities at level k, in integers, from the eigenvalue counts.
 
     With N = counts at the class of c_i (order m_i), |G| times the multiplicity
@@ -94,40 +112,43 @@ def _evaluate(T: CharacterTable, k: int, g_quot: int, g: int,
     if total != dim:
         raise InternalConsistencyError(
             f"multiplicities contract to dimension {total}, expected {dim}")
-    return tuple(mults)
+    # the trivial character has degree 1, so the first entry forces n
+    n = mults[0]
+    regular = n if all(m == n * d for m, d in zip(mults, T.degrees)) else None
+    return MultiplicityVector(k, tuple(mults), regular)
 
 
 def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVector:
     """All irreducible multiplicities of the level-k representation of v.
 
-    The result depends only on (k, quotient genus, branch class multiset), so
-    repeat queries return the same frozen object from a cache on the table.
-    The dimension identity sum mult * degree = g (k = 1) or (2k-1)(g-1)
-    (k >= 2) is asserted.
+    v is validated on its first query against T; later queries find its memo
+    entry, whose level dict is shared by every vector with the same
+    (quotient genus, branch class multiset), and return the same frozen
+    object. The dimension identity sum mult * degree = g (k = 1) or
+    (2k-1)(g-1) (k >= 2) is asserted when a level is first evaluated.
     """
+    try:
+        return T._validated[v.g_quot, v.handles, v.branches][2][k]
+    except KeyError:
+        pass
     if k < 1:
         raise ValueError(f"pluricanonical level must be >= 1, got {k}")
-    g, class_key = _genus_and_classes(v, T)
+    g, class_key, levels = _genus_and_classes(v, T)
     if g < 2:
         raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
-    key = (k, v.g_quot, class_key)
-    hit = T._cw_cache.get(key)
+    hit = levels.get(k)
     if hit is None:
-        hit = T._cw_cache[key] = MultiplicityVector(
-            k, _evaluate(T, k, v.g_quot, g, class_key))
+        hit = levels[k] = _evaluate(T, k, v.g_quot, g, class_key)
     return hit
 
 
 def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]:
     """n such that mults = n * (degrees of the regular character), if any.
 
-    The trivial character has degree 1, so n is forced by the first entry;
-    None when the remaining entries do not scale accordingly.
+    Read from mv.regular, which cw_character computed against T's degrees
+    when it evaluated mv; None when the entries do not scale like the degrees.
     """
-    n = mv.mults[0]
-    if all(m == n * d for m, d in zip(mv.mults, T.degrees)):
-        return n
-    return None
+    return mv.regular
 
 
 def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int, ...]:

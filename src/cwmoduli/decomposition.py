@@ -84,7 +84,7 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
     genera = set()
     by_class: Dict[tuple, List[int]] = {}
     for idx, v in enumerate(items):
-        g, class_key = _genus_and_classes(v, T)
+        g, class_key, _ = _genus_and_classes(v, T)
         genera.add(g)
         by_class.setdefault((v.g_quot, class_key), []).append(idx)
     if len(genera) > 1:

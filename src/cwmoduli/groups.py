@@ -67,6 +67,7 @@ class FiniteGroup:
         self.label = label or f"table of order {n}"
         self._inv = _inverse_map(tbl)
         self._inv.flags.writeable = False
+        self._inv_list = self._inv.tolist()
         self._orders = _element_orders(tbl)
         self._orders.flags.writeable = False
         self._exponent = int(lcm(*(int(o) for o in self._orders)))
@@ -122,6 +123,10 @@ class FiniteGroup:
     def mul_rows(self) -> List[List[int]]:
         """Table as nested lists; faster than numpy scalar indexing in hot loops."""
         return self._rows
+
+    def inv_list(self) -> List[int]:
+        """Inverse map as a list, for the same hot loops as mul_rows."""
+        return self._inv_list
 
 
 def _check_group_axioms(tbl: np.ndarray, rows: List[List[int]]) -> None:
@@ -354,17 +359,21 @@ def _parse_cycle_string(text: str) -> List[List[int]]:
     body = text.strip()
     if body in ("", "()"):
         return []
-    if not re.fullmatch(r"(\s*\(\s*\d+(\s*,\s*\d+)*\s*\)\s*)+", body):
+    if not re.fullmatch(r"(?:\s*\(\s*\d+(?:\s*,\s*\d+)*\s*\)\s*)+", body):
         raise GroupSpecError(f"malformed cycle notation: {text!r}")
     cycles = []
+    seen: Set[int] = set()
     for inner in re.findall(r"\(([^()]*)\)", body):
         pts = [int(t) for t in re.split(r"[,\s]+", inner.strip()) if t]
         if any(p < 1 for p in pts):
             raise GroupSpecError(f"cycle points must be >= 1 in {text!r}")
-        if len(set(pts)) != len(pts):
-            raise GroupSpecError(f"cycle repeats a point: {text!r}")
-        if pts:
-            cycles.append(pts)
+        for p in pts:
+            if p in seen:
+                raise GroupSpecError(
+                    f"point {p} appears twice in {text!r}; the cycles of one "
+                    "generator must be disjoint")
+            seen.add(p)
+        cycles.append(pts)
     return cycles
 
 
@@ -376,6 +385,14 @@ def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
     fixed generator list. Only the points written are used, in increasing order.
     """
     all_cycles = [_parse_cycle_string(s) for s in generator_strs]
+    # a generator of disjoint cycles has the lcm of their lengths as order,
+    # and every element order divides |G|
+    exponent = 1
+    for cycles in all_cycles:
+        exponent = lcm(exponent, *(len(c) for c in cycles))
+        if exponent > DEFAULT_ORDER_CAP:
+            raise GroupSizeError(
+                f"permutation closure exceeds the cap of {DEFAULT_ORDER_CAP}")
     index = {p: i for i, p in enumerate(sorted({x for cs in all_cycles for c in cs for x in c}))}
     gens: List[Tuple[int, ...]] = []
     for cycles in all_cycles:

@@ -84,16 +84,14 @@ class HurwitzVector:
         return self.handles + self.branches
 
 
-def _commutator(G: FiniteGroup, a: int, b: int) -> int:
-    return G.mul(G.mul(G.mul(a, b), G.inv(a)), G.inv(b))
-
-
 def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
+    """prod [a_i, b_i] prod c_j, on the list rows of the table."""
+    rows, inv = G.mul_rows(), G.inv_list()
     acc = G.identity
-    for i in range(v.g_quot):
-        acc = G.mul(acc, _commutator(G, v.handles[2 * i], v.handles[2 * i + 1]))
+    for a, b in zip(v.handles[::2], v.handles[1::2]):
+        acc = rows[acc][rows[rows[rows[a][b]][inv[a]]][inv[b]]]
     for c in v.branches:
-        acc = G.mul(acc, c)
+        acc = rows[acc][c]
     return acc
 
 
@@ -250,7 +248,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
             return
         by_order[m] = cand
     rows = G.mul_rows()
-    inv = [G.inv(x) for x in G.elements()]
+    inv = G.inv_list()
     all_elems = list(G.elements())
     # placing x multiplies the relation product by step[x]: by x itself in a
     # branch slot (the identity row), by the commutator [a, x] in the second

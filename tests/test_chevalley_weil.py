@@ -4,9 +4,12 @@ prime-field reference evaluation as an oracle for the integer path."""
 
 import math
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 
+from cwmoduli import chevalley_weil
 from cwmoduli import (
     BranchingData,
     HurwitzVector,
@@ -19,10 +22,12 @@ from cwmoduli import (
     conjugacy_classes,
     conjugate_vector,
     cw_character,
+    decompose_at_k,
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
     eigenvalue_counts,
     genus,
+    NotGenerating,
     periodicity_delta,
     recover_integer,
     regular_multiple,
@@ -361,6 +366,87 @@ class TestPrimeFieldOracle:
                 rep = W.classes.representatives[cls]
                 for rho in range(W.class_count):
                     assert N[rho].tolist() == _reference_counts(W, rho, rep), (label, cls)
+
+
+def _regular_by_search(mults, degrees):
+    """The n with mults = n * degrees, by trying every n up to the largest entry."""
+    for n in range(max(mults) + 1):
+        if tuple(n * d for d in degrees) == mults:
+            return n
+    return None
+
+
+class TestCachedVectors:
+    def test_stored_regular_multiple_matches_the_mults(self, catalog_le_12, z3_table,
+                                                        genus6_vectors):
+        # a free-law loop (k = 1 is regular only for the trivial group) plus
+        # the genus-6 example, whose level 3 is not a multiple of the regular
+        # character
+        tables = []
+        for label, G in catalog_le_12:
+            T = character_table(G)
+            for v in islice(enumerate_hurwitz_vectors(G, BranchingData(2, ())), 60):
+                for k in (1, 2, 3):
+                    mv = cw_character(v, T, k)
+                    if k > 1:
+                        assert regular_multiple(mv, T) == 2 * k - 1, (label, v, k)
+            tables.append(T)
+        for v in genus6_vectors:
+            for k in (2, 3):
+                cw_character(v, z3_table, k)
+        tables.append(z3_table)
+        stored = Counter()
+        for T in tables:
+            for levels in T._levels.values():
+                for mv in levels.values():
+                    assert mv.regular == _regular_by_search(mv.mults, T.degrees)
+                    assert regular_multiple(mv, T) is mv.regular
+                    stored[mv.regular is None] += 1
+        assert stored[True] and stored[False]
+
+    def test_each_vector_validated_once_per_table(self, monkeypatch, s3):
+        calls = Counter()
+        real = chevalley_weil.validate
+
+        def counting(v, G):
+            calls[v] += 1
+            return real(v, G)
+
+        monkeypatch.setattr(chevalley_weil, "validate", counting)
+        items = [v for d in enumerate_branching_data(s3, 3)
+                 for v in enumerate_hurwitz_vectors(s3, d)]
+        # equal vectors built anew share the memo entry of the originals
+        copies = [HurwitzVector(v.g_quot, v.handles, v.branches) for v in items]
+        for T in (character_table(s3), character_table(s3)):
+            calls.clear()
+            for batch in (items, copies, items):
+                for v in batch:
+                    for k in (1, 2, 9):
+                        cw_character(v, T, k)
+                    periodicity_delta(v, T, 2)
+                decompose_at_k(batch, T, 4)
+            assert calls == Counter(items)
+
+    def test_invalid_vector_raises_on_every_call(self, monkeypatch, s3):
+        calls = Counter()
+        real = chevalley_weil.validate
+
+        def counting(v, G):
+            calls[v] += 1
+            return real(v, G)
+
+        monkeypatch.setattr(chevalley_weil, "validate", counting)
+        T = character_table(s3)
+        bad = HurwitzVector(0, (), (1, 1))  # y * y = 1, but <y> is proper
+        for k in (1, 2, 2):
+            with pytest.raises(NotGenerating):
+                cw_character(bad, T, k)
+        with pytest.raises(NotGenerating):
+            periodicity_delta(bad, T, 1)
+        with pytest.raises(NotGenerating):
+            decompose_at_k([bad], T, 1)
+        assert calls == Counter({bad: 5})
+        assert T._validated == {}
 
 
 class TestDomainChecks:

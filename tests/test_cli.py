@@ -406,6 +406,11 @@ class TestExitCodes:
             code, _, err = invoke("group-info", group=spec)
             assert code == 2 and err.startswith("usage error: "), spec
 
+    def test_overlapping_perm_cycles_are_usage_error(self):
+        code, out, err = invoke("group-info", group="perm:(1,2)(2,3)")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and "point 2" in err
+
     def test_missing_required_option_is_usage_error(self):
         code, _, err = invoke("hurwitz-enumerate", group="cyclic:2")
         assert code == 2 and "--genus" in err

@@ -318,7 +318,7 @@ class TestPeriodicityChecksBite:
             mults = [0] * T.class_count
             if k > T.group.order and class_key(w, T) == target:
                 mults[0] = 1
-            return MultiplicityVector(k, tuple(mults))
+            return MultiplicityVector(k, tuple(mults), regular=None)
 
         monkeypatch.setattr(decomposition, "cw_character", collapsed)
         rep = stabilization_report(genus6_vectors, z3_table, 3)
