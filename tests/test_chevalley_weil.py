@@ -376,6 +376,20 @@ def _regular_by_search(mults, degrees):
     return None
 
 
+@pytest.fixture()
+def validate_calls(monkeypatch):
+    """Counter of the validate calls made through the multiplicity memo, per vector."""
+    calls = Counter()
+    real = chevalley_weil.validate
+
+    def counting(v, G):
+        calls[v] += 1
+        return real(v, G)
+
+    monkeypatch.setattr(chevalley_weil, "validate", counting)
+    return calls
+
+
 class TestCachedVectors:
     def test_stored_regular_multiple_matches_the_mults(self, catalog_le_12, z3_table,
                                                         genus6_vectors):
@@ -404,38 +418,22 @@ class TestCachedVectors:
                     stored[mv.regular is None] += 1
         assert stored[True] and stored[False]
 
-    def test_each_vector_validated_once_per_table(self, monkeypatch, s3):
-        calls = Counter()
-        real = chevalley_weil.validate
-
-        def counting(v, G):
-            calls[v] += 1
-            return real(v, G)
-
-        monkeypatch.setattr(chevalley_weil, "validate", counting)
+    def test_each_vector_validated_once_per_table(self, validate_calls, s3):
         items = [v for d in enumerate_branching_data(s3, 3)
                  for v in enumerate_hurwitz_vectors(s3, d)]
         # equal vectors built anew share the memo entry of the originals
         copies = [HurwitzVector(v.g_quot, v.handles, v.branches) for v in items]
         for T in (character_table(s3), character_table(s3)):
-            calls.clear()
+            validate_calls.clear()
             for batch in (items, copies, items):
                 for v in batch:
                     for k in (1, 2, 9):
                         cw_character(v, T, k)
                     periodicity_delta(v, T, 2)
                 decompose_at_k(batch, T, 4)
-            assert calls == Counter(items)
+            assert validate_calls == Counter(items)
 
-    def test_invalid_vector_raises_on_every_call(self, monkeypatch, s3):
-        calls = Counter()
-        real = chevalley_weil.validate
-
-        def counting(v, G):
-            calls[v] += 1
-            return real(v, G)
-
-        monkeypatch.setattr(chevalley_weil, "validate", counting)
+    def test_invalid_vector_raises_on_every_call(self, validate_calls, s3):
         T = character_table(s3)
         bad = HurwitzVector(0, (), (1, 1))  # y * y = 1, but <y> is proper
         for k in (1, 2, 2):
@@ -445,7 +443,7 @@ class TestCachedVectors:
             periodicity_delta(bad, T, 1)
         with pytest.raises(NotGenerating):
             decompose_at_k([bad], T, 1)
-        assert calls == Counter({bad: 5})
+        assert validate_calls == Counter({bad: 5})
         assert T._validated == {}
 
 
