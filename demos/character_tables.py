@@ -21,21 +21,21 @@ def show(label, G):
           f"p = {T.prime.p}")
     print("  class sizes:", tuple(conj.class_sizes))
     print("  degrees:    ", tuple(T.degrees))
-    for rho, chi in enumerate(T.irreducibles):
+    for rho, row in enumerate(T.values.tolist()):
         cells = []
         for c in range(T.class_count):
             val = rational_character_value(T, rho, c)
             if val is None:
                 m = G.elem_order(conj.representatives[c])
-                cells.append(f"{chi.values[c]}(ord{m})")
+                cells.append(f"{row[c]}(ord{m})")
             else:
                 cells.append(str(val))
         print(f"  chi_{rho}: " + "  ".join(f"{cell:>8}" for cell in cells))
     # first orthogonality: every row has unit norm and distinct rows are
     # orthogonal; the inner product recovers exact integers
-    norms = [inner_product(T, list(T.irreducibles[a].values), a)
+    norms = [inner_product(T, T.values[a].tolist(), a)
              for a in range(T.class_count)]
-    cross = [inner_product(T, list(T.irreducibles[0].values), b)
+    cross = [inner_product(T, T.values[0].tolist(), b)
              for b in range(1, T.class_count)]
     print("  row norms:", norms, " cross terms with chi_0:", cross)
     print("  sum of squared degrees:", sum(d * d for d in T.degrees))

@@ -40,7 +40,7 @@ for k in (1, 2, 3):
 
 # the joint invariant over all levels: two blocks, settled after one level
 result = canonical_decomposition([v, w], T)
-print("canonical decomposition:", result.decomposition.block_count,
+print("canonical decomposition:", result.final.block_count,
       "blocks, stabilization depth", result.stabilization_depth)
 
 # raising the level by |G| shifts every multiplicity by the same closed-form

@@ -20,8 +20,7 @@ from .groups import (DEFAULT_ORDER_CAP, ConjugacyData, FiniteGroup,
                      closure, conjugacy_classes, generates, group_from_spec)
 from .modular import (PRIME_SEARCH_LIMIT, WorkingPrime, choose_prime,
                       recover_integer, root_power_sum, session_bound)
-from .characters import (Character, CharacterTable, EigenvalueMultiplicities,
-                         character_fingerprint, character_table,
+from .characters import (CharacterTable, character_fingerprint, character_table,
                          eigenvalue_counts, eigenvalue_multiplicities, inner_product,
                          rational_character_value)
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
@@ -30,8 +29,7 @@ from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       enumerate_hurwitz_vectors_parallel, genus, validate)
 from .chevalley_weil import (MultiplicityVector, cw_character, periodicity_delta,
                              regular_multiple)
-from .decomposition import (CanonicalDecomposition, Decomposition, LevelReport,
-                            StabilizationReport,
+from .decomposition import (Decomposition, LevelReport, StabilizationReport,
                             canonical_decomposition, decompose_at_k, refine,
                             stabilization_report)
 from .metacyclic import SchurResult, rr_component_lower_bound, schur_multiplier_order
@@ -55,8 +53,7 @@ __all__ = [
     "PRIME_SEARCH_LIMIT", "WorkingPrime", "session_bound", "choose_prime",
     "recover_integer", "root_power_sum",
     # characters
-    "Character", "CharacterTable", "EigenvalueMultiplicities",
-    "character_table", "eigenvalue_counts", "eigenvalue_multiplicities",
+    "CharacterTable", "character_table", "eigenvalue_counts", "eigenvalue_multiplicities",
     "inner_product", "rational_character_value", "character_fingerprint",
     # hurwitz
     "BranchingData", "HurwitzVector", "EnumerationOptions", "validate", "genus",
@@ -65,8 +62,7 @@ __all__ = [
     # chevalley-weil
     "MultiplicityVector", "cw_character", "regular_multiple", "periodicity_delta",
     # decomposition
-    "Decomposition", "CanonicalDecomposition",
-    "LevelReport", "StabilizationReport", "decompose_at_k", "refine",
+    "Decomposition", "LevelReport", "StabilizationReport", "decompose_at_k", "refine",
     "canonical_decomposition", "stabilization_report",
     # metacyclic
     "SchurResult", "schur_multiplier_order", "rr_component_lower_bound",

@@ -20,7 +20,6 @@ multiplicities and fingerprints read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,9 +29,7 @@ from .groups import FiniteGroup, ConjugacyData, conjugacy_classes, greedy_genera
 from .modular import WorkingPrime, choose_prime, recover_integer
 
 __all__ = [
-    "Character",
     "CharacterTable",
-    "EigenvalueMultiplicities",
     "character_table",
     "eigenvalue_counts",
     "eigenvalue_multiplicities",
@@ -46,47 +43,27 @@ __all__ = [
 MAX_ROOT_SHIFTS = 10000
 
 
-@dataclass(frozen=True)
-class Character:
-    """One irreducible character: degree, field residues per class, table index."""
-
-    degree: int
-    values: Tuple[int, ...]
-    index: int
-
-
-@dataclass(frozen=True)
-class EigenvalueMultiplicities:
-    """Eigenvalue counts of rho(c) for an element c of order m.
-
-    counts[a] is the multiplicity of the primitive-root power zeta_m^a; the
-    counts sum to the character degree.
-    """
-
-    m: int
-    counts: Tuple[int, ...]
-
-
 class CharacterTable:
     """Irreducible characters of a group, all values as residues mod prime.p.
 
-    irreducibles[0] is the trivial character; the rest are sorted by degree and
-    then by recovered values. degrees lists the character degrees in the same
-    order. Construction also fixes a read-only matrix saying which values are
+    values[rho, c] is the residue of chi_rho on class c, in a read-only int64
+    matrix; degrees[rho] is chi_rho(1) as a Python int. Row 0 is the trivial
+    character; the rest are sorted by degree and then by recovered values.
+    Construction also fixes a read-only matrix saying which values are
     rational. None of this changes afterwards; the table memoizes the
     eigenvalue counts of each class on first use, and the multiplicity module
     keeps its per-table caches here.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyData,
-                 prime: WorkingPrime, irreducibles: Tuple[Character, ...]):
+                 prime: WorkingPrime, degrees: Tuple[int, ...], values: np.ndarray):
         self.group = group
         self.classes = classes
         self.prime = prime
-        self.irreducibles = irreducibles
-        self.degrees: Tuple[int, ...] = tuple(c.degree for c in irreducibles)
-        self._values = np.array([c.values for c in irreducibles], dtype=np.int64)
-        self._rational = _galois_rational(self._values, classes.power_class)
+        self.degrees = degrees
+        values.flags.writeable = False
+        self.values = values
+        self._rational = _galois_rational(values, classes.power_class)
         # class index -> eigenvalue counts of every character
         self._counts: Dict[int, np.ndarray] = {}
         # one entry per validated vector: (quotient genus, handles, branches)
@@ -117,8 +94,7 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
     conj = conjugacy_classes(G)
     wp = choose_prime(G, k_max, g_max)
     degrees, X = _class_matrix_characters(G, conj, wp)
-    chars = _sort_characters(degrees, X, wp, G.order)
-    return CharacterTable(G, conj, wp, chars)
+    return CharacterTable(G, conj, wp, *_sort_characters(degrees, X, wp, G.order))
 
 
 def _galois_rational(values: np.ndarray, power_class: np.ndarray) -> np.ndarray:
@@ -148,7 +124,7 @@ def _count_matrix(T: CharacterTable, cls: int) -> np.ndarray:
     wp = T.prime
     p = wp.p
     m = T.group.elem_order(T.classes.representatives[cls])
-    V = T._values[:, T.classes.power_class[cls, :m]]
+    V = T.values[:, T.classes.power_class[cls, :m]]
     zeta = np.array([wp.unity_root(t * (wp.e // m)) for t in range(m)], dtype=np.int64)
     j = np.arange(m)
     F = zeta[np.outer(j, -j) % m] * wp.inv(m) % p
@@ -181,15 +157,13 @@ def eigenvalue_counts(T: CharacterTable, class_index: int) -> np.ndarray:
     return N
 
 
-def eigenvalue_multiplicities(T: CharacterTable, rho: int,
-                              c: int) -> EigenvalueMultiplicities:
-    """Eigenvalue multiplicities of rho evaluated at the element c.
+def eigenvalue_multiplicities(T: CharacterTable, rho: int, c: int) -> Tuple[int, ...]:
+    """Eigenvalue counts of rho evaluated at the element c, of order m.
 
-    counts[a] is row rho of the count matrix of the class of c: the number of
-    eigenvalues zeta_m^a of rho(c).
+    Entry a is row rho of the count matrix of the class of c: the number of
+    eigenvalues zeta_m^a of rho(c). There are m entries, summing to the degree.
     """
-    N = eigenvalue_counts(T, int(T.classes.class_of[c]))
-    return EigenvalueMultiplicities(N.shape[1], tuple(N[rho].tolist()))
+    return tuple(eigenvalue_counts(T, int(T.classes.class_of[c]))[rho].tolist())
 
 
 def inner_product(T: CharacterTable, a: Sequence[int], b: int) -> int:
@@ -202,10 +176,10 @@ def inner_product(T: CharacterTable, a: Sequence[int], b: int) -> int:
     if len(a) != conj.class_count:
         raise ValueError(
             f"class function has {len(a)} entries, expected {conj.class_count}")
-    chi = T.irreducibles[b]
+    chi = T.values[b].tolist()
     total = 0
     for j in range(conj.class_count):
-        total += conj.class_sizes[j] * (a[j] % wp.p) * chi.values[conj.inverse_class(j)]
+        total += conj.class_sizes[j] * (a[j] % wp.p) * chi[conj.inverse_class(j)]
     total = total % wp.p * wp.inv(T.group.order) % wp.p
     return recover_integer(total, wp)
 
@@ -226,7 +200,7 @@ def rational_character_value(T: CharacterTable, rho: int,
     """
     if not T._rational[rho, class_index]:
         return None
-    return recover_integer(T.irreducibles[rho].values[class_index], T.prime)
+    return recover_integer(int(T.values[rho, class_index]), T.prime)
 
 
 def character_fingerprint(T: CharacterTable, rho: int) -> tuple:
@@ -238,7 +212,7 @@ def character_fingerprint(T: CharacterTable, rho: int) -> tuple:
     """
     profile = tuple(tuple(eigenvalue_counts(T, cls)[rho].tolist())
                     for cls in range(T.classes.class_count))
-    return (T.irreducibles[rho].degree, profile)
+    return (T.degrees[rho], profile)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +413,8 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 def _sort_characters(degrees: np.ndarray, X: np.ndarray, wp: WorkingPrime,
-                     order: int) -> Tuple[Character, ...]:
-    """Trivial character first, then by degree and lifted values class by class."""
+                     order: int) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """Degrees and value rows, trivial character first, then by degree and lifted values."""
     total = int((degrees * degrees).sum())
     if total != order:
         raise InternalConsistencyError(
@@ -452,8 +426,7 @@ def _sort_characters(degrees: np.ndarray, X: np.ndarray, wp: WorkingPrime,
     lifted = np.where(2 * X > wp.p, X - wp.p, X)
     ranked = np.lexsort(np.vstack([lifted.T[::-1], degrees]))
     ordered = [int(trivial[0])] + [int(i) for i in ranked if i != trivial[0]]
-    return tuple(Character(int(degrees[i]), tuple(X[i].tolist()), t)
-                 for t, i in enumerate(ordered))
+    return tuple(degrees[ordered].tolist()), X[ordered]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Command-line interface: deterministic text and JSON reports.
 
 Commands: group-info, hurwitz-enumerate, cw, decompose, metacyclic-h2,
-metacyclic-rr-bound (the latter three also reachable as `group info`,
-`metacyclic h2`, `metacyclic rr-bound`). `run(argv, out, err)` parses argv
-and writes the report, or the --help text, to out; `main` is the entry point.
+metacyclic-rr-bound. `run(argv, out, err)` parses argv and writes the report,
+or the --help text, to out; `main` is the entry point.
 The argparse parser is the one description of the options: handlers read its
 namespace, and every parse error (missing or malformed flag, unknown command)
 becomes one `usage error: ...` line on err. Exit codes: 0 success, 1 domain
@@ -117,7 +116,7 @@ def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
 def _character_cell(T: CharacterTable, rho: int, cls: int, val: Optional[int]) -> str:
     if val is not None:
         return str(val)
-    residue = T.irreducibles[rho].values[cls]
+    residue = T.values[rho, cls]
     order = T.group.elem_order(T.classes.representatives[cls])
     return f"{residue}(ord{order})"
 
@@ -142,8 +141,8 @@ def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
             "class_representatives": list(conj.representatives),
             "representative_orders": [G.elem_order(r) for r in conj.representatives],
             "degrees": list(T.degrees),
-            "characters": [{"degree": chi.degree, "values": list(chi.values)}
-                           for chi in T.irreducibles],
+            "characters": [{"degree": d, "values": row}
+                           for d, row in zip(T.degrees, T.values.tolist())],
             "rational_values": rational,
         }
         print(json.dumps(record), file=out)
@@ -163,9 +162,9 @@ def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
     print("degrees: " + " ".join(str(d) for d in T.degrees), file=out)
     if s > TEXT_TABLE_LIMIT:
         print(f"character table ({s} irreducibles; JSON lines):", file=out)
-        for rho, chi in enumerate(T.irreducibles):
-            print(json.dumps({"schema": SCHEMA, "index": rho, "degree": chi.degree,
-                              "values": list(chi.values),
+        for rho, row in enumerate(T.values.tolist()):
+            print(json.dumps({"schema": SCHEMA, "index": rho, "degree": T.degrees[rho],
+                              "values": row,
                               "rational_values": rational[rho]}), file=out)
         return
     print("character table:", file=out)
@@ -221,12 +220,12 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
 
 def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
     G = group_from_spec(args.group)
-    k_lo, k_hi = args.k or (1, args.k_max or G.order)
+    k_lo, k_hi = args.k or (1, G.order)
     v = _parse_vector(args.vector, G)
     validate(v, G)
     g = genus(v, G)
-    # the table group-info prints, so the column labels depend on neither --k
-    # nor --k-max (multiplicities are exact on any table)
+    # the table group-info prints, so the column labels do not depend on --k
+    # (multiplicities are exact on any table)
     T = character_table(G)
     mvs = [cw_character(v, T, k) for k in range(k_lo, k_hi + 1)]
     if args.json or T.class_count > TEXT_TABLE_LIMIT:
@@ -307,17 +306,6 @@ def _cmd_metacyclic_rr_bound(args: argparse.Namespace, out: IO[str]) -> None:
         print(bound, file=out)
 
 
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """Fold the two-word command aliases into canonical hyphenated names."""
-    if argv[:2] == ["group", "info"]:
-        return ["group-info"] + argv[2:]
-    if argv[:2] == ["metacyclic", "h2"]:
-        return ["metacyclic-h2"] + argv[2:]
-    if argv[:2] == ["metacyclic", "rr-bound"]:
-        return ["metacyclic-rr-bound"] + argv[2:]
-    return argv
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cw-moduli",
@@ -352,8 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='JSON {"g_quot": int, "handles": [...], "branches": [...]}')
     p.add_argument("--k", type=_level_range, default=None,
                    help="level or range a..b (default 1..|G|)")
-    p.add_argument("--k-max", type=_positive_int, default=None,
-                   help="default upper level when --k is omitted")
 
     p = command("decompose", _cmd_decompose,
                 "representation-type decomposition for a genus")
@@ -388,7 +374,7 @@ def run(argv: Sequence[str], out: Optional[IO[str]] = None,
     err = err if err is not None else sys.stderr
     try:
         with contextlib.redirect_stdout(out):  # argparse prints --help to sys.stdout
-            args = _build_parser().parse_args(_normalize_argv(list(argv)))
+            args = _build_parser().parse_args(list(argv))
         args.handler(args, out)
     except SystemExit:  # only --help exits, once its text is printed
         return 0

@@ -20,7 +20,6 @@ from .hurwitz import HurwitzVector
 
 __all__ = [
     "Decomposition",
-    "CanonicalDecomposition",
     "LevelReport",
     "StabilizationReport",
     "decompose_at_k",
@@ -125,25 +124,15 @@ def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
                      [a + b for a, b in zip(k1, k2)])
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
-    """Refinement through k = |G| plus the depth at which it stabilized."""
-
-    decomposition: Decomposition
-    stabilization_depth: int
-
-
 def canonical_decomposition(items: Sequence[HurwitzVector],
-                            T: CharacterTable) -> CanonicalDecomposition:
-    """The common refinement of the level-k partitions for k = 1..|G|.
+                            T: CharacterTable) -> StabilizationReport:
+    """The stabilization report through k = |G|; its final is the canonical decomposition.
 
     The periodicity of the multiplicity formulas makes levels beyond |G|
-    redundant, so this is the full representation-type decomposition. The
-    stabilization depth is the smallest K with refinement through K already
-    equal to the result.
+    redundant, so the common refinement of the level-k partitions for
+    k = 1..|G| is the full representation-type decomposition.
     """
-    rep = stabilization_report(items, T, T.group.order)
-    return CanonicalDecomposition(rep.final, rep.stabilization_depth)
+    return stabilization_report(items, T, T.group.order)
 
 
 @dataclass(frozen=True)
@@ -161,6 +150,9 @@ class LevelReport:
 
 @dataclass(frozen=True)
 class StabilizationReport:
+    """The levels scanned and their common refinement final, which the refinement
+    through stabilization_depth already equals."""
+
     levels: Tuple[LevelReport, ...]
     stabilization_depth: int
     final: Decomposition

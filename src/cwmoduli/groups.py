@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
@@ -377,6 +378,24 @@ def _parse_cycle_string(text: str) -> List[List[int]]:
     return cycles
 
 
+def _longest_orbit(all_cycles: Sequence[List[List[int]]]) -> int:
+    """Length of the longest orbit of the group the cycles generate (union-find on points)."""
+    root: Dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while root.setdefault(x, x) != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for cycles in all_cycles:
+        for cyc in cycles:
+            r = find(cyc[0])
+            for x in cyc[1:]:
+                root[find(x)] = r
+    return max(Counter(find(x) for x in list(root)).values(), default=1)
+
+
 def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
     """Group generated by permutations in cycle notation on positive points.
 
@@ -391,8 +410,10 @@ def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
     for cycles in all_cycles:
         exponent = lcm(exponent, *(len(c) for c in cycles))
         if exponent > DEFAULT_ORDER_CAP:
-            raise GroupSizeError(
-                f"permutation closure exceeds the cap of {DEFAULT_ORDER_CAP}")
+            break
+    # orbit-stabilizer: |G| is at least the length of every orbit
+    if exponent > DEFAULT_ORDER_CAP or _longest_orbit(all_cycles) > DEFAULT_ORDER_CAP:
+        raise GroupSizeError(f"permutation closure exceeds the cap of {DEFAULT_ORDER_CAP}")
     index = {p: i for i, p in enumerate(sorted({x for cs in all_cycles for c in cs for x in c}))}
     gens: List[Tuple[int, ...]] = []
     for cycles in all_cycles:

@@ -68,7 +68,7 @@ def test_criterion_2_decomposition_separation():
     T = character_table(build_cyclic(3), k_max=3, g_max=6)
     items = [V, V_ALT]
     counts = {k: decompose_at_k(items, T, k).block_count for k in (1, 2, 3)}
-    blocks = canonical_decomposition(items, T).decomposition.block_count
+    blocks = canonical_decomposition(items, T).final.block_count
     elapsed = time.perf_counter() - t0
     ok = counts == {1: 2, 2: 1, 3: 2} and blocks == 2 and elapsed < 1.0
     report(2, ok, f"blocks per level {counts}, canonical {blocks}, "
@@ -182,13 +182,13 @@ def test_criterion_6_character_table_suite(catalog):
         inv = [T.classes.inverse_class(c) for c in range(s)]
         for a in range(s):
             for b in range(s):
-                if inner_product(T, list(T.irreducibles[a].values), b) != \
+                if inner_product(T, T.values[a].tolist(), b) != \
                         (1 if a == b else 0):
                     failures.append((label, "rows", a, b))
         for c in range(s):
             for d in range(s):
-                total = sum(chi.values[c] * chi.values[inv[d]]
-                            for chi in T.irreducibles) % p
+                total = sum(row[c] * row[inv[d]]
+                            for row in T.values.tolist()) % p
                 want = G.order // T.classes.class_sizes[c] % p if c == d else 0
                 if total != want:
                     failures.append((label, "columns", c, d))
@@ -203,7 +203,7 @@ def test_criterion_6_character_table_suite(catalog):
             else:
                 factors = None  # metacyclic r=1 spelling; no label oracle
             if factors is not None:
-                got = {tuple(chi.values) for chi in T.irreducibles}
+                got = set(map(tuple, T.values.tolist()))
                 if got != _dual_rows(factors, T.prime):
                     failures.append((label, "dual oracle"))
     for triple, degrees in (((3, 2, 2), (1, 1, 2)),

@@ -101,7 +101,7 @@ class TestAbelianTables:
         for factors in [(2,), (3,), (6,), (12,)] + list(ABELIAN_FACTOR_LISTS):
             G = build_abelian(factors)
             T = character_table(G)
-            got = {chi.values for chi in T.irreducibles}
+            got = set(map(tuple, T.values.tolist()))
             assert got == dual_characters(factors, T.prime)
 
     def test_all_degrees_one(self):
@@ -111,17 +111,17 @@ class TestAbelianTables:
     def test_trivial_group(self):
         T = character_table(build_cyclic(1))
         assert T.degrees == (1,)
-        assert T.irreducibles[0].values == (1,)
+        assert T.values[0].tolist() == [1]
 
     def test_z3_exact_rows(self):
         T = character_table(build_cyclic(3))
         p = T.prime.p
         zeta = T.prime.unity_root(T.prime.e // 3)
-        rows = {chi.values for chi in T.irreducibles}
+        rows = set(map(tuple, T.values.tolist()))
         assert rows == {(1, 1, 1),
                         (1, zeta, zeta * zeta % p),
                         (1, zeta * zeta % p, zeta)}
-        assert T.irreducibles[0].values == (1, 1, 1)
+        assert T.values[0].tolist() == [1, 1, 1]
 
 
 class TestNonabelianTables:
@@ -207,7 +207,7 @@ class TestOrthogonality:
             s = T.class_count
             for a in range(s):
                 for b in range(s):
-                    got = inner_product(T, list(T.irreducibles[a].values), b)
+                    got = inner_product(T, T.values[a].tolist(), b)
                     assert got == (1 if a == b else 0)
 
     def test_columns(self, catalog_le_12):
@@ -218,8 +218,8 @@ class TestOrthogonality:
             for c in range(s):
                 for d in range(s):
                     total = sum(
-                        chi.values[c] * chi.values[T.classes.inverse_class(d)]
-                        for chi in T.irreducibles) % p
+                        row[c] * row[T.classes.inverse_class(d)]
+                        for row in T.values.tolist()) % p
                     if c == d:
                         assert total == G.order // T.classes.class_sizes[c] % p
                     else:
@@ -234,37 +234,37 @@ class TestOrthogonality:
 class TestEigenvalueMultiplicities:
     def test_trivial_character(self, s3_table):
         for c in range(6):
-            em = eigenvalue_multiplicities(s3_table, 0, c)
-            assert em.counts[0] == 1
-            assert sum(em.counts) == 1
+            counts = eigenvalue_multiplicities(s3_table, 0, c)
+            assert counts[0] == 1
+            assert sum(counts) == 1
 
     def test_z3_example(self, z3_table):
         T = z3_table
         zeta = T.prime.unity_root(T.prime.e // 3)
         # the character sending the generator to zeta has rho(2) = zeta^2
-        rho = next(i for i in range(3) if T.irreducibles[i].values[1] == zeta)
-        assert eigenvalue_multiplicities(T, rho, 2).counts == (0, 0, 1)
-        assert eigenvalue_multiplicities(T, rho, 1).counts == (0, 1, 0)
+        rho = next(i for i in range(3) if T.values[i, 1] == zeta)
+        assert eigenvalue_multiplicities(T, rho, 2) == (0, 0, 1)
+        assert eigenvalue_multiplicities(T, rho, 1) == (0, 1, 0)
         other = 3 - rho  # indices 1 and 2 are the two nontrivial characters
-        assert eigenvalue_multiplicities(T, other, 2).counts == (0, 1, 0)
+        assert eigenvalue_multiplicities(T, other, 2) == (0, 1, 0)
 
     def test_s3_standard_character(self, s3_table):
         T = s3_table
         # reflection: eigenvalues 1 and -1; rotation: both primitive cube roots
-        assert eigenvalue_multiplicities(T, 2, 1).counts == (1, 1)
-        assert eigenvalue_multiplicities(T, 2, 2).counts == (0, 1, 1)
-        assert eigenvalue_multiplicities(T, 2, 0).counts == (2,)
+        assert eigenvalue_multiplicities(T, 2, 1) == (1, 1)
+        assert eigenvalue_multiplicities(T, 2, 2) == (0, 1, 1)
+        assert eigenvalue_multiplicities(T, 2, 0) == (2,)
 
     def test_constant_on_classes(self, catalog_le_12):
         rng = random.Random(17)
         for _, G in catalog_le_12:
             T = character_table(G)
             for _ in range(10):
-                rho = rng.randrange(len(T.irreducibles))
+                rho = rng.randrange(T.class_count)
                 cls = rng.randrange(T.class_count)
                 members = sorted(T.classes.members(cls))
                 base = eigenvalue_multiplicities(T, rho, members[0])
-                assert sum(base.counts) == T.irreducibles[rho].degree
+                assert sum(base) == T.degrees[rho]
                 for c in members[1:]:
                     assert eigenvalue_multiplicities(T, rho, c) == base
 
@@ -273,13 +273,13 @@ class TestEigenvalueMultiplicities:
         for _, G in catalog_le_12:
             T = character_table(G)
             p, e = T.prime.p, T.prime.e
-            for rho in range(len(T.irreducibles)):
+            for rho in range(T.class_count):
                 for cls in range(T.class_count):
                     rep = T.classes.representatives[cls]
-                    em = eigenvalue_multiplicities(T, rho, rep)
-                    zeta = T.prime.unity_root(e // em.m)
-                    val = sum(n * pow(zeta, a, p) for a, n in enumerate(em.counts)) % p
-                    assert val == T.irreducibles[rho].values[cls]
+                    counts = eigenvalue_multiplicities(T, rho, rep)
+                    zeta = T.prime.unity_root(e // len(counts))
+                    val = sum(n * pow(zeta, a, p) for a, n in enumerate(counts)) % p
+                    assert val == T.values[rho, cls]
 
 
 class TestInnerProduct:
@@ -288,7 +288,7 @@ class TestInnerProduct:
             T = character_table(G)
             p = T.prime.p
             reg = [
-                sum(chi.degree * chi.values[j] for chi in T.irreducibles) % p
+                sum(d * row[j] for d, row in zip(T.degrees, T.values.tolist())) % p
                 for j in range(T.class_count)
             ]
             for b, d in enumerate(T.degrees):
@@ -297,7 +297,7 @@ class TestInnerProduct:
     def test_scaled_sum(self, z3_table):
         T = z3_table
         p = T.prime.p
-        a = [sum(chi.values[j] for chi in T.irreducibles) * 2 % p for j in range(3)]
+        a = [sum(row[j] for row in T.values.tolist()) * 2 % p for j in range(3)]
         assert [inner_product(T, a, b) for b in range(3)] == [2, 2, 2]
 
     def test_length_check(self, z3_table):
@@ -327,7 +327,7 @@ class TestRationality:
             for cls in range(T.class_count):
                 N = eigenvalue_counts(T, cls)
                 phi = cyclotomic(N.shape[1])
-                for rho in range(len(T.irreducibles)):
+                for rho in range(T.class_count):
                     rem = int_poly_divmod(N[rho].tolist(), phi)[1]
                     expect = None if any(rem[1:]) else rem[0]
                     assert rational_character_value(T, rho, cls) == expect, \
@@ -338,7 +338,7 @@ class TestRationality:
                   build_metacyclic(MetacyclicParams(4, 2, 3)),
                   build_from_permutations(S4_PERM_GENS)]:
             T = character_table(G)
-            for rho in range(len(T.irreducibles)):
+            for rho in range(T.class_count):
                 for j in range(T.class_count):
                     assert rational_character_value(T, rho, j) is not None
 
@@ -348,32 +348,39 @@ class TestDeterminism:
         G = build_metacyclic(MetacyclicParams(5, 4, 2))
         a = character_table(G, seed=0)
         b = character_table(G, seed=0)
-        assert a.irreducibles == b.irreducibles
+        assert a.degrees == b.degrees
+        assert np.array_equal(a.values, b.values)
         assert a.prime == b.prime
 
     def test_values_independent_of_seed(self):
         # the seed changes nothing: the prime and its root of unity both come
         # from deterministic searches
         G = build_from_permutations(S4_PERM_GENS)
-        rows0 = character_table(G, seed=0).irreducibles
-        rows7 = character_table(G, seed=7).irreducibles
-        assert [c.values for c in rows0] == [c.values for c in rows7]
+        rows0 = character_table(G, seed=0).values
+        rows7 = character_table(G, seed=7).values
+        assert rows0.tolist() == rows7.tolist()
 
     def test_trivial_character_first_and_sorted(self, catalog):
         for _, G in catalog:
             T = character_table(G)
-            assert T.irreducibles[0].values == (1,) * T.class_count
-            keys = [(chi.degree, tuple(recover_integer(v, T.prime) for v in chi.values))
-                    for chi in T.irreducibles[1:]]
+            assert T.values[0].tolist() == [1] * T.class_count
+            keys = [(d, tuple(recover_integer(v, T.prime) for v in row))
+                    for d, row in zip(T.degrees[1:], T.values[1:].tolist())]
             assert keys == sorted(keys)
-            for i, chi in enumerate(T.irreducibles):
-                assert chi.index == i
+            assert T.values.shape == (T.class_count, T.class_count)
+            assert len(T.degrees) == T.class_count
+
+    def test_values_read_only_and_degrees_python_ints(self, s3_table):
+        with pytest.raises(ValueError):
+            s3_table.values[0, 0] = 2
+        assert s3_table.values.dtype == np.int64
+        assert all(type(d) is int for d in s3_table.degrees)
 
     def test_fingerprints_distinct(self, catalog_le_12):
         for _, G in catalog_le_12:
             T = character_table(G)
             prints = [character_fingerprint(T, rho)
-                      for rho in range(len(T.irreducibles))]
+                      for rho in range(T.class_count)]
             assert len(set(prints)) == len(prints)
 
 
@@ -381,8 +388,8 @@ def eigenvector_rows(T):
     """Rows w_j = |C_j| chi(g_j) / chi(1) mod p, one per character."""
     p = T.prime.p
     sizes = np.array(T.classes.class_sizes, dtype=np.int64)
-    return np.array([np.array(chi.values) * sizes % p * pow(chi.degree, p - 2, p) % p
-                     for chi in T.irreducibles], dtype=np.int64)
+    return np.array([row * sizes % p * pow(d, p - 2, p) % p
+                     for d, row in zip(T.degrees, T.values)], dtype=np.int64)
 
 
 class TestSpinChecks:
@@ -474,7 +481,7 @@ class TestOrderCap:
         T = character_table(G)
         p, s = T.prime.p, T.class_count
         assert p * p * s < 2 ** 63  # plain int64 products below are exact
-        X = np.array([chi.values for chi in T.irreducibles], dtype=np.int64)
+        X = T.values
         sizes = np.array(T.classes.class_sizes, dtype=np.int64)
         inv = [T.classes.inverse_class(j) for j in range(s)]
         rows = X @ (X[:, inv] * sizes % p).T % p

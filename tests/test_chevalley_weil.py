@@ -245,9 +245,8 @@ class TestSessionWidening:
 def _reference_counts(W, rho, c):
     """Eigenvalue counts of rho at c, one GF(p) root power sum per eigenvalue."""
     cls = int(W.classes.class_of[c])
-    chi = W.irreducibles[rho]
     m = W.group.elem_order(c)
-    values = [chi.values[int(W.classes.power_class[cls, j])] for j in range(m)]
+    values = [int(W.values[rho, W.classes.power_class[cls, j]]) for j in range(m)]
     return [recover_integer(root_power_sum(values, a, m, W.prime), W.prime)
             for a in range(m)]
 
@@ -262,12 +261,12 @@ def reference_multiplicities(v, W, k):
     order = W.group.order
     g = genus(v, W.group)
     out = []
-    for rho, chi in enumerate(W.irreducibles):
+    for rho, degree in enumerate(W.degrees):
         if k == 1:
-            total = chi.degree * (v.g_quot - 1) + (1 if rho == 0 else 0)
+            total = degree * (v.g_quot - 1) + (1 if rho == 0 else 0)
         else:
-            total = (2 * k * wp.inv(order) * chi.degree * (g - 1)
-                     - chi.degree * (v.g_quot - 1))
+            total = (2 * k * wp.inv(order) * degree * (g - 1)
+                     - degree * (v.g_quot - 1))
         for c in v.branches:
             counts = _reference_counts(W, rho, c)
             m = len(counts)

@@ -8,12 +8,12 @@ import pytest
 import cwmoduli.decomposition as decomposition
 from cwmoduli import (
     BranchingData,
-    CanonicalDecomposition,
     EnumerationOptions,
     HurwitzVector,
     InternalConsistencyError,
     LevelReport,
     MultiplicityVector,
+    StabilizationReport,
     canonical_decomposition,
     character_table,
     conjugate_vector,
@@ -145,10 +145,10 @@ class TestRefine:
 class TestCanonical:
     def test_two_loci_depth(self, z3_table, genus6_vectors):
         CD = canonical_decomposition(genus6_vectors, z3_table)
-        assert isinstance(CD, CanonicalDecomposition)
-        assert CD.decomposition.block_count == 2
+        assert isinstance(CD, StabilizationReport)
+        assert CD.final.block_count == 2
         assert CD.stabilization_depth == 1
-        assert CD.decomposition.ks == (1, 2, 3)
+        assert CD.final.ks == (1, 2, 3)
 
     def test_eight_branch_census_splits_in_three(self, z3, z3_table):
         # the 86 vectors with eight order-3 branch points carry three distinct
@@ -156,7 +156,7 @@ class TestCanonical:
         items = list(enumerate_hurwitz_vectors(z3, BranchingData(0, (3,) * 8)))
         assert len(items) == 86
         CD = canonical_decomposition(items, z3_table)
-        D = CD.decomposition
+        D = CD.final
         assert D.block_count == 3
         assert [len(b) for b in D.blocks] == [8, 70, 8]
         assert [key[0] for key in D.keys] == [(0, 2, 4), (0, 3, 3), (0, 4, 2)]
@@ -169,26 +169,26 @@ class TestCanonical:
     def test_full_census_block_structure(self, z3, z3_table):
         items = census(z3, 6)
         CD = canonical_decomposition(items, z3_table)
-        assert sorted(len(b) for b in CD.decomposition.blocks) == [8, 8, 45, 45, 70, 162]
+        assert sorted(len(b) for b in CD.final.blocks) == [8, 8, 45, 45, 70, 162]
         assert CD.stabilization_depth == 1
 
     def test_single_item_never_splits(self, z3_table, genus6_vectors):
         v, _ = genus6_vectors
         CD = canonical_decomposition([v], z3_table)
-        assert CD.decomposition.block_count == 1
+        assert CD.final.block_count == 1
         assert CD.stabilization_depth == 1
 
     def test_empty_items(self, z3_table):
         CD = canonical_decomposition([], z3_table)
-        assert CD.decomposition.block_count == 0
+        assert CD.final.block_count == 0
 
     def test_partition_is_item_order_independent(self, z3, z3_table):
         items = census(z3, 6)[:60]
         rng = random.Random(43)
         shuffled = items[:]
         rng.shuffle(shuffled)
-        base = canonical_decomposition(items, z3_table).decomposition
-        other = canonical_decomposition(shuffled, z3_table).decomposition
+        base = canonical_decomposition(items, z3_table).final
+        other = canonical_decomposition(shuffled, z3_table).final
         as_vectors = lambda D: frozenset(
             frozenset(D.items[i] for i in b) for b in D.blocks)
         assert as_vectors(base) == as_vectors(other)
@@ -198,7 +198,7 @@ class TestCanonical:
         items = census(s3, 3)
         CD = canonical_decomposition(items, s3_table)
         index = {v: i for i, v in enumerate(items)}
-        D = CD.decomposition
+        D = CD.final
         for _ in range(80):
             v = rng.choice(items)
             w = conjugate_vector(v, s3, rng.randrange(6))
@@ -209,8 +209,8 @@ class TestCanonical:
         raw = list(enumerate_hurwitz_vectors(s3, data))
         reps = list(enumerate_hurwitz_vectors(
             s3, data, EnumerationOptions(up_to_conjugacy=True)))
-        raw_keys = {canonical_decomposition(raw, s3_table).decomposition.keys}
-        rep_keys = {canonical_decomposition(reps, s3_table).decomposition.keys}
+        raw_keys = {canonical_decomposition(raw, s3_table).final.keys}
+        rep_keys = {canonical_decomposition(reps, s3_table).final.keys}
         assert raw_keys == rep_keys
 
 
@@ -273,7 +273,7 @@ class TestOnePassOracle:
                     assert list(rep.levels) == levels, case
                     if k_max == G.order:
                         CD = canonical_decomposition(items, T)
-                        assert CD.decomposition == final, case
+                        assert CD.final == final, case
                         assert CD.stabilization_depth == depth, case
 
     def test_one_cw_call_per_class_key_and_level(self, monkeypatch, s3, s3_table):

@@ -203,6 +203,20 @@ class TestBuilders:
             tracemalloc.stop()
         assert peak < 2 ** 24
 
+    def test_orbit_length_cap_before_tuples(self):
+        # two involutions joining 20000 points into one orbit generate a
+        # dihedral group of order 20000: rejected before any permutation tuple
+        a = "".join(f"({i},{i + 1})" for i in range(1, 20000, 2))
+        b = "".join(f"({i},{i + 1})" for i in range(2, 19999, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSizeError, match="permutation closure exceeds the cap of 512"):
+                group_from_spec(f"perm:{a};{b}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
     def test_permutation_malformed(self):
         with pytest.raises(GroupSpecError):
             build_from_permutations(["(1,2"])

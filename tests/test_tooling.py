@@ -1,8 +1,13 @@
-"""The benchmark's traced run wraps package functions by name; they must exist."""
+"""Names the package exports, and those the benchmark's traced run wraps, must exist."""
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
+
+import pytest
+
+import cwmoduli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -23,3 +28,14 @@ def test_every_traced_target_resolves():
     for module, name in targets:
         assert callable(getattr(importlib.import_module(module), name, None)), \
             f"{module}.{name} is wrapped by bench/tracing.py but does not exist"
+
+
+MODULES = ["cwmoduli"] + [f"cwmoduli.{info.name}"
+                          for info in pkgutil.iter_modules(cwmoduli.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names {missing}, which it does not define"
