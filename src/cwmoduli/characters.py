@@ -66,8 +66,8 @@ class CharacterTable:
         self._rational = _galois_rational(values, classes.power_class)
         # class index -> eigenvalue counts of every character
         self._counts: Dict[int, np.ndarray] = {}
-        # one entry per validated vector: (quotient genus, handles, branches)
-        # -> (genus, sorted class ids of the branch entries, level dict)
+        # one entry per validated HurwitzVector (a tuple record, so equal
+        # vectors share it) -> (genus, sorted branch class ids, level dict)
         self._validated: Dict[tuple, tuple] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
         # shared by the memo entries of every vector with that key

@@ -62,14 +62,13 @@ def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
     The level dict is shared by every vector with the same quotient genus and
     branch class multiset. An invalid vector raises and is not memoized.
     """
-    key = (v.g_quot, v.handles, v.branches)
-    hit = T._validated.get(key)
+    hit = T._validated.get(v)
     if hit is None:
         validate(v, T.group)
         class_of = T.classes.class_of
         class_key = tuple(sorted(int(class_of[c]) for c in v.branches))
         levels = T._levels.setdefault((v.g_quot, class_key), {})
-        hit = T._validated[key] = (genus(v, T.group), class_key, levels)
+        hit = T._validated[v] = (genus(v, T.group), class_key, levels)
     return hit
 
 
@@ -128,7 +127,7 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     (2k-1)(g-1) (k >= 2) is asserted when a level is first evaluated.
     """
     try:
-        return T._validated[v.g_quot, v.handles, v.branches][2][k]
+        return T._validated[v][2][k]
     except KeyError:
         pass
     if k < 1:

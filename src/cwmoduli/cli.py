@@ -22,7 +22,7 @@ from .characters import (CharacterTable, character_table, rational_character_val
 from .chevalley_weil import cw_character
 from .decomposition import stabilization_report
 from .errors import CwModuliError, GroupSpecError
-from .groups import FiniteGroup, MetacyclicParams, group_from_spec
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, MetacyclicParams, group_from_spec
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       enumerate_branching_data, enumerate_hurwitz_vectors_parallel,
                       genus, validate)
@@ -34,6 +34,9 @@ SCHEMA = "cw-moduli/1"
 
 # Past this many irreducible characters, text tables degrade to JSON lines.
 TEXT_TABLE_LIMIT = 20
+
+# the text of every element id, so a vector renders without str() calls
+_ID_TEXT = [str(x) for x in range(DEFAULT_ORDER_CAP)]
 
 
 class _UsageError(Exception):
@@ -99,8 +102,8 @@ def _vector_record(v: HurwitzVector) -> dict:
 
 
 def _vector_text(v: HurwitzVector) -> str:
-    handles = " ".join(map(str, v.handles))
-    branches = " ".join(map(str, v.branches))
+    handles = " ".join([_ID_TEXT[x] for x in v.handles])
+    branches = " ".join([_ID_TEXT[x] for x in v.branches])
     return f"({handles} ; {branches})"
 
 

@@ -8,6 +8,7 @@ lookups, which keeps exhaustive verification cheap at desk scale.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 512
+# 16 bytes per entry: a table at the cap fits even written with indent=2
+_TABLE_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
 
 
 def _check_order(n: int) -> None:
@@ -450,9 +453,17 @@ def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
 
 
 def build_from_table(source) -> FiniteGroup:
-    """Group from a JSON object {"order": N, "mul": [[...]]} or a path to one."""
+    """Group from a JSON object {"order": N, "mul": [[...]]} or a path to one.
+
+    A file of more than 16 * 512^2 bytes (4 MiB) raises GroupSizeError before
+    it is parsed.
+    """
     if isinstance(source, (str,)):
         try:
+            size = os.path.getsize(source)
+            if size > _TABLE_FILE_BYTES:
+                raise GroupSizeError(f"table file {source!r} has {size} bytes, over the "
+                                     f"cap of {_TABLE_FILE_BYTES}")
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:

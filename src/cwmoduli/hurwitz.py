@@ -4,9 +4,12 @@ A vector (a_1, b_1, ..., a_g', b_g'; c_1, ..., c_r) encodes a Galois cover of
 a genus-g' curve branched at r points: branch entries have order > 1, the
 surface relation prod [a_i, b_i] prod c_j = 1 holds, and the entries generate
 the group. Enumeration is one serial depth-first search in element-id
-order, so output is deterministic and lexicographic. Its cap counts the
-vectors of one branching datum as they are emitted, so the list of one datum
-never grows past the cap.
+order, so output is deterministic and lexicographic. The search is one
+generator looping over an explicit stack, one frame per placed slot
+(candidate iterator, relation product so far, conjugation rows), so each
+vector is yielded once instead of passed up a chain of nested generators.
+Its cap counts the vectors of one branching datum as they are emitted, so
+the list of one datum never grows past the cap.
 
 Up to simultaneous conjugation, the representative of an orbit is its
 lexicographically smallest vector, and the search prunes prefixes instead of
@@ -21,8 +24,10 @@ is the same.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
@@ -62,26 +67,40 @@ class BranchingData:
         return len(self.branch_orders)
 
 
-@dataclass(frozen=True)
-class HurwitzVector:
-    """(a_1, b_1, ..., a_g', b_g'; c_1, ..., c_r) as element ids."""
-
+class _VectorFields(NamedTuple):
     g_quot: int
     handles: Tuple[int, ...]
     branches: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "handles", tuple(map(int, self.handles)))
-        object.__setattr__(self, "branches", tuple(map(int, self.branches)))
-        if self.g_quot < 0:
-            raise ValueError(f"quotient genus must be nonnegative, got {self.g_quot}")
-        if len(self.handles) != 2 * self.g_quot:
-            raise ValueError(
-                f"expected {2 * self.g_quot} handle entries, got {len(self.handles)}")
+
+class HurwitzVector(_VectorFields):
+    """(a_1, b_1, ..., a_g', b_g'; c_1, ..., c_r) as element ids.
+
+    A tuple record: it compares and hashes equal to (g_quot, handles, branches).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g_quot: int, handles: Iterable[int],
+                branches: Iterable[int]) -> HurwitzVector:
+        g_quot = operator.index(g_quot)
+        handles = tuple(map(int, handles))
+        branches = tuple(map(int, branches))
+        if g_quot < 0:
+            raise ValueError(f"quotient genus must be nonnegative, got {g_quot}")
+        if len(handles) != 2 * g_quot:
+            raise ValueError(f"expected {2 * g_quot} handle entries, got {len(handles)}")
+        return tuple.__new__(cls, (g_quot, handles, branches))
 
     @property
     def entries(self) -> Tuple[int, ...]:
         return self.handles + self.branches
+
+
+def _unchecked_vector(g_quot: int, handles: Tuple[int, ...],
+                      branches: Tuple[int, ...]) -> HurwitzVector:
+    """A HurwitzVector of entries that are already Python ints of the right shape."""
+    return tuple.__new__(HurwitzVector, (g_quot, handles, branches))
 
 
 def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
@@ -262,39 +281,25 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     slots = [all_elems] * n_handles + [by_order[m] for m in orders[:-1]]
     last_order = orders[-1] if r else None
 
+    if not slots:
+        # no free entry: a lone branch entry is forced to the identity, and
+        # the empty vector is valid only for the trivial group
+        if not r and G.order == 1:
+            yield _unchecked_vector(0, (), ())
+        return
+
+    identity, g_quot, cap = G.identity, data.g_quot, opts.max_vectors
     gen_memo: Dict[FrozenSet[int], bool] = {}
     flat = [0] * total
+    last = len(slots) - 1
     emitted = 0
-
-    def close(acc: int) -> Optional[HurwitzVector]:
-        """The vector whose free slots have relation product acc, if valid.
-
-        A forced last branch entry needs no conjugacy test: the conjugators
-        still carried fix every free entry, so they fix acc and its inverse.
-        A vector that passes every test counts against the cap.
-        """
-        nonlocal emitted
-        if r:
-            forced = inv[acc]
-            if order_of[forced] != last_order:
-                return None
-            flat[-1] = forced
-        elif acc != G.identity:
-            return None
-        flat_t = tuple(flat)
-        key = frozenset(flat_t)
-        ok = gen_memo.get(key)
-        if ok is None:
-            ok = gen_memo[key] = len(closure(G, key)) == G.order
-        if not ok:
-            return None
-        emitted += 1
-        if emitted > opts.max_vectors:
-            raise EnumerationCapExceeded(
-                f"enumeration exceeded the cap of {opts.max_vectors} vectors")
-        return HurwitzVector(data.g_quot, flat_t[:n_handles], flat_t[n_handles:])
-
-    def dfs(slot: int, acc: int, conj: List[List[int]]) -> Iterator[HurwitzVector]:
+    # one frame per placed slot: its candidate iterator, the relation product
+    # of the slots before it, and the conjugation rows that fix them
+    conj = _conjugation_rows(G) if opts.up_to_conjugacy else []
+    stack = [(iter(slots[0]), identity, conj)]
+    while stack:
+        slot = len(stack) - 1
+        candidates, acc, conj = stack[-1]
         if slot >= n_handles:
             step = as_is
         elif slot % 2:
@@ -302,28 +307,40 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
         else:
             step = no_step
         row_acc = rows[acc]
-        last = slot == len(slots) - 1
-        for x in slots[slot]:
+        for x in candidates:
             keep = conj
             if conj:
                 keep = _tied(x, conj)
                 if keep is None:
                     continue
             flat[slot] = x
-            if not last:
-                yield from dfs(slot + 1, row_acc[step[x]], keep)
+            prod = row_acc[step[x]]
+            if slot < last:
+                stack.append((iter(slots[slot + 1]), prod, keep))
+                break
+            # every free slot is placed. A forced last branch entry needs no
+            # conjugacy test: the conjugators still carried fix every free
+            # entry, so they fix the product and its inverse
+            if r:
+                forced = inv[prod]
+                if order_of[forced] != last_order:
+                    continue
+                flat[-1] = forced
+            elif prod != identity:
                 continue
-            v = close(row_acc[step[x]])
-            if v is not None:
-                yield v
-
-    if slots:
-        conj = _conjugation_rows(G) if opts.up_to_conjugacy else []
-        yield from dfs(0, G.identity, conj)
-    else:
-        v = close(G.identity)
-        if v is not None:
-            yield v
+            flat_t = tuple(flat)
+            key = frozenset(flat_t)
+            ok = gen_memo.get(key)
+            if ok is None:
+                ok = gen_memo[key] = len(closure(G, key)) == G.order
+            if not ok:
+                continue
+            emitted += 1
+            if emitted > cap:
+                raise EnumerationCapExceeded(f"enumeration exceeded the cap of {cap} vectors")
+            yield _unchecked_vector(g_quot, flat_t[:n_handles], flat_t[n_handles:])
+        else:
+            stack.pop()
 
 
 def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,

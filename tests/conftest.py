@@ -1,7 +1,11 @@
-"""Shared fixtures: the builder-library catalog and the genus-6 running example."""
+"""Shared fixtures: the builder-library catalog, the genus-6 running example and
+a counter of the validate calls made through the multiplicity memo."""
+
+from collections import Counter
 
 import pytest
 
+from cwmoduli import chevalley_weil
 from cwmoduli import (
     HurwitzVector,
     MetacyclicParams,
@@ -116,3 +120,17 @@ def genus6_vectors():
     v = HurwitzVector(2, (1, 0, 0, 2), (2, 1))
     v_alt = HurwitzVector(0, (), (1, 1, 2, 2, 1, 1, 2, 2))
     return v, v_alt
+
+
+@pytest.fixture()
+def validate_calls(monkeypatch):
+    """Counter of the validate calls made through the multiplicity memo, per vector."""
+    calls = Counter()
+    real = chevalley_weil.validate
+
+    def counting(v, G):
+        calls[v] += 1
+        return real(v, G)
+
+    monkeypatch.setattr(chevalley_weil, "validate", counting)
+    return calls

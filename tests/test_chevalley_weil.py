@@ -9,7 +9,6 @@ from itertools import islice
 
 import pytest
 
-from cwmoduli import chevalley_weil
 from cwmoduli import (
     BranchingData,
     HurwitzVector,
@@ -373,20 +372,6 @@ def _regular_by_search(mults, degrees):
         if tuple(n * d for d in degrees) == mults:
             return n
     return None
-
-
-@pytest.fixture()
-def validate_calls(monkeypatch):
-    """Counter of the validate calls made through the multiplicity memo, per vector."""
-    calls = Counter()
-    real = chevalley_weil.validate
-
-    def counting(v, G):
-        calls[v] += 1
-        return real(v, G)
-
-    monkeypatch.setattr(chevalley_weil, "validate", counting)
-    return calls
 
 
 class TestCachedVectors:

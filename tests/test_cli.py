@@ -297,6 +297,37 @@ def test_group_info_stdout_is_pinned(spec, as_json):
     assert hashlib.sha256(out.encode()).hexdigest() == GROUP_INFO_STDOUT[spec, as_json]
 
 
+# sha256 of the full stdout of hurwitz-enumerate and decompose, recorded
+# before HurwitzVector became a tuple record and rendering table-driven; both
+# genera reach quotient genus 1, so handle entries are rendered too
+ENUMERATION_STDOUT = {
+    ("hurwitz-enumerate", "cyclic:4", 3, ()):
+        "1dca9016c6c8f5f3e1a4e14b6a015746e12cb3a6e0f664a12c3ae80a8c82d81d",
+    ("hurwitz-enumerate", "cyclic:4", 3, ("up_to_conjugacy",)):
+        "0ea01cfe91e911e51620153ac659ca293d2b8f14adfe7c0f4d32c93309841d17",
+    ("hurwitz-enumerate", "cyclic:4", 3, ("json",)):
+        "5fdb4c42d5825bd1d2d1ef4a52fa379ddb5bd2754695c4eff5959d88c9dc4bb1",
+    ("decompose", "cyclic:4", 3, ()):
+        "e1f4965f557cfa01d88f1f5991e51c34eeace4b8bb555e8067385eb804fcdb0f",
+    ("hurwitz-enumerate", "metacyclic:3,2,2", 4, ()):
+        "918869ce44471c3943ed8e0da13869c73be8f36e2b5410e57515bd691c5cbaea",
+    ("hurwitz-enumerate", "metacyclic:3,2,2", 4, ("up_to_conjugacy",)):
+        "ddea7afb65078c8272840469616fcd5783c5ffd1f7172720d703b73d0632f04f",
+    ("hurwitz-enumerate", "metacyclic:3,2,2", 4, ("json",)):
+        "504e25777396e7bb4df23d6bbb6560c28e13200261c7c4e4fad20a2022030eca",
+    ("decompose", "metacyclic:3,2,2", 4, ()):
+        "3cda0506c6e0fdaf85764a2c13831883d5bb4f60771c82ccc52912f70a58b0e0",
+}
+
+
+@pytest.mark.parametrize("command, spec, g, flags", ENUMERATION_STDOUT)
+def test_enumeration_stdout_is_pinned(command, spec, g, flags):
+    code, out, err = invoke(command, group=spec, genus=g, **dict.fromkeys(flags, True))
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ENUMERATION_STDOUT[command, spec, g, flags]
+
+
 class TestRationalCells:
     """Cells are integers exactly where the value is, read without count matrices."""
 

@@ -25,7 +25,7 @@ from cwmoduli import (
     group_from_spec,
     run,
 )
-from cwmoduli.groups import greedy_generators
+from cwmoduli.groups import _TABLE_FILE_BYTES, greedy_generators
 
 from conftest import A4_PERM_GENS, Q8_PERM_GENS, S3_PERM_GENS, S4_PERM_GENS
 
@@ -248,6 +248,28 @@ class TestBuilders:
             build_from_table(str(bad))
         with pytest.raises(GroupSpecError):
             build_from_table(str(tmp_path / "missing.json"))
+
+    def test_oversized_table_file_is_rejected_before_parsing(self, tmp_path):
+        # a valid order-1 table padded past the bound: the file size alone
+        # decides, and nothing of the file is read
+        path = tmp_path / "padded.json"
+        path.write_text('{"order": 1, "mul": [[0]]}' + " " * _TABLE_FILE_BYTES)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSizeError, match="bytes, over the cap"):
+                group_from_spec(f"table:{path}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_indented_table_file_at_the_order_cap_is_under_the_bound(self, tmp_path):
+        # the Z/512 table, written out but not built
+        mul = [[(a + b) % 512 for b in range(512)] for a in range(512)]
+        path = tmp_path / "c512.json"
+        with open(path, "w") as fh:
+            json.dump({"order": 512, "mul": mul}, fh, indent=2)
+        assert 0.5 * _TABLE_FILE_BYTES < path.stat().st_size <= _TABLE_FILE_BYTES
 
 
 class TestAxioms:

@@ -6,7 +6,9 @@ in the tests themselves so they do not depend on the enumerator under test.
 
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from cwmoduli import (
@@ -23,7 +25,9 @@ from cwmoduli import (
     branching_data_of,
     build_cyclic,
     build_metacyclic,
+    character_table,
     conjugate_vector,
+    cw_character,
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
     enumerate_hurwitz_vectors_parallel,
@@ -61,6 +65,63 @@ class TestVectorBasics:
             BranchingData(0, (1, 2))
         with pytest.raises(ValueError):
             BranchingData(-1, (2,))
+
+
+class TestVectorRecord:
+    """HurwitzVector is a tuple record; the enumerator builds it unchecked."""
+
+    @pytest.fixture()
+    def s3_vectors(self, s3):
+        return [v for d in enumerate_branching_data(s3, 4)
+                for v in enumerate_hurwitz_vectors(s3, d)]
+
+    def test_enumerated_vectors_are_plain_records(self, s3_vectors):
+        assert {v.g_quot for v in s3_vectors} == {0, 1}
+        for v in s3_vectors:
+            assert type(v) is HurwitzVector
+            assert type(v.g_quot) is int
+            assert all(type(x) is int for x in v.entries)
+            assert type(v.handles) is tuple and type(v.branches) is tuple
+            w = HurwitzVector(*v)
+            assert w == v and hash(w) == hash(v)
+            assert v == (v.g_quot, v.handles, v.branches)
+
+    def test_keyword_construction(self):
+        v = HurwitzVector(g_quot=1, handles=(2, 5), branches=(1, 1))
+        assert v == HurwitzVector(1, (2, 5), (1, 1))
+        assert (v.g_quot, v.handles, v.branches) == (1, (2, 5), (1, 1))
+
+    def test_numpy_ints_and_lists_are_normalized(self):
+        v = HurwitzVector(np.int64(1), [np.int64(2), np.int32(5)], np.array([1, 1]))
+        assert v == HurwitzVector(1, (2, 5), (1, 1))
+        assert type(v.g_quot) is int
+        assert type(v.handles) is tuple and type(v.branches) is tuple
+        assert all(type(x) is int for x in v.entries)
+
+    @pytest.mark.parametrize("args", [(-1, (), ()), (2, (1, 2), (0,)), (0, (1, 2), (1,))])
+    def test_bad_genus_or_handle_count_rejected(self, args):
+        with pytest.raises(ValueError):
+            HurwitzVector(*args)
+
+    def test_one_validate_per_distinct_vector_per_table(self, validate_calls, s3,
+                                                        s3_vectors):
+        copies = [HurwitzVector(g_quot=np.int64(v.g_quot), handles=list(v.handles),
+                                branches=list(v.branches)) for v in s3_vectors]
+        for T in (character_table(s3), character_table(s3)):
+            validate_calls.clear()
+            for batch in (s3_vectors, copies):
+                for v in batch:
+                    cw_character(v, T, 2)
+            assert validate_calls == Counter(s3_vectors)
+
+    def test_no_free_entry(self):
+        # only the trivial group has a valid empty vector; a lone branch entry
+        # would be forced to the identity
+        trivial, z2 = build_cyclic(1), build_cyclic(2)
+        assert list(enumerate_hurwitz_vectors(trivial, BranchingData(0, ()))) == [
+            HurwitzVector(0, (), ())]
+        assert list(enumerate_hurwitz_vectors(z2, BranchingData(0, ()))) == []
+        assert list(enumerate_hurwitz_vectors(z2, BranchingData(0, (2,)))) == []
 
 
 class TestValidate:
