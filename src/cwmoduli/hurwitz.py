@@ -92,6 +92,11 @@ class HurwitzVector(_VectorFields):
             raise ValueError(f"expected {2 * g_quot} handle entries, got {len(handles)}")
         return tuple.__new__(cls, (g_quot, handles, branches))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> HurwitzVector:
+        """The validating constructor, so _make and _replace check too."""
+        return cls(*iterable)
+
     @property
     def entries(self) -> Tuple[int, ...]:
         return self.handles + self.branches

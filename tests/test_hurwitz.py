@@ -102,6 +102,15 @@ class TestVectorRecord:
     def test_bad_genus_or_handle_count_rejected(self, args):
         with pytest.raises(ValueError):
             HurwitzVector(*args)
+        with pytest.raises(ValueError):
+            HurwitzVector._make(args)
+
+    def test_replace_validates_and_normalizes(self):
+        v = HurwitzVector(1, (2, 5), (1, 1))
+        assert v._replace(branches=[np.int64(3)]) == HurwitzVector(1, (2, 5), (3,))
+        assert type(v._replace(branches=[np.int64(3)]).branches[0]) is int
+        with pytest.raises(ValueError):
+            v._replace(g_quot=2)
 
     def test_one_validate_per_distinct_vector_per_table(self, validate_calls, s3,
                                                         s3_vectors):
