@@ -20,7 +20,7 @@ multiplicities and fingerprints read.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,10 @@ class CharacterTable:
         # one entry per validated HurwitzVector (a tuple record, so equal
         # vectors share it) -> (genus, sorted branch class ids, level dict)
         self._validated: Dict[tuple, tuple] = {}
+        # frozenset of a validated vector's entries -> whether they generate
+        # the group: validate's generation test, at most one entry per
+        # vector validated against this table
+        self._generated: Dict[FrozenSet[int], bool] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
         # shared by the memo entries of every vector with that key
         self._levels: Dict[tuple, Dict[int, object]] = {}
@@ -163,7 +167,7 @@ def eigenvalue_multiplicities(T: CharacterTable, rho: int, c: int) -> Tuple[int,
     Entry a is row rho of the count matrix of the class of c: the number of
     eigenvalues zeta_m^a of rho(c). There are m entries, summing to the degree.
     """
-    return tuple(eigenvalue_counts(T, int(T.classes.class_of[c]))[rho].tolist())
+    return tuple(eigenvalue_counts(T, T.classes.class_list()[c])[rho].tolist())
 
 
 def inner_product(T: CharacterTable, a: Sequence[int], b: int) -> int:
@@ -278,7 +282,7 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
 
 def _splitting_order(G: FiniteGroup, conj: ConjugacyData) -> List[int]:
     """Classes of a greedy generating set, then every other nonidentity class."""
-    first = dict.fromkeys(int(conj.class_of[g]) for g in greedy_generators(G.mul_rows()))
+    first = dict.fromkeys(conj.class_list()[g] for g in greedy_generators(G.mul_rows()))
     return list(first) + [i for i in range(1, conj.class_count) if i not in first]
 
 

@@ -16,7 +16,10 @@ to be exact. Range and dimension identities are asserted, never assumed.
 Each table memoizes one entry per validated vector, (genus, class key,
 levels), where levels is the dict level -> MultiplicityVector shared by every
 vector with the same (quotient genus, class key). A cached query is therefore
-one lookup of the vector key and one of the level.
+one lookup of the vector key and one of the level. The first query of a
+vector validates it in full; its generation test is one lookup in the
+table's second memo, from entry set to whether it generates G, so the
+subgroup closure runs once per distinct entry set per table.
 """
 
 from __future__ import annotations
@@ -59,14 +62,18 @@ _Entry = Tuple[int, Tuple[int, ...], Dict[int, MultiplicityVector]]
 def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
     """Validate v once per table; memoize its genus, class key and level dict.
 
-    The level dict is shared by every vector with the same quotient genus and
-    branch class multiset. An invalid vector raises and is not memoized.
+    Every check of validate runs on v; the generation test reads and fills
+    T._generated, keyed by the entry set, so vectors with equal entry sets
+    share one closure. The level dict is shared by every vector with the same
+    quotient genus and branch class multiset. An invalid vector raises on
+    every call and is not memoized; a non-generating entry set is stored as
+    False, so its vectors raise NotGenerating from that lookup.
     """
     hit = T._validated.get(v)
     if hit is None:
-        validate(v, T.group)
-        class_of = T.classes.class_of
-        class_key = tuple(sorted(int(class_of[c]) for c in v.branches))
+        validate(v, T.group, generated=T._generated)
+        class_of = T.classes.class_list()
+        class_key = tuple(sorted([class_of[c] for c in v.branches]))
         levels = T._levels.setdefault((v.g_quot, class_key), {})
         hit = T._validated[v] = (genus(v, T.group), class_key, levels)
     return hit

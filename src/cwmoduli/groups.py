@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
@@ -74,7 +73,9 @@ class FiniteGroup:
         self._inv_list = self._inv.tolist()
         self._orders = _element_orders(tbl)
         self._orders.flags.writeable = False
-        self._exponent = int(lcm(*(int(o) for o in self._orders)))
+        # element orders as Python ints, read by elem_order in hot loops
+        self._order_of = tuple(self._orders.tolist())
+        self._exponent = lcm(*self._order_of)
 
     @property
     def identity(self) -> int:
@@ -98,24 +99,25 @@ class FiniteGroup:
         return range(self.order)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._table[a, b])
+        return self._rows[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self._inv[a])
+        return self._inv_list[a]
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k, reduced through the element order."""
-        k %= self.elem_order(a)
+        k %= self._order_of[a]
+        rows = self._rows
         acc = 0
         for _ in range(k):
-            acc = int(self._table[acc, a])
+            acc = rows[acc][a]
         return acc
 
     def elem_order(self, a: int) -> int:
-        return int(self._orders[a])
+        return self._order_of[a]
 
     def element_orders(self) -> Tuple[int, ...]:
-        return tuple(int(o) for o in self._orders)
+        return self._order_of
 
     def exponent(self) -> int:
         """lcm of all element orders."""
@@ -215,7 +217,8 @@ class ConjugacyData:
 
     Classes are ordered by their smallest member, so class 0 is always the
     identity class. power_class[i, j] is the class of r**j for any r in class i,
-    for every exponent j in 0..exponent-1.
+    for every exponent j in 0..exponent-1. class_of is kept both as a read-only
+    array and, for per-element reads, as a list of Python ints.
     """
 
     def __init__(self, group: FiniteGroup, class_of: np.ndarray,
@@ -223,6 +226,7 @@ class ConjugacyData:
                  power_class: np.ndarray):
         self.group = group
         self.class_of = class_of
+        self._class_list = class_of.tolist()
         self.representatives = representatives
         self.class_sizes = class_sizes
         self.power_class = power_class
@@ -235,6 +239,10 @@ class ConjugacyData:
         """Class index of the inverses of class i."""
         e = self.group.exponent()
         return int(self.power_class[i, (e - 1) % e])
+
+    def class_list(self) -> List[int]:
+        """class_of as a list; faster than numpy scalar indexing in hot loops."""
+        return self._class_list
 
     def members(self, i: int) -> np.ndarray:
         return np.nonzero(self.class_of == i)[0]
@@ -381,8 +389,9 @@ def _parse_cycle_string(text: str) -> List[List[int]]:
     return cycles
 
 
-def _longest_orbit(all_cycles: Sequence[List[List[int]]]) -> int:
-    """Length of the longest orbit of the group the cycles generate (union-find on points)."""
+def _orbits(all_cycles: Sequence[List[List[int]]]) -> List[List[int]]:
+    """Orbits of the group the cycles generate, each in increasing point order,
+    ordered by their smallest point (union-find on points)."""
     root: Dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -396,7 +405,40 @@ def _longest_orbit(all_cycles: Sequence[List[List[int]]]) -> int:
             r = find(cyc[0])
             for x in cyc[1:]:
                 root[find(x)] = r
-    return max(Counter(find(x) for x in list(root)).values(), default=1)
+    orbits: Dict[int, List[int]] = {}
+    for x in sorted(root):
+        orbits.setdefault(find(x), []).append(x)
+    return list(orbits.values())
+
+
+def _distinct_orbit_actions(all_cycles: Sequence[List[List[int]]],
+                            orbits: Sequence[List[int]]) -> List[Tuple[int, ...]]:
+    """The generators as permutation tuples on the orbits with distinct actions.
+
+    Each orbit's points are relabelled 0..len-1 in increasing order; an orbit
+    whose relabelled action repeats an earlier orbit's is dropped. Identical
+    copies of one action act diagonally, so the generated group, its products
+    and therefore its table do not change, while the tuples shrink to the
+    points of the distinct orbits.
+    """
+    images: List[Dict[int, int]] = []
+    for cycles in all_cycles:
+        img: Dict[int, int] = {}
+        for cyc in cycles:
+            img.update(zip(cyc, cyc[1:] + cyc[:1]))
+        images.append(img)
+    seen: Set[Tuple[Tuple[int, ...], ...]] = set()
+    gens: List[List[int]] = [[] for _ in all_cycles]
+    for orbit in orbits:
+        local = {p: i for i, p in enumerate(orbit)}
+        action = tuple(tuple(local[img.get(p, p)] for p in orbit) for img in images)
+        if action in seen:
+            continue
+        seen.add(action)
+        offset = len(gens[0])
+        for g, a in zip(gens, action):
+            g.extend(offset + i for i in a)
+    return [tuple(g) for g in gens]
 
 
 def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
@@ -404,7 +446,8 @@ def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
 
     Products compose left to right: (p*q)(point) = q(p(point)). Element ids
     follow breadth-first discovery from the identity, so they are stable for a
-    fixed generator list. Only the points written are used, in increasing order.
+    fixed generator list. Only the points written are used, and of orbits with
+    the same action (points taken in increasing order) only the first.
     """
     all_cycles = [_parse_cycle_string(s) for s in generator_strs]
     # a generator of disjoint cycles has the lcm of their lengths as order,
@@ -414,18 +457,12 @@ def build_from_permutations(generator_strs: Sequence[str]) -> FiniteGroup:
         exponent = lcm(exponent, *(len(c) for c in cycles))
         if exponent > DEFAULT_ORDER_CAP:
             break
+    orbits = _orbits(all_cycles)
     # orbit-stabilizer: |G| is at least the length of every orbit
-    if exponent > DEFAULT_ORDER_CAP or _longest_orbit(all_cycles) > DEFAULT_ORDER_CAP:
+    if exponent > DEFAULT_ORDER_CAP or max(map(len, orbits), default=1) > DEFAULT_ORDER_CAP:
         raise GroupSizeError(f"permutation closure exceeds the cap of {DEFAULT_ORDER_CAP}")
-    index = {p: i for i, p in enumerate(sorted({x for cs in all_cycles for c in cs for x in c}))}
-    gens: List[Tuple[int, ...]] = []
-    for cycles in all_cycles:
-        images = list(range(len(index)))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[index[a]] = index[b]
-        gens.append(tuple(images))
-    ident = tuple(range(len(index)))
+    gens = _distinct_orbit_actions(all_cycles, orbits)
+    ident = tuple(range(len(gens[0]) if gens else 0))
     ids: Dict[Tuple[int, ...], int] = {ident: 0}
     elems: List[Tuple[int, ...]] = [ident]
     parent = [(0, 0)]  # elems[b] = elems[a] * gens[t]

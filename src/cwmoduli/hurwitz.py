@@ -119,24 +119,39 @@ def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
     return acc
 
 
-def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
+def validate(v: HurwitzVector, G: FiniteGroup, *,
+             generated: Optional[Dict[FrozenSet[int], bool]] = None) -> HurwitzVector:
     """Check the three defining conditions, reporting the first violated one.
 
     Raises OrderViolation if a branch entry is the identity, RelationViolation
     if the surface relation fails, NotGenerating if the entries span a proper
     subgroup. Returns the vector unchanged on success.
+
+    Generation depends only on the set of entries. With generated, a memo
+    from entry sets to whether they generate G, a set found there needs no
+    closure, and a set that is not is tested once and stored, a proper
+    subgroup as False, so its vectors raise on every call.
     """
+    order_of = G.element_orders()
+    n = G.order
     for x in v.entries:
-        if not 0 <= x < G.order:
+        if not 0 <= x < n:
             raise ValueError(f"entry {x} is not an element id of {G.label}")
     for j, c in enumerate(v.branches):
-        if G.elem_order(c) == 1:
+        if order_of[c] == 1:
             raise OrderViolation(f"branch entry c_{j + 1} = {c} has order 1")
     prod = _relation_product(v, G)
     if prod != G.identity:
         raise RelationViolation(
             f"surface relation product is element {prod}, not the identity")
-    if len(closure(G, v.entries)) != G.order:
+    if generated is None:
+        ok = len(closure(G, v.entries)) == n
+    else:
+        key = frozenset(v.entries)
+        ok = generated.get(key)
+        if ok is None:
+            ok = generated[key] = len(closure(G, key)) == n
+    if not ok:
         raise NotGenerating("vector entries generate a proper subgroup")
     return v
 
@@ -155,17 +170,18 @@ def conjugate_vector(v: HurwitzVector, G: FiniteGroup, h: int) -> HurwitzVector:
 
 def genus(v_or_data: Union[HurwitzVector, BranchingData], G: FiniteGroup) -> int:
     """Covering-curve genus g from 2g - 2 = |G|(2g' - 2) + sum (|G|/m_i)(m_i - 1)."""
+    g_quot = v_or_data.g_quot
+    order_of = G.element_orders()
     if isinstance(v_or_data, HurwitzVector):
-        g_quot = v_or_data.g_quot
-        orders = [G.elem_order(c) for c in v_or_data.branches]
+        orders = [order_of[c] for c in v_or_data.branches]
     else:
-        g_quot = v_or_data.g_quot
         orders = list(v_or_data.branch_orders)
-        available = set(G.element_orders())
+        available = set(order_of)
         bad = [m for m in orders if m not in available]
         if bad:
             raise ValueError(f"branching indices {bad} are not element orders of {G.label}")
-    rhs = G.order * (2 * g_quot - 2) + sum((G.order // m) * (m - 1) for m in orders)
+    n = G.order
+    rhs = n * (2 * g_quot - 2) + sum([n // m * (m - 1) for m in orders])
     if rhs % 2:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is odd; no integral genus exists")
     g = rhs // 2 + 1

@@ -128,9 +128,9 @@ def validate_calls(monkeypatch):
     calls = Counter()
     real = chevalley_weil.validate
 
-    def counting(v, G):
+    def counting(v, G, **kw):
         calls[v] += 1
-        return real(v, G)
+        return real(v, G, **kw)
 
     monkeypatch.setattr(chevalley_weil, "validate", counting)
     return calls

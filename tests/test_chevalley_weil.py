@@ -2,6 +2,7 @@
 invariance, periodicity, large levels and genera on a default table, and a
 prime-field reference evaluation as an oracle for the integer path."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -27,12 +28,16 @@ from cwmoduli import (
     eigenvalue_counts,
     genus,
     NotGenerating,
+    OrderViolation,
     periodicity_delta,
     recover_integer,
     regular_multiple,
+    RelationViolation,
     root_power_sum,
     validate,
 )
+from cwmoduli import hurwitz
+from cwmoduli.chevalley_weil import _genus_and_classes
 
 
 class TestGoldenValues:
@@ -429,6 +434,79 @@ class TestCachedVectors:
             decompose_at_k([bad], T, 1)
         assert validate_calls == Counter({bad: 5})
         assert T._validated == {}
+
+
+@pytest.fixture()
+def closure_calls(monkeypatch):
+    """Counter of the closure calls made by validate, per generating set."""
+    calls = Counter()
+    real = hurwitz.closure
+
+    def counting(G, S):
+        S = frozenset(S)
+        calls[S] += 1
+        return real(G, S)
+
+    monkeypatch.setattr(hurwitz, "closure", counting)
+    return calls
+
+
+def _outcome(check, v):
+    """The exception type check(v) raises, or None if it accepts v."""
+    try:
+        check(v)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestGenerationMemo:
+    def test_one_closure_per_entry_set_per_table(self, catalog_le_12, closure_calls):
+        G = dict(catalog_le_12)["metacyclic:3,2,2"]
+        vectors = list(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
+        entry_sets = Counter(frozenset(v.entries) for v in vectors)
+        assert len(entry_sets) < len(vectors)
+        # each table tests each set once, whatever the other table has seen
+        for T in (character_table(G), character_table(G)):
+            closure_calls.clear()
+            for v in vectors:
+                for k in (1, 2):
+                    cw_character(v, T, k)
+            assert closure_calls == Counter(dict.fromkeys(entry_sets, 1))
+            assert T._generated == dict.fromkeys(entry_sets, True)
+
+    def test_non_generating_vector_raises_on_every_call(self, s3, closure_calls):
+        T = character_table(s3)
+        # y * y = 1 and y^4 = 1, but <y> is proper; both have entry set {y}
+        bad, same_set = HurwitzVector(0, (), (1, 1)), HurwitzVector(0, (), (1, 1, 1, 1))
+        for v in (bad, bad, same_set, bad):
+            with pytest.raises(NotGenerating):
+                cw_character(v, T, 2)
+        assert closure_calls == Counter({frozenset({1}): 1})
+        assert T._generated == {frozenset({1}): False}
+        assert T._validated == {}
+
+    def test_memoized_and_standalone_validation_agree(self, s3):
+        T = character_table(s3)
+        n = s3.order
+        items = [v for d in enumerate_branching_data(s3, 3)
+                 for v in enumerate_hurwitz_vectors(s3, d)]
+        # every branch triple and every one-handle vector with one branch
+        # entry: identity entries, failed relations and proper subgroups
+        made = [HurwitzVector(0, (), t) for t in itertools.product(range(n), repeat=3)]
+        made += [HurwitzVector(1, (a, b), (c,))
+                 for a, b, c in itertools.product(range(n), repeat=3)]
+        made += [HurwitzVector(0, (), (n, 1, 1)), HurwitzVector(0, (), (-1, 1, 1)),
+                 HurwitzVector(1, (1, n), ())]
+        seen = Counter()
+        for v in items + made + made:
+            standalone = _outcome(lambda v: validate(v, s3), v)
+            memoized = _outcome(lambda v: _genus_and_classes(v, T), v)
+            assert memoized is standalone, v
+            seen[standalone] += 1
+        assert set(seen) == {None, ValueError, OrderViolation, RelationViolation,
+                             NotGenerating}
+        assert False in T._generated.values()
 
 
 class TestDomainChecks:

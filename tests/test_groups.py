@@ -30,6 +30,11 @@ from cwmoduli.groups import _TABLE_FILE_BYTES, greedy_generators
 from conftest import A4_PERM_GENS, Q8_PERM_GENS, S3_PERM_GENS, S4_PERM_GENS
 
 A6_PERM_GENS = ["(1,2,3)", "(2,3,4,5,6)"]
+# S3 acting identically on {1,2,3}, {4,5,6} and {10,20,30}: the builder keeps
+# one copy, the brute force in test_permutation_table_matches_brute_force all
+S3_COPIES_GENS = ["(1,2)(4,5)(10,20)", "(1,2,3)(4,5,6)(10,20,30)"]
+# S3 on {1,2,3}, and on {4,5,6} through a different labelling of its points
+S3_TWISTED_GENS = ["(1,2)(5,6)", "(1,2,3)(4,5,6)"]
 
 # order-5 loop: latin square with two-sided identity 0 but (1*1)*2 != 1*(1*2)
 NONASSOC_LOOP = [
@@ -137,7 +142,8 @@ class TestBuilders:
         assert G.elem_order(G.mul(1, 2)) == 3
 
     @pytest.mark.parametrize("gens", [S3_PERM_GENS, A4_PERM_GENS, S4_PERM_GENS,
-                                      Q8_PERM_GENS, A6_PERM_GENS])
+                                      Q8_PERM_GENS, A6_PERM_GENS, S3_COPIES_GENS,
+                                      S3_TWISTED_GENS])
     def test_permutation_table_matches_brute_force(self, gens):
         # ids in breadth-first discovery order, then every product composed
         # point by point: (p*q)(x) = q(p(x))
@@ -208,6 +214,23 @@ class TestBuilders:
         # dihedral group of order 20000: rejected before any permutation tuple
         a = "".join(f"({i},{i + 1})" for i in range(1, 20000, 2))
         b = "".join(f"({i},{i + 1})" for i in range(2, 19999, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSizeError, match="permutation closure exceeds the cap of 512"):
+                group_from_spec(f"perm:{a};{b}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
+    def test_repeated_short_orbits_cap_before_full_degree_tuples(self):
+        # two involutions acting as a 500-point dihedral pattern on 40
+        # disjoint blocks (20000 points, order 1000): the copies are dropped
+        # before any tuple is built, so the closure runs on 500 points
+        a = "".join(f"({i},{i + 1})" for blk in range(0, 20000, 500)
+                    for i in range(blk + 1, blk + 500, 2))
+        b = "".join(f"({i},{i + 1})" for blk in range(0, 20000, 500)
+                    for i in range(blk + 2, blk + 499, 2))
         tracemalloc.start()
         try:
             with pytest.raises(GroupSizeError, match="permutation closure exceeds the cap of 512"):
@@ -493,6 +516,32 @@ class TestGroupFromSpec:
         path.write_text(json.dumps({"order": 3, "mul": G.mul_rows()}))
         H = group_from_spec(f"table:{path}")
         assert np.array_equal(G.mul_table, H.mul_table)
+
+    def test_element_reads_are_python_ints(self, tmp_path):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(
+            {"order": 8, "mul": build_metacyclic(MetacyclicParams(4, 2, 3)).mul_rows()}))
+        for spec in ["cyclic:6", "abelian:2,4", "metacyclic:4,2,3",
+                     "perm:(1,2);(1,2,3)", f"table:{path}"]:
+            G = group_from_spec(spec)
+            conj = conjugacy_classes(G)
+            reads = list(G.element_orders()) + list(conj.class_list())
+            for x in G.elements():
+                reads += [G.elem_order(x), G.inv(x), G.power(x, 3)]
+                reads += [G.mul(x, y) for y in G.elements()]
+            assert {type(r) for r in reads} == {int}, spec
+            # the same values as the arrays
+            tbl = G.mul_table
+            assert [[G.mul(x, y) for y in G.elements()] for x in G.elements()] \
+                == tbl.tolist()
+            assert [G.inv(x) for x in G.elements()] == G.inv_table.tolist()
+            assert conj.class_list() == conj.class_of.tolist()
+            for x in G.elements():
+                assert G.power(x, 3) == tbl[tbl[x, x], x]
+                acc, k = x, 1
+                while acc != 0:
+                    acc, k = tbl[acc, x], k + 1
+                assert G.elem_order(x) == G.element_orders()[x] == k
 
     def test_malformed_specs(self):
         for spec in ["wat:3", "cyclic:x", "cyclic:2,3", "cyclic:0",
