@@ -69,9 +69,10 @@ class CharacterTable:
         # one entry per validated HurwitzVector (a tuple record, so equal
         # vectors share it) -> (genus, sorted branch class ids, level dict)
         self._validated: Dict[tuple, tuple] = {}
-        # frozenset of a validated vector's entries -> whether they generate
-        # the group: validate's generation test, at most one entry per
-        # vector validated against this table
+        # frozenset of entries -> whether they generate the group: validate's
+        # generation test. One entry per distinct entry set that reached the
+        # test, so a set rejected as a proper subgroup is kept (as False)
+        # although its vectors never enter _validated
         self._generated: Dict[FrozenSet[int], bool] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
         # shared by the memo entries of every vector with that key

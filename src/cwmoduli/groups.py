@@ -71,10 +71,8 @@ class FiniteGroup:
         self._inv = _inverse_map(tbl)
         self._inv.flags.writeable = False
         self._inv_list = self._inv.tolist()
-        self._orders = _element_orders(tbl)
-        self._orders.flags.writeable = False
         # element orders as Python ints, read by elem_order in hot loops
-        self._order_of = tuple(self._orders.tolist())
+        self._order_of = tuple(_element_orders(tbl).tolist())
         self._exponent = lcm(*self._order_of)
 
     @property

@@ -119,6 +119,20 @@ def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
     return acc
 
 
+def _generates(G: FiniteGroup, entries: Iterable[int],
+               memo: Dict[FrozenSet[int], bool]) -> bool:
+    """Whether entries generate G, memoized by entry set.
+
+    Generation depends only on the set of entries, so each distinct set runs
+    closure once; a proper subgroup is stored as False.
+    """
+    key = frozenset(entries)
+    ok = memo.get(key)
+    if ok is None:
+        ok = memo[key] = len(closure(G, key)) == G.order
+    return ok
+
+
 def validate(v: HurwitzVector, G: FiniteGroup, *,
              generated: Optional[Dict[FrozenSet[int], bool]] = None) -> HurwitzVector:
     """Check the three defining conditions, reporting the first violated one.
@@ -127,10 +141,8 @@ def validate(v: HurwitzVector, G: FiniteGroup, *,
     if the surface relation fails, NotGenerating if the entries span a proper
     subgroup. Returns the vector unchanged on success.
 
-    Generation depends only on the set of entries. With generated, a memo
-    from entry sets to whether they generate G, a set found there needs no
-    closure, and a set that is not is tested once and stored, a proper
-    subgroup as False, so its vectors raise on every call.
+    generated is a memo from entry sets to whether they generate G (see
+    _generates); without one the generation test uses a fresh memo.
     """
     order_of = G.element_orders()
     n = G.order
@@ -144,14 +156,7 @@ def validate(v: HurwitzVector, G: FiniteGroup, *,
     if prod != G.identity:
         raise RelationViolation(
             f"surface relation product is element {prod}, not the identity")
-    if generated is None:
-        ok = len(closure(G, v.entries)) == n
-    else:
-        key = frozenset(v.entries)
-        ok = generated.get(key)
-        if ok is None:
-            ok = generated[key] = len(closure(G, key)) == n
-    if not ok:
+    if not _generates(G, v.entries, generated if generated is not None else {}):
         raise NotGenerating("vector entries generate a proper subgroup")
     return v
 
@@ -350,11 +355,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
             elif prod != identity:
                 continue
             flat_t = tuple(flat)
-            key = frozenset(flat_t)
-            ok = gen_memo.get(key)
-            if ok is None:
-                ok = gen_memo[key] = len(closure(G, key)) == G.order
-            if not ok:
+            if not _generates(G, flat_t, gen_memo):
                 continue
             emitted += 1
             if emitted > cap:
