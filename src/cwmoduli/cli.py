@@ -83,11 +83,13 @@ def _parse_vector(text: str, G: FiniteGroup) -> HurwitzVector:
     missing = [key for key in ("g_quot", "handles", "branches") if key not in data]
     if missing:
         raise _UsageError(f"vector JSON lacks keys {missing}")
+    g_quot, handles, branches = data["g_quot"], data["handles"], data["branches"]
+    if not (isinstance(handles, list) and isinstance(branches, list)
+            and all(type(x) is int for x in (g_quot, *handles, *branches))):
+        raise _UsageError("vector g_quot, handles and branches must hold JSON integers")
     try:
-        v = HurwitzVector(int(data["g_quot"]),
-                          tuple(int(x) for x in data["handles"]),
-                          tuple(int(x) for x in data["branches"]))
-    except (TypeError, ValueError) as exc:
+        v = HurwitzVector(g_quot, handles, branches)
+    except ValueError as exc:
         raise _UsageError(f"malformed vector: {exc}") from exc
     for x in v.entries:
         if not 0 <= x < G.order:

@@ -8,6 +8,7 @@ lookups, which keeps exhaustive verification cheap at desk scale.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -211,18 +212,18 @@ def _element_orders(tbl: np.ndarray) -> np.ndarray:
 
 
 class ConjugacyData:
-    """Conjugacy classes of a group, with power maps precomputed.
+    """Conjugacy classes of a group, read off the table of all conjugates, with
+    power maps precomputed.
 
     Classes are ordered by their smallest member, so class 0 is always the
     identity class. power_class[i, j] is the class of r**j for any r in class i,
     for every exponent j in 0..exponent-1. class_of is kept both as a read-only
-    array and, for per-element reads, as a list of Python ints.
+    array and, for per-element reads, as a list of Python ints. The record holds
+    no reference to its group: everything it answers is in these fields.
     """
 
-    def __init__(self, group: FiniteGroup, class_of: np.ndarray,
-                 representatives: Tuple[int, ...], class_sizes: Tuple[int, ...],
-                 power_class: np.ndarray):
-        self.group = group
+    def __init__(self, class_of: np.ndarray, representatives: Tuple[int, ...],
+                 class_sizes: Tuple[int, ...], power_class: np.ndarray):
         self.class_of = class_of
         self._class_list = class_of.tolist()
         self.representatives = representatives
@@ -234,9 +235,8 @@ class ConjugacyData:
         return len(self.representatives)
 
     def inverse_class(self, i: int) -> int:
-        """Class index of the inverses of class i."""
-        e = self.group.exponent()
-        return int(self.power_class[i, (e - 1) % e])
+        """Class index of the inverses of class i: the class of r**(exponent-1)."""
+        return int(self.power_class[i, -1])
 
     def class_list(self) -> List[int]:
         """class_of as a list; faster than numpy scalar indexing in hot loops."""
@@ -247,30 +247,23 @@ class ConjugacyData:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyData:
-    """Compute conjugacy classes by exhaustive conjugation."""
-    n = G.order
+    """Conjugacy classes and power maps from whole-array lookups on the table.
+
+    One n x n gather holds every conjugate h g h^-1; its column minimum names
+    g's class by its smallest member, and one np.unique numbers the classes in
+    that order. The powers of all representatives advance together, one
+    exponent step at a time. The result keeps no reference to G.
+    """
     tbl = G.mul_table
-    inv = G.inv_table
-    all_h = np.arange(n)
-    class_of = np.full(n, -1, dtype=np.int64)
-    reps: List[int] = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        orbit = np.unique(tbl[tbl[all_h, g], inv])
-        class_of[orbit] = len(reps)
-        reps.append(g)
-    sizes = tuple(int((class_of == i).sum()) for i in range(len(reps)))
-    e = G.exponent()
-    power_class = np.zeros((len(reps), e), dtype=np.int64)
-    for i, r in enumerate(reps):
-        cur = 0
-        for j in range(e):
-            power_class[i, j] = class_of[cur]
-            cur = int(tbl[cur, r])
+    smallest = tbl[tbl, G.inv_table[:, None]].min(axis=0)
+    reps, class_of, sizes = np.unique(smallest, return_inverse=True, return_counts=True)
+    powers = np.zeros((len(reps), G.exponent()), dtype=np.int64)
+    for j in range(1, powers.shape[1]):
+        powers[:, j] = tbl[powers[:, j - 1], reps]
+    power_class = class_of[powers]
     class_of.flags.writeable = False
     power_class.flags.writeable = False
-    return ConjugacyData(G, class_of, tuple(reps), sizes, power_class)
+    return ConjugacyData(class_of, tuple(reps.tolist()), tuple(sizes.tolist()), power_class)
 
 
 def closure(G: FiniteGroup, S: Iterable[int]) -> Set[int]:
@@ -318,6 +311,7 @@ class MetacyclicParams:
 
 def build_cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition; element k has id k."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
     _check_order(n)
@@ -332,7 +326,7 @@ def build_abelian(factors: Sequence[int]) -> FiniteGroup:
     Element ids encode tuples lexicographically: the leftmost factor is the
     most significant digit, so (0,...,0) is id 0.
     """
-    factors = tuple(int(f) for f in factors)
+    factors = tuple(map(operator.index, factors))
     if not factors:
         raise ValueError("abelian factor list must be nonempty")
     if any(f < 1 for f in factors):

@@ -31,7 +31,7 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optio
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup, generates
 
 __all__ = [
     "BranchingData",
@@ -55,11 +55,13 @@ class BranchingData:
     branch_orders: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.g_quot < 0:
-            raise ValueError(f"quotient genus must be nonnegative, got {self.g_quot}")
-        orders = tuple(sorted(int(m) for m in self.branch_orders))
+        g_quot = operator.index(self.g_quot)
+        if g_quot < 0:
+            raise ValueError(f"quotient genus must be nonnegative, got {g_quot}")
+        orders = tuple(sorted(map(operator.index, self.branch_orders)))
         if any(m < 2 for m in orders):
             raise ValueError(f"branching indices must be >= 2, got {orders}")
+        object.__setattr__(self, "g_quot", g_quot)
         object.__setattr__(self, "branch_orders", orders)
 
     @property
@@ -84,8 +86,8 @@ class HurwitzVector(_VectorFields):
     def __new__(cls, g_quot: int, handles: Iterable[int],
                 branches: Iterable[int]) -> HurwitzVector:
         g_quot = operator.index(g_quot)
-        handles = tuple(map(int, handles))
-        branches = tuple(map(int, branches))
+        handles = tuple(map(operator.index, handles))
+        branches = tuple(map(operator.index, branches))
         if g_quot < 0:
             raise ValueError(f"quotient genus must be nonnegative, got {g_quot}")
         if len(handles) != 2 * g_quot:
@@ -124,12 +126,12 @@ def _generates(G: FiniteGroup, entries: Iterable[int],
     """Whether entries generate G, memoized by entry set.
 
     Generation depends only on the set of entries, so each distinct set runs
-    closure once; a proper subgroup is stored as False.
+    generates once; a proper subgroup is stored as False.
     """
     key = frozenset(entries)
     ok = memo.get(key)
     if ok is None:
-        ok = memo[key] = len(closure(G, key)) == G.order
+        ok = memo[key] = generates(G, key)
     return ok
 
 

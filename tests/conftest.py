@@ -90,7 +90,7 @@ def z3():
 
 @pytest.fixture(scope="session")
 def z3_table(z3):
-    # sized for the genus-6 running example up to k = 3 without widening
+    # the working prime sized for the genus-6 running example up to k = 3
     return character_table(z3, k_max=3, g_max=6)
 
 

@@ -36,7 +36,7 @@ from cwmoduli import (
     root_power_sum,
     validate,
 )
-from cwmoduli import hurwitz
+from cwmoduli import groups
 from cwmoduli.chevalley_weil import _genus_and_classes
 
 
@@ -440,14 +440,14 @@ class TestCachedVectors:
 def closure_calls(monkeypatch):
     """Counter of the closure calls made by validate, per generating set."""
     calls = Counter()
-    real = hurwitz.closure
+    real = groups.closure
 
     def counting(G, S):
         S = frozenset(S)
         calls[S] += 1
         return real(G, S)
 
-    monkeypatch.setattr(hurwitz, "closure", counting)
+    monkeypatch.setattr(groups, "closure", counting)
     return calls
 
 

@@ -479,6 +479,20 @@ class TestExitCodes:
                                   vector=text)
             assert code == 2 and err.startswith("usage error: "), text
 
+    @pytest.mark.parametrize("text", [
+        '{"g_quot": 0, "handles": [], "branches": [1.9, 1, 1, 2, 2, 2]}',
+        '{"g_quot": 0, "handles": [], "branches": [true, 1, 1, 2, 2, 2]}',
+        '{"g_quot": 0, "handles": [], "branches": ["1", 1, 1, 2, 2, 2]}',
+        '{"g_quot": 0.5, "handles": [], "branches": [1, 2]}',
+        '{"g_quot": false, "handles": [], "branches": [1, 2]}',
+        '{"g_quot": 0, "handles": [], "branches": "12"}',
+    ])
+    def test_non_integer_vector_values_are_usage_error(self, text):
+        # int() would truncate or coerce each of these into a vector and answer
+        code, out, err = invoke("cw", group="cyclic:3", vector=text)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_out_of_range_element_id_is_usage_error(self):
         code, _, err = invoke(
             "cw", group="cyclic:2",

@@ -73,6 +73,8 @@ class TestBuilders:
     def test_cyclic_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             build_cyclic(0)
+        with pytest.raises(TypeError):
+            build_cyclic(2.5)
 
     def test_abelian_encoding_is_mixed_radix(self):
         G = build_abelian([2, 3])
@@ -91,6 +93,9 @@ class TestBuilders:
             build_abelian([])
         with pytest.raises(ValueError):
             build_abelian([2, 0])
+        with pytest.raises(TypeError):
+            build_abelian((2.5, 2))
+        assert build_abelian((np.int64(2), 3)).label == "abelian:2,3"
 
     def test_metacyclic_s3(self):
         G = build_metacyclic(MetacyclicParams(3, 2, 2))
@@ -461,6 +466,72 @@ class TestConjugacy:
                 j = C.inverse_class(i)
                 assert C.inverse_class(j) == i
                 assert C.class_of[G.inv(C.representatives[i])] == j
+
+
+def reference_conjugacy(G):
+    """Classes and power maps by conjugating one class at a time and stepping
+    one power at a time: (class_of, representatives, class_sizes, power_class)."""
+    n = G.order
+    tbl = G.mul_table
+    inv = G.inv_table
+    all_h = np.arange(n)
+    class_of = np.full(n, -1, dtype=np.int64)
+    reps = []
+    for g in range(n):
+        if class_of[g] >= 0:
+            continue
+        orbit = np.unique(tbl[tbl[all_h, g], inv])
+        class_of[orbit] = len(reps)
+        reps.append(g)
+    sizes = tuple(int((class_of == i).sum()) for i in range(len(reps)))
+    e = G.exponent()
+    power_class = np.zeros((len(reps), e), dtype=np.int64)
+    for i, r in enumerate(reps):
+        cur = 0
+        for j in range(e):
+            power_class[i, j] = class_of[cur]
+            cur = int(tbl[cur, r])
+    return class_of, tuple(reps), sizes, power_class
+
+
+ORACLE_SPECS = [
+    "perm:" + ";".join(A6_PERM_GENS),
+    "cyclic:512",
+    "abelian:2,2,2,2,2,2,2,2,2",
+    "metacyclic:32,16,3",
+]
+
+
+class TestConjugacyOracle:
+    @pytest.fixture(scope="class")
+    def groups(self, catalog):
+        return catalog + [(spec, group_from_spec(spec)) for spec in ORACLE_SPECS]
+
+    def test_matches_reference_field_by_field(self, groups):
+        for label, G in groups:
+            class_of, reps, sizes, power_class = reference_conjugacy(G)
+            C = conjugacy_classes(G)
+            assert C.class_of.dtype == class_of.dtype, label
+            assert np.array_equal(C.class_of, class_of), label
+            assert C.representatives == reps, label
+            assert C.class_sizes == sizes, label
+            assert C.power_class.dtype == power_class.dtype, label
+            assert C.power_class.shape == power_class.shape, label
+            assert np.array_equal(C.power_class, power_class), label
+            assert C.class_list() == class_of.tolist(), label
+            assert [C.inverse_class(i) for i in range(len(reps))] == [
+                int(class_of[G.inv(r)]) for r in reps], label
+
+    def test_fields_are_python_ints_and_read_only(self, groups):
+        for label, G in groups:
+            C = conjugacy_classes(G)
+            for field in (C.representatives, C.class_sizes):
+                assert type(field) is tuple, label
+                assert all(type(x) is int for x in field), label
+            for arr in (C.class_of, C.power_class):
+                assert not arr.flags.writeable, label
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
 
 class TestClosure:

@@ -66,6 +66,23 @@ class TestVectorBasics:
         with pytest.raises(ValueError):
             BranchingData(-1, (2,))
 
+    def test_float_inputs_raise_type_error(self):
+        # int() would truncate them silently, (1.5, 2.2) to (1, 2)
+        with pytest.raises(TypeError):
+            HurwitzVector(0, (), (1.5, 2.2))
+        with pytest.raises(TypeError):
+            HurwitzVector(1, (1.0, 2), ())
+        with pytest.raises(TypeError):
+            BranchingData(2, (2.5, 3.9))
+        with pytest.raises(TypeError):
+            BranchingData(0.5, (2, 2))
+
+    def test_branching_data_normalizes_numpy_ints(self):
+        d = BranchingData(np.int64(1), [np.int32(3), np.int64(2)])
+        assert d == BranchingData(1, (2, 3))
+        assert type(d.g_quot) is int
+        assert all(type(m) is int for m in d.branch_orders)
+
 
 class TestVectorRecord:
     """HurwitzVector is a tuple record; the enumerator builds it unchecked."""
