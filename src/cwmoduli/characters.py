@@ -66,16 +66,17 @@ class CharacterTable:
         self._rational = _galois_rational(values, classes.power_class)
         # class index -> eigenvalue counts of every character
         self._counts: Dict[int, np.ndarray] = {}
-        # one entry per validated HurwitzVector (a tuple record, so equal
-        # vectors share it) -> (genus, sorted branch class ids, level dict)
+        # one entry per HurwitzVector queried through cw_character or
+        # periodicity_delta (a tuple record, so equal vectors share it) ->
+        # (genus, sorted branch class ids, level dict); decompose adds none
         self._validated: Dict[tuple, tuple] = {}
         # frozenset of entries -> whether they generate the group: validate's
         # generation test. One entry per distinct entry set that reached the
         # test, so a set rejected as a proper subgroup is kept (as False)
-        # although its vectors never enter _validated
         self._generated: Dict[FrozenSet[int], bool] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
-        # shared by the memo entries of every vector with that key
+        # filled by decompose and cw_character alike and shared by the memo
+        # entries of every vector with that key
         self._levels: Dict[tuple, Dict[int, object]] = {}
 
     @property

@@ -13,13 +13,15 @@ character table; after multiplying by |G| (every branch order divides |G|)
 each formula is integer arithmetic, and the final division by |G| is asserted
 to be exact. Range and dimension identities are asserted, never assumed.
 
-Each table memoizes one entry per validated vector, (genus, class key,
-levels), where levels is the dict level -> MultiplicityVector shared by every
-vector with the same (quotient genus, class key). A cached query is therefore
-one lookup of the vector key and one of the level. The first query of a
-vector validates it in full; its generation test is one lookup in the
-table's second memo, from entry set to whether it generates G, so the
-subgroup closure runs once per distinct entry set per table.
+Two helpers carry the work. _class_key validates a vector in full and
+returns its sorted branch class key; its generation test is one lookup in
+the table's memo from entry set to whether it generates G, so the subgroup
+closure runs once per distinct entry set per table. _multiplicities reads or
+fills the table's level dict of one (quotient genus, class key). decompose
+calls both directly: it validates each item once per run and keeps no memo
+entry per vector. cw_character and periodicity_delta add a per-vector memo
+on top, (genus, class key, level dict), so a repeated query is one lookup of
+the vector and one of the level.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class MultiplicityVector:
     """Multiplicities of each irreducible character at pluricanonical level k.
 
     regular is n when mults = n * (degrees of the regular character), else
-    None; cw_character computes it once, when the vector is evaluated.
+    None; it is computed once, when the level is evaluated.
     """
 
     k: int
@@ -59,21 +61,43 @@ class MultiplicityVector:
 _Entry = Tuple[int, Tuple[int, ...], Dict[int, MultiplicityVector]]
 
 
-def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
-    """Validate v once per table; memoize its genus, class key and level dict.
+def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
+    """Validate v in full against T's group; return its sorted branch class ids.
 
     Every check of validate runs on v; the generation test reads and fills
     T._generated, keyed by the entry set, so vectors with equal entry sets
-    share one closure. The level dict is shared by every vector with the same
-    quotient genus and branch class multiset. An invalid vector raises on
-    every call and is not memoized; a non-generating entry set is stored as
-    False, so its vectors raise NotGenerating from that lookup.
+    share one closure, and a non-generating set is stored as False.
+    """
+    validate(v, T.group, generated=T._generated)
+    class_of = T.classes.class_list()
+    return tuple(sorted([class_of[c] for c in v.branches]))
+
+
+def _multiplicities(T: CharacterTable, k: int, g_quot: int, g: int,
+                    class_key: Tuple[int, ...]) -> MultiplicityVector:
+    """The level-k multiplicities of (g_quot, class_key), evaluated once per table.
+
+    g is the genus of the key; the first evaluation of a key checks it.
+    """
+    levels = T._levels.setdefault((g_quot, class_key), {})
+    hit = levels.get(k)
+    if hit is None:
+        if g < 2:
+            raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
+        hit = levels[k] = _evaluate(T, k, g_quot, g, class_key)
+    return hit
+
+
+def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
+    """v's per-vector memo entry for repeated queries: validated once per table.
+
+    An invalid vector raises on every call and is not memoized. The level
+    dict is shared by every vector with the same quotient genus and branch
+    class multiset.
     """
     hit = T._validated.get(v)
     if hit is None:
-        validate(v, T.group, generated=T._generated)
-        class_of = T.classes.class_list()
-        class_key = tuple(sorted([class_of[c] for c in v.branches]))
+        class_key = _class_key(v, T)
         levels = T._levels.setdefault((v.g_quot, class_key), {})
         hit = T._validated[v] = (genus(v, T.group), class_key, levels)
     return hit
@@ -139,20 +163,15 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
         pass
     if k < 1:
         raise ValueError(f"pluricanonical level must be >= 1, got {k}")
-    g, class_key, levels = _genus_and_classes(v, T)
-    if g < 2:
-        raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
-    hit = levels.get(k)
-    if hit is None:
-        hit = levels[k] = _evaluate(T, k, v.g_quot, g, class_key)
-    return hit
+    g, class_key, _ = _genus_and_classes(v, T)
+    return _multiplicities(T, k, v.g_quot, g, class_key)
 
 
 def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]:
     """n such that mults = n * (degrees of the regular character), if any.
 
-    Read from mv.regular, which cw_character computed against T's degrees
-    when it evaluated mv; None when the entries do not scale like the degrees.
+    Read from mv.regular, computed against T's degrees when mv was
+    evaluated; None when the entries do not scale like the degrees.
     """
     return mv.regular
 

@@ -21,7 +21,7 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple
 from .characters import (CharacterTable, character_table, rational_character_value)
 from .chevalley_weil import cw_character
 from .decomposition import stabilization_report
-from .errors import CwModuliError, GroupSpecError
+from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, MetacyclicParams, group_from_spec
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       enumerate_branching_data, enumerate_hurwitz_vectors_parallel,
@@ -245,10 +245,36 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
         print(line, file=out)
 
 
+def _enumerate_genus(G: FiniteGroup, args: argparse.Namespace
+                     ) -> List[Tuple[BranchingData, List[HurwitzVector]]]:
+    """Each branching datum of the genus with its vectors, --cap counting them all.
+
+    Each datum's enumeration may emit only what remains of the cap, and at
+    least one vector (EnumerationOptions needs a positive cap), so at most
+    one vector past the cap is held before EnumerationCapExceeded is raised.
+    """
+    groups = []
+    remaining = args.cap
+    for data in enumerate_branching_data(G, args.genus):
+        opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy,
+                                  max_vectors=max(remaining, 1))
+        try:
+            vectors = enumerate_hurwitz_vectors_parallel(G, data, opts)
+        except EnumerationCapExceeded:
+            vectors = None
+        if vectors is None or len(vectors) > remaining:
+            raise EnumerationCapExceeded(
+                f"genus {args.genus} has more than {args.cap} vectors over all "
+                "its branching data; raise --cap")
+        remaining -= len(vectors)
+        groups.append((data, vectors))
+    return groups
+
+
 def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     G = group_from_spec(args.group)
     g = args.genus
-    groups = list(_enumerate_all(G, args))
+    groups = _enumerate_genus(G, args)
     items: List[HurwitzVector] = []
     for _, vectors in groups:
         items.extend(vectors)
@@ -338,7 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-conjugacy", action="store_true",
                    help="one representative per simultaneous-conjugation orbit")
     p.add_argument("--cap", type=_positive_int, default=10 ** 6,
-                   help="enumeration cap (default 1000000)")
+                   help="cap on the vectors of each branching datum "
+                        "(default 1000000)")
 
     p = command("cw", _cmd_cw, "multiplicity table of a vector over levels")
     p.add_argument("--vector", required=True,
@@ -352,7 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_positive_int, default=None,
                    help="refine levels 1..K (default |G|)")
     p.add_argument("--up-to-conjugacy", action="store_true")
-    p.add_argument("--cap", type=_positive_int, default=10 ** 6)
+    p.add_argument("--cap", type=_positive_int, default=10 ** 6,
+                   help="cap on the vectors of the whole genus, over all "
+                        "branching data (default 1000000)")
 
     for name, handler, summary in (
             ("metacyclic-h2", _cmd_metacyclic_h2, "Schur multiplier order"),

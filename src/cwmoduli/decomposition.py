@@ -2,21 +2,25 @@
 
 Items carrying equal multiplicity vectors at level k share a block of the
 level-k decomposition; the canonical decomposition is the common refinement
-over k = 1..|G|, which periodicity proves is already the limit. One pass reads
-each item's (quotient genus, branch-class multiset) key once and evaluates
-each distinct key once per level; the stabilization report re-checks the
-limit numerically, reading its checks from the distinct type tuples.
+over k = 1..|G|, which periodicity proves is already the limit. One pass
+validates each item once and files its index under its (quotient genus,
+branch-class multiset) key, keeping no memo entry per item; the genus and
+the type tuple are then computed once per distinct key, and a block merges
+the index lists of the keys that share a type tuple. The stabilization
+report re-checks the limit numerically, reading its checks from the distinct
+type tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .characters import CharacterTable
-from .chevalley_weil import _genus_and_classes, cw_character
+from .chevalley_weil import _class_key, _multiplicities
 from .errors import InternalConsistencyError
-from .hurwitz import HurwitzVector
+from .hurwitz import HurwitzVector, genus
 
 __all__ = [
     "Decomposition",
@@ -76,30 +80,34 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
     """Partition items by their multiplicity vectors at every level in ks.
 
     Items sharing a quotient genus and a multiset of branch classes share
-    their multiplicities, so each item's class key is read once and each
-    distinct key is evaluated once per level.
+    their multiplicities. So each item is validated once and its index filed
+    under its key; the genus and the type tuple are computed once per key.
     """
     items = tuple(items)
-    genera = set()
-    by_class: Dict[tuple, List[int]] = {}
+    by_class: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
     for idx, v in enumerate(items):
-        g, class_key, _ = _genus_and_classes(v, T)
-        genera.add(g)
-        by_class.setdefault((v.g_quot, class_key), []).append(idx)
+        by_class.setdefault((v.g_quot, _class_key(v, T)), []).append(idx)
+    # the genus depends only on the key, through the branch orders
+    genera = sorted({genus(items[members[0]], T.group) for members in by_class.values()})
     if len(genera) > 1:
-        raise ValueError(f"items span several genera {sorted(genera)}; "
+        raise ValueError(f"items span several genera {genera}; "
                          "a decomposition needs a single genus")
-    item_keys: List[BlockKey] = [()] * len(items)
-    for members in by_class.values():
-        key = tuple(cw_character(items[members[0]], T, k).mults for k in ks)
-        for idx in members:
-            item_keys[idx] = key
-    return _assemble(items, ks, item_keys)
+    by_type: Dict[BlockKey, List[List[int]]] = {}
+    for (g_quot, class_key), members in by_class.items():
+        key = tuple(_multiplicities(T, k, g_quot, genera[0], class_key).mults
+                    for k in ks)
+        by_type.setdefault(key, []).append(members)
+    ordered = sorted(by_type)
+    # sorting concatenated ascending runs is a merge
+    blocks = tuple(tuple(sorted(chain.from_iterable(by_type[key]))) for key in ordered)
+    return Decomposition(items, ks, blocks, tuple(ordered))
 
 
 def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
                    k: int) -> Decomposition:
     """Partition items by their level-k multiplicity vector."""
+    if k < 1:
+        raise ValueError(f"pluricanonical level must be >= 1, got {k}")
     return _decompose(items, T, (k,))
 
 

@@ -309,9 +309,16 @@ class MetacyclicParams:
                 "the presentation does not define a group of order m*n")
 
 
+def _as_int(x) -> int:
+    """x as a Python int through operator.index; a bool is rejected, not read as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 def build_cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition; element k has id k."""
-    n = operator.index(n)
+    n = _as_int(n)
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
     _check_order(n)
@@ -326,7 +333,7 @@ def build_abelian(factors: Sequence[int]) -> FiniteGroup:
     Element ids encode tuples lexicographically: the leftmost factor is the
     most significant digit, so (0,...,0) is id 0.
     """
-    factors = tuple(map(operator.index, factors))
+    factors = tuple(map(_as_int, factors))
     if not factors:
         raise ValueError("abelian factor list must be nonempty")
     if any(f < 1 for f in factors):

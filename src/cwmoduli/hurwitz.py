@@ -24,14 +24,13 @@ is the same.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
                     Tuple, Union)
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
-from .groups import FiniteGroup, generates
+from .groups import FiniteGroup, _as_int, generates
 
 __all__ = [
     "BranchingData",
@@ -55,10 +54,10 @@ class BranchingData:
     branch_orders: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        g_quot = operator.index(self.g_quot)
+        g_quot = _as_int(self.g_quot)
         if g_quot < 0:
             raise ValueError(f"quotient genus must be nonnegative, got {g_quot}")
-        orders = tuple(sorted(map(operator.index, self.branch_orders)))
+        orders = tuple(sorted(map(_as_int, self.branch_orders)))
         if any(m < 2 for m in orders):
             raise ValueError(f"branching indices must be >= 2, got {orders}")
         object.__setattr__(self, "g_quot", g_quot)
@@ -85,9 +84,9 @@ class HurwitzVector(_VectorFields):
 
     def __new__(cls, g_quot: int, handles: Iterable[int],
                 branches: Iterable[int]) -> HurwitzVector:
-        g_quot = operator.index(g_quot)
-        handles = tuple(map(operator.index, handles))
-        branches = tuple(map(operator.index, branches))
+        g_quot = _as_int(g_quot)
+        handles = tuple(map(_as_int, handles))
+        branches = tuple(map(_as_int, branches))
         if g_quot < 0:
             raise ValueError(f"quotient genus must be nonnegative, got {g_quot}")
         if len(handles) != 2 * g_quot:
@@ -114,8 +113,9 @@ def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
     """prod [a_i, b_i] prod c_j, on the list rows of the table."""
     rows, inv = G.mul_rows(), G.inv_list()
     acc = G.identity
-    for a, b in zip(v.handles[::2], v.handles[1::2]):
-        acc = rows[acc][rows[rows[rows[a][b]][inv[a]]][inv[b]]]
+    if v.handles:  # skips building two empty slices when g' = 0
+        for a, b in zip(v.handles[::2], v.handles[1::2]):
+            acc = rows[acc][rows[rows[rows[a][b]][inv[a]]][inv[b]]]
     for c in v.branches:
         acc = rows[acc][c]
     return acc
@@ -146,19 +146,20 @@ def validate(v: HurwitzVector, G: FiniteGroup, *,
     generated is a memo from entry sets to whether they generate G (see
     _generates); without one the generation test uses a fresh memo.
     """
-    order_of = G.element_orders()
-    n = G.order
-    for x in v.entries:
-        if not 0 <= x < n:
-            raise ValueError(f"entry {x} is not an element id of {G.label}")
-    for j, c in enumerate(v.branches):
-        if order_of[c] == 1:
-            raise OrderViolation(f"branch entry c_{j + 1} = {c} has order 1")
+    entries = v.handles + v.branches
+    n, identity = G.order, G.identity
+    if entries and (min(entries) < 0 or max(entries) >= n):
+        x = next(x for x in entries if not 0 <= x < n)
+        raise ValueError(f"entry {x} is not an element id of {G.label}")
+    # the identity is the one element of order 1
+    if identity in v.branches:
+        j = v.branches.index(identity)
+        raise OrderViolation(f"branch entry c_{j + 1} = {identity} has order 1")
     prod = _relation_product(v, G)
-    if prod != G.identity:
+    if prod != identity:
         raise RelationViolation(
             f"surface relation product is element {prod}, not the identity")
-    if not _generates(G, v.entries, generated if generated is not None else {}):
+    if not _generates(G, entries, generated if generated is not None else {}):
         raise NotGenerating("vector entries generate a proper subgroup")
     return v
 

@@ -419,8 +419,12 @@ class TestCachedVectors:
                     for k in (1, 2, 9):
                         cw_character(v, T, k)
                     periodicity_delta(v, T, 2)
-                decompose_at_k(batch, T, 4)
             assert validate_calls == Counter(items)
+            # decompose keeps no memo entry: each run validates every item once
+            for batch in (items, copies, items):
+                validate_calls.clear()
+                decompose_at_k(batch, T, 4)
+                assert validate_calls == Counter(batch)
 
     def test_invalid_vector_raises_on_every_call(self, validate_calls, s3):
         T = character_table(s3)

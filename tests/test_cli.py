@@ -432,6 +432,39 @@ class TestExitCodes:
                               genus=6, cap=10)
         assert code == 1 and err.startswith("error: ")
 
+    def test_decompose_cap_bounds_the_whole_genus(self, monkeypatch):
+        # cyclic:3 genus 6 holds 86 + 90 + 162 = 338 vectors
+        import cwmoduli.cli as cli
+        original = cli.enumerate_hurwitz_vectors_parallel
+        caps = []
+
+        def recording(G, data, opts):
+            caps.append(opts.max_vectors)
+            return original(G, data, opts)
+
+        monkeypatch.setattr(cli, "enumerate_hurwitz_vectors_parallel", recording)
+        code, out, err = invoke("decompose", group="cyclic:3", genus=6, cap=200)
+        assert (code, out) == (1, "")
+        assert err == ("error: genus 6 has more than 200 vectors over all its "
+                       "branching data; raise --cap\n")
+        # each datum may emit only what remains of the cap
+        assert caps == [200, 114, 24]
+        caps.clear()
+        code, out, err = invoke("decompose", group="cyclic:3", genus=6, cap=338)
+        assert (code, err) == (0, "") and "items: 338" in out
+        assert caps == [338, 252, 162]
+        code, _, err = invoke("decompose", group="cyclic:3", genus=6, cap=337)
+        assert code == 1 and "genus 6" in err
+        # a cap used up exactly by earlier data still rejects a later vector
+        code, _, err = invoke("decompose", group="cyclic:3", genus=6, cap=176)
+        assert code == 1 and "genus 6" in err
+
+    def test_hurwitz_enumerate_cap_bounds_each_datum(self):
+        code, out, _ = invoke("hurwitz-enumerate", group="cyclic:3", genus=6, cap=162)
+        assert code == 0 and out.endswith("total: 338\n")
+        code, _, err = invoke("hurwitz-enumerate", group="cyclic:3", genus=6, cap=161)
+        assert code == 1 and err.startswith("error: ")
+
     def test_impossible_metacyclic_params_are_domain_error(self):
         code, _, err = invoke("metacyclic-h2", m=4, n=2, r=2)
         assert code == 1 and err.startswith("error: ")

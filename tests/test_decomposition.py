@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import cwmoduli.chevalley_weil as chevalley_weil
 import cwmoduli.decomposition as decomposition
 from cwmoduli import (
     BranchingData,
@@ -77,6 +78,16 @@ class TestDecomposeAtK:
             D = decompose_at_k([v, v_alt], z3_table, k)
             assert D.block_count == blocks
             assert D.ks == (k,)
+
+    def test_domain_errors(self, z3_table, genus6_vectors):
+        v, _ = genus6_vectors
+        genus1 = HurwitzVector(0, (), (1, 1, 1))
+        with pytest.raises(ValueError, match=r"several genera \[1, 6\]"):
+            decompose_at_k([v, genus1, v], z3_table, 2)
+        with pytest.raises(ValueError, match="genus 1 is below 2"):
+            stabilization_report([genus1], z3_table, 2)
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            decompose_at_k([v], z3_table, 0)
 
     def test_blocks_sorted_by_key_and_indices_ascending(self, z3, z3_table):
         items = census(z3, 6)
@@ -276,24 +287,74 @@ class TestOnePassOracle:
                         assert CD.final == final, case
                         assert CD.stabilization_depth == depth, case
 
+    @pytest.mark.parametrize("orbits", [False, True], ids=["raw", "orbit"])
+    def test_matches_per_item_queries_at_genus_3_to_6(self, catalog_le_12, orbits):
+        # the per-item algorithm: every item's type tuple from cw_character,
+        # grouped by tuple, blocks ordered by key
+        opts = EnumerationOptions(up_to_conjugacy=orbits)
+        for label, G in catalog_le_12:
+            T = character_table(G)
+            for g in range(3, 7):
+                items = [v for d in enumerate_branching_data(G, g)
+                         for v in enumerate_hurwitz_vectors(G, d, opts)]
+                ks = tuple(range(1, G.order + 1))
+                by_type = {}
+                for idx, v in enumerate(items):
+                    key = tuple(cw_character(v, T, k).mults for k in ks)
+                    by_type.setdefault(key, []).append(idx)
+                keys = sorted(by_type)
+                D = canonical_decomposition(items, T).final
+                case = (label, g)
+                assert D.items == tuple(items), case
+                assert D.ks == ks, case
+                assert D.blocks == tuple(tuple(by_type[key]) for key in keys), case
+                assert D.keys == tuple(keys), case
+                if g == 3:
+                    assert D == reference_report(items, T, G.order)[0], case
+
+    def test_one_validation_per_item_and_no_memo_entry(self, validate_calls, s3):
+        T = character_table(s3)
+        items = census(s3, 4)
+        copies = [HurwitzVector(v.g_quot, v.handles, v.branches) for v in items]
+        for batch in (items, copies):
+            validate_calls.clear()
+            stabilization_report(batch, T, 8)
+            assert T._validated == {}
+            assert validate_calls == Counter(items)
+
+    def test_later_queries_read_the_block_keys(self, monkeypatch, s3):
+        T = character_table(s3)
+        items = census(s3, 4)
+        D = stabilization_report(items, T, 8).final
+
+        def refuse(*args):
+            raise AssertionError("level evaluated twice")
+
+        monkeypatch.setattr(chevalley_weil, "_evaluate", refuse)
+        for block, key in zip(D.blocks, D.keys):
+            for idx in block:
+                for k, mults in zip(D.ks, key):
+                    assert cw_character(items[idx], T, k).mults == mults
+
     def test_one_cw_call_per_class_key_and_level(self, monkeypatch, s3, s3_table):
+        # one multiplicity read per (class key, level), one key read per item
         items = census(s3, 3)
         keys = {class_key(v, s3_table) for v in items}
         assert 1 < len(keys) < len(items)
         cw_calls, key_reads = Counter(), Counter()
-        real_cw = decomposition.cw_character
-        real_read = decomposition._genus_and_classes
+        real_cw = decomposition._multiplicities
+        real_read = decomposition._class_key
 
-        def counting_cw(v, T, k):
-            cw_calls[class_key(v, T) + (k,)] += 1
-            return real_cw(v, T, k)
+        def counting_cw(T, k, g_quot, g, ck):
+            cw_calls[(g_quot, ck, k)] += 1
+            return real_cw(T, k, g_quot, g, ck)
 
         def counting_read(v, T):
             key_reads[v] += 1
             return real_read(v, T)
 
-        monkeypatch.setattr(decomposition, "cw_character", counting_cw)
-        monkeypatch.setattr(decomposition, "_genus_and_classes", counting_read)
+        monkeypatch.setattr(decomposition, "_multiplicities", counting_cw)
+        monkeypatch.setattr(decomposition, "_class_key", counting_read)
         runs = [(lambda: decompose_at_k(items, s3_table, 4), (4,)),
                 (lambda: canonical_decomposition(items, s3_table), range(1, 7)),
                 (lambda: stabilization_report(items, s3_table, 13), range(1, 14))]
@@ -306,7 +367,7 @@ class TestOnePassOracle:
 
 
 class TestPeriodicityChecksBite:
-    """A cw_character that breaks periodicity above |G| must be caught."""
+    """Multiplicities that break periodicity above |G| must be caught."""
 
     def test_split_beyond_the_period_raises(self, monkeypatch, z3_table,
                                             genus6_vectors):
@@ -314,13 +375,13 @@ class TestPeriodicityChecksBite:
         v, _ = genus6_vectors
         target = class_key(v, z3_table)
 
-        def collapsed(w, T, k):
+        def collapsed(T, k, g_quot, g, ck):
             mults = [0] * T.class_count
-            if k > T.group.order and class_key(w, T) == target:
+            if k > T.group.order and (g_quot, ck) == target:
                 mults[0] = 1
             return MultiplicityVector(k, tuple(mults), regular=None)
 
-        monkeypatch.setattr(decomposition, "cw_character", collapsed)
+        monkeypatch.setattr(decomposition, "_multiplicities", collapsed)
         rep = stabilization_report(genus6_vectors, z3_table, 3)
         assert rep.final.block_count == 1
         with pytest.raises(InternalConsistencyError, match="split the refinement"):
@@ -331,14 +392,15 @@ class TestPeriodicityChecksBite:
         # v_alt takes v's level-4 vector: level 4 merges what level 1 separates
         v, v_alt = genus6_vectors
         target = class_key(v_alt, z3_table)
-        real_cw = decomposition.cw_character
+        real_cw = decomposition._multiplicities
+        v_quot, v_classes = class_key(v, z3_table)
 
-        def merged(w, T, k):
-            if k == T.group.order + 1 and class_key(w, T) == target:
-                return real_cw(v, T, k)
-            return real_cw(w, T, k)
+        def merged(T, k, g_quot, g, ck):
+            if k == T.group.order + 1 and (g_quot, ck) == target:
+                return real_cw(T, k, v_quot, g, v_classes)
+            return real_cw(T, k, g_quot, g, ck)
 
-        monkeypatch.setattr(decomposition, "cw_character", merged)
+        monkeypatch.setattr(decomposition, "_multiplicities", merged)
         assert stabilization_report(genus6_vectors, z3_table, 3).final.block_count == 2
         with pytest.raises(InternalConsistencyError, match="differ"):
             stabilization_report(genus6_vectors, z3_table, 4)

@@ -95,6 +95,10 @@ class TestBuilders:
             build_abelian([2, 0])
         with pytest.raises(TypeError):
             build_abelian((2.5, 2))
+        with pytest.raises(TypeError):
+            build_abelian((True, 2))
+        with pytest.raises(TypeError):
+            build_cyclic(True)
         assert build_abelian((np.int64(2), 3)).label == "abelian:2,3"
 
     def test_metacyclic_s3(self):

@@ -77,6 +77,18 @@ class TestVectorBasics:
         with pytest.raises(TypeError):
             BranchingData(0.5, (2, 2))
 
+    def test_boolean_inputs_raise_type_error(self):
+        # operator.index would read True as 1: (True, 2) is not ( ; 1 2)
+        for args in [(0, (), (True, 2)), (1, (False, 1), ()), (False, (), ())]:
+            with pytest.raises(TypeError):
+                HurwitzVector(*args)
+        with pytest.raises(TypeError):
+            BranchingData(0, (True, 2))
+        with pytest.raises(TypeError):
+            BranchingData(True, (2, 2))
+        with pytest.raises(TypeError):
+            BranchingData(0, (np.bool_(True), 2))
+
     def test_branching_data_normalizes_numpy_ints(self):
         d = BranchingData(np.int64(1), [np.int32(3), np.int64(2)])
         assert d == BranchingData(1, (2, 3))
@@ -177,6 +189,25 @@ class TestValidate:
         v = HurwitzVector(0, (), (0, 1))
         with pytest.raises(OrderViolation):
             validate(v, z3)
+
+    @pytest.mark.parametrize("v, error, message", [
+        (HurwitzVector(0, (), (1, 3)), ValueError,
+         "entry 3 is not an element id of cyclic:3"),
+        (HurwitzVector(1, (-1, 5), (1, 2)), ValueError,
+         "entry -1 is not an element id of cyclic:3"),
+        (HurwitzVector(1, (1, 1), (1, 0, 2)), OrderViolation,
+         "branch entry c_2 = 0 has order 1"),
+        (HurwitzVector(0, (), (1, 1)), RelationViolation,
+         "surface relation product is element 2, not the identity"),
+        (HurwitzVector(1, (0, 0), ()), NotGenerating,
+         "vector entries generate a proper subgroup"),
+    ], ids=["high-id", "negative-id", "identity-branch", "relation", "subgroup"])
+    def test_failure_messages(self, z3, v, error, message):
+        # the first offending entry, in order, is the one reported
+        for generated in (None, {}):
+            with pytest.raises(error) as exc:
+                validate(v, z3, generated=generated)
+            assert type(exc.value) is error and str(exc.value) == message
 
     def test_conjugate_preserves_validity(self, s3):
         rng = random.Random(29)
