@@ -22,7 +22,7 @@ from .modular import (PRIME_SEARCH_LIMIT, WorkingPrime, choose_prime,
                       recover_integer, root_power_sum, session_bound)
 from .characters import (CharacterTable, character_fingerprint, character_table,
                          eigenvalue_counts, eigenvalue_multiplicities, inner_product,
-                         rational_character_value)
+                         rational_character_value, rational_character_values)
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       branching_data_of, conjugate_vector,
                       enumerate_branching_data, enumerate_hurwitz_vectors,
@@ -54,7 +54,8 @@ __all__ = [
     "recover_integer", "root_power_sum",
     # characters
     "CharacterTable", "character_table", "eigenvalue_counts", "eigenvalue_multiplicities",
-    "inner_product", "rational_character_value", "character_fingerprint",
+    "inner_product", "rational_character_value", "rational_character_values",
+    "character_fingerprint",
     # hurwitz
     "BranchingData", "HurwitzVector", "EnumerationOptions", "validate", "genus",
     "branching_data_of", "conjugate_vector", "enumerate_branching_data",

@@ -6,15 +6,19 @@ simultaneous eigenvectors over GF(p) are, up to scale, the vectors
 j -> |C_j| chi(g_j) / chi(1). Here they are reached by spinning the
 identity-class vector: a Krylov sequence under one class matrix at a time
 splits it into its eigenspace components, classes of a generating set first,
-until there are as many pieces as classes. Degrees and values are then
-recovered from the norm, and the result is checked against the eigenvector
-equations and row orthogonality. Everything is exact: p is chosen by the
-modular module so that every reported integer is a least absolute residue,
-and the matrix products run in float64 only on integer limbs whose sums stay
-below 2^53. Built with the table: which values are rational, from the Galois
-action on classes given by the power map. Memoized per class on first use:
-the integer eigenvalue counts, one matrix product per class, which only
-multiplicities and fingerprints read.
+until there are as many pieces as classes. The eigenvalues of each split are
+the roots of a minimal polynomial over GF(p): found, as Dixon and Schneider
+do, by trying every residue when p is at most ROOT_EVAL_PRIME_LIMIT, which
+every default prime under the order cap is, and by Cantor-Zassenhaus for the
+larger primes that decompose's level and genus sizing or library callers
+may ask for. Degrees and values are then recovered from the norm, and the
+result is checked against the eigenvector equations and row orthogonality.
+Everything is exact: p is chosen by the modular module so that every reported
+integer is a least absolute residue, and the matrix products run in float64
+only on integer limbs whose sums stay below 2^53. Built with the table: which
+values are rational, from the Galois action on classes given by the power
+map. Memoized per class on first use: the integer eigenvalue counts, one
+matrix product per class, which only multiplicities and fingerprints read.
 """
 
 from __future__ import annotations
@@ -35,11 +39,24 @@ __all__ = [
     "eigenvalue_multiplicities",
     "inner_product",
     "rational_character_value",
+    "rational_character_values",
     "character_fingerprint",
 ]
 
-# Shifts tried when splitting a product of distinct linear factors; the scan is
-# deterministic so tables are reproducible.
+# Largest prime at which _roots_of_split_poly finds roots by evaluation at
+# every residue; Cantor-Zassenhaus serves larger primes. Both cost about
+# linearly in the degree d here, so the crossover is a prime, not a product
+# p * d. Measured on products of d random linear factors (2 vCPUs, Python
+# 3.11.7, numpy 2.4.6): the two are even at p = 32749 for d = 2, where
+# evaluation is already 3-20x faster for 4 <= d <= 512; the crossover is near
+# 10^5 for d = 4 and 8 and past 2.6 * 10^5 for d >= 32. Every default prime
+# under the order cap, sized by |G| alone, is below the limit: the largest is
+# 13711, for cyclic:457 (cyclic:512 has 7681).
+ROOT_EVAL_PRIME_LIMIT = 2 ** 15
+
+# Shifts Cantor-Zassenhaus tries when splitting a product of distinct linear
+# factors, for primes above ROOT_EVAL_PRIME_LIMIT; the scan is deterministic
+# so tables are reproducible.
 MAX_ROOT_SHIFTS = 10000
 
 
@@ -204,9 +221,20 @@ def rational_character_value(T: CharacterTable, rho: int,
     order 16 the degree-2 characters are 0 at elements of order 8 but
     irrational at their squares.
     """
-    if not T._rational[rho, class_index]:
-        return None
-    return recover_integer(int(T.values[rho, class_index]), T.prime)
+    return rational_character_values(T, rho, class_index)
+
+
+def rational_character_values(T: CharacterTable, rho=slice(None), cls=slice(None)):
+    """rational_character_value over T.values[rho, cls], in one array step.
+
+    rho and cls are numpy indices (integers, slices or index arrays). The
+    result is T.values[rho, cls].tolist() with every rational value lifted
+    to its least absolute residue, as recover_integer does, and every
+    irrational one replaced by None.
+    """
+    p = T.prime.p
+    X = T.values[rho, cls]
+    return np.where(T._rational[rho, cls], np.where(2 * X > p, X - p, X), None).tolist()
 
 
 def character_fingerprint(T: CharacterTable, rho: int) -> tuple:
@@ -331,7 +359,8 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     roots = sorted(_roots_of_split_poly(poly, p))
     if len(roots) != k:
         raise InternalConsistencyError(
-            "minimal polynomial of a class matrix is not squarefree")
+            "minimal polynomial of a class matrix is not a product of distinct "
+            "linear factors")
     lam = np.array(roots, dtype=np.int64)
     Q = np.zeros((k, k), dtype=np.int64)  # row t: coefficients of mu / (x - lam_t)
     Q[:, k - 1] = 1
@@ -436,8 +465,9 @@ def _sort_characters(degrees: np.ndarray, X: np.ndarray, wp: WorkingPrime,
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic mod p (int64 coefficient arrays, ascending powers,
-# entries in [0, p), degree at most the class count)
+# roots of split polynomials, and the polynomial arithmetic mod p that
+# Cantor-Zassenhaus needs above ROOT_EVAL_PRIME_LIMIT (int64 coefficient
+# arrays, ascending powers, entries in [0, p), degree at most the class count)
 
 
 def _poly_trim(f: np.ndarray) -> np.ndarray:
@@ -484,16 +514,39 @@ def _poly_powmod(base: np.ndarray, exp: int, mod: np.ndarray, p: int) -> np.ndar
     return result
 
 
+def _roots_by_evaluation(f: np.ndarray, p: int) -> List[int]:
+    """The zeros in GF(p) of f (entries in [0, p)), in increasing order.
+
+    Horner's rule runs on the int64 vector of all p residues at once. It
+    reduces mod p only every `lazy` steps, which is exact: from a reduced
+    value, j steps of acc * x + c with x, c < p stay below p^(j+1), and
+    p^(lazy+1) < 2^63.
+    """
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    lazy = 63 // p.bit_length() - 1
+    for i, c in enumerate(f[::-1].tolist()):
+        acc *= x
+        acc += c
+        if i % lazy == lazy - 1:
+            acc %= p
+    return np.flatnonzero(acc % p == 0).tolist()
+
+
 def _roots_of_split_poly(f: np.ndarray, p: int) -> List[int]:
     """Roots of a squarefree polynomial known to split into linear factors.
 
-    Splits recursively with gcd(f, (x+shift)^((p-1)/2) - 1) over a
-    deterministic shift scan. Neither part of a split can be split by the
-    shift that made it or by the shifts that failed before, so each part
-    resumes the scan at the next shift. A polynomial that refuses to split
-    signals eigenvalues outside the field, which the working-prime choice
-    rules out.
+    Up to ROOT_EVAL_PRIME_LIMIT, f is evaluated at every residue (see
+    _roots_by_evaluation). Above it, Cantor-Zassenhaus splits f recursively
+    with gcd(f, (x+shift)^((p-1)/2) - 1) over a deterministic shift scan.
+    Neither part of a split can be split by the shift that made it or by the
+    shifts that failed before, so each part resumes the scan at the next
+    shift. A polynomial that refuses to split signals eigenvalues outside
+    the field, which the working-prime choice rules out; evaluation then
+    finds fewer roots than the degree, which the caller checks.
     """
+    if p <= ROOT_EVAL_PRIME_LIMIT:
+        return _roots_by_evaluation(f, p)
     stack = [(f * pow(int(f[-1]), p - 2, p) % p, 0)]
     roots: List[int] = []
     while stack:

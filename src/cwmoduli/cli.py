@@ -18,7 +18,7 @@ import json
 import sys
 from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
-from .characters import (CharacterTable, character_table, rational_character_value)
+from .characters import (CharacterTable, character_table, rational_character_values)
 from .chevalley_weil import cw_character
 from .decomposition import stabilization_report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
@@ -131,8 +131,7 @@ def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
     T = character_table(G)
     conj = T.classes
     s = conj.class_count
-    rational = [[rational_character_value(T, rho, c) for c in range(s)]
-                for rho in range(s)]
+    rational = rational_character_values(T)
     if args.json:
         record = {
             "schema": SCHEMA,
@@ -249,23 +248,21 @@ def _enumerate_genus(G: FiniteGroup, args: argparse.Namespace
                      ) -> List[Tuple[BranchingData, List[HurwitzVector]]]:
     """Each branching datum of the genus with its vectors, --cap counting them all.
 
-    Each datum's enumeration may emit only what remains of the cap, and at
-    least one vector (EnumerationOptions needs a positive cap), so at most
-    one vector past the cap is held before EnumerationCapExceeded is raised.
+    Each datum's enumeration may emit only what remains of the cap, possibly
+    nothing, so no vector past the cap is held before EnumerationCapExceeded
+    is raised.
     """
     groups = []
     remaining = args.cap
     for data in enumerate_branching_data(G, args.genus):
         opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy,
-                                  max_vectors=max(remaining, 1))
+                                  max_vectors=remaining)
         try:
             vectors = enumerate_hurwitz_vectors_parallel(G, data, opts)
         except EnumerationCapExceeded:
-            vectors = None
-        if vectors is None or len(vectors) > remaining:
             raise EnumerationCapExceeded(
                 f"genus {args.genus} has more than {args.cap} vectors over all "
-                "its branching data; raise --cap")
+                "its branching data; raise --cap") from None
         remaining -= len(vectors)
         groups.append((data, vectors))
     return groups

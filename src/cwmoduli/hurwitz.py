@@ -235,15 +235,16 @@ class EnumerationOptions:
 
     up_to_conjugacy keeps one vector per simultaneous-conjugation orbit.
     max_vectors caps the vectors emitted by one call, that is, for one
-    branching datum; it is checked as each vector is emitted.
+    branching datum; it is checked as each vector is emitted. It may be 0,
+    so that the first vector found raises.
     """
 
     up_to_conjugacy: bool = False
     max_vectors: int = 10 ** 6
 
     def __post_init__(self) -> None:
-        if self.max_vectors < 1:
-            raise ValueError(f"max_vectors must be >= 1, got {self.max_vectors}")
+        if self.max_vectors < 0:
+            raise ValueError(f"max_vectors must be >= 0, got {self.max_vectors}")
 
 
 def _conjugation_rows(G: FiniteGroup) -> List[List[int]]:

@@ -9,6 +9,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,12 +29,15 @@ from cwmoduli import (
     group_from_spec,
     inner_product,
     rational_character_value,
+    rational_character_values,
     recover_integer,
 )
-from cwmoduli.characters import (_characters_from_vectors, _check_common_eigenvectors,
-                                 _class_matrix, _matmul_mod, _poly_mul,
-                                 _roots_of_split_poly, _splitting_order)
-from cwmoduli.groups import greedy_generators
+from cwmoduli import characters
+from cwmoduli.characters import (ROOT_EVAL_PRIME_LIMIT, _characters_from_vectors,
+                                 _check_common_eigenvectors, _class_matrix, _matmul_mod,
+                                 _poly_mul, _roots_of_split_poly, _splitting_order)
+from cwmoduli.groups import DEFAULT_ORDER_CAP, greedy_generators
+from cwmoduli.modular import _is_prime, choose_prime
 
 from conftest import ABELIAN_FACTOR_LISTS, S4_PERM_GENS
 
@@ -324,14 +328,20 @@ class TestRationality:
         groups += [group_from_spec(spec) for spec in MIXED_RATIONALITY_SPECS]
         for G in groups:
             T = character_table(G)
-            for cls in range(T.class_count):
+            s = T.class_count
+            expect = [[None] * s for _ in range(s)]
+            for cls in range(s):
                 N = eigenvalue_counts(T, cls)
                 phi = cyclotomic(N.shape[1])
-                for rho in range(T.class_count):
+                for rho in range(s):
                     rem = int_poly_divmod(N[rho].tolist(), phi)[1]
-                    expect = None if any(rem[1:]) else rem[0]
-                    assert rational_character_value(T, rho, cls) == expect, \
+                    expect[rho][cls] = None if any(rem[1:]) else rem[0]
+                    assert rational_character_value(T, rho, cls) == expect[rho][cls], \
                         (G.label, rho, cls)
+            # the whole matrix in one step, as group-info reads it, and a slice
+            assert rational_character_values(T) == expect, G.label
+            assert rational_character_values(T, [s - 1, 0], slice(1, None)) == [
+                expect[s - 1][1:], expect[0][1:]]
 
     def test_all_rational_groups(self):
         for G in [build_metacyclic(MetacyclicParams(3, 2, 2)),
@@ -441,9 +451,18 @@ class TestSpinChecks:
 
 
 class TestExactArithmetic:
-    """The numpy field arithmetic against Python integers, at a small and a 31-bit prime."""
+    """The numpy field arithmetic against Python integers.
 
-    PRIMES = [7681, 2 ** 31 - 1]
+    The primes are small, the two on each side of ROOT_EVAL_PRIME_LIMIT (so
+    roots come from both evaluation and Cantor-Zassenhaus), and 31-bit.
+    """
+
+    PRIMES = [7681, 32749, 32771, 2 ** 31 - 1]
+
+    def test_primes_straddle_the_evaluation_limit(self):
+        assert all(_is_prime(p) for p in self.PRIMES)
+        assert 32749 <= ROOT_EVAL_PRIME_LIMIT < 32771
+        assert not any(_is_prime(q) for q in range(32750, 32771))
 
     def test_matmul_mod(self):
         rng = np.random.default_rng(5)
@@ -467,6 +486,50 @@ class TestExactArithmetic:
                 g = _poly_mul(g, np.array([-r % p, 1], dtype=np.int64), p)
             assert g.tolist() == f
             assert sorted(_roots_of_split_poly(g, p)) == sorted(roots)
+
+
+# the group-info units of the benchmark's tables workload
+TABLES_SPECS = ["abelian:2,2,2,2,2,2,2", "cyclic:40", "metacyclic:48,2,47",
+                "perm:(1,2,3);(2,3,4,5,6)", "metacyclic:13,12,2"]
+
+
+class TestRootsByEvaluation:
+    """Roots by evaluation at every residue, against Cantor-Zassenhaus."""
+
+    def test_tables_equal_the_cantor_zassenhaus_tables(self, catalog, monkeypatch):
+        groups = catalog + [(spec, group_from_spec(spec)) for spec in TABLES_SPECS]
+
+        def refuse(*args):
+            raise AssertionError("Cantor-Zassenhaus ran below the evaluation limit")
+
+        monkeypatch.setattr(characters, "_poly_powmod", refuse)
+        shipped = [character_table(G) for _, G in groups]
+        assert all(T.prime.p <= ROOT_EVAL_PRIME_LIMIT for T in shipped)
+        monkeypatch.undo()
+        monkeypatch.setattr(characters, "ROOT_EVAL_PRIME_LIMIT", 0)
+        for (label, G), T in zip(groups, shipped):
+            R = character_table(G)
+            assert R.prime == T.prime, label
+            assert R.degrees == T.degrees, label
+            assert np.array_equal(R.values, T.values), label
+
+    def test_every_default_prime_under_the_cap_is_evaluated(self):
+        # choose_prime reads only the order and the exponent, which divides it
+        worst = max(choose_prime(SimpleNamespace(order=n, exponent=lambda e=e: e)).p
+                    for n in range(1, DEFAULT_ORDER_CAP + 1)
+                    for e in range(1, n + 1) if n % e == 0)
+        assert worst == 13711 <= ROOT_EVAL_PRIME_LIMIT
+
+    def test_cyclic_512_splits_by_evaluation(self):
+        # its default prime, and a degree as large as its class count: the
+        # minimal polynomial x^512 - 1 of a generator's class matrix on e_0
+        G = build_cyclic(DEFAULT_ORDER_CAP)
+        wp = choose_prime(G)
+        assert (wp.p, conjugacy_classes(G).class_count) == (7681, 512)
+        assert wp.p <= ROOT_EVAL_PRIME_LIMIT
+        f = np.zeros(513, dtype=np.int64)
+        f[[0, 512]] = [wp.p - 1, 1]
+        assert _roots_of_split_poly(f, wp.p) == sorted(wp.unity_root(j) for j in range(512))
 
 
 class TestOrderCap:

@@ -287,6 +287,13 @@ GROUP_INFO_STDOUT = {
         "7ecb757ec31bd7c03d02ac31cd1a7407ea02c5b581025275ac8d8e6324b762b1",
     # past TEXT_TABLE_LIMIT: the JSON-lines fallback
     ("cyclic:24", False): "9241426d707d1948b90f4c96b04986fb1aca546f1da6d1624029bb897c87f9fb",
+    # recorded while roots were still found by Cantor-Zassenhaus at every
+    # prime; the first two have irrational characters
+    ("cyclic:40", True): "d9adcc86a0789e31da2f7b250082ba027f5c1fb8752db29eada1cb631b96b34b",
+    ("metacyclic:13,12,2", True):
+        "a6f4e3bbd49cffe9c44f16a4ad916f072153aceb8062358f7b58cc6e4d5caa11",
+    ("abelian:2,2,2,2,2,2,2", True):
+        "fe2fa72f539a560c7bf5e0db16dc0d355cc9bdaeb3be6c2a1ea00c23da2db571",
 }
 
 
@@ -455,9 +462,11 @@ class TestExitCodes:
         assert caps == [338, 252, 162]
         code, _, err = invoke("decompose", group="cyclic:3", genus=6, cap=337)
         assert code == 1 and "genus 6" in err
-        # a cap used up exactly by earlier data still rejects a later vector
+        # a cap used up exactly by earlier data leaves the next datum none
+        caps.clear()
         code, _, err = invoke("decompose", group="cyclic:3", genus=6, cap=176)
         assert code == 1 and "genus 6" in err
+        assert caps == [176, 90, 0]
 
     def test_hurwitz_enumerate_cap_bounds_each_datum(self):
         code, out, _ = invoke("hurwitz-enumerate", group="cyclic:3", genus=6, cap=162)

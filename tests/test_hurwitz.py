@@ -408,7 +408,16 @@ class TestCap:
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
-            EnumerationOptions(max_vectors=0)
+            EnumerationOptions(max_vectors=-1)
+        assert EnumerationOptions(max_vectors=0).max_vectors == 0
+
+    def test_zero_cap_raises_at_the_first_vector(self, z3):
+        data = BranchingData(0, (3,) * 8)
+        with pytest.raises(EnumerationCapExceeded):
+            list(enumerate_hurwitz_vectors(z3, data, EnumerationOptions(max_vectors=0)))
+        # a datum with no vectors passes a zero cap
+        assert list(enumerate_hurwitz_vectors(
+            z3, BranchingData(0, (3, 3, 3, 3, 2)), EnumerationOptions(max_vectors=0))) == []
 
 
 class TestParallel:
