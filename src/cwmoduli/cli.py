@@ -16,13 +16,13 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import IO, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, List, Optional, Sequence, Tuple
 
 from .characters import (CharacterTable, character_table, rational_character_values)
 from .chevalley_weil import cw_character
 from .decomposition import stabilization_report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, MetacyclicParams, group_from_spec
+from .groups import FiniteGroup, MetacyclicParams, group_from_spec
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       enumerate_branching_data, enumerate_hurwitz_vectors_parallel,
                       genus, validate)
@@ -35,8 +35,8 @@ SCHEMA = "cw-moduli/1"
 # Past this many irreducible characters, text tables degrade to JSON lines.
 TEXT_TABLE_LIMIT = 20
 
-# the text of every element id, so a vector renders without str() calls
-_ID_TEXT = [str(x) for x in range(DEFAULT_ORDER_CAP)]
+# hurwitz-enumerate writes at most this many vector lines per write call
+_WRITE_LINES = 4096
 
 
 class _UsageError(Exception):
@@ -103,10 +103,22 @@ def _vector_record(v: HurwitzVector) -> dict:
             "handles": list(v.handles), "branches": list(v.branches)}
 
 
+def _vector_format(g_quot: int, r: int, as_json: bool = False) -> str:
+    """The output line of a vector of this shape, as a %d format of its entries.
+
+    The text line is two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"; the JSON
+    line is json.dumps of its _vector_record with "kind" added.
+    """
+    handles, branches = ["%d"] * (2 * g_quot), ["%d"] * r
+    if as_json:
+        return ('{"schema": %s, "g_quot": %d, "handles": [%s], "branches": [%s], '
+                '"kind": "hurwitz-vector"}\n' % (json.dumps(SCHEMA), g_quot,
+                                                 ", ".join(handles), ", ".join(branches)))
+    return "  (" + " ".join(handles) + " ; " + " ".join(branches) + ")\n"
+
+
 def _vector_text(v: HurwitzVector) -> str:
-    handles = " ".join([_ID_TEXT[x] for x in v.handles])
-    branches = " ".join([_ID_TEXT[x] for x in v.branches])
-    return f"({handles} ; {branches})"
+    return _vector_format(v.g_quot, len(v.branches))[2:-1] % v.entries
 
 
 def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
@@ -179,42 +191,37 @@ def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
         print(line, file=out)
 
 
-def _enumerate_all(G: FiniteGroup, args: argparse.Namespace
-                   ) -> Iterator[Tuple[BranchingData, List[HurwitzVector]]]:
-    """Each branching datum of the requested genus with its vectors, one at a time.
-
-    The data are listed, and the genus checked, before any vector is.
-    """
-    opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy,
-                              max_vectors=args.cap)
-    return ((data, enumerate_hurwitz_vectors_parallel(G, data, opts))
-            for data in enumerate_branching_data(G, args.genus))
-
-
 def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
-    """Render each datum as soon as it is enumerated; only its list is held."""
+    """Render each datum as soon as it is enumerated; only its list is held.
+
+    Every vector line of a datum comes from one format string of its shape,
+    written _WRITE_LINES lines at a time, so no string of the whole datum is
+    built.
+    """
     G = group_from_spec(args.group)
-    groups = _enumerate_all(G, args)
+    opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy, max_vectors=args.cap)
+    # the data are listed, and the genus checked, before anything is written
+    branching = enumerate_branching_data(G, args.genus)
     total = 0
     if not args.json:
         print(f"group: {G.label}  genus: {args.genus}  "
               f"granularity: {'orbit' if args.up_to_conjugacy else 'raw'}", file=out)
-    for data, vectors in groups:
+    for data in branching:
+        vectors = enumerate_hurwitz_vectors_parallel(G, data, opts)
         total += len(vectors)
         if args.json:
             print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
                               "g_quot": data.g_quot,
                               "branch_orders": list(data.branch_orders),
                               "count": len(vectors)}), file=out)
-            for v in vectors:
-                print(json.dumps(dict(_vector_record(v), kind="hurwitz-vector")),
-                      file=out)
-            continue
-        orders = ",".join(str(m) for m in data.branch_orders)
-        print(f"branching data g_quot={data.g_quot} orders=[{orders}]: "
-              f"{len(vectors)} vectors", file=out)
-        for v in vectors:
-            print(f"  {_vector_text(v)}", file=out)
+        else:
+            orders = ",".join(str(m) for m in data.branch_orders)
+            print(f"branching data g_quot={data.g_quot} orders=[{orders}]: "
+                  f"{len(vectors)} vectors", file=out)
+        line = _vector_format(data.g_quot, data.r, args.json)
+        for i in range(0, len(vectors), _WRITE_LINES):
+            out.write("".join([line % (handles + branches)
+                               for _, handles, branches in vectors[i:i + _WRITE_LINES]]))
     if args.json:
         print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
               file=out)

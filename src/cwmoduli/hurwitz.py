@@ -6,10 +6,14 @@ surface relation prod [a_i, b_i] prod c_j = 1 holds, and the entries generate
 the group. Enumeration is one serial depth-first search in element-id
 order, so output is deterministic and lexicographic. The search is one
 generator looping over an explicit stack, one frame per placed slot
-(candidate iterator, relation product so far, conjugation rows), so each
-vector is yielded once instead of passed up a chain of nested generators.
-Its cap counts the vectors of one branching datum as they are emitted, so
-the list of one datum never grows past the cap.
+(candidate iterator, relation product so far, conjugation rows, whether the
+entries placed so far generate G), so each vector is yielded once instead of
+passed up a chain of nested generators. A superset of a generating set
+generates, so a frame inherits True from its parent; otherwise it looks its
+prefix's entry set up once when pushed, and a leaf tests its whole entry set
+only when its prefix does not generate. Its cap counts the vectors of one
+branching datum as they are emitted, so the list of one datum never grows
+past the cap.
 
 Up to simultaneous conjugation, the representative of an orbit is its
 lexicographically smallest vector, and the search prunes prefixes instead of
@@ -101,12 +105,6 @@ class HurwitzVector(_VectorFields):
     @property
     def entries(self) -> Tuple[int, ...]:
         return self.handles + self.branches
-
-
-def _unchecked_vector(g_quot: int, handles: Tuple[int, ...],
-                      branches: Tuple[int, ...]) -> HurwitzVector:
-    """A HurwitzVector of entries that are already Python ints of the right shape."""
-    return tuple.__new__(HurwitzVector, (g_quot, handles, branches))
 
 
 def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
@@ -280,8 +278,11 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     branch_orders[j]; the final branch entry is forced by the relation. With
     up_to_conjugacy only the smallest vector of each simultaneous-conjugation
     orbit is emitted, found by pruning prefixes (see the module docstring).
-    Emitting more than max_vectors vectors raises EnumerationCapExceeded in
-    place of the first vector past the cap.
+    The generation test runs once per prefix until the prefix generates G
+    (a repeated entry changes no entry set and needs none), and at a leaf only
+    when its prefix does not; every emitted vector generates G. Emitting
+    more than max_vectors vectors raises EnumerationCapExceeded in place of
+    the first vector past the cap.
     """
     opts = opts or EnumerationOptions()
     n_handles = 2 * data.g_quot
@@ -315,7 +316,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
         # no free entry: a lone branch entry is forced to the identity, and
         # the empty vector is valid only for the trivial group
         if not r and G.order == 1:
-            yield _unchecked_vector(0, (), ())
+            yield tuple.__new__(HurwitzVector, (0, (), ()))
         return
 
     identity, g_quot, cap = G.identity, data.g_quot, opts.max_vectors
@@ -324,12 +325,13 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     last = len(slots) - 1
     emitted = 0
     # one frame per placed slot: its candidate iterator, the relation product
-    # of the slots before it, and the conjugation rows that fix them
+    # of the slots before it, the conjugation rows that fix them, and whether
+    # they already generate G
     conj = _conjugation_rows(G) if opts.up_to_conjugacy else []
-    stack = [(iter(slots[0]), identity, conj)]
+    stack = [(iter(slots[0]), identity, conj, False)]
     while stack:
         slot = len(stack) - 1
-        candidates, acc, conj = stack[-1]
+        candidates, acc, conj, gen = stack[-1]
         if slot >= n_handles:
             step = as_is
         elif slot % 2:
@@ -346,7 +348,12 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
             flat[slot] = x
             prod = row_acc[step[x]]
             if slot < last:
-                stack.append((iter(slots[slot + 1]), prod, keep))
+                # a superset of a generating set generates, so a prefix that
+                # generates G settles its whole subtree; a repeated entry
+                # leaves the entry set, and so the answer, unchanged
+                stack.append((iter(slots[slot + 1]), prod, keep,
+                              gen or (x not in flat[:slot]
+                                      and _generates(G, flat[:slot + 1], gen_memo))))
                 break
             # every free slot is placed. A forced last branch entry needs no
             # conjugacy test: the conjugators still carried fix every free
@@ -358,13 +365,13 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
                 flat[-1] = forced
             elif prod != identity:
                 continue
-            flat_t = tuple(flat)
-            if not _generates(G, flat_t, gen_memo):
+            if not (gen or _generates(G, flat, gen_memo)):
                 continue
             emitted += 1
             if emitted > cap:
                 raise EnumerationCapExceeded(f"enumeration exceeded the cap of {cap} vectors")
-            yield _unchecked_vector(g_quot, flat_t[:n_handles], flat_t[n_handles:])
+            yield tuple.__new__(HurwitzVector, (g_quot, (), tuple(flat)) if not n_handles else
+                                (g_quot, tuple(flat[:n_handles]), tuple(flat[n_handles:])))
         else:
             stack.pop()
 

@@ -184,6 +184,27 @@ class TestJsonReports:
             validate(v, G)
             assert genus(v, G) == 6
 
+    def test_vector_lines_match_json_dumps(self, catalog, monkeypatch):
+        # the per-datum format writes the bytes json.dumps writes for each record
+        import cwmoduli.cli as cli
+        from cwmoduli.cli import _vector_record
+        from cwmoduli.hurwitz import enumerate_branching_data, enumerate_hurwitz_vectors
+        groups = dict(catalog)
+        monkeypatch.setattr(cli, "group_from_spec", groups.__getitem__)
+        checked = 0
+        for label, G in catalog:
+            for g in (2, 3, 4):
+                code, out, err = invoke("hurwitz-enumerate", group=label, genus=g, json=True)
+                assert (code, err) == (0, "")
+                lines = [line for line in out.splitlines()
+                         if '"kind": "hurwitz-vector"' in line]
+                expect = [json.dumps(dict(_vector_record(v), kind="hurwitz-vector"))
+                          for data in enumerate_branching_data(G, g)
+                          for v in enumerate_hurwitz_vectors(G, data)]
+                assert lines == expect, (label, g)
+                checked += len(lines)
+        assert checked > 1000, checked
+
     def test_enumerated_vector_line_feeds_cw(self):
         _, out, _ = invoke("hurwitz-enumerate", group="cyclic:2",
                            genus=2, json=True)
@@ -324,12 +345,26 @@ ENUMERATION_STDOUT = {
         "504e25777396e7bb4df23d6bbb6560c28e13200261c7c4e4fad20a2022030eca",
     ("decompose", "metacyclic:3,2,2", 4, ()):
         "3cda0506c6e0fdaf85764a2c13831883d5bb4f60771c82ccc52912f70a58b0e0",
+    # g' = 2 with no branch points, and the trivial group
+    ("hurwitz-enumerate", "cyclic:3", 4, ()):
+        "8221f0e8e03cf985a4bf16a210410e514ebf6ce6a3422b30b6fe697b10290969",
+    ("hurwitz-enumerate", "cyclic:3", 4, ("json",)):
+        "c6e98e623dc92a1b28fdbe44d7db8ce6231ee12ce17e6f2a79b7dbfecb22d803",
+    ("hurwitz-enumerate", "cyclic:1", 2, ()):
+        "c4baa7818747106e5534f2ad2e85323afc5498eb5722ecfde0d629e5f9a6ca77",
+    ("hurwitz-enumerate", "cyclic:1", 2, ("json",)):
+        "3338e309222582618893687232c3ecd0b98b9a335e2637151bb8406536d95d54",
+    # the cw text header renders its vector like hurwitz-enumerate does
+    ("cw", "cyclic:3", None, (("vector", V_GENUS6),)):
+        "88683f21ae1cdf2c242f276d705059972c85fe176916f3f98146279047a2dfe1",
 }
 
 
 @pytest.mark.parametrize("command, spec, g, flags", ENUMERATION_STDOUT)
 def test_enumeration_stdout_is_pinned(command, spec, g, flags):
-    code, out, err = invoke(command, group=spec, genus=g, **dict.fromkeys(flags, True))
+    # a flag is a bare option name or an (option, value) pair
+    options = dict(f if isinstance(f, tuple) else (f, True) for f in flags)
+    code, out, err = invoke(command, group=spec, genus=g, **options)
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == ENUMERATION_STDOUT[command, spec, g, flags]

@@ -34,6 +34,7 @@ from cwmoduli import (
     genus,
     validate,
 )
+import cwmoduli.hurwitz as hurwitz
 from cwmoduli.hurwitz import _conjugation_rows
 
 
@@ -459,6 +460,104 @@ class TestMetacyclicEnumeration:
             for v in vecs:
                 assert validate(v, G) is v
                 assert genus(v, G) == 3
+
+
+def _span(G, entries):
+    """The subgroup generated by entries, by breadth-first closure on the rows."""
+    rows = G.mul_rows()
+    seen, frontier = {G.identity}, [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in entries:
+                y = rows[x][s]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+class TestGenerationPerPrefix:
+    """The enumerator settles generation once per prefix; check it against every tuple."""
+
+    # S3 and Z3 at g' = 1, where a prefix of two handle entries of order 3
+    # (or the identity) spans a proper subgroup and the first branch entry
+    # completes generation; S3 at g' = 2 with no branch entries, where the
+    # last handle entry can complete it; D4 and Q8 from the catalog at g' = 1
+    CASES = [
+        ("metacyclic:3,2,2", BranchingData(1, (2, 2))),
+        ("metacyclic:3,2,2", BranchingData(2, ())),
+        ("cyclic:3", BranchingData(1, (3, 3))),
+        ("table:D4", BranchingData(1, (2, 2))),
+        ("perm:Q8", BranchingData(1, (4, 4))),
+    ]
+
+    @staticmethod
+    def tuples(G, data):
+        """Every tuple of the data's shape: handles over G, branches by order."""
+        slots = [range(G.order)] * (2 * data.g_quot) + [
+            [x for x in range(G.order) if G.elem_order(x) == m]
+            for m in data.branch_orders]
+        return itertools.product(*slots)
+
+    def brute_force(self, G, data):
+        """The tuples that pass validate, in lexicographic order."""
+        out = []
+        for t in self.tuples(G, data):
+            v = HurwitzVector(data.g_quot, t[:2 * data.g_quot], t[2 * data.g_quot:])
+            try:
+                out.append(flat(validate(v, G)))
+            except (RelationViolation, NotGenerating):
+                pass
+        return out
+
+    @pytest.mark.parametrize("label, data", CASES)
+    def test_matches_brute_force(self, catalog, label, data):
+        G = dict(catalog)[label]
+        got = [flat(v) for v in enumerate_hurwitz_vectors(G, data)]
+        assert got == self.brute_force(G, data)
+        # some vectors generate only once their last free entry is placed
+        free = 2 * data.g_quot + max(data.r - 1, 0)
+        late = [t for t in got if len(_span(G, t[:free - 1])) < G.order]
+        assert late and all(len(_span(G, t)) == G.order for t in got)
+        if label == "metacyclic:3,2,2" and data.r:
+            assert any(len(_span(G, t[:free - 1])) == 3 for t in late)
+
+    @pytest.mark.parametrize("label, data", [c for c in CASES if c[1].r])
+    def test_forced_entry_never_completes_generation(self, catalog, label, data):
+        # the forced entry is a word in the free entries, so a prefix that
+        # does not generate G cannot be completed by it
+        G = dict(catalog)[label]
+        checked = 0
+        for t in self.tuples(G, data):
+            v = HurwitzVector(data.g_quot, t[:2 * data.g_quot], t[2 * data.g_quot:])
+            try:
+                validate(v, G)
+            except RelationViolation:
+                continue
+            except NotGenerating:
+                pass
+            assert _span(G, t[:-1]) == _span(G, t)
+            checked += 1
+        assert checked
+
+    def test_fewer_lookups_than_vectors(self, monkeypatch):
+        # one entry-set lookup per leaf made 59,139 for these 54,400 vectors
+        G = build_metacyclic(MetacyclicParams(4, 2, 3))
+        original = hurwitz._generates
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hurwitz, "_generates", counting)
+        total = sum(1 for data in enumerate_branching_data(G, 9)
+                    for _ in enumerate_hurwitz_vectors(G, data))
+        assert total == 54400
+        assert len(calls) < total // 4
+
 
 
 # Independent counting oracle. It reads only the multiplication rows, the
