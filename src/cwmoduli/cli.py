@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import sys
+from itertools import islice
 from typing import IO, List, Optional, Sequence, Tuple
 
 from .characters import (CharacterTable, character_table, rational_character_values)
@@ -35,7 +36,9 @@ SCHEMA = "cw-moduli/1"
 # Past this many irreducible characters, text tables degrade to JSON lines.
 TEXT_TABLE_LIMIT = 20
 
-# hurwitz-enumerate writes at most this many vector lines per write call
+# hurwitz-enumerate joins at most this many vector lines per write call: an
+# in-memory stream such as io.StringIO keeps one object per write until it is
+# read, so line-by-line writes of a datum hold one string per vector
 _WRITE_LINES = 4096
 
 
@@ -103,18 +106,11 @@ def _vector_record(v: HurwitzVector) -> dict:
             "handles": list(v.handles), "branches": list(v.branches)}
 
 
-def _vector_format(g_quot: int, r: int, as_json: bool = False) -> str:
-    """The output line of a vector of this shape, as a %d format of its entries.
-
-    The text line is two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"; the JSON
-    line is json.dumps of its _vector_record with "kind" added.
-    """
-    handles, branches = ["%d"] * (2 * g_quot), ["%d"] * r
-    if as_json:
-        return ('{"schema": %s, "g_quot": %d, "handles": [%s], "branches": [%s], '
-                '"kind": "hurwitz-vector"}\n' % (json.dumps(SCHEMA), g_quot,
-                                                 ", ".join(handles), ", ".join(branches)))
-    return "  (" + " ".join(handles) + " ; " + " ".join(branches) + ")\n"
+def _vector_format(g_quot: int, r: int) -> str:
+    """The text line of a vector of this shape, as a %d format of its entries:
+    two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"."""
+    return ("  (" + " ".join(["%d"] * (2 * g_quot)) + " ; "
+            + " ".join(["%d"] * r) + ")\n")
 
 
 def _vector_text(v: HurwitzVector) -> str:
@@ -194,9 +190,9 @@ def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
 def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     """Render each datum as soon as it is enumerated; only its list is held.
 
-    Every vector line of a datum comes from one format string of its shape,
-    written _WRITE_LINES lines at a time, so no string of the whole datum is
-    built.
+    Every text vector line of a datum comes from one format string of its
+    shape; --json lines are the records decompose --json writes. Lines are
+    written _WRITE_LINES at a time, so no string of the whole datum is built.
     """
     G = group_from_spec(args.group)
     opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy, max_vectors=args.cap)
@@ -214,14 +210,16 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
                               "g_quot": data.g_quot,
                               "branch_orders": list(data.branch_orders),
                               "count": len(vectors)}), file=out)
+            lines = (json.dumps(dict(_vector_record(v), kind="hurwitz-vector")) + "\n"
+                     for v in vectors)
         else:
             orders = ",".join(str(m) for m in data.branch_orders)
             print(f"branching data g_quot={data.g_quot} orders=[{orders}]: "
                   f"{len(vectors)} vectors", file=out)
-        line = _vector_format(data.g_quot, data.r, args.json)
-        for i in range(0, len(vectors), _WRITE_LINES):
-            out.write("".join([line % (handles + branches)
-                               for _, handles, branches in vectors[i:i + _WRITE_LINES]]))
+            line = _vector_format(data.g_quot, data.r)
+            lines = (line % (handles + branches) for _, handles, branches in vectors)
+        while chunk := "".join(islice(lines, _WRITE_LINES)):
+            out.write(chunk)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
               file=out)
