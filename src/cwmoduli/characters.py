@@ -7,11 +7,11 @@ j -> |C_j| chi(g_j) / chi(1). Here they are reached by spinning the
 identity-class vector: a Krylov sequence under one class matrix at a time
 splits it into its eigenspace components, classes of a generating set first,
 until there are as many pieces as classes. The eigenvalues of each split are
-the roots of a minimal polynomial over GF(p): found, as Dixon and Schneider
-do, by trying every residue when p is at most ROOT_EVAL_PRIME_LIMIT, which
-every default prime under the order cap is, and by Cantor-Zassenhaus for the
-larger primes that decompose's level and genus sizing or library callers
-may ask for. Degrees and values are then recovered from the norm, and the
+the roots of a minimal polynomial over GF(p), central-character values
+|C_i| chi(g_i) / chi(1): found, as Dixon and Schneider do, by trying every
+residue when p is at most ROOT_EVAL_PRIME_LIMIT, and above it by trying the
+s values that the table at the default prime gives through its eigenvalue
+counts. Degrees and values are then recovered from the norm, and the
 result is checked against the eigenvector equations and row orthogonality.
 Everything is exact: p is chosen by the modular module so that every reported
 integer is a least absolute residue, and the matrix products run in float64
@@ -43,21 +43,10 @@ __all__ = [
     "character_fingerprint",
 ]
 
-# Largest prime at which _roots_of_split_poly finds roots by evaluation at
-# every residue; Cantor-Zassenhaus serves larger primes. Both cost about
-# linearly in the degree d here, so the crossover is a prime, not a product
-# p * d. Measured on products of d random linear factors (2 vCPUs, Python
-# 3.11.7, numpy 2.4.6): the two are even at p = 32749 for d = 2, where
-# evaluation is already 3-20x faster for 4 <= d <= 512; the crossover is near
-# 10^5 for d = 4 and 8 and past 2.6 * 10^5 for d >= 32. Every default prime
-# under the order cap, sized by |G| alone, is below the limit: the largest is
-# 13711, for cyclic:457 (cyclic:512 has 7681).
+# Largest prime at which a split tries every residue as a root; above it, a
+# table costs one more table at the default prime. Every default prime under
+# the order cap is below the limit: the largest is 13711, for cyclic:457.
 ROOT_EVAL_PRIME_LIMIT = 2 ** 15
-
-# Shifts Cantor-Zassenhaus tries when splitting a product of distinct linear
-# factors, for primes above ROOT_EVAL_PRIME_LIMIT; the scan is deterministic
-# so tables are reproducible.
-MAX_ROOT_SHIFTS = 10000
 
 
 class CharacterTable:
@@ -116,7 +105,15 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
     """
     conj = conjugacy_classes(G)
     wp = choose_prime(G, k_max, g_max)
-    degrees, X = _class_matrix_characters(G, conj, wp)
+    base = None
+    if wp.p > ROOT_EVAL_PRIME_LIMIT:
+        base = _table(G, conj, choose_prime(G), None)
+    return _table(G, conj, wp, base)
+
+
+def _table(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPrime,
+           base: Optional[CharacterTable]) -> CharacterTable:
+    degrees, X = _class_matrix_characters(G, conj, wp, base)
     return CharacterTable(G, conj, wp, *_sort_characters(degrees, X, wp, G.order))
 
 
@@ -269,8 +266,8 @@ def _class_matrix(G: FiniteGroup, conj: ConjugacyData, i: int) -> np.ndarray:
     return M
 
 
-def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
-                             wp: WorkingPrime) -> Tuple[np.ndarray, np.ndarray]:
+def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPrime,
+                             base: Optional[CharacterTable]) -> Tuple[np.ndarray, np.ndarray]:
     """Degrees and value rows mod p of all irreducible characters, in no particular order.
 
     Spins the identity-class vector e_0 into the common eigenvectors. In the
@@ -281,8 +278,9 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
     coordinate 0 is 1. For each class matrix M in turn, built one at a time,
     each piece u is kept if M is a scalar on it, and otherwise replaced by
     its components in the eigenspaces of M (see _spin). Classes of a greedy
-    generating set come first; the split stops at s pieces. Root and class
-    order are fixed, so the outcome is deterministic.
+    generating set come first; the split stops at s pieces. Roots are tried
+    among every residue, or among _central_characters of base if given. Root
+    and class order are fixed, so the outcome is deterministic.
     """
     s = conj.class_count
     if s == 1:
@@ -299,7 +297,9 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
         moved = ((images - images[:, :1] * pieces) % p).any(axis=1)
         if moved.any():
             used.append(i)
-            pieces = np.vstack([_spin(M, u, p) if m else u[None]
+            roots = (np.arange(p, dtype=np.int64) if base is None
+                     else _central_characters(base, i, wp))
+            pieces = np.vstack([_spin(M, u, p, roots) if m else u[None]
                                 for u, m in zip(pieces, moved)])
             if len(pieces) == s:
                 break
@@ -316,7 +316,23 @@ def _splitting_order(G: FiniteGroup, conj: ConjugacyData) -> List[int]:
     return list(first) + [i for i in range(1, conj.class_count) if i not in first]
 
 
-def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+def _central_characters(base: CharacterTable, i: int, wp: WorkingPrime) -> np.ndarray:
+    """The distinct |C_i| chi(g_i) / chi(1) mod wp.p over all chi, ascending.
+
+    chi(g_i) = sum_a N[chi, a] z^(a e/m), N being base's eigenvalue counts at
+    class i: every complex character reduced at wp.p, so every eigenvalue of
+    class matrix i there.
+    """
+    p = wp.p
+    N = eigenvalue_counts(base, i).astype(np.int64)
+    m = N.shape[1]
+    zeta = np.array([wp.unity_root(a * (wp.e // m)) for a in range(m)], dtype=np.int64)
+    chi = N @ zeta % p  # a row of N sums to the degree: below 2^36 before reduction
+    inv_degrees = np.array([wp.inv(d) for d in base.degrees], dtype=np.int64)
+    return np.unique(chi * inv_degrees % p * base.classes.class_sizes[i] % p)
+
+
+def _spin(M: np.ndarray, u: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """The components of u in the eigenspaces of M, as rows with coordinate 0 equal to 1.
 
     M is a class matrix in float64. Builds the Krylov sequence u, Mu, M^2 u,
@@ -325,9 +341,10 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     dependent; that dependence is the monic minimal polynomial mu of M on u.
     mu is squarefree and splits over GF(p), since u is a sum of common
     eigenvectors, and q(M) u for q = mu / (x - lam) is the component at the
-    root lam, up to the nonzero factor q(lam). M u is exact in float64: the
-    row sums of M are at most s |G| and the entries of u are below p, so
-    every sum is below 2^53 (2^49 at the order cap).
+    root lam, up to the nonzero factor q(lam), in the ascending order of
+    `roots`, which must hold every root. M u is exact in float64: the row
+    sums of M are at most s |G| and the entries of u are below p, so every
+    sum is below 2^53 (2^49 at the order cap).
     """
     s = u.shape[0]
     krylov = np.empty((s + 1, s), dtype=np.int64)  # rows past k are never read
@@ -356,12 +373,11 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
         polys[rows, :k + 1] = (polys[rows, :k + 1] - col[rows, None] * polys[k, :k + 1]) % p
         pivots.append(j)
         krylov[k + 1] = (M @ v).astype(np.int64) % p
-    roots = sorted(_roots_of_split_poly(poly, p))
-    if len(roots) != k:
+    lam = _roots_at(poly, p, roots)
+    if len(lam) != k:
         raise InternalConsistencyError(
-            "minimal polynomial of a class matrix is not a product of distinct "
-            "linear factors")
-    lam = np.array(roots, dtype=np.int64)
+            f"minimal polynomial of degree {k} of a class matrix has {len(lam)} "
+            f"roots among {len(roots)} candidates")
     Q = np.zeros((k, k), dtype=np.int64)  # row t: coefficients of mu / (x - lam_t)
     Q[:, k - 1] = 1
     for j in range(k - 1, 0, -1):
@@ -371,6 +387,25 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
         raise InternalConsistencyError("a split piece vanishes at the identity class")
     return parts * np.array([pow(int(x), p - 2, p) for x in parts[:, 0]],
                             dtype=np.int64)[:, None] % p
+
+
+def _roots_at(f: np.ndarray, p: int, candidates: np.ndarray) -> np.ndarray:
+    """The candidates at which f vanishes mod p, in the candidates' order.
+
+    f and the candidates are int64 with entries in [0, p). Horner's rule
+    runs on the vector of all candidates at once. It reduces mod p only every
+    `lazy` steps, which is exact: from a reduced value, j steps of
+    acc * x + c with x, c < p stay below p^(j+1), and p^(lazy+1) < 2^63;
+    lazy >= 1 for every p below 2^31, the prime search limit.
+    """
+    acc = np.zeros(len(candidates), dtype=np.int64)
+    lazy = 63 // p.bit_length() - 1
+    for i, c in enumerate(f[::-1].tolist()):
+        acc *= candidates
+        acc += c
+        if i % lazy == lazy - 1:
+            acc %= p
+    return candidates[acc % p == 0]
 
 
 def _check_common_eigenvectors(mats: Iterable[np.ndarray], W: np.ndarray,
@@ -463,107 +498,3 @@ def _sort_characters(degrees: np.ndarray, X: np.ndarray, wp: WorkingPrime,
     ordered = [int(trivial[0])] + [int(i) for i in ranked if i != trivial[0]]
     return tuple(degrees[ordered].tolist()), X[ordered]
 
-
-# ---------------------------------------------------------------------------
-# roots of split polynomials, and the polynomial arithmetic mod p that
-# Cantor-Zassenhaus needs above ROOT_EVAL_PRIME_LIMIT (int64 coefficient
-# arrays, ascending powers, entries in [0, p), degree at most the class count)
-
-
-def _poly_trim(f: np.ndarray) -> np.ndarray:
-    n = len(f)
-    while n > 1 and not f[n - 1]:
-        n -= 1
-    return f[:n]
-
-
-def _poly_mul(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """f g mod p; g is split into 16-bit limbs so every int64 sum stays below 2^58."""
-    high = np.convolve(f, g >> 16) % p
-    return _poly_trim((high * 65536 + np.convolve(f, g & 0xFFFF)) % p)
-
-
-def _poly_divmod(f: np.ndarray, g: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    rem = f.copy()
-    dg = len(g) - 1
-    lead_inv = pow(int(g[-1]), p - 2, p)
-    quot = np.zeros(max(len(f) - dg, 1), dtype=np.int64)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = int(rem[i]) * lead_inv % p
-        if c:
-            quot[i - dg] = c
-            rem[i - dg:i + 1] = (rem[i - dg:i + 1] - c * g) % p
-    return _poly_trim(quot), _poly_trim(rem[:dg] if dg else np.zeros(1, dtype=np.int64))
-
-
-def _poly_gcd(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    a, b = _poly_trim(f), _poly_trim(g)
-    while b.any():
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a * pow(int(a[-1]), p - 2, p) % p
-
-
-def _poly_powmod(base: np.ndarray, exp: int, mod: np.ndarray, p: int) -> np.ndarray:
-    result = np.ones(1, dtype=np.int64)
-    acc = _poly_divmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _poly_divmod(_poly_mul(result, acc, p), mod, p)[1]
-        acc = _poly_divmod(_poly_mul(acc, acc, p), mod, p)[1]
-        exp >>= 1
-    return result
-
-
-def _roots_by_evaluation(f: np.ndarray, p: int) -> List[int]:
-    """The zeros in GF(p) of f (entries in [0, p)), in increasing order.
-
-    Horner's rule runs on the int64 vector of all p residues at once. It
-    reduces mod p only every `lazy` steps, which is exact: from a reduced
-    value, j steps of acc * x + c with x, c < p stay below p^(j+1), and
-    p^(lazy+1) < 2^63.
-    """
-    x = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    lazy = 63 // p.bit_length() - 1
-    for i, c in enumerate(f[::-1].tolist()):
-        acc *= x
-        acc += c
-        if i % lazy == lazy - 1:
-            acc %= p
-    return np.flatnonzero(acc % p == 0).tolist()
-
-
-def _roots_of_split_poly(f: np.ndarray, p: int) -> List[int]:
-    """Roots of a squarefree polynomial known to split into linear factors.
-
-    Up to ROOT_EVAL_PRIME_LIMIT, f is evaluated at every residue (see
-    _roots_by_evaluation). Above it, Cantor-Zassenhaus splits f recursively
-    with gcd(f, (x+shift)^((p-1)/2) - 1) over a deterministic shift scan.
-    Neither part of a split can be split by the shift that made it or by the
-    shifts that failed before, so each part resumes the scan at the next
-    shift. A polynomial that refuses to split signals eigenvalues outside
-    the field, which the working-prime choice rules out; evaluation then
-    finds fewer roots than the degree, which the caller checks.
-    """
-    if p <= ROOT_EVAL_PRIME_LIMIT:
-        return _roots_by_evaluation(f, p)
-    stack = [(f * pow(int(f[-1]), p - 2, p) % p, 0)]
-    roots: List[int] = []
-    while stack:
-        h, first = stack.pop()
-        if len(h) == 2:
-            roots.append(int(-h[0] % p))
-        if len(h) <= 2:
-            continue
-        for shift in range(first, MAX_ROOT_SHIFTS):
-            a = _poly_powmod(np.array([shift, 1], dtype=np.int64), (p - 1) // 2, h, p)
-            a[0] = (a[0] - 1) % p
-            g = _poly_gcd(a, h, p)
-            if 1 < len(g) < len(h):
-                stack.append((g, shift + 1))
-                stack.append((_poly_divmod(h, g, p)[0], shift + 1))
-                break
-        else:
-            raise InternalConsistencyError(
-                f"degree-{len(h) - 1} factor did not split over GF({p})")
-    return roots

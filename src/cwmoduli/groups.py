@@ -281,6 +281,8 @@ def closure(G: FiniteGroup, S: Iterable[int]) -> Set[int]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+            if len(seen) == G.order:  # stop early: a large S spans G in one row
+                return seen
         frontier = nxt
     return seen
 

@@ -278,11 +278,11 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     branch_orders[j]; the final branch entry is forced by the relation. With
     up_to_conjugacy only the smallest vector of each simultaneous-conjugation
     orbit is emitted, found by pruning prefixes (see the module docstring).
-    The generation test runs once per prefix until the prefix generates G
-    (a repeated entry changes no entry set and needs none), and at a leaf only
-    when its prefix does not; every emitted vector generates G. Emitting
-    more than max_vectors vectors raises EnumerationCapExceeded in place of
-    the first vector past the cap.
+    The generation test runs once on all candidates, then once per prefix
+    until the prefix generates G (a repeated entry changes no entry set and
+    needs none), and at a leaf only when its prefix does not; every emitted
+    vector generates G. Emitting more than max_vectors vectors raises
+    EnumerationCapExceeded in place of the first vector past the cap.
     """
     opts = opts or EnumerationOptions()
     n_handles = 2 * data.g_quot
@@ -319,8 +319,12 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
             yield tuple.__new__(HurwitzVector, (0, (), ()))
         return
 
-    identity, g_quot, cap = G.identity, data.g_quot, opts.max_vectors
     gen_memo: Dict[FrozenSet[int], bool] = {}
+    # the forced last entry is a word in the free ones, so when every free
+    # candidate lies in one proper subgroup no leaf generates G
+    if not _generates(G, set().union(*slots), gen_memo):
+        return
+    identity, g_quot, cap = G.identity, data.g_quot, opts.max_vectors
     flat = [0] * total
     last = len(slots) - 1
     emitted = 0

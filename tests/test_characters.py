@@ -35,7 +35,7 @@ from cwmoduli import (
 from cwmoduli import characters
 from cwmoduli.characters import (ROOT_EVAL_PRIME_LIMIT, _characters_from_vectors,
                                  _check_common_eigenvectors, _class_matrix, _matmul_mod,
-                                 _poly_mul, _roots_of_split_poly, _splitting_order)
+                                 _roots_at, _splitting_order)
 from cwmoduli.groups import DEFAULT_ORDER_CAP, greedy_generators
 from cwmoduli.modular import _is_prime, choose_prime
 
@@ -454,7 +454,8 @@ class TestExactArithmetic:
     """The numpy field arithmetic against Python integers.
 
     The primes are small, the two on each side of ROOT_EVAL_PRIME_LIMIT (so
-    roots come from both evaluation and Cantor-Zassenhaus), and 31-bit.
+    roots are sought among every residue and among candidates), and 31-bit,
+    where the Horner scheme reduces at every step.
     """
 
     PRIMES = [7681, 32749, 32771, 2 ** 31 - 1]
@@ -476,16 +477,20 @@ class TestExactArithmetic:
     def test_poly_mul_and_roots(self):
         for p in self.PRIMES:
             rng = random.Random(p)
-            roots = rng.sample(range(p), 40)
+            picks = rng.sample(range(p), 240)
+            roots = picks[:40]
             f = [1]
             for r in roots:  # f *= (x - r) in Python integers
                 f = [((f[i - 1] if i else 0) - r * (f[i] if i < len(f) else 0)) % p
                      for i in range(len(f) + 1)]
-            g = np.ones(1, dtype=np.int64)
-            for r in roots:
-                g = _poly_mul(g, np.array([-r % p, 1], dtype=np.int64), p)
-            assert g.tolist() == f
-            assert sorted(_roots_of_split_poly(g, p)) == sorted(roots)
+            assert all(sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0
+                       for r in roots)
+            f = np.array(f, dtype=np.int64)
+            candidates = np.array(sorted(picks), dtype=np.int64)
+            assert _roots_at(f, p, candidates).tolist() == sorted(roots)
+            if p <= ROOT_EVAL_PRIME_LIMIT:
+                everything = np.arange(p, dtype=np.int64)
+                assert _roots_at(f, p, everything).tolist() == sorted(roots)
 
 
 # the group-info units of the benchmark's tables workload
@@ -494,24 +499,37 @@ TABLES_SPECS = ["abelian:2,2,2,2,2,2,2", "cyclic:40", "metacyclic:48,2,47",
 
 
 class TestRootsByEvaluation:
-    """Roots by evaluation at every residue, against Cantor-Zassenhaus."""
+    """Roots among the base table's central characters, against every residue."""
 
-    def test_tables_equal_the_cantor_zassenhaus_tables(self, catalog, monkeypatch):
+    def test_candidate_tables_equal_the_exhaustive_tables(self, catalog, monkeypatch):
+        # k_max = 3 sizes a prime other than the default one, still below 2^15
         groups = catalog + [(spec, group_from_spec(spec)) for spec in TABLES_SPECS]
-
-        def refuse(*args):
-            raise AssertionError("Cantor-Zassenhaus ran below the evaluation limit")
-
-        monkeypatch.setattr(characters, "_poly_powmod", refuse)
-        shipped = [character_table(G) for _, G in groups]
-        assert all(T.prime.p <= ROOT_EVAL_PRIME_LIMIT for T in shipped)
-        monkeypatch.undo()
+        exhaustive = [character_table(G, k_max=3) for _, G in groups]
+        assert all(T.prime.p <= ROOT_EVAL_PRIME_LIMIT for T in exhaustive)
+        assert all(T.prime != choose_prime(G) for T, (_, G) in zip(exhaustive, groups))
+        calls = []
+        central = characters._central_characters
+        monkeypatch.setattr(characters, "_central_characters",
+                            lambda *a: calls.append(a) or central(*a))
         monkeypatch.setattr(characters, "ROOT_EVAL_PRIME_LIMIT", 0)
-        for (label, G), T in zip(groups, shipped):
-            R = character_table(G)
+        for (label, G), T in zip(groups, exhaustive):
+            R = character_table(G, k_max=3)
             assert R.prime == T.prime, label
             assert R.degrees == T.degrees, label
             assert np.array_equal(R.values, T.values), label
+        assert len(calls) >= len(groups) - 1  # the trivial group never splits
+
+    def test_a_missing_candidate_raises(self, monkeypatch):
+        G = build_metacyclic(MetacyclicParams(5, 4, 2))
+        central = characters._central_characters
+
+        def drop_largest(*args):
+            return central(*args)[:-1]
+
+        monkeypatch.setattr(characters, "_central_characters", drop_largest)
+        monkeypatch.setattr(characters, "ROOT_EVAL_PRIME_LIMIT", 0)
+        with pytest.raises(InternalConsistencyError, match="roots among"):
+            character_table(G)
 
     def test_every_default_prime_under_the_cap_is_evaluated(self):
         # choose_prime reads only the order and the exponent, which divides it
@@ -529,7 +547,9 @@ class TestRootsByEvaluation:
         assert wp.p <= ROOT_EVAL_PRIME_LIMIT
         f = np.zeros(513, dtype=np.int64)
         f[[0, 512]] = [wp.p - 1, 1]
-        assert _roots_of_split_poly(f, wp.p) == sorted(wp.unity_root(j) for j in range(512))
+        everything = np.arange(wp.p, dtype=np.int64)
+        assert _roots_at(f, wp.p, everything).tolist() == sorted(
+            wp.unity_root(j) for j in range(512))
 
 
 class TestOrderCap:

@@ -24,6 +24,7 @@ from cwmoduli import (
     RelationViolation,
     branching_data_of,
     build_cyclic,
+    build_from_permutations,
     build_metacyclic,
     character_table,
     conjugate_vector,
@@ -557,6 +558,28 @@ class TestGenerationPerPrefix:
                     for _ in enumerate_hurwitz_vectors(G, data))
         assert total == 54400
         assert len(calls) < total // 4
+
+    def test_candidates_in_a_proper_subgroup_end_the_search(self, monkeypatch):
+        # the involutions of A4 span only V4: with twelve of them there are
+        # 3^11 leaves, and one test of the candidates rules them all out
+        G = build_from_permutations(["(1,2,3)", "(2,3,4)"])
+        original = hurwitz._generates
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hurwitz, "_generates", counting)
+        assert list(enumerate_hurwitz_vectors(G, BranchingData(0, (2,) * 12))) == []
+        assert len(calls) == 1 and len(_span(G, calls[0][1])) == 4
+        monkeypatch.undo()
+        # every tuple, on data small enough to list: one ruled out the same
+        # way, one whose candidates generate
+        for data in [BranchingData(0, (2,) * 5), BranchingData(0, (2, 3, 3))]:
+            got = [flat(v) for v in enumerate_hurwitz_vectors(G, data)]
+            assert got == self.brute_force(G, data)
+        assert got
 
 
 
