@@ -18,13 +18,14 @@ integer is a least absolute residue, and the matrix products run in float64
 only on integer limbs whose sums stay below 2^53. Built with the table: which
 values are rational, from the Galois action on classes given by the power
 map. Memoized per class on first use: the integer eigenvalue counts, one
-matrix product per class, which only multiplicities and fingerprints read.
+matrix product per class, read by multiplicities, fingerprints and the
+central characters that seed root finding above ROOT_EVAL_PRIME_LIMIT.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class CharacterTable:
     Construction also fixes a read-only matrix saying which values are
     rational. None of this changes afterwards; the table memoizes the
     eigenvalue counts of each class on first use, and the multiplicity module
-    keeps its per-table caches here.
+    keeps its per-table caches here. Whether a vector's entries generate G is
+    memoized on the group instead, once per entry set per group.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyData,
@@ -76,10 +78,6 @@ class CharacterTable:
         # periodicity_delta (a tuple record, so equal vectors share it) ->
         # (genus, sorted branch class ids, level dict); decompose adds none
         self._validated: Dict[tuple, tuple] = {}
-        # frozenset of entries -> whether they generate the group: validate's
-        # generation test. One entry per distinct entry set that reached the
-        # test, so a set rejected as a proper subgroup is kept (as False)
-        self._generated: Dict[FrozenSet[int], bool] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
         # filled by decompose and cw_character alike and shared by the memo
         # entries of every vector with that key

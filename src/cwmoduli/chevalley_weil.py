@@ -15,9 +15,9 @@ to be exact. Range and dimension identities are asserted, never assumed.
 
 Two helpers carry the work. _class_key validates a vector in full and
 returns its sorted branch class key; its generation test is one lookup in
-the table's memo from entry set to whether it generates G, so the subgroup
-closure runs once per distinct entry set per table. _multiplicities reads or
-fills the table's level dict of one (quotient genus, class key). decompose
+the group's memo from entry set to whether it generates G, so the subgroup
+closure runs once per entry set per group. _multiplicities reads or fills
+the table's level dict of one (quotient genus, class key). decompose
 calls both directly: it validates each item once per run and keeps no memo
 entry per vector. cw_character and periodicity_delta add a per-vector memo
 on top, (genus, class key, level dict), so a repeated query is one lookup of
@@ -34,6 +34,7 @@ import numpy as np
 
 from .characters import CharacterTable, eigenvalue_counts
 from .errors import InternalConsistencyError
+from .groups import _as_int
 from .hurwitz import HurwitzVector, genus, validate
 
 __all__ = [
@@ -62,13 +63,8 @@ _Entry = Tuple[int, Tuple[int, ...], Dict[int, MultiplicityVector]]
 
 
 def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
-    """Validate v in full against T's group; return its sorted branch class ids.
-
-    Every check of validate runs on v; the generation test reads and fills
-    T._generated, keyed by the entry set, so vectors with equal entry sets
-    share one closure, and a non-generating set is stored as False.
-    """
-    validate(v, T.group, generated=T._generated)
+    """Validate v in full against T's group; return its sorted branch class ids."""
+    validate(v, T.group)
     class_of = T.classes.class_list()
     return tuple(sorted([class_of[c] for c in v.branches]))
 
@@ -77,11 +73,13 @@ def _multiplicities(T: CharacterTable, k: int, g_quot: int, g: int,
                     class_key: Tuple[int, ...]) -> MultiplicityVector:
     """The level-k multiplicities of (g_quot, class_key), evaluated once per table.
 
-    g is the genus of the key; the first evaluation of a key checks it.
+    g is the genus of the key; the first evaluation of a key checks it. A miss
+    checks that k is an integer, so only Python ints are evaluated and stored.
     """
     levels = T._levels.setdefault((g_quot, class_key), {})
     hit = levels.get(k)
     if hit is None:
+        k = _as_int(k)
         if g < 2:
             raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
         hit = levels[k] = _evaluate(T, k, g_quot, g, class_key)
@@ -183,6 +181,7 @@ def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int,
     character when k = 1; any deviation falsifies the implementation and
     raises loudly.
     """
+    k = _as_int(k)
     if k < 1:
         raise ValueError(f"pluricanonical level must be >= 1, got {k}")
     low = cw_character(v, T, k)

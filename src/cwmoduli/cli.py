@@ -117,6 +117,11 @@ def _vector_text(v: HurwitzVector) -> str:
     return _vector_format(v.g_quot, len(v.branches))[2:-1] % v.entries
 
 
+def _data_line(data: BranchingData, count: int) -> str:
+    orders = ",".join(str(m) for m in data.branch_orders)
+    return f"branching data g_quot={data.g_quot} orders=[{orders}]: {count} vectors"
+
+
 def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
@@ -213,9 +218,7 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
             lines = (json.dumps(dict(_vector_record(v), kind="hurwitz-vector")) + "\n"
                      for v in vectors)
         else:
-            orders = ",".join(str(m) for m in data.branch_orders)
-            print(f"branching data g_quot={data.g_quot} orders=[{orders}]: "
-                  f"{len(vectors)} vectors", file=out)
+            print(_data_line(data, len(vectors)), file=out)
             line = _vector_format(data.g_quot, data.r)
             lines = (line % (handles + branches) for _, handles, branches in vectors)
         while chunk := "".join(islice(lines, _WRITE_LINES)):
@@ -302,9 +305,7 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
         return
     print(f"group: {G.label}  genus: {g}  granularity: {granularity}", file=out)
     for data, vectors in groups:
-        orders = ",".join(str(m) for m in data.branch_orders)
-        print(f"branching data g_quot={data.g_quot} orders=[{orders}]: "
-              f"{len(vectors)} vectors", file=out)
+        print(_data_line(data, len(vectors)), file=out)
     print(f"items: {len(items)}", file=out)
     print(f"levels refined: 1..{k_hi}", file=out)
     print(f"stabilization depth: {result.stabilization_depth}", file=out)

@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class FiniteGroup:
         # element orders as Python ints, read by elem_order in hot loops
         self._order_of = tuple(_element_orders(tbl).tolist())
         self._exponent = lcm(*self._order_of)
+        # entry set -> whether it generates the group, read and filled only by
+        # generates; a proper subgroup is stored as False
+        self._generated: Dict[FrozenSet[int], bool] = {}
 
     @property
     def identity(self) -> int:
@@ -288,8 +291,15 @@ def closure(G: FiniteGroup, S: Iterable[int]) -> Set[int]:
 
 
 def generates(G: FiniteGroup, S: Iterable[int]) -> bool:
-    """True iff the closure of S under multiplication equals all of G."""
-    return len(closure(G, S)) == G.order
+    """True iff the closure of S under multiplication equals all of G.
+
+    Memoized on G by the set of S, so closure runs once per entry set per group.
+    """
+    key = frozenset(S)
+    ok = G._generated.get(key)
+    if ok is None:
+        ok = G._generated[key] = len(closure(G, key)) == G.order
+    return ok
 
 
 @dataclass(frozen=True)

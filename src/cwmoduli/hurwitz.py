@@ -10,10 +10,11 @@ generator looping over an explicit stack, one frame per placed slot
 entries placed so far generate G), so each vector is yielded once instead of
 passed up a chain of nested generators. A superset of a generating set
 generates, so a frame inherits True from its parent; otherwise it looks its
-prefix's entry set up once when pushed, and a leaf tests its whole entry set
-only when its prefix does not generate. Its cap counts the vectors of one
-branching datum as they are emitted, so the list of one datum never grows
-past the cap.
+prefix's entry set up when pushed, and a leaf tests its whole entry set only
+when its prefix does not generate. The lookups go to the group's memo
+(groups.generates), so the closure runs once per entry set per group. Its
+cap counts the vectors of one branching datum as they are emitted, so the
+list of one datum never grows past the cap.
 
 Up to simultaneous conjugation, the representative of an orbit is its
 lexicographically smallest vector, and the search prunes prefixes instead of
@@ -29,8 +30,7 @@ is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
@@ -119,30 +119,13 @@ def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
     return acc
 
 
-def _generates(G: FiniteGroup, entries: Iterable[int],
-               memo: Dict[FrozenSet[int], bool]) -> bool:
-    """Whether entries generate G, memoized by entry set.
-
-    Generation depends only on the set of entries, so each distinct set runs
-    generates once; a proper subgroup is stored as False.
-    """
-    key = frozenset(entries)
-    ok = memo.get(key)
-    if ok is None:
-        ok = memo[key] = generates(G, key)
-    return ok
-
-
-def validate(v: HurwitzVector, G: FiniteGroup, *,
-             generated: Optional[Dict[FrozenSet[int], bool]] = None) -> HurwitzVector:
+def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     """Check the three defining conditions, reporting the first violated one.
 
     Raises OrderViolation if a branch entry is the identity, RelationViolation
     if the surface relation fails, NotGenerating if the entries span a proper
-    subgroup. Returns the vector unchanged on success.
-
-    generated is a memo from entry sets to whether they generate G (see
-    _generates); without one the generation test uses a fresh memo.
+    subgroup (a lookup in G's memo, see groups.generates). Returns the vector
+    unchanged on success.
     """
     entries = v.handles + v.branches
     n, identity = G.order, G.identity
@@ -157,7 +140,7 @@ def validate(v: HurwitzVector, G: FiniteGroup, *,
     if prod != identity:
         raise RelationViolation(
             f"surface relation product is element {prod}, not the identity")
-    if not _generates(G, entries, generated if generated is not None else {}):
+    if not generates(G, entries):
         raise NotGenerating("vector entries generate a proper subgroup")
     return v
 
@@ -203,6 +186,7 @@ def enumerate_branching_data(G: FiniteGroup, g: int) -> List[BranchingData]:
     realizes the data is a separate enumeration question. Sorted by quotient
     genus, then by the order multiset.
     """
+    g = _as_int(g)
     if g < 2:
         raise ValueError(f"target genus must be >= 2, got {g}")
     orders = sorted({m for m in G.element_orders() if m > 1})
@@ -319,10 +303,9 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
             yield tuple.__new__(HurwitzVector, (0, (), ()))
         return
 
-    gen_memo: Dict[FrozenSet[int], bool] = {}
     # the forced last entry is a word in the free ones, so when every free
     # candidate lies in one proper subgroup no leaf generates G
-    if not _generates(G, set().union(*slots), gen_memo):
+    if not generates(G, set().union(*slots)):
         return
     identity, g_quot, cap = G.identity, data.g_quot, opts.max_vectors
     flat = [0] * total
@@ -357,7 +340,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
                 # leaves the entry set, and so the answer, unchanged
                 stack.append((iter(slots[slot + 1]), prod, keep,
                               gen or (x not in flat[:slot]
-                                      and _generates(G, flat[:slot + 1], gen_memo))))
+                                      and generates(G, flat[:slot + 1]))))
                 break
             # every free slot is placed. A forced last branch entry needs no
             # conjugacy test: the conjugators still carried fix every free
@@ -369,7 +352,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
                 flat[-1] = forced
             elif prod != identity:
                 continue
-            if not (gen or _generates(G, flat, gen_memo)):
+            if not (gen or generates(G, flat)):
                 continue
             emitted += 1
             if emitted > cap:

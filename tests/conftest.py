@@ -1,11 +1,12 @@
-"""Shared fixtures: the builder-library catalog, the genus-6 running example and
-a counter of the validate calls made through the multiplicity memo."""
+"""Shared fixtures: the builder-library catalog, the genus-6 running example, a
+counter of the validate calls made through the multiplicity memo and a
+counter of the subgroup closures run by the generation test."""
 
 from collections import Counter
 
 import pytest
 
-from cwmoduli import chevalley_weil
+from cwmoduli import chevalley_weil, groups
 from cwmoduli import (
     HurwitzVector,
     MetacyclicParams,
@@ -128,9 +129,24 @@ def validate_calls(monkeypatch):
     calls = Counter()
     real = chevalley_weil.validate
 
-    def counting(v, G, **kw):
+    def counting(v, G):
         calls[v] += 1
-        return real(v, G, **kw)
+        return real(v, G)
 
     monkeypatch.setattr(chevalley_weil, "validate", counting)
+    return calls
+
+
+@pytest.fixture()
+def closure_calls(monkeypatch):
+    """Counter of the closure calls made by generates, per generating set."""
+    calls = Counter()
+    real = groups.closure
+
+    def counting(G, S):
+        S = frozenset(S)
+        calls[S] += 1
+        return real(G, S)
+
+    monkeypatch.setattr(groups, "closure", counting)
     return calls

@@ -3,11 +3,13 @@ invariance, periodicity, large levels and genera on a default table, and a
 prime-field reference evaluation as an oracle for the integer path."""
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from cwmoduli import (
@@ -27,6 +29,7 @@ from cwmoduli import (
     enumerate_hurwitz_vectors,
     eigenvalue_counts,
     genus,
+    group_from_spec,
     NotGenerating,
     OrderViolation,
     periodicity_delta,
@@ -36,7 +39,6 @@ from cwmoduli import (
     root_power_sum,
     validate,
 )
-from cwmoduli import groups
 from cwmoduli.chevalley_weil import _genus_and_classes
 
 
@@ -235,6 +237,23 @@ class TestSessionWidening:
                 expect = tuple(2 * d * (g - 1) - (1 if k == 1 and rho == 0 else 0)
                                for rho, d in enumerate(T.degrees))
                 assert periodicity_delta(v, T, k) == expect
+
+    def test_levels_beyond_int64_stay_exact(self):
+        # a free action: every level k >= 2 is 2k - 1 copies of the regular
+        # representation, whatever the size of k
+        G = build_metacyclic(MetacyclicParams(3, 2, 2))
+        T = character_table(G)
+        v = next(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
+        g = genus(v, G)
+        assert g - 1 == G.order  # so the regular multiple is 2k - 1
+        for k in (2 ** 62, 2 ** 70, 10 ** 30):
+            mv = cw_character(v, T, k)
+            assert type(mv.k) is int and mv.k == k
+            assert all(type(m) is int for m in mv.mults)
+            assert regular_multiple(mv, T) == 2 * k - 1
+            assert mv.mults == tuple((2 * k - 1) * d for d in T.degrees)
+        assert periodicity_delta(v, T, 2 ** 70) == tuple(2 * d * (g - 1)
+                                                         for d in T.degrees)
 
     def test_widening_across_group_types(self):
         G = build_metacyclic(MetacyclicParams(4, 2, 3))
@@ -440,21 +459,6 @@ class TestCachedVectors:
         assert T._validated == {}
 
 
-@pytest.fixture()
-def closure_calls(monkeypatch):
-    """Counter of the closure calls made by validate, per generating set."""
-    calls = Counter()
-    real = groups.closure
-
-    def counting(G, S):
-        S = frozenset(S)
-        calls[S] += 1
-        return real(G, S)
-
-    monkeypatch.setattr(groups, "closure", counting)
-    return calls
-
-
 def _outcome(check, v):
     """The exception type check(v) raises, or None if it accepts v."""
     try:
@@ -465,29 +469,47 @@ def _outcome(check, v):
 
 
 class TestGenerationMemo:
-    def test_one_closure_per_entry_set_per_table(self, catalog_le_12, closure_calls):
-        G = dict(catalog_le_12)["metacyclic:3,2,2"]
+    def test_one_closure_per_entry_set_per_group(self, closure_calls):
+        # a group of its own, so that no other test has filled its memo
+        G = group_from_spec("metacyclic:3,2,2")
         vectors = list(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
-        entry_sets = Counter(frozenset(v.entries) for v in vectors)
+        entry_sets = {frozenset(v.entries) for v in vectors}
         assert len(entry_sets) < len(vectors)
-        # each table tests each set once, whatever the other table has seen
+        totals = [sum(closure_calls.values())]
+        for v in vectors:
+            validate(v, G)
+        totals.append(sum(closure_calls.values()))
+        # both tables find every set in the group's memo: no closure at all
         for T in (character_table(G), character_table(G)):
-            closure_calls.clear()
             for v in vectors:
                 for k in (1, 2):
                     cw_character(v, T, k)
-            assert closure_calls == Counter(dict.fromkeys(entry_sets, 1))
-            assert T._generated == dict.fromkeys(entry_sets, True)
+            totals.append(sum(closure_calls.values()))
+        assert totals[1] == totals[2] == totals[3]
+        # enumeration and validation together test each set once
+        assert set(closure_calls.values()) == {1}
+        assert entry_sets <= set(closure_calls) == set(G._generated)
+        assert all(G._generated[s] for s in entry_sets)
+        # a group rebuilt from its spec starts with an empty memo
+        rebuilt = group_from_spec("metacyclic:3,2,2")
+        closure_calls.clear()
+        for v in vectors + vectors:
+            validate(v, rebuilt)
+        assert closure_calls == Counter(dict.fromkeys(entry_sets, 1))
+        assert rebuilt._generated == dict.fromkeys(entry_sets, True)
 
-    def test_non_generating_vector_raises_on_every_call(self, s3, closure_calls):
-        T = character_table(s3)
+    def test_non_generating_vector_raises_on_every_call(self, closure_calls):
+        G = group_from_spec("metacyclic:3,2,2")
+        T = character_table(G)
         # y * y = 1 and y^4 = 1, but <y> is proper; both have entry set {y}
         bad, same_set = HurwitzVector(0, (), (1, 1)), HurwitzVector(0, (), (1, 1, 1, 1))
         for v in (bad, bad, same_set, bad):
             with pytest.raises(NotGenerating):
                 cw_character(v, T, 2)
+            with pytest.raises(NotGenerating):
+                validate(v, G)
         assert closure_calls == Counter({frozenset({1}): 1})
-        assert T._generated == {frozenset({1}): False}
+        assert G._generated == {frozenset({1}): False}
         assert T._validated == {}
 
     def test_memoized_and_standalone_validation_agree(self, s3):
@@ -510,10 +532,31 @@ class TestGenerationMemo:
             seen[standalone] += 1
         assert set(seen) == {None, ValueError, OrderViolation, RelationViolation,
                              NotGenerating}
-        assert False in T._generated.values()
+        assert False in s3._generated.values()
 
 
 class TestDomainChecks:
+    def test_numpy_level_is_stored_as_a_python_int(self, genus6_vectors):
+        T = character_table(build_cyclic(3))
+        v = genus6_vectors[0]
+        mv = cw_character(v, T, np.int64(3))
+        assert type(mv.k) is int and all(type(m) is int for m in mv.mults)
+        assert cw_character(v, T, 3) is mv
+        assert json.loads(json.dumps(list(mv.mults))) == list(mv.mults)
+        assert periodicity_delta(v, T, np.int64(2)) == periodicity_delta(v, T, 2)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_integer_level_rejected(self, genus6_vectors, k):
+        # on a fresh table, so that no level is cached under an equal key
+        T = character_table(build_cyclic(3))
+        v = genus6_vectors[0]
+        with pytest.raises(TypeError):
+            cw_character(v, T, k)
+        with pytest.raises(TypeError):
+            decompose_at_k([v], T, k)
+        with pytest.raises(TypeError):
+            periodicity_delta(v, T, k)
+
     def test_genus_below_two_rejected(self, z2_table):
         v = HurwitzVector(1, (1, 0), ())  # genus 1 cover
         with pytest.raises(ValueError):

@@ -204,12 +204,15 @@ class TestValidate:
         (HurwitzVector(1, (0, 0), ()), NotGenerating,
          "vector entries generate a proper subgroup"),
     ], ids=["high-id", "negative-id", "identity-branch", "relation", "subgroup"])
-    def test_failure_messages(self, z3, v, error, message):
-        # the first offending entry, in order, is the one reported
-        for generated in (None, {}):
+    def test_failure_messages(self, v, error, message):
+        # the first offending entry, in order, is the one reported; a group of
+        # its own, so the generation test misses its memo first, then hits
+        G = build_cyclic(3)
+        for _ in range(2):
             with pytest.raises(error) as exc:
-                validate(v, z3, generated=generated)
+                validate(v, G)
             assert type(exc.value) is error and str(exc.value) == message
+        assert G._generated == ({frozenset({0}): False} if error is NotGenerating else {})
 
     def test_conjugate_preserves_validity(self, s3):
         rng = random.Random(29)
@@ -254,6 +257,7 @@ class TestEnumerateBranchingData:
             BranchingData(1, (3,) * 5),
             BranchingData(2, (3, 3)),
         ]
+        assert enumerate_branching_data(z3, np.int64(6)) == got
 
     def test_z2_genus2(self, z2):
         assert enumerate_branching_data(z2, 2) == [
@@ -273,6 +277,11 @@ class TestEnumerateBranchingData:
     def test_genus_below_two_rejected(self, z3):
         with pytest.raises(ValueError):
             enumerate_branching_data(z3, 1)
+
+    @pytest.mark.parametrize("g", [4.5, 6.0, True])
+    def test_non_integer_genus_rejected(self, z3, g):
+        with pytest.raises(TypeError):
+            enumerate_branching_data(z3, g)
 
 
 class TestEnumerationCounts:
@@ -543,34 +552,37 @@ class TestGenerationPerPrefix:
             checked += 1
         assert checked
 
-    def test_fewer_lookups_than_vectors(self, monkeypatch):
+    def test_fewer_lookups_than_vectors(self, monkeypatch, closure_calls):
         # one entry-set lookup per leaf made 59,139 for these 54,400 vectors
         G = build_metacyclic(MetacyclicParams(4, 2, 3))
-        original = hurwitz._generates
+        original = hurwitz.generates
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(G, S):
+            # a leaf passes the list it keeps filling, so the set is taken now
+            calls.append(frozenset(S))
+            return original(G, S)
 
-        monkeypatch.setattr(hurwitz, "_generates", counting)
+        monkeypatch.setattr(hurwitz, "generates", counting)
         total = sum(1 for data in enumerate_branching_data(G, 9)
                     for _ in enumerate_hurwitz_vectors(G, data))
         assert total == 54400
         assert len(calls) < total // 4
+        # the group's memo runs one closure per distinct set over all the data
+        assert closure_calls == Counter(dict.fromkeys(calls, 1))
 
     def test_candidates_in_a_proper_subgroup_end_the_search(self, monkeypatch):
         # the involutions of A4 span only V4: with twelve of them there are
         # 3^11 leaves, and one test of the candidates rules them all out
         G = build_from_permutations(["(1,2,3)", "(2,3,4)"])
-        original = hurwitz._generates
+        original = hurwitz.generates
         calls = []
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(hurwitz, "_generates", counting)
+        monkeypatch.setattr(hurwitz, "generates", counting)
         assert list(enumerate_hurwitz_vectors(G, BranchingData(0, (2,) * 12))) == []
         assert len(calls) == 1 and len(_span(G, calls[0][1])) == 4
         monkeypatch.undo()
