@@ -19,12 +19,11 @@ from .groups import (DEFAULT_ORDER_CAP, ConjugacyData, FiniteGroup,
                      build_from_permutations, build_from_table, build_metacyclic,
                      closure, conjugacy_classes, generates, group_from_spec)
 from .modular import (PRIME_SEARCH_LIMIT, WorkingPrime, choose_prime,
-                      recover_integer, root_power_sum, session_bound)
-from .characters import (CharacterTable, character_fingerprint, character_table,
-                         eigenvalue_counts, eigenvalue_multiplicities, inner_product,
+                      recover_integer, session_bound)
+from .characters import (CharacterTable, character_table, eigenvalue_counts,
+                         eigenvalue_multiplicities, inner_product,
                          rational_character_value, rational_character_values)
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
-                      branching_data_of, conjugate_vector,
                       enumerate_branching_data, enumerate_hurwitz_vectors,
                       enumerate_hurwitz_vectors_parallel, genus, validate)
 from .chevalley_weil import (MultiplicityVector, cw_character, periodicity_delta,
@@ -51,15 +50,14 @@ __all__ = [
     "closure", "generates", "group_from_spec",
     # modular
     "PRIME_SEARCH_LIMIT", "WorkingPrime", "session_bound", "choose_prime",
-    "recover_integer", "root_power_sum",
+    "recover_integer",
     # characters
     "CharacterTable", "character_table", "eigenvalue_counts", "eigenvalue_multiplicities",
     "inner_product", "rational_character_value", "rational_character_values",
-    "character_fingerprint",
     # hurwitz
     "BranchingData", "HurwitzVector", "EnumerationOptions", "validate", "genus",
-    "branching_data_of", "conjugate_vector", "enumerate_branching_data",
-    "enumerate_hurwitz_vectors", "enumerate_hurwitz_vectors_parallel",
+    "enumerate_branching_data", "enumerate_hurwitz_vectors",
+    "enumerate_hurwitz_vectors_parallel",
     # chevalley-weil
     "MultiplicityVector", "cw_character", "regular_multiple", "periodicity_delta",
     # decomposition

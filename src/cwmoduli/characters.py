@@ -18,8 +18,8 @@ integer is a least absolute residue, and the matrix products run in float64
 only on integer limbs whose sums stay below 2^53. Built with the table: which
 values are rational, from the Galois action on classes given by the power
 map. Memoized per class on first use: the integer eigenvalue counts, one
-matrix product per class, read by multiplicities, fingerprints and the
-central characters that seed root finding above ROOT_EVAL_PRIME_LIMIT.
+matrix product per class, read by multiplicities and by the central
+characters that seed root finding above ROOT_EVAL_PRIME_LIMIT.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "inner_product",
     "rational_character_value",
     "rational_character_values",
-    "character_fingerprint",
 ]
 
 # Largest prime at which a split tries every residue as a root; above it, a
@@ -230,18 +229,6 @@ def rational_character_values(T: CharacterTable, rho=slice(None), cls=slice(None
     p = T.prime.p
     X = T.values[rho, cls]
     return np.where(T._rational[rho, cls], np.where(2 * X > p, X - p, X), None).tolist()
-
-
-def character_fingerprint(T: CharacterTable, rho: int) -> tuple:
-    """Prime-independent identifier: degree plus eigenvalue counts on every class.
-
-    The counts determine chi on every element, so distinct characters always
-    get distinct fingerprints; used to match characters across tables built
-    with different working primes.
-    """
-    profile = tuple(tuple(eigenvalue_counts(T, cls)[rho].tolist())
-                    for cls in range(T.classes.class_count))
-    return (T.degrees[rho], profile)
 
 
 # ---------------------------------------------------------------------------

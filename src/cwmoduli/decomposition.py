@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .characters import CharacterTable
-from .chevalley_weil import _class_key, _multiplicities
+from .chevalley_weil import _class_key, _level, _multiplicities
 from .errors import InternalConsistencyError
 from .hurwitz import HurwitzVector, genus
 
@@ -57,23 +57,6 @@ class Decomposition:
         """The underlying set partition, forgetting keys and order."""
         return frozenset(frozenset(b) for b in self.blocks)
 
-    def key_of_item(self, index: int) -> BlockKey:
-        for block, key in zip(self.blocks, self.keys):
-            if index in block:
-                return key
-        raise IndexError(f"item index {index} not in any block")
-
-
-def _assemble(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...],
-              item_keys: Sequence[BlockKey]) -> Decomposition:
-    groups: Dict[BlockKey, List[int]] = {}
-    for idx, key in enumerate(item_keys):
-        groups.setdefault(key, []).append(idx)
-    ordered = sorted(groups)
-    return Decomposition(items, ks,
-                         tuple(tuple(groups[key]) for key in ordered),
-                         tuple(ordered))
-
 
 def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
                ks: Tuple[int, ...]) -> Decomposition:
@@ -106,17 +89,7 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
 def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
                    k: int) -> Decomposition:
     """Partition items by their level-k multiplicity vector."""
-    if k < 1:
-        raise ValueError(f"pluricanonical level must be >= 1, got {k}")
-    return _decompose(items, T, (k,))
-
-
-def _item_keys(D: Decomposition) -> List[BlockKey]:
-    keys: List[BlockKey] = [()] * len(D.items)
-    for block, key in zip(D.blocks, D.keys):
-        for idx in block:
-            keys[idx] = key
-    return keys
+    return _decompose(items, T, (_level(k),))
 
 
 def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
@@ -127,9 +100,15 @@ def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
     """
     if D1.items != D2.items:
         raise ValueError("decompositions cover different item sequences")
-    k1, k2 = _item_keys(D1), _item_keys(D2)
-    return _assemble(D1.items, D1.ks + D2.ks,
-                     [a + b for a, b in zip(k1, k2)])
+    key2 = {idx: key for block, key in zip(D2.blocks, D2.keys) for idx in block}
+    # a refined block lies inside one block of D1, so its indices stay ascending
+    groups: Dict[BlockKey, List[int]] = {}
+    for block, key in zip(D1.blocks, D1.keys):
+        for idx in block:
+            groups.setdefault(key + key2[idx], []).append(idx)
+    ordered = sorted(groups)
+    return Decomposition(D1.items, D1.ks + D2.ks,
+                         tuple(tuple(groups[key]) for key in ordered), tuple(ordered))
 
 
 def canonical_decomposition(items: Sequence[HurwitzVector],
@@ -174,8 +153,7 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
     partition further, and the standalone partitions at k and k + |G| are
     identical whenever both are in range.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _level(k_max)
     order = T.group.order
     final = _decompose(items, T, tuple(range(1, k_max + 1)))
 

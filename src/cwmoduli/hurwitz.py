@@ -42,8 +42,6 @@ __all__ = [
     "EnumerationOptions",
     "validate",
     "genus",
-    "branching_data_of",
-    "conjugate_vector",
     "enumerate_branching_data",
     "enumerate_hurwitz_vectors",
     "enumerate_hurwitz_vectors_parallel",
@@ -143,18 +141,6 @@ def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     if not generates(G, entries):
         raise NotGenerating("vector entries generate a proper subgroup")
     return v
-
-
-def branching_data_of(v: HurwitzVector, G: FiniteGroup) -> BranchingData:
-    return BranchingData(v.g_quot, tuple(G.elem_order(c) for c in v.branches))
-
-
-def conjugate_vector(v: HurwitzVector, G: FiniteGroup, h: int) -> HurwitzVector:
-    """Simultaneous conjugation x -> h x h^-1 of every entry."""
-    hi = G.inv(h)
-    conj = lambda x: G.mul(G.mul(h, x), hi)
-    return HurwitzVector(v.g_quot, tuple(conj(x) for x in v.handles),
-                         tuple(conj(x) for x in v.branches))
 
 
 def genus(v_or_data: Union[HurwitzVector, BranchingData], G: FiniteGroup) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from .errors import PrimeSearchExceeded
 from .groups import FiniteGroup
@@ -23,7 +23,6 @@ __all__ = [
     "session_bound",
     "choose_prime",
     "recover_integer",
-    "root_power_sum",
 ]
 
 PRIME_SEARCH_LIMIT = 2 ** 31
@@ -165,23 +164,3 @@ def recover_integer(r: int, wp: WorkingPrime) -> int:
         v -= wp.p
     return v
 
-
-def root_power_sum(values: Sequence[int], alpha: int, m: int,
-                   wp: WorkingPrime) -> int:
-    """(1/m) * sum_j values[j] * zeta^(-alpha*j) in GF(p), zeta of order m.
-
-    values[j] must be the character value on the j-th power of a fixed element
-    of order m. This is the discrete Fourier coefficient that counts the
-    eigenvalue zeta^alpha in the restricted representation.
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if wp.e % m != 0:
-        raise ValueError(f"m={m} does not divide the root order e={wp.e}")
-    if len(values) != m:
-        raise ValueError(f"need exactly m={m} values, got {len(values)}")
-    stride = wp.e // m
-    total = 0
-    for j, v in enumerate(values):
-        total += v * wp.unity_root((-alpha * j % m) * stride)
-    return total % wp.p * wp.inv(m) % wp.p

@@ -1,13 +1,18 @@
 """Shared fixtures: the builder-library catalog, the genus-6 running example, a
 counter of the validate calls made through the multiplicity memo and a
-counter of the subgroup closures run by the generation test."""
+counter of the subgroup closures run by the generation test. Shared helpers:
+conjugation and branching data of a vector, the item keys of a decomposition,
+the eigenvalue-count rows of a table, and the GF(p) root power sum that is
+the reference for the count matrices."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cwmoduli import chevalley_weil, groups
 from cwmoduli import (
+    BranchingData,
     HurwitzVector,
     MetacyclicParams,
     build_abelian,
@@ -16,6 +21,7 @@ from cwmoduli import (
     build_from_table,
     build_metacyclic,
     character_table,
+    eigenvalue_counts,
 )
 
 S3_PERM_GENS = ["(1,2)", "(1,2,3)"]
@@ -150,3 +156,49 @@ def closure_calls(monkeypatch):
 
     monkeypatch.setattr(groups, "closure", counting)
     return calls
+
+
+def conjugate_vector(v, G, h):
+    """Simultaneous conjugation x -> h x h^-1 of every entry."""
+    hi = G.inv(h)
+    conj = lambda x: G.mul(G.mul(h, x), hi)
+    return HurwitzVector(v.g_quot, tuple(conj(x) for x in v.handles),
+                         tuple(conj(x) for x in v.branches))
+
+
+def branching_data_of(v, G):
+    return BranchingData(v.g_quot, tuple(G.elem_order(c) for c in v.branches))
+
+
+def item_keys(D):
+    """The block key of every item of a decomposition, in item order."""
+    keys = [None] * len(D.items)
+    for block, key in zip(D.blocks, D.keys):
+        for idx in block:
+            keys[idx] = key
+    return keys
+
+
+def count_rows(T):
+    """Per character, its fingerprint: the bytes of its eigenvalue-count rows
+    over all classes.
+
+    The counts determine the character on every element, and the table's
+    prime and root of unity do not change them, so the rows name characters
+    across tables.
+    """
+    stacked = np.hstack([eigenvalue_counts(T, c) for c in range(T.class_count)])
+    return [row.tobytes() for row in stacked]
+
+
+def root_power_sum(values, alpha, m, wp):
+    """(1/m) * sum_j values[j] * zeta^(-alpha*j) in GF(p), zeta of order m.
+
+    values[j] is the character value on the j-th power of a fixed element of
+    order m; the result counts the eigenvalue zeta^alpha.
+    """
+    stride = wp.e // m
+    total = 0
+    for j, v in enumerate(values):
+        total += v * wp.unity_root((-alpha * j % m) * stride)
+    return total % wp.p * wp.inv(m) % wp.p

@@ -20,7 +20,6 @@ from cwmoduli import (
     build_metacyclic,
     canonical_decomposition,
     character_table,
-    conjugate_vector,
     cw_character,
     decompose_at_k,
     enumerate_branching_data,
@@ -33,6 +32,7 @@ from cwmoduli import (
     schur_multiplier_order,
     validate,
 )
+from conftest import conjugate_vector
 
 V = HurwitzVector(2, (1, 0, 0, 2), (2, 1))
 V_ALT = HurwitzVector(0, (), (1, 1, 2, 2, 1, 1, 2, 2))

@@ -21,7 +21,6 @@ from cwmoduli import (
     build_cyclic,
     build_from_permutations,
     build_metacyclic,
-    character_fingerprint,
     character_table,
     conjugacy_classes,
     eigenvalue_counts,
@@ -39,7 +38,7 @@ from cwmoduli.characters import (ROOT_EVAL_PRIME_LIMIT, _characters_from_vectors
 from cwmoduli.groups import DEFAULT_ORDER_CAP, greedy_generators
 from cwmoduli.modular import _is_prime, choose_prime
 
-from conftest import ABELIAN_FACTOR_LISTS, S4_PERM_GENS
+from conftest import ABELIAN_FACTOR_LISTS, S4_PERM_GENS, count_rows
 
 
 def dual_characters(factors, wp):
@@ -389,9 +388,7 @@ class TestDeterminism:
     def test_fingerprints_distinct(self, catalog_le_12):
         for _, G in catalog_le_12:
             T = character_table(G)
-            prints = [character_fingerprint(T, rho)
-                      for rho in range(T.class_count)]
-            assert len(set(prints)) == len(prints)
+            assert len(set(count_rows(T))) == T.class_count
 
 
 def eigenvector_rows(T):
@@ -572,7 +569,6 @@ class TestOrderCap:
         cols = X.T @ X[:, inv] % p
         assert np.array_equal(cols, np.diag(G.order // sizes % p))
         assert sum(d * d for d in T.degrees) == G.order
-        prints = {character_fingerprint(T, rho) for rho in range(s)}
-        assert len(prints) == s
+        assert len(set(count_rows(T))) == s
         # degrees <= sqrt(|G|) <= 22, so each cached count matrix holds bytes
         assert all(eigenvalue_counts(T, cls).itemsize == 1 for cls in range(s))

@@ -19,10 +19,8 @@ from cwmoduli import (
     MetacyclicParams,
     build_cyclic,
     build_metacyclic,
-    character_fingerprint,
     character_table,
     conjugacy_classes,
-    conjugate_vector,
     cw_character,
     decompose_at_k,
     enumerate_branching_data,
@@ -36,10 +34,12 @@ from cwmoduli import (
     recover_integer,
     regular_multiple,
     RelationViolation,
-    root_power_sum,
+    stabilization_report,
     validate,
 )
+from cwmoduli import chevalley_weil
 from cwmoduli.chevalley_weil import _genus_and_classes
+from conftest import conjugate_vector, count_rows, root_power_sum
 
 
 class TestGoldenValues:
@@ -314,24 +314,23 @@ class TestPrimeFieldOracle:
         checked = 0
         for label, G in catalog_le_12:
             T = character_table(G)
+            rows = count_rows(T)
             presized = {}
             for g, v in _one_vector_per_datum(G, (2, 3, 4)):
                 for k in (1, 2, 3, 2 * G.order + 1):
                     if (k, g) not in presized:
                         # g_max = g + 1: the prime bound (2k-1)(g_max-1)|G| must
                         # reach the level-1 multiplicity g of the trivial group
-                        presized[k, g] = character_table(G, k_max=k, g_max=g + 1)
-                    W = presized[k, g]
+                        W = character_table(G, k_max=k, g_max=g + 1)
+                        # the default table may order irrational characters
+                        # differently; match them by their eigenvalue counts
+                        index = {row: j for j, row in enumerate(count_rows(W))}
+                        presized[k, g] = W, [index[row] for row in rows]
+                    W, order_in_W = presized[k, g]
                     ref = reference_multiplicities(v, W, k)
                     assert cw_character(v, W, k).mults == ref, (label, v, k)
-                    # the default table may order irrational characters
-                    # differently; match them by fingerprint
-                    index = {character_fingerprint(W, j): j
-                             for j in range(W.class_count)}
-                    small = cw_character(v, T, k).mults
-                    assert small == tuple(
-                        ref[index[character_fingerprint(T, rho)]]
-                        for rho in range(T.class_count)), (label, v, k)
+                    assert cw_character(v, T, k).mults == tuple(
+                        ref[j] for j in order_in_W), (label, v, k)
                     checked += 1
         assert checked > 300
 
@@ -388,6 +387,95 @@ class TestPrimeFieldOracle:
                 rep = W.classes.representatives[cls]
                 for rho in range(W.class_count):
                     assert N[rho].tolist() == _reference_counts(W, rho, rep), (label, cls)
+
+
+def _characters_from_counts(T):
+    """Complex values chi(g_c) = sum_a N_c[chi, a] exp(2 pi i a / m_c), rows in table order."""
+    cols = []
+    for c in range(T.class_count):
+        N = eigenvalue_counts(T, c)
+        cols.append(N @ np.exp(2j * np.pi * np.arange(N.shape[1]) / N.shape[1]))
+    return np.array(cols).T
+
+
+def _characters_of_dual_group(T, factors):
+    """Complex values of an abelian group's dual characters, read without counts.
+
+    Element x of build_abelian(factors) has coordinates unravel_index(x), and
+    chi_t(x) = exp(2 pi i sum_j t_j x_j / f_j). Rows are put in table order by
+    their residues z^(e sum_j t_j x_j / f_j), the same embedding of z as
+    exp(2 pi i / e) that the counts use.
+    """
+    wp, n = T.prime, T.group.order
+    coords = np.array(np.unravel_index(np.arange(n), factors)).T
+    exponents = coords * [wp.e // f for f in factors] @ coords.T % wp.e  # [t, x]
+    residues = np.array([wp.unity_root(t) for t in range(wp.e)])[exponents]
+    reps = list(T.classes.representatives)
+    row_of = {row.tobytes(): t for t, row in enumerate(residues[:, reps])}
+    order = [row_of[row.tobytes()] for row in T.values]
+    return np.exp(2j * np.pi * exponents[np.ix_(order, reps)] / wp.e)
+
+
+def eichler_multiplicities(v, T, k, chars):
+    """Multiplicities <tr, chi> from the Eichler trace formula, independent of cw_character.
+
+    For x != 1 the trace on H^0(C, kK) sums zeta^k / (1 - zeta) over the fixed
+    points of x: for each branch entry c_i of order m_i and each a in
+    1..m_i-1 with c_i^a conjugate to x, |C_G(x)| / m_i points, each rotated by
+    zeta = exp(-2 pi i a / m_i); k = 1 adds 1. At x = 1 the trace is the
+    dimension.
+    """
+    G, conj = T.group, T.classes
+    g = genus(v, G)
+    sizes = np.array(conj.class_sizes)
+    trace = np.zeros(T.class_count, dtype=complex)
+    for c in v.branches:
+        m = G.elem_order(c)
+        for a in range(1, m):
+            x = conj.class_of[G.power(c, a)]
+            zeta = np.exp(-2j * np.pi * a / m)
+            trace[x] += G.order / sizes[x] / m * zeta ** k / (1 - zeta)
+    if k == 1:
+        trace[1:] += 1
+    trace[0] = g if k == 1 else (2 * k - 1) * (g - 1)
+    mults = (chars.conj() * sizes * trace).sum(axis=1) / G.order
+    rounded = np.rint(mults.real)
+    assert np.abs(mults - rounded).max() < 1e-6, mults
+    return tuple(int(x) for x in rounded)
+
+
+class TestEichlerTraceOracle:
+    def test_trace_formula_matches_cw(self, catalog):
+        # the first vector of a datum is the first --up-to-conjugacy representative
+        checked = dual = nonreal = 0
+        for label, G in catalog:
+            T = character_table(G)
+            families = [_characters_from_counts(T)]
+            kind, _, params = label.partition(":")
+            if kind in ("cyclic", "abelian"):
+                families.append(_characters_of_dual_group(T, [int(f) for f in params.split(",")]))
+                assert np.allclose(families[0], families[1]), label
+            real = np.allclose(families[0].imag, 0)
+            for g, v in _one_vector_per_datum(G, (2, 3, 4)):
+                for k in (1, 2, 7):
+                    want = cw_character(v, T, k).mults
+                    for chars in families:
+                        assert eichler_multiplicities(v, T, k, chars) == want, (label, v, k)
+                    checked += 1
+                    dual += len(families) - 1
+                    nonreal += not real
+        assert checked > 300 and dual > 150 and nonreal > 150
+
+    def test_trivial_column_is_asserted(self, monkeypatch, genus6_vectors):
+        # as if the trivial character and a linear one traded count rows: every
+        # other check holds, but the trivial multiplicity leaves its closed form
+        T = character_table(build_cyclic(3))
+        real = chevalley_weil.eigenvalue_counts
+        monkeypatch.setattr(chevalley_weil, "eigenvalue_counts",
+                            lambda T, c: real(T, c)[[1, 0, 2]])
+        with pytest.raises(InternalConsistencyError,
+                           match="level-3 trivial multiplicity 7, expected 11"):
+            cw_character(genus6_vectors[1], T, 3)
 
 
 def _regular_by_search(mults, degrees):
@@ -556,6 +644,21 @@ class TestDomainChecks:
             decompose_at_k([v], T, k)
         with pytest.raises(TypeError):
             periodicity_delta(v, T, k)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_integer_level_rejected_once_levels_are_cached(self, genus6_vectors, k):
+        # True == 1 and 3.0 == 3 hash like the cached levels
+        T = character_table(build_cyclic(3))
+        v = genus6_vectors[0]
+        cw_character(v, T, 1)
+        cw_character(v, T, 3)
+        with pytest.raises(TypeError):
+            cw_character(v, T, k)
+        for items in ([], [v]):
+            with pytest.raises(TypeError):
+                decompose_at_k(items, T, k)
+            with pytest.raises(TypeError):
+                stabilization_report(items, T, k)
 
     def test_genus_below_two_rejected(self, z2_table):
         v = HurwitzVector(1, (1, 0), ())  # genus 1 cover

@@ -17,7 +17,6 @@ from cwmoduli import (
     StabilizationReport,
     canonical_decomposition,
     character_table,
-    conjugate_vector,
     cw_character,
     decompose_at_k,
     enumerate_branching_data,
@@ -25,6 +24,7 @@ from cwmoduli import (
     refine,
     stabilization_report,
 )
+from conftest import conjugate_vector, item_keys
 
 
 def census(G, g):
@@ -98,13 +98,12 @@ class TestDecomposeAtK:
         covered = sorted(i for b in D.blocks for i in b)
         assert covered == list(range(len(items)))
 
-    def test_key_of_item_matches_cw(self, z3, z3_table):
+    def test_keys_match_cw(self, z3, z3_table):
         items = census(z3, 6)
         D = decompose_at_k(items, z3_table, 2)
-        for i in (0, 5, 100, len(items) - 1):
-            assert D.key_of_item(i) == (cw_character(items[i], z3_table, 2).mults,)
-        with pytest.raises(IndexError):
-            D.key_of_item(len(items))
+        for block, key in zip(D.blocks, D.keys):
+            for i in block:
+                assert key == (cw_character(items[i], z3_table, 2).mults,)
 
     def test_mixed_genus_rejected(self, z2, z2_table):
         a = HurwitzVector(2, (1, 0, 0, 0), ())  # genus 3
@@ -126,9 +125,7 @@ class TestRefine:
             Da = decompose_at_k(items, z3_table, ka)
             Db = decompose_at_k(items, z3_table, kb)
             got = refine(Da, Db)
-            expect = meet_by_hand(
-                [Da.key_of_item(i) for i in range(n)],
-                [Db.key_of_item(i) for i in range(n)], n)
+            expect = meet_by_hand(item_keys(Da), item_keys(Db), n)
             assert got.partition() == expect
             assert got.ks == (ka, kb)
 
@@ -208,12 +205,11 @@ class TestCanonical:
         rng = random.Random(47)
         items = census(s3, 3)
         CD = canonical_decomposition(items, s3_table)
-        index = {v: i for i, v in enumerate(items)}
-        D = CD.final
+        key_of = dict(zip(items, item_keys(CD.final)))
         for _ in range(80):
             v = rng.choice(items)
             w = conjugate_vector(v, s3, rng.randrange(6))
-            assert D.key_of_item(index[v]) == D.key_of_item(index[w])
+            assert key_of[v] == key_of[w]
 
     def test_nonabelian_orbit_and_raw_agree(self, s3, s3_table):
         data = BranchingData(0, (2, 2, 3, 3))

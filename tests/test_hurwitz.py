@@ -22,12 +22,10 @@ from cwmoduli import (
     NotGenerating,
     OrderViolation,
     RelationViolation,
-    branching_data_of,
     build_cyclic,
     build_from_permutations,
     build_metacyclic,
     character_table,
-    conjugate_vector,
     cw_character,
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
@@ -37,6 +35,7 @@ from cwmoduli import (
 )
 import cwmoduli.hurwitz as hurwitz
 from cwmoduli.hurwitz import _conjugation_rows
+from conftest import branching_data_of, conjugate_vector
 
 
 def flat(v):

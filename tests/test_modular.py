@@ -1,4 +1,5 @@
-"""Working-prime selection, integer recovery, and root-of-unity power sums."""
+"""Working-prime selection, integer recovery, and the tests' reference
+root-of-unity power sums."""
 
 import random
 
@@ -11,10 +12,10 @@ from cwmoduli import (
     build_metacyclic,
     choose_prime,
     recover_integer,
-    root_power_sum,
     session_bound,
 )
 from cwmoduli.modular import _is_prime
+from conftest import root_power_sum
 
 
 def sieve(n):
@@ -174,15 +175,6 @@ class TestRootPowerSum:
             ]
             for alpha in range(m):
                 assert root_power_sum(values, alpha, m, wp) == counts[alpha]
-
-    def test_validation(self):
-        wp = self.wp
-        with pytest.raises(ValueError):
-            root_power_sum([1], 0, 0, wp)
-        with pytest.raises(ValueError):
-            root_power_sum([1, 1, 1, 1], 0, 4, wp)  # 4 does not divide e = 6
-        with pytest.raises(ValueError):
-            root_power_sum([1, 1], 0, 3, wp)  # wrong length
 
 
 class TestWorkingPrime:
