@@ -13,29 +13,35 @@ character table; after multiplying by |G| (every branch order divides |G|)
 each formula is integer arithmetic, and the final division by |G| is asserted
 to be exact. Range and dimension identities are asserted, never assumed.
 
-Two helpers carry the work. _class_key validates a vector in full and
-returns its sorted branch class key; its generation test is one lookup in
-the group's memo from entry set to whether it generates G, so the subgroup
-closure runs once per entry set per group. _multiplicities reads or fills
-the table's level dict of one (quotient genus, class key). decompose
-calls both directly: it validates each item once per run and keeps no memo
-entry per vector. cw_character and periodicity_delta add a per-vector memo
-on top, (genus, class key, level dict), so a repeated query is one lookup of
-the vector and one of the level.
+Per vector, _class_key validates in full and returns the sorted branch
+class key; its generation test is one lookup in the group's memo from entry
+set to whether it generates G, so the subgroup closure runs once per entry
+set per group. Per item list, _class_keys does the same in arrays: one
+array of entry ids per shape, validate's checks as column gathers, one
+generation lookup per distinct sorted entry row, and validate itself only on
+the first failing item, for its error. _evaluate computes every level of a
+tuple of levels for one (quotient genus, class key) as one integer matrix,
+and _fill_levels files its columns in the table's level dict of that key.
+decompose keys its items in bulk, evaluates each key once at all its
+levels, and keeps no memo entry per vector. cw_character and
+periodicity_delta add a per-vector memo on top, (genus, class key, level
+dict), so a repeated query is one lookup of the vector and one of the
+level; a missing level is evaluated alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .characters import CharacterTable, eigenvalue_counts
 from .errors import InternalConsistencyError
-from .groups import _as_int
-from .hurwitz import HurwitzVector, genus, validate
+from .groups import _as_int, _row_groups
+from .hurwitz import HurwitzVector, _entry_rows, _invalid_rows, genus, validate
 
 __all__ = [
     "MultiplicityVector",
@@ -45,12 +51,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplicityVector:
     """Multiplicities of each irreducible character at pluricanonical level k.
 
     regular is n when mults = n * (degrees of the regular character), else
-    None; it is computed once, when the level is evaluated.
+    None; it is computed once, when the level is evaluated. Slotted: decompose
+    files one record per (class key, level), |G| levels per key.
     """
 
     k: int
@@ -60,6 +67,8 @@ class MultiplicityVector:
 
 # (genus, sorted branch class ids, level -> MultiplicityVector)
 _Entry = Tuple[int, Tuple[int, ...], Dict[int, MultiplicityVector]]
+# (quotient genus, sorted branch class ids): what the multiplicities depend on
+_Key = Tuple[int, Tuple[int, ...]]
 
 
 def _level(k) -> int:
@@ -77,20 +86,87 @@ def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
     return tuple(sorted([class_of[c] for c in v.branches]))
 
 
-def _multiplicities(T: CharacterTable, k: int, g_quot: int, g: int,
-                    class_key: Tuple[int, ...]) -> MultiplicityVector:
-    """The level-k multiplicities of (g_quot, class_key), evaluated once per table.
+# rows per array step of bulk validation: bounds its temporaries, whatever
+# the number of items
+_CHUNK = 1 << 14
 
-    k is a level that _level has checked; g is the genus of the key, which the
-    first evaluation of a key checks.
+
+def _shape_runs(items: Sequence[HurwitzVector]) -> Dict[Tuple[int, int, int], np.ndarray]:
+    """The item indices of each shape (g', handle count, branch count), ascending."""
+    n = len(items)
+    if not n:
+        return {}
+    # the items of one shape usually come in runs, one per branching datum
+    try:
+        values = np.fromiter(map(itemgetter(0), items), np.int64, n)
+    except OverflowError:  # no record has that many handles: all such are invalid
+        values = np.fromiter((g if abs(g) < 2 ** 62 else -1 for g in map(itemgetter(0), items)),
+                             np.int64, n)
+    change = values[1:] != values[:-1]
+    for column in (map(len, map(itemgetter(1), items)), map(len, map(itemgetter(2), items))):
+        values = np.fromiter(column, np.int64, n)
+        change |= values[1:] != values[:-1]
+    starts = [0] + (np.flatnonzero(change) + 1).tolist()
+    runs: Dict[Tuple[int, int, int], List[np.ndarray]] = {}
+    for a, b in zip(starts, starts[1:] + [n]):
+        v = items[a]
+        runs.setdefault((v.g_quot, len(v.handles), len(v.branches)), []).append(np.arange(a, b))
+    return {shape: spans[0] if len(spans) == 1 else np.concatenate(spans)
+            for shape, spans in runs.items()}
+
+
+def _class_keys(items: Sequence[HurwitzVector], T: CharacterTable
+                ) -> Tuple[List[_Key], np.ndarray]:
+    """Validate every item in bulk; return the distinct keys and each item's key id.
+
+    A key is (quotient genus, sorted branch class ids). Items are taken by
+    shape (g', handle count, branch count), up to _CHUNK at a time; each
+    step is one array of entry ids, checked by hurwitz._invalid_rows and
+    keyed by one class_of gather and a row sort. If any item fails, validate
+    runs on the failing item of lowest index, so the error is the one a
+    per-item pass raises first.
     """
-    levels = T._levels.setdefault((g_quot, class_key), {})
-    hit = levels.get(k)
-    if hit is None:
-        if g < 2:
-            raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
-        hit = levels[k] = _evaluate(T, k, g_quot, g, class_key)
-    return hit
+    G, n = T.group, len(items)
+    key_ids: Dict[_Key, int] = {}
+    key_of = np.empty(n, dtype=np.int64)
+    worst = n  # the lowest index of an invalid item so far
+    for (g_quot, n_handles, r), members in _shape_runs(items).items():
+        for start in range(0, len(members), _CHUNK):
+            idx = members[start:start + _CHUNK]
+            rows = _entry_rows(G, [items[i] for i in idx.tolist()], n_handles + r)
+            bad = np.flatnonzero(_invalid_rows(G, g_quot, rows, n_handles))
+            if bad.size:
+                worst = min(worst, int(idx[bad[0]]))
+            if worst < n:  # no key is needed once an item has failed
+                continue
+            classes = T.classes.class_of[rows[:, n_handles:]]
+            classes.sort(axis=1)
+            one, group = _row_groups(classes, T.class_count)
+            ids = [key_ids.setdefault((g_quot, tuple(row)), len(key_ids))
+                   for row in classes[one].tolist()]
+            key_of[idx] = np.array(ids, dtype=np.int64)[group]
+    if worst < n:
+        validate(items[worst], G)
+        raise InternalConsistencyError(
+            f"bulk validation rejected item {worst}, which validate accepts")
+    return list(key_ids), key_of
+
+
+def _fill_levels(T: CharacterTable, key: _Key, ks: Tuple[int, ...],
+                 mults: np.ndarray) -> Dict[int, MultiplicityVector]:
+    """File the level columns of mults under key in T._levels; returns the level dict.
+
+    A level already filed keeps its record, so repeated queries return the
+    same frozen object.
+    """
+    levels = T._levels.setdefault(key, {})
+    # the trivial character has degree 1, so the first entry forces n
+    regular = (mults == mults[0] * np.array(T.degrees)[:, None]).all(axis=0)
+    for k, column, is_regular in zip(ks, mults.T.tolist(), regular.tolist()):
+        if k not in levels:
+            levels[k] = MultiplicityVector(k, tuple(column),
+                                           column[0] if is_regular else None)
+    return levels
 
 
 def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
@@ -108,59 +184,109 @@ def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
     return hit
 
 
-def _evaluate(T: CharacterTable, k: int, g_quot: int, g: int,
-              class_key: Tuple[int, ...]) -> MultiplicityVector:
-    """All multiplicities at level k, in integers, from the eigenvalue counts.
+def _class_columns(T: CharacterTable, cls: int) -> np.ndarray:
+    """|G|/m times the count sums of one class: columns 0..m-1 for k >= 2, m for k = 1.
+
+    Column j is -(N @ W_j) with W_j[a] = (j - a) mod m, the weights of every
+    level k = -j mod m; column m is N @ a. A step from j to j + 1 raises
+    every weight by 1 except the one of a = j + 1, which drops by m - 1, so
+    the columns are a running sum over the counts, with no matrix product.
+    """
+    N = eigenvalue_counts(T, cls)  # a compact dtype: every step below computes in int64
+    m = N.shape[1]
+    deg = N.sum(axis=1, dtype=np.int64)
+    out = np.empty((N.shape[0], m + 1), dtype=np.int64)
+    out[:, m] = N @ np.arange(m)
+    # the steps deg - m N[:, j], after the first column sum_a N[:, a] ((-a) mod m)
+    np.multiply(N[:, 1:], -m, out=out[:, 1:m], dtype=np.int64)
+    out[:, 1:m] += deg[:, None]
+    out[:, 0] = m * (deg - N[:, 0]) - out[:, m]
+    np.cumsum(out[:, :m], axis=1, out=out[:, :m])
+    out[:, :m] *= -(T.group.order // m)
+    out[:, m] *= T.group.order // m
+    return out
+
+
+# levels per array step of _evaluate: bounds its temporaries on long level ranges
+_LEVEL_BLOCK = 32
+
+
+def _evaluate(T: CharacterTable, ks: Tuple[int, ...], g_quot: int, g: int,
+              class_key: Tuple[int, ...]) -> np.ndarray:
+    """All multiplicities at every level of ks: an integer matrix, characters x levels.
 
     With N = counts at the class of c_i (order m_i), |G| times the multiplicity
     of rho is
       k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
       k >= 2: 2k deg (g-1) - |G| deg (g'-1)
-              - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i}.
-    The trivial multiplicity is asserted against its closed form from
-    Riemann-Roch on the quotient orbifold: g' at k = 1, and
-    (2k-1)(g'-1) + sum_i floor(k (m_i - 1) / m_i) at k >= 2.
+              - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
+    with the class sums read from _class_columns, once per class. Levels are
+    evaluated _LEVEL_BLOCK at a time, each block checked as a whole (see
+    _evaluate_levels). Entries are int64 when an a-priori bound on every
+    scaled entry fits, else Python ints in an object array.
+    """
+    if g < 2:
+        raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
+    # bounds |scaled| and sum deg * mult below: every class term is at most |G| deg
+    bound = T.group.order * (2 * max(ks) * g
+                             + max(T.degrees) * (g_quot + 1 + len(class_key)) + 1)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    columns = [(times, _class_columns(T, cls)) for cls, times in Counter(class_key).items()]
+    mults = np.empty((len(T.degrees), len(ks)), dtype=dtype)
+    for start in range(0, len(ks), _LEVEL_BLOCK):
+        block = ks[start:start + _LEVEL_BLOCK]
+        mults[:, start:start + len(block)] = _evaluate_levels(T, block, g_quot, g,
+                                                              columns, dtype)
+    return mults
+
+
+def _evaluate_levels(T: CharacterTable, ks: Tuple[int, ...], g_quot: int, g: int,
+                     columns: List[Tuple[int, np.ndarray]], dtype) -> np.ndarray:
+    """The multiplicities at the levels ks, from (times, _class_columns) per class of the key.
+
+    Every check runs on the whole matrix: exact division by |G|, the range
+    [0, dim], the trivial multiplicity against its closed form from
+    Riemann-Roch on the quotient orbifold (g' at k = 1,
+    (2k-1)(g'-1) + sum_i floor(k (m_i - 1) / m_i) at k >= 2), and the
+    dimension identity.
     """
     order = T.group.order
-    if k == 1:
-        scaled = [order * d * (g_quot - 1) for d in T.degrees]
-        scaled[0] += order
-        trivial = g_quot
-    else:
-        scaled = [2 * k * d * (g - 1) - order * d * (g_quot - 1) for d in T.degrees]
-        trivial = (2 * k - 1) * (g_quot - 1)
-    for cls, times in Counter(class_key).items():
-        N = eigenvalue_counts(T, cls)
-        m = N.shape[1]
-        if k > 1:
-            trivial += times * (k * (m - 1) // m)
-        a = np.arange(m)
-        weights = a if k == 1 else (-a - k % m) % m
-        factor = order // m * times * (1 if k == 1 else -1)
-        # |N @ weights| <= deg * m^2 <= 2^23: exact in int64
-        scaled = [x + factor * y for x, y in zip(scaled, (N @ weights).tolist())]
-    dim = g if k == 1 else (2 * k - 1) * (g - 1)
-    mults = []
-    for x in scaled:
-        q, r = divmod(x, order)
-        if r:
+    k = np.array(ks, dtype=dtype)
+    degrees = np.array(T.degrees, dtype=dtype)
+    first = k == 1
+    scaled = degrees[:, None] * np.where(first, order * (g_quot - 1),
+                                         2 * k * (g - 1) - order * (g_quot - 1))
+    scaled[0, first] += order
+    trivial = np.where(first, g_quot, (2 * k - 1) * (g_quot - 1))
+    for times, col in columns:
+        m = col.shape[1] - 1
+        piece = col[:, np.where(first, m, -k % m).astype(np.intp)].astype(dtype, copy=False)
+        piece *= times
+        scaled += piece
+        trivial = trivial + np.where(first, 0, times * (k * (m - 1) // m))
+    dim = np.where(first, g, (2 * k - 1) * (g - 1))
+    mults, rem = scaled // order, scaled % order
+    # each check reports its first failure in level order, then character order
+    bad = (rem != 0) | (mults < 0) | (mults > dim)
+    if bad.any():
+        c, rho = divmod(int(np.argmax(bad.T)), len(degrees))
+        if rem[rho, c]:
             raise InternalConsistencyError(
-                f"level-{k} multiplicity {x}/{order} is not an integer")
-        if not 0 <= q <= dim:
-            raise InternalConsistencyError(
-                f"level-{k} multiplicity {q} falls outside [0, {dim}]")
-        mults.append(q)
-    if mults[0] != trivial:
+                f"level-{ks[c]} multiplicity {scaled[rho, c]}/{order} is not an integer")
         raise InternalConsistencyError(
-            f"level-{k} trivial multiplicity {mults[0]}, expected {trivial}")
-    total = sum(m * d for m, d in zip(mults, T.degrees))
-    if total != dim:
+            f"level-{ks[c]} multiplicity {mults[rho, c]} falls outside [0, {dim[c]}]")
+    bad = mults[0] != trivial
+    if bad.any():
+        c = int(np.argmax(bad))
         raise InternalConsistencyError(
-            f"multiplicities contract to dimension {total}, expected {dim}")
-    # the trivial character has degree 1, so the first entry forces n
-    n = mults[0]
-    regular = n if all(m == n * d for m, d in zip(mults, T.degrees)) else None
-    return MultiplicityVector(k, tuple(mults), regular)
+            f"level-{ks[c]} trivial multiplicity {mults[0, c]}, expected {trivial[c]}")
+    total = degrees @ mults
+    bad = total != dim
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"multiplicities contract to dimension {total[c]}, expected {dim[c]}")
+    return mults
 
 
 def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVector:
@@ -178,8 +304,12 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
         except KeyError:
             pass
     k = _level(k)
-    g, class_key, _ = _genus_and_classes(v, T)
-    return _multiplicities(T, k, v.g_quot, g, class_key)
+    g, class_key, levels = _genus_and_classes(v, T)
+    hit = levels.get(k)
+    if hit is None:
+        key = (v.g_quot, class_key)
+        hit = _fill_levels(T, key, (k,), _evaluate(T, (k,), v.g_quot, g, class_key))[k]
+    return hit
 
 
 def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]:

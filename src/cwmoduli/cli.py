@@ -313,7 +313,7 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     for b, (key, block) in enumerate(zip(D.keys, D.blocks)):
         print(f"block {b}: {len(block)} items", file=out)
         for k, mults in zip(D.ks, key):
-            print(f"  k={k}: ({', '.join(str(x) for x in mults)})", file=out)
+            print(f"  k={k}: ({', '.join(map(str, mults))})", file=out)
         preview = " ".join(_vector_text(D.items[i]) for i in block[:4])
         suffix = " ..." if len(block) > 4 else ""
         print(f"  members: {preview}{suffix}", file=out)

@@ -2,25 +2,26 @@
 
 Items carrying equal multiplicity vectors at level k share a block of the
 level-k decomposition; the canonical decomposition is the common refinement
-over k = 1..|G|, which periodicity proves is already the limit. One pass
-validates each item once and files its index under its (quotient genus,
-branch-class multiset) key, keeping no memo entry per item; the genus and
-the type tuple are then computed once per distinct key, and a block merges
-the index lists of the keys that share a type tuple. The stabilization
-report re-checks the limit numerically, reading its checks from the distinct
-type tuples.
+over k = 1..|G|, which periodicity proves is already the limit. The items
+are validated and keyed in arrays (chevalley_weil._class_keys), keeping no
+memo entry per item; each distinct (quotient genus, branch-class multiset)
+key is evaluated once, at all its levels as one integer matrix, and a block
+is the items of the keys that share a type tuple. The stabilization report
+re-checks the limit numerically from the distinct type tuples, numbering
+the running partition level by level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+import numpy as np
+
 from .characters import CharacterTable
-from .chevalley_weil import _class_key, _level, _multiplicities
+from .chevalley_weil import _class_keys, _evaluate, _fill_levels, _level
 from .errors import InternalConsistencyError
-from .hurwitz import HurwitzVector, genus
+from .hurwitz import BranchingData, HurwitzVector, genus
 
 __all__ = [
     "Decomposition",
@@ -63,26 +64,34 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
     """Partition items by their multiplicity vectors at every level in ks.
 
     Items sharing a quotient genus and a multiset of branch classes share
-    their multiplicities. So each item is validated once and its index filed
-    under its key; the genus and the type tuple are computed once per key.
+    their multiplicities. So the items are validated and keyed in bulk, and
+    each distinct key is evaluated once, at all levels of ks together; the
+    level records are filed in T._levels for later queries.
     """
     items = tuple(items)
-    by_class: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-    for idx, v in enumerate(items):
-        by_class.setdefault((v.g_quot, _class_key(v, T)), []).append(idx)
+    keys, key_of = _class_keys(items, T)
     # the genus depends only on the key, through the branch orders
-    genera = sorted({genus(items[members[0]], T.group) for members in by_class.values()})
+    order_of = [T.group.elem_order(x) for x in T.classes.representatives]
+    genera = sorted({genus(BranchingData(g_quot, [order_of[c] for c in class_key]), T.group)
+                     for g_quot, class_key in keys})
     if len(genera) > 1:
         raise ValueError(f"items span several genera {genera}; "
                          "a decomposition needs a single genus")
-    by_type: Dict[BlockKey, List[List[int]]] = {}
-    for (g_quot, class_key), members in by_class.items():
-        key = tuple(_multiplicities(T, k, g_quot, genera[0], class_key).mults
-                    for k in ks)
-        by_type.setdefault(key, []).append(members)
-    ordered = sorted(by_type)
-    # sorting concatenated ascending runs is a merge
-    blocks = tuple(tuple(sorted(chain.from_iterable(by_type[key]))) for key in ordered)
+    types: List[BlockKey] = []
+    for key in keys:
+        g_quot, class_key = key
+        levels = _fill_levels(T, key, ks,
+                              _evaluate(T, ks, g_quot, genera[0], class_key))
+        types.append(tuple(levels[k].mults for k in ks))
+    ordered = sorted(set(types))
+    rank = {key: b for b, key in enumerate(ordered)}
+    block_of = np.array([rank[key] for key in types], dtype=np.int64)[key_of]
+    del key_of  # the item arrays go before the block tuples are built
+    ends = np.cumsum(np.bincount(block_of, minlength=len(ordered))).tolist()
+    # int32 halves what is held beside the block tuples; indices stay below 2^31
+    members = np.argsort(block_of, kind="stable").astype(np.int32)
+    del block_of
+    blocks = tuple(tuple(members[a:b].tolist()) for a, b in zip([0] + ends, ends))
     return Decomposition(items, ks, blocks, tuple(ordered))
 
 
@@ -157,28 +166,36 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
     order = T.group.order
     final = _decompose(items, T, tuple(range(1, k_max + 1)))
 
-    def distinct(*ks: int) -> int:
-        """Number of distinct type tuples restricted to the levels ks."""
-        return len({tuple(key[k - 1] for k in ks) for key in final.keys})
+    def ids(values) -> List[int]:
+        """Each value's index among the distinct values, numbered as they appear."""
+        seen: Dict[object, int] = {}
+        return [seen.setdefault(x, len(seen)) for x in values]
 
+    def count(numbers: List[int]) -> int:
+        return max(numbers, default=-1) + 1
+
+    # at_level[k - 1] numbers the block keys by their level-k type, and
+    # running numbers them by their types at levels 1..k
+    at_level = [ids(key[k] for key in final.keys) for k in range(k_max)]
+    running = [0] * len(final.keys)
+    prefixes = count(running)
     levels: List[LevelReport] = []
     depth = 1
-    prefixes = min(1, len(final.keys))
     for k in range(1, k_max + 1):
         # level k splits the running partition iff it adds a length-k prefix
-        count = distinct(*range(1, k + 1))
-        split = count > prefixes
+        running = ids(zip(running, at_level[k - 1]))
+        split = count(running) > prefixes
         if split:
             depth = k
             if k > order:
                 raise InternalConsistencyError(
                     f"level {k} split the refinement of levels 1..{k - 1} although "
                     f"periodicity caps new splits at |G| = {order}")
-        levels.append(LevelReport(k, distinct(k), split))
-        prefixes = count
-    for k in range(1, k_max - order + 1):
+        levels.append(LevelReport(k, count(at_level[k - 1]), split))
+        prefixes = count(running)
+    for k, (low, high) in enumerate(zip(at_level, at_level[order:]), start=1):
         # two partitions agree iff each has as many blocks as their meet
-        if not distinct(k) == distinct(k + order) == distinct(k, k + order):
+        if not count(low) == count(high) == count(ids(zip(low, high))):
             raise InternalConsistencyError(
                 f"partitions at levels {k} and {k + order} differ, contradicting "
                 "the periodicity of the multiplicity formulas")

@@ -290,6 +290,30 @@ def closure(G: FiniteGroup, S: Iterable[int]) -> Set[int]:
     return seen
 
 
+def _row_groups(rows: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Equal rows of a matrix of integers in 0..bound-1, grouped.
+
+    Returns the index of one row of each group and the group of every row;
+    groups are numbered in lexicographic order of their rows. A row is read
+    as one int64 code when its bits fit, else numpy compares whole rows.
+    """
+    n, width = rows.shape
+    bits = max(bound - 1, 1).bit_length()
+    if width * bits < 63:
+        codes = np.zeros(n, dtype=np.int64)
+        for j in range(width):
+            codes <<= bits
+            codes |= rows[:, j]
+        group = np.unique(codes, return_inverse=True)[1]
+    else:
+        group = np.unique(rows, axis=0, return_inverse=True)[1]
+    group = group.ravel()  # its shape differs between numpy 1.x and 2.x
+    # rows of a group are equal, so any one of them stands for it
+    one = np.empty(group.max(initial=-1) + 1, dtype=np.int64)
+    one[group] = np.arange(n)
+    return one, group
+
+
 def generates(G: FiniteGroup, S: Iterable[int]) -> bool:
     """True iff the closure of S under multiplication equals all of G.
 

@@ -30,11 +30,16 @@ is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from itertools import chain
+from operator import add, itemgetter
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
+
+import numpy as np
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
-from .groups import FiniteGroup, _as_int, generates
+from .groups import FiniteGroup, _as_int, _row_groups, generates
 
 __all__ = [
     "BranchingData",
@@ -120,11 +125,14 @@ def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
 def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     """Check the three defining conditions, reporting the first violated one.
 
-    Raises OrderViolation if a branch entry is the identity, RelationViolation
-    if the surface relation fails, NotGenerating if the entries span a proper
-    subgroup (a lookup in G's memo, see groups.generates). Returns the vector
-    unchanged on success.
+    Raises ValueError if v does not have 2g' handle entries or an entry is not
+    an element id, OrderViolation if a branch entry is the identity,
+    RelationViolation if the surface relation fails, NotGenerating if the
+    entries span a proper subgroup (a lookup in G's memo, see
+    groups.generates). Returns the vector unchanged on success.
     """
+    if len(v.handles) != 2 * v.g_quot:
+        raise ValueError(f"expected {2 * v.g_quot} handle entries, got {len(v.handles)}")
     entries = v.handles + v.branches
     n, identity = G.order, G.identity
     if entries and (min(entries) < 0 or max(entries) >= n):
@@ -141,6 +149,59 @@ def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     if not generates(G, entries):
         raise NotGenerating("vector entries generate a proper subgroup")
     return v
+
+
+def _entry_rows(G: FiniteGroup, vectors: Sequence[HurwitzVector], width: int) -> np.ndarray:
+    """The entries of vectors of width entries each: one int64 row per vector.
+
+    Handles come first, then branches, as in validate. An entry beyond int64
+    is no element id either, and reads as -1.
+    """
+    def entries() -> Iterator[int]:
+        return chain.from_iterable(map(add, map(itemgetter(1), vectors),
+                                       map(itemgetter(2), vectors)))
+
+    count = len(vectors) * width
+    try:
+        flat = np.fromiter(entries(), np.int64, count)
+    except OverflowError:
+        flat = np.fromiter((x if 0 <= x < G.order else -1 for x in entries()),
+                           np.int64, count)
+    return flat.reshape(len(vectors), width)
+
+
+def _invalid_rows(G: FiniteGroup, g_quot: int, entries: np.ndarray,
+                  n_handles: int) -> np.ndarray:
+    """validate's checks on many vectors of one shape at once.
+
+    entries is an integer matrix, one row per vector: its n_handles handle
+    entries, then its branch entries. Returns a mask of the rows that
+    validate rejects. The relation is a column gather through the table per
+    entry, and generation is one groups.generates call per distinct sorted
+    entry row, so the closure still runs once per entry set per group.
+    """
+    if n_handles != 2 * g_quot:
+        return np.ones(len(entries), dtype=bool)
+    n, identity = G.order, G.identity
+    bad = ((entries < 0) | (entries >= n)).any(axis=1)
+    if bad.any():  # numpy reads a negative index from the end: gather only ids
+        entries = np.where(bad[:, None], identity, entries)
+    bad |= (entries[:, n_handles:] == identity).any(axis=1)
+    mul, inv = G.mul_table, G.inv_table
+    prod = np.full(len(entries), identity)
+    for i in range(0, n_handles, 2):
+        a, b = entries[:, i], entries[:, i + 1]
+        prod = mul[prod, mul[mul[mul[a, b], inv[a]], inv[b]]]
+    for j in range(n_handles, entries.shape[1]):
+        prod = mul[prod, entries[:, j]]
+    bad |= prod != identity
+    ok = np.flatnonzero(~bad)
+    rows = entries[ok]
+    rows.sort(axis=1)
+    one, group = _row_groups(rows, n)
+    spans = np.array([generates(G, rows[i].tolist()) for i in one.tolist()], dtype=bool)
+    bad[ok] = ~spans[group]
+    return bad
 
 
 def genus(v_or_data: Union[HurwitzVector, BranchingData], G: FiniteGroup) -> int:

@@ -1,6 +1,7 @@
 """Shared fixtures: the builder-library catalog, the genus-6 running example, a
-counter of the validate calls made through the multiplicity memo and a
-counter of the subgroup closures run by the generation test. Shared helpers:
+counter of the validate calls made through the multiplicity memo, a counter
+of the rows checked by bulk validation and a counter of the subgroup
+closures run by the generation test. Shared helpers:
 conjugation and branching data of a vector, the item keys of a decomposition,
 the eigenvalue-count rows of a table, and the GF(p) root power sum that is
 the reference for the count matrices."""
@@ -141,6 +142,20 @@ def validate_calls(monkeypatch):
 
     monkeypatch.setattr(chevalley_weil, "validate", counting)
     return calls
+
+
+@pytest.fixture()
+def checked_rows(monkeypatch):
+    """Counter of the (quotient genus, entries) rows checked by bulk validation."""
+    rows = Counter()
+    real = chevalley_weil._invalid_rows
+
+    def counting(G, g_quot, entries, n_handles):
+        rows.update((g_quot, tuple(row)) for row in entries.tolist())
+        return real(G, g_quot, entries, n_handles)
+
+    monkeypatch.setattr(chevalley_weil, "_invalid_rows", counting)
+    return rows
 
 
 @pytest.fixture()

@@ -514,7 +514,7 @@ class TestCachedVectors:
                     stored[mv.regular is None] += 1
         assert stored[True] and stored[False]
 
-    def test_each_vector_validated_once_per_table(self, validate_calls, s3):
+    def test_each_vector_validated_once_per_table(self, validate_calls, checked_rows, s3):
         items = [v for d in enumerate_branching_data(s3, 3)
                  for v in enumerate_hurwitz_vectors(s3, d)]
         # equal vectors built anew share the memo entry of the originals
@@ -527,13 +527,16 @@ class TestCachedVectors:
                         cw_character(v, T, k)
                     periodicity_delta(v, T, 2)
             assert validate_calls == Counter(items)
-            # decompose keeps no memo entry: each run validates every item once
+            # decompose keeps no memo entry: each run checks every item once,
+            # in bulk, and calls validate on none of them
             for batch in (items, copies, items):
                 validate_calls.clear()
+                checked_rows.clear()
                 decompose_at_k(batch, T, 4)
-                assert validate_calls == Counter(batch)
+                assert validate_calls == Counter()
+                assert checked_rows == Counter((v.g_quot, v.entries) for v in batch)
 
-    def test_invalid_vector_raises_on_every_call(self, validate_calls, s3):
+    def test_invalid_vector_raises_on_every_call(self, validate_calls, checked_rows, s3):
         T = character_table(s3)
         bad = HurwitzVector(0, (), (1, 1))  # y * y = 1, but <y> is proper
         for k in (1, 2, 2):
@@ -541,8 +544,10 @@ class TestCachedVectors:
                 cw_character(bad, T, k)
         with pytest.raises(NotGenerating):
             periodicity_delta(bad, T, 1)
+        # decompose rejects the row in bulk, then raises validate's error
         with pytest.raises(NotGenerating):
             decompose_at_k([bad], T, 1)
+        assert checked_rows == Counter({(0, (1, 1)): 1})
         assert validate_calls == Counter({bad: 5})
         assert T._validated == {}
 

@@ -3,27 +3,33 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import cwmoduli.chevalley_weil as chevalley_weil
 import cwmoduli.decomposition as decomposition
+import cwmoduli.hurwitz as hurwitz
 from cwmoduli import (
     BranchingData,
     EnumerationOptions,
     HurwitzVector,
     InternalConsistencyError,
     LevelReport,
-    MultiplicityVector,
+    MetacyclicParams,
     StabilizationReport,
+    build_metacyclic,
     canonical_decomposition,
     character_table,
     cw_character,
     decompose_at_k,
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
+    genus,
     refine,
     stabilization_report,
+    validate,
 )
+from cwmoduli.groups import _row_groups
 from conftest import conjugate_vector, item_keys
 
 
@@ -308,15 +314,32 @@ class TestOnePassOracle:
                 if g == 3:
                     assert D == reference_report(items, T, G.order)[0], case
 
-    def test_one_validation_per_item_and_no_memo_entry(self, validate_calls, s3):
+    def test_one_validation_per_item_and_no_memo_entry(self, monkeypatch, validate_calls,
+                                                       checked_rows, s3):
+        # every item's row is checked once in bulk, validate runs on none, and
+        # generation is one lookup per distinct sorted entry row
         T = character_table(s3)
         items = census(s3, 4)
         copies = [HurwitzVector(v.g_quot, v.handles, v.branches) for v in items]
+        lookups = Counter()
+        real_generates = hurwitz.generates
+
+        def counting(G, S):
+            lookups[tuple(S)] += 1
+            return real_generates(G, S)
+
+        monkeypatch.setattr(hurwitz, "generates", counting)
+        sorted_rows = {tuple(sorted(v.entries)) for v in items}
+        assert len(sorted_rows) < len(items)
         for batch in (items, copies):
             validate_calls.clear()
+            checked_rows.clear()
+            lookups.clear()
             stabilization_report(batch, T, 8)
             assert T._validated == {}
-            assert validate_calls == Counter(items)
+            assert validate_calls == Counter()
+            assert checked_rows == Counter((v.g_quot, v.entries) for v in items)
+            assert lookups == Counter(sorted_rows)
 
     def test_later_queries_read_the_block_keys(self, monkeypatch, s3):
         T = character_table(s3)
@@ -332,71 +355,211 @@ class TestOnePassOracle:
                 for k, mults in zip(D.ks, key):
                     assert cw_character(items[idx], T, k).mults == mults
 
-    def test_one_cw_call_per_class_key_and_level(self, monkeypatch, s3, s3_table):
-        # one multiplicity read per (class key, level), one key read per item
+    def test_one_evaluation_per_class_key(self, monkeypatch, s3, s3_table):
+        # one evaluation per (g', class key) per run, at all its levels at
+        # once, and the bulk keys are the per-item class keys
         items = census(s3, 3)
         keys = {class_key(v, s3_table) for v in items}
         assert 1 < len(keys) < len(items)
-        cw_calls, key_reads = Counter(), Counter()
-        real_cw = decomposition._multiplicities
-        real_read = decomposition._class_key
+        evaluations, bulk_keys = Counter(), []
+        real_evaluate = decomposition._evaluate
+        real_keys = decomposition._class_keys
 
-        def counting_cw(T, k, g_quot, g, ck):
-            cw_calls[(g_quot, ck, k)] += 1
-            return real_cw(T, k, g_quot, g, ck)
+        def counting(T, ks, g_quot, g, ck):
+            evaluations[(g_quot, ck, ks)] += 1
+            return real_evaluate(T, ks, g_quot, g, ck)
 
-        def counting_read(v, T):
-            key_reads[v] += 1
-            return real_read(v, T)
+        def recording(batch, T):
+            found, key_of = real_keys(batch, T)
+            bulk_keys.append([found[i] for i in key_of.tolist()])
+            return found, key_of
 
-        monkeypatch.setattr(decomposition, "_multiplicities", counting_cw)
-        monkeypatch.setattr(decomposition, "_class_key", counting_read)
+        monkeypatch.setattr(decomposition, "_evaluate", counting)
+        monkeypatch.setattr(decomposition, "_class_keys", recording)
         runs = [(lambda: decompose_at_k(items, s3_table, 4), (4,)),
                 (lambda: canonical_decomposition(items, s3_table), range(1, 7)),
                 (lambda: stabilization_report(items, s3_table, 13), range(1, 14))]
         for call, ks in runs:
-            cw_calls.clear()
-            key_reads.clear()
+            evaluations.clear()
+            bulk_keys.clear()
             call()
-            assert cw_calls == Counter({key + (k,): 1 for key in keys for k in ks})
-            assert key_reads == Counter(items)
+            assert evaluations == Counter({key + (tuple(ks),): 1 for key in keys})
+            assert bulk_keys == [[class_key(v, s3_table) for v in items]]
+
+
+def _raised(call):
+    """(type, message) of the exception call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestBulkValidation:
+    """decompose validates its items in arrays, with validate's errors."""
+
+    def bad_vectors(self, G, items):
+        """One invalid vector of each kind validate reports, by name.
+
+        Each would pass the other checks: an id out of range stands where
+        numpy's wrapped index would read a valid entry, and the identity
+        joins a valid vector.
+        """
+        last = G.order - 1
+        v = next(w for w in items if w.g_quot == 0 and last in w.branches)
+        j = v.branches.index(last)
+
+        def at_j(x):
+            return HurwitzVector(0, (), v.branches[:j] + (x,) + v.branches[j + 1:])
+
+        other = next(x for x in G.elements() if x not in (0, last))
+        involution = next(x for x in G.elements() if G.elem_order(x) == 2)
+        return {
+            "out of range": at_j(G.order),
+            "negative": at_j(-1),
+            "beyond int64": at_j(2 ** 70),
+            "identity branch": HurwitzVector(0, (), (0,) + v.branches),
+            "relation": at_j(other),
+            "not generating": HurwitzVector(0, (), (involution, involution)),
+            "not generating, handles": HurwitzVector(1, (involution, involution), ()),
+            # only a record built around the constructor can have these
+            "handle count": tuple.__new__(HurwitzVector, (1, (), v.branches)),
+            "genus beyond int64": tuple.__new__(HurwitzVector, (2 ** 70, (), v.branches)),
+        }
+
+    def test_each_failure_raises_what_validate_raises(self, s3):
+        T = character_table(s3)
+        items = census(s3, 4)
+        assert len({(v.g_quot, len(v.branches)) for v in items}) > 2
+        for kind, bad in self.bad_vectors(s3, items).items():
+            want = _raised(lambda: validate(bad, s3))
+            for at in (0, len(items) // 2, len(items)):
+                batch = items[:at] + [bad] + items[at:]
+                assert _raised(lambda: decompose_at_k(batch, T, 1)) == want, (kind, at)
+        assert T._validated == {}
+
+    def test_the_lowest_invalid_index_wins(self, s3):
+        T = character_table(s3)
+        items = census(s3, 4)
+        bad = self.bad_vectors(s3, items)
+        batch = list(items)
+        batch[5] = bad["not generating, handles"]
+        batch[3] = bad["relation"]
+        batch[9] = bad["out of range"]
+        assert _raised(lambda: decompose_at_k(batch, T, 1)) == _raised(
+            lambda: validate(bad["relation"], s3))
+
+    def test_a_row_validate_accepts_is_an_internal_error(self, monkeypatch, s3):
+        T = character_table(s3)
+        items = census(s3, 3)
+        monkeypatch.setattr(chevalley_weil, "_invalid_rows",
+                            lambda G, g_quot, entries, n_handles: np.ones(len(entries), bool))
+        with pytest.raises(InternalConsistencyError,
+                           match="bulk validation rejected item 0, which validate accepts"):
+            decompose_at_k(items, T, 1)
+
+    @pytest.mark.parametrize("width, bound", [(6, 10), (31, 3), (7, 512), (32, 3)])
+    def test_row_groups_match_grouping_by_hand(self, width, bound):
+        # (7, 512) and (32, 3) are too wide for one int64 code per row
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, min(bound, 3), size=(200, width))
+        rows[::7] = bound - 1
+        one, group = _row_groups(rows, bound)
+        by_hand = {}
+        for i, row in enumerate(map(tuple, rows.tolist())):
+            by_hand.setdefault(row, []).append(i)
+        assert len(one) == len(by_hand)
+        for members in by_hand.values():
+            assert len(set(group[members].tolist())) == 1
+            assert tuple(rows[one[group[members[0]]]]) == tuple(rows[members[0]])
+        # groups are numbered in lexicographic order of their rows
+        assert [tuple(r) for r in rows[one].tolist()] == sorted(by_hand)
+
+
+class TestArrayEvaluation:
+    def test_levels_beyond_int64_stay_exact(self):
+        # a free action of S3: Python ints replace int64 once the scaled
+        # entries could pass 2^63
+        G = build_metacyclic(MetacyclicParams(3, 2, 2))
+        items = list(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
+        g = genus(items[0], G)
+        T, reference = character_table(G), character_table(G)
+        assert chevalley_weil._evaluate(T, (2 ** 50,), 2, g, ()).dtype == np.int64
+        for k in (2 ** 50, 2 ** 62, 2 ** 70):
+            assert chevalley_weil._evaluate(T, (k,), 2, g, ()).dtype == (
+                np.int64 if k < 2 ** 62 else object)
+            want = cw_character(items[0], reference, k).mults
+            D = decompose_at_k(items, T, k)
+            assert D.keys == ((want,),) and D.blocks == (tuple(range(len(items))),)
+            assert all(type(m) is int for m in D.keys[0][0])
+        k_max = 2 * G.order + 1
+        rep = stabilization_report(items, character_table(G), k_max)
+        key = tuple(cw_character(items[0], reference, k).mults for k in range(1, k_max + 1))
+        assert rep.final.keys == (key,)
+        assert all(type(m) is int for mults in rep.final.keys[0] for m in mults)
 
 
 class TestPeriodicityChecksBite:
     """Multiplicities that break periodicity above |G| must be caught."""
 
-    def test_split_beyond_the_period_raises(self, monkeypatch, z3_table,
+    @pytest.fixture()
+    def z3_fresh(self, z3):
+        # decompose files what it evaluates, so the broken matrices go to a
+        # table of their own
+        return character_table(z3, k_max=3, g_max=6)
+
+    def test_split_beyond_the_period_raises(self, monkeypatch, z3_fresh,
                                             genus6_vectors):
         # both keys share one type through |G| = 3; v's type differs at level 4
         v, _ = genus6_vectors
-        target = class_key(v, z3_table)
+        target = class_key(v, z3_fresh)
 
-        def collapsed(T, k, g_quot, g, ck):
-            mults = [0] * T.class_count
-            if k > T.group.order and (g_quot, ck) == target:
-                mults[0] = 1
-            return MultiplicityVector(k, tuple(mults), regular=None)
+        def collapsed(T, ks, g_quot, g, ck):
+            mults = np.zeros((T.class_count, len(ks)), dtype=np.int64)
+            if (g_quot, ck) == target:
+                mults[0] = [k > T.group.order for k in ks]
+            return mults
 
-        monkeypatch.setattr(decomposition, "_multiplicities", collapsed)
-        rep = stabilization_report(genus6_vectors, z3_table, 3)
+        monkeypatch.setattr(decomposition, "_evaluate", collapsed)
+        rep = stabilization_report(genus6_vectors, z3_fresh, 3)
         assert rep.final.block_count == 1
         with pytest.raises(InternalConsistencyError, match="split the refinement"):
-            stabilization_report(genus6_vectors, z3_table, 4)
+            stabilization_report(genus6_vectors, z3_fresh, 4)
 
     def test_partitions_k_and_k_plus_order_that_differ_raise(self, monkeypatch,
-                                                             z3_table, genus6_vectors):
+                                                             z3_fresh, genus6_vectors):
         # v_alt takes v's level-4 vector: level 4 merges what level 1 separates
         v, v_alt = genus6_vectors
-        target = class_key(v_alt, z3_table)
-        real_cw = decomposition._multiplicities
-        v_quot, v_classes = class_key(v, z3_table)
+        target = class_key(v_alt, z3_fresh)
+        real_evaluate = decomposition._evaluate
+        v_quot, v_classes = class_key(v, z3_fresh)
 
-        def merged(T, k, g_quot, g, ck):
-            if k == T.group.order + 1 and (g_quot, ck) == target:
-                return real_cw(T, k, v_quot, g, v_classes)
-            return real_cw(T, k, g_quot, g, ck)
+        def merged(T, ks, g_quot, g, ck):
+            mults = real_evaluate(T, ks, g_quot, g, ck)
+            k = T.group.order + 1
+            if (g_quot, ck) == target and k in ks:
+                mults[:, ks.index(k)] = real_evaluate(T, (k,), v_quot, g, v_classes)[:, 0]
+            return mults
 
-        monkeypatch.setattr(decomposition, "_multiplicities", merged)
-        assert stabilization_report(genus6_vectors, z3_table, 3).final.block_count == 2
+        monkeypatch.setattr(decomposition, "_evaluate", merged)
+        assert stabilization_report(genus6_vectors, z3_fresh, 3).final.block_count == 2
         with pytest.raises(InternalConsistencyError, match="differ"):
-            stabilization_report(genus6_vectors, z3_table, 4)
+            stabilization_report(genus6_vectors, z3_fresh, 4)
+
+    def test_partitions_with_equal_block_counts_that_differ_raise(self, monkeypatch,
+                                                                  z3_fresh):
+        # three keys, one per quotient genus: levels 1 and 4 both have two
+        # blocks, {a, b} {c} and {a} {b, c}; levels 2 and 3 separate all three
+        items = [next(v for v in census(z3_fresh.group, 6) if v.g_quot == q)
+                 for q in (0, 1, 2)]
+        labels = {1: (0, 0, 1), 2: (0, 1, 2), 3: (0, 1, 2), 4: (0, 1, 1)}
+
+        def relabelled(T, ks, g_quot, g, ck):
+            mults = np.zeros((T.class_count, len(ks)), dtype=np.int64)
+            mults[0] = [labels[k][g_quot] for k in ks]
+            return mults
+
+        monkeypatch.setattr(decomposition, "_evaluate", relabelled)
+        rep = stabilization_report(items, z3_fresh, 3)
+        assert [level.block_count for level in rep.levels] == [2, 3, 3]
+        with pytest.raises(InternalConsistencyError, match="levels 1 and 4 differ"):
+            stabilization_report(items, z3_fresh, 4)
