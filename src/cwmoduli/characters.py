@@ -8,18 +8,18 @@ identity-class vector: a Krylov sequence under one class matrix at a time
 splits it into its eigenspace components, classes of a generating set first,
 until there are as many pieces as classes. The eigenvalues of each split are
 the roots of a minimal polynomial over GF(p), central-character values
-|C_i| chi(g_i) / chi(1): found, as Dixon and Schneider do, by trying every
-residue when p is at most ROOT_EVAL_PRIME_LIMIT, and above it by trying the
-s values that the table at the default prime gives through its eigenvalue
-counts. Degrees and values are then recovered from the norm, and the
+|C_i| chi(g_i) / chi(1), found, as Dixon and Schneider do, by trying every
+residue. Degrees and values are then recovered from the norm, and the
 result is checked against the eigenvector equations and row orthogonality.
-Everything is exact: p is chosen by the modular module so that every reported
-integer is a least absolute residue, and the matrix products run in float64
-only on integer limbs whose sums stay below 2^53. Built with the table: which
-values are rational, from the Galois action on classes given by the power
-map. Memoized per class on first use: the integer eigenvalue counts, one
-matrix product per class, read by multiplicities and by the central
-characters that seed root finding above ROOT_EVAL_PRIME_LIMIT.
+The split runs once per table, at the default prime of the modular module
+(at most 13711 under the order cap); a table sized for a level and genus is
+that table read at the sized prime through its eigenvalue counts.
+Everything is exact: every reported integer is a least absolute residue, and
+the matrix products run in float64 only on integer limbs whose sums stay
+below 2^53. Built with the table: which values are rational, from the Galois
+action on classes given by the power map. Memoized per class on first use:
+the integer eigenvalue counts, one matrix product per class, read by
+multiplicities and by the reduction to a sized prime.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ __all__ = [
     "rational_character_value",
     "rational_character_values",
 ]
-
-# Largest prime at which a split tries every residue as a root; above it, a
-# table costs one more table at the default prime. Every default prime under
-# the order cap is below the limit: the largest is 13711, for cyclic:457.
-ROOT_EVAL_PRIME_LIMIT = 2 ** 15
 
 
 class CharacterTable:
@@ -95,23 +90,49 @@ def character_table(G: FiniteGroup, *, k_max: int = 1, g_max: int = 2,
                     seed: int = 0) -> CharacterTable:
     """Compute the full irreducible character table of G.
 
-    k_max and g_max size the working prime; they do not change the characters
-    themselves, and multiplicity queries at any level and genus are exact on
-    any table. seed is accepted for compatibility and no longer changes
-    anything.
+    The class-matrix split runs once, at the default prime choose_prime(G);
+    when k_max and g_max size another prime, the table is reduced there
+    (_reduce), which changes the residues and row order, not the characters.
+    Multiplicities at any level and genus are exact on any table. seed is
+    accepted for compatibility and no longer changes anything.
     """
     conj = conjugacy_classes(G)
     wp = choose_prime(G, k_max, g_max)
-    base = None
-    if wp.p > ROOT_EVAL_PRIME_LIMIT:
-        base = _table(G, conj, choose_prime(G), None)
-    return _table(G, conj, wp, base)
+    default = choose_prime(G)
+    T = CharacterTable(G, conj, default, *_sort_characters(
+        *_class_matrix_characters(G, conj, default), default, G.order))
+    return T if wp == default else _reduce(T, wp)
 
 
-def _table(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPrime,
-           base: Optional[CharacterTable]) -> CharacterTable:
-    degrees, X = _class_matrix_characters(G, conj, wp, base)
-    return CharacterTable(G, conj, wp, *_sort_characters(degrees, X, wp, G.order))
+def _reduce(T: CharacterTable, wp: WorkingPrime) -> CharacterTable:
+    """The characters of T reduced at another prime wp.p = 1 mod e, rows sorted there.
+
+    A class c of elements g of order m, with eigenvalue counts N in T, gives
+    chi(g^t) = sum_a N[chi, a] zeta_m^(a t) for every t < m, zeta_m being
+    wp.z^(e/m): the columns of all classes of <g> from one matrix product. Classes go by
+    decreasing order, skipping those already reached as a power. Reducing
+    Irr(G) at any such prime, with any primitive root, gives the rows that a
+    split there finds; row orthogonality is asserted, and the sort fixes
+    their order.
+    """
+    G, conj = T.group, T.classes
+    orders = np.array([G.elem_order(r) for r in conj.representatives])
+    X = np.empty((len(orders),) * 2, dtype=np.int64)
+    reached = np.zeros(len(orders), dtype=bool)
+    for c in np.argsort(-orders, kind="stable").tolist():
+        if not reached[c]:
+            N = eigenvalue_counts(T, c).astype(np.int64)  # m columns
+            cols = conj.power_class[c, :N.shape[1]]
+            X[:, cols] = _matmul_mod(N, _unity_matrix(wp, N.shape[1], 1), wp.p)
+            reached[cols] = True
+    _check_orthonormal(G, conj, X, wp.p)
+    return CharacterTable(G, conj, wp, *_sort_characters(np.array(T.degrees), X, wp, G.order))
+
+
+def _unity_matrix(wp: WorkingPrime, m: int, sign: int) -> np.ndarray:
+    """[zeta_m^(sign a b)] mod wp.p over a, b < m, where zeta_m = z^(e/m), m dividing e."""
+    zeta = np.array([wp.unity_root(a * (wp.e // m)) for a in range(m)], dtype=np.int64)
+    return zeta[np.outer(np.arange(m), sign * np.arange(m)) % m]
 
 
 def _galois_rational(values: np.ndarray, power_class: np.ndarray) -> np.ndarray:
@@ -142,9 +163,7 @@ def _count_matrix(T: CharacterTable, cls: int) -> np.ndarray:
     p = wp.p
     m = T.group.elem_order(T.classes.representatives[cls])
     V = T.values[:, T.classes.power_class[cls, :m]]
-    zeta = np.array([wp.unity_root(t * (wp.e // m)) for t in range(m)], dtype=np.int64)
-    j = np.arange(m)
-    F = zeta[np.outer(j, -j) % m] * wp.inv(m) % p
+    F = _unity_matrix(wp, m, -1) * wp.inv(m) % p
     N = _matmul_mod(V, F, p)
     N[2 * N > p] -= p
     degrees = np.array(T.degrees, dtype=np.int64)
@@ -251,8 +270,8 @@ def _class_matrix(G: FiniteGroup, conj: ConjugacyData, i: int) -> np.ndarray:
     return M
 
 
-def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPrime,
-                             base: Optional[CharacterTable]) -> Tuple[np.ndarray, np.ndarray]:
+def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
+                             wp: WorkingPrime) -> Tuple[np.ndarray, np.ndarray]:
     """Degrees and value rows mod p of all irreducible characters, in no particular order.
 
     Spins the identity-class vector e_0 into the common eigenvectors. In the
@@ -264,8 +283,8 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPri
     each piece u is kept if M is a scalar on it, and otherwise replaced by
     its components in the eigenspaces of M (see _spin). Classes of a greedy
     generating set come first; the split stops at s pieces. Roots are tried
-    among every residue, or among _central_characters of base if given. Root
-    and class order are fixed, so the outcome is deterministic.
+    among every residue. Root and class order are fixed, so the outcome is
+    deterministic.
     """
     s = conj.class_count
     if s == 1:
@@ -282,9 +301,7 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPri
         moved = ((images - images[:, :1] * pieces) % p).any(axis=1)
         if moved.any():
             used.append(i)
-            roots = (np.arange(p, dtype=np.int64) if base is None
-                     else _central_characters(base, i, wp))
-            pieces = np.vstack([_spin(M, u, p, roots) if m else u[None]
+            pieces = np.vstack([_spin(M, u, p) if m else u[None]
                                 for u, m in zip(pieces, moved)])
             if len(pieces) == s:
                 break
@@ -301,23 +318,7 @@ def _splitting_order(G: FiniteGroup, conj: ConjugacyData) -> List[int]:
     return list(first) + [i for i in range(1, conj.class_count) if i not in first]
 
 
-def _central_characters(base: CharacterTable, i: int, wp: WorkingPrime) -> np.ndarray:
-    """The distinct |C_i| chi(g_i) / chi(1) mod wp.p over all chi, ascending.
-
-    chi(g_i) = sum_a N[chi, a] z^(a e/m), N being base's eigenvalue counts at
-    class i: every complex character reduced at wp.p, so every eigenvalue of
-    class matrix i there.
-    """
-    p = wp.p
-    N = eigenvalue_counts(base, i).astype(np.int64)
-    m = N.shape[1]
-    zeta = np.array([wp.unity_root(a * (wp.e // m)) for a in range(m)], dtype=np.int64)
-    chi = N @ zeta % p  # a row of N sums to the degree: below 2^36 before reduction
-    inv_degrees = np.array([wp.inv(d) for d in base.degrees], dtype=np.int64)
-    return np.unique(chi * inv_degrees % p * base.classes.class_sizes[i] % p)
-
-
-def _spin(M: np.ndarray, u: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     """The components of u in the eigenspaces of M, as rows with coordinate 0 equal to 1.
 
     M is a class matrix in float64. Builds the Krylov sequence u, Mu, M^2 u,
@@ -326,10 +327,9 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray
     dependent; that dependence is the monic minimal polynomial mu of M on u.
     mu is squarefree and splits over GF(p), since u is a sum of common
     eigenvectors, and q(M) u for q = mu / (x - lam) is the component at the
-    root lam, up to the nonzero factor q(lam), in the ascending order of
-    `roots`, which must hold every root. M u is exact in float64: the row
-    sums of M are at most s |G| and the entries of u are below p, so every
-    sum is below 2^53 (2^49 at the order cap).
+    root lam, up to the nonzero factor q(lam), in ascending order of lam.
+    M u is exact in float64: the row sums of M are at most s |G| and the
+    entries of u are below p, so every sum is below 2^53 (2^49 at the cap).
     """
     s = u.shape[0]
     krylov = np.empty((s + 1, s), dtype=np.int64)  # rows past k are never read
@@ -358,11 +358,11 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray
         polys[rows, :k + 1] = (polys[rows, :k + 1] - col[rows, None] * polys[k, :k + 1]) % p
         pivots.append(j)
         krylov[k + 1] = (M @ v).astype(np.int64) % p
-    lam = _roots_at(poly, p, roots)
+    lam = _roots_at(poly, p)
     if len(lam) != k:
         raise InternalConsistencyError(
             f"minimal polynomial of degree {k} of a class matrix has {len(lam)} "
-            f"roots among {len(roots)} candidates")
+            f"roots mod {p}")
     Q = np.zeros((k, k), dtype=np.int64)  # row t: coefficients of mu / (x - lam_t)
     Q[:, k - 1] = 1
     for j in range(k - 1, 0, -1):
@@ -374,23 +374,24 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray
                             dtype=np.int64)[:, None] % p
 
 
-def _roots_at(f: np.ndarray, p: int, candidates: np.ndarray) -> np.ndarray:
-    """The candidates at which f vanishes mod p, in the candidates' order.
+def _roots_at(f: np.ndarray, p: int) -> np.ndarray:
+    """The residues at which f vanishes mod p, ascending.
 
-    f and the candidates are int64 with entries in [0, p). Horner's rule
-    runs on the vector of all candidates at once. It reduces mod p only every
-    `lazy` steps, which is exact: from a reduced value, j steps of
-    acc * x + c with x, c < p stay below p^(j+1), and p^(lazy+1) < 2^63;
-    lazy >= 1 for every p below 2^31, the prime search limit.
+    f is int64 with entries in [0, p). Horner's rule runs on the vector of
+    all p residues at once, so it suits the default primes (at most 13711
+    under the order cap). It reduces mod p only every `lazy` steps, which is
+    exact: from a reduced value, j steps of acc * x + c with x, c < p stay
+    below p^(j+1), and p^(lazy+1) < 2^63; lazy is 3 at p = 13711.
     """
-    acc = np.zeros(len(candidates), dtype=np.int64)
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
     lazy = 63 // p.bit_length() - 1
     for i, c in enumerate(f[::-1].tolist()):
-        acc *= candidates
+        acc *= x
         acc += c
         if i % lazy == lazy - 1:
             acc %= p
-    return candidates[acc % p == 0]
+    return np.flatnonzero(acc % p == 0)
 
 
 def _check_common_eigenvectors(mats: Iterable[np.ndarray], W: np.ndarray,
@@ -422,15 +423,11 @@ def _characters_from_vectors(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPri
     """Recover degrees and chi values from the rows w_j = |C_j| chi(g_j) / chi(1).
 
     chi(1)^2 = |G| / sum_j w_j w_{j'} / |C_j|, where j' is the class of the
-    inverses. Row orthogonality, sum_j |C_j| chi(g_j) psi(g_j^-1) = |G| delta,
-    is asserted as one s x s product.
+    inverses. Row orthogonality is asserted.
     """
     p = wp.p
-    s = conj.class_count
-    inv_class = np.array([conj.inverse_class(j) for j in range(s)])
-    sizes = np.array(conj.class_sizes, dtype=np.int64)
     inv_sizes = np.array([wp.inv(c) for c in conj.class_sizes], dtype=np.int64)
-    denoms = (W * W[:, inv_class] % p * inv_sizes % p).sum(axis=1) % p
+    denoms = (W * W[:, conj.power_class[:, -1]] % p * inv_sizes % p).sum(axis=1) % p
     degrees = []
     for denom in denoms.tolist():
         if denom == 0:
@@ -442,10 +439,16 @@ def _characters_from_vectors(G: FiniteGroup, conj: ConjugacyData, wp: WorkingPri
         degrees.append(d)
     degrees = np.array(degrees, dtype=np.int64)
     X = W * degrees[:, None] % p * inv_sizes % p
-    gram = _matmul_mod(X, (X[:, inv_class] * sizes % p).T, p)
-    if not np.array_equal(gram, G.order % p * np.eye(s, dtype=np.int64)):
-        raise InternalConsistencyError("recovered characters are not orthonormal")
+    _check_orthonormal(G, conj, X, p)
     return degrees, X
+
+
+def _check_orthonormal(G: FiniteGroup, conj: ConjugacyData, X: np.ndarray, p: int) -> None:
+    """Assert sum_j |C_j| chi(g_j) psi(g_j^-1) = |G| delta mod p on the rows of X."""
+    sizes = np.array(conj.class_sizes, dtype=np.int64)
+    gram = _matmul_mod(X, (X[:, conj.power_class[:, -1]] * sizes % p).T, p)
+    if not np.array_equal(gram, G.order % p * np.eye(len(X), dtype=np.int64)):
+        raise InternalConsistencyError("recovered characters are not orthonormal")
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -546,8 +546,12 @@ def build_from_table(source) -> FiniteGroup:
         label = ""
     if not isinstance(data, dict) or "order" not in data or "mul" not in data:
         raise GroupSpecError('table JSON must be {"order": N, "mul": [[...]]}')
+    mul = data["mul"]
+    if (type(data["order"]) is not int or type(mul) is not list
+            or not all(type(row) is list and all(type(x) is int for x in row) for row in mul)):
+        raise GroupSpecError('table "order" and "mul" must be an integer and lists of integers')
     try:
-        G = FiniteGroup(data["mul"], label)
+        G = FiniteGroup(mul, label)
     except (ValueError, TypeError) as exc:
         raise GroupSpecError(f"table is not a valid group: {exc}") from exc
     if G.order != data["order"]:

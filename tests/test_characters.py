@@ -32,9 +32,9 @@ from cwmoduli import (
     recover_integer,
 )
 from cwmoduli import characters
-from cwmoduli.characters import (ROOT_EVAL_PRIME_LIMIT, _characters_from_vectors,
-                                 _check_common_eigenvectors, _class_matrix, _matmul_mod,
-                                 _roots_at, _splitting_order)
+from cwmoduli.characters import (_characters_from_vectors, _check_common_eigenvectors,
+                                 _class_matrix, _class_matrix_characters, _matmul_mod,
+                                 _reduce, _roots_at, _sort_characters, _splitting_order)
 from cwmoduli.groups import DEFAULT_ORDER_CAP, greedy_generators
 from cwmoduli.modular import _is_prime, choose_prime
 
@@ -450,19 +450,17 @@ class TestSpinChecks:
 class TestExactArithmetic:
     """The numpy field arithmetic against Python integers.
 
-    The primes are small, the two on each side of ROOT_EVAL_PRIME_LIMIT (so
-    roots are sought among every residue and among candidates), and 31-bit,
-    where the Horner scheme reduces at every step.
+    The primes are the default prime of cyclic:512 and the largest default
+    prime under the order cap, the largest sized prime a test splits at, and
+    2^31 - 1, the prime search limit, up to which _reduce multiplies. Roots
+    are sought among every residue, so only at the first three.
     """
 
-    PRIMES = [7681, 32749, 32771, 2 ** 31 - 1]
-
-    def test_primes_straddle_the_evaluation_limit(self):
-        assert all(_is_prime(p) for p in self.PRIMES)
-        assert 32749 <= ROOT_EVAL_PRIME_LIMIT < 32771
-        assert not any(_is_prime(q) for q in range(32750, 32771))
+    PRIMES = [7681, 13711, 76673, 2 ** 31 - 1]
+    ROOT_PRIMES = PRIMES[:3]
 
     def test_matmul_mod(self):
+        assert all(_is_prime(p) for p in self.PRIMES)
         rng = np.random.default_rng(5)
         for p in self.PRIMES:
             A = rng.integers(0, p, size=(3, 512))
@@ -472,7 +470,7 @@ class TestExactArithmetic:
             assert _matmul_mod(A, B, p).tolist() == expect
 
     def test_poly_mul_and_roots(self):
-        for p in self.PRIMES:
+        for p in self.ROOT_PRIMES:
             rng = random.Random(p)
             picks = rng.sample(range(p), 240)
             roots = picks[:40]
@@ -482,12 +480,7 @@ class TestExactArithmetic:
                      for i in range(len(f) + 1)]
             assert all(sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0
                        for r in roots)
-            f = np.array(f, dtype=np.int64)
-            candidates = np.array(sorted(picks), dtype=np.int64)
-            assert _roots_at(f, p, candidates).tolist() == sorted(roots)
-            if p <= ROOT_EVAL_PRIME_LIMIT:
-                everything = np.arange(p, dtype=np.int64)
-                assert _roots_at(f, p, everything).tolist() == sorted(roots)
+            assert _roots_at(np.array(f, dtype=np.int64), p).tolist() == sorted(roots)
 
 
 # the group-info units of the benchmark's tables workload
@@ -496,44 +489,14 @@ TABLES_SPECS = ["abelian:2,2,2,2,2,2,2", "cyclic:40", "metacyclic:48,2,47",
 
 
 class TestRootsByEvaluation:
-    """Roots among the base table's central characters, against every residue."""
-
-    def test_candidate_tables_equal_the_exhaustive_tables(self, catalog, monkeypatch):
-        # k_max = 3 sizes a prime other than the default one, still below 2^15
-        groups = catalog + [(spec, group_from_spec(spec)) for spec in TABLES_SPECS]
-        exhaustive = [character_table(G, k_max=3) for _, G in groups]
-        assert all(T.prime.p <= ROOT_EVAL_PRIME_LIMIT for T in exhaustive)
-        assert all(T.prime != choose_prime(G) for T, (_, G) in zip(exhaustive, groups))
-        calls = []
-        central = characters._central_characters
-        monkeypatch.setattr(characters, "_central_characters",
-                            lambda *a: calls.append(a) or central(*a))
-        monkeypatch.setattr(characters, "ROOT_EVAL_PRIME_LIMIT", 0)
-        for (label, G), T in zip(groups, exhaustive):
-            R = character_table(G, k_max=3)
-            assert R.prime == T.prime, label
-            assert R.degrees == T.degrees, label
-            assert np.array_equal(R.values, T.values), label
-        assert len(calls) >= len(groups) - 1  # the trivial group never splits
-
-    def test_a_missing_candidate_raises(self, monkeypatch):
-        G = build_metacyclic(MetacyclicParams(5, 4, 2))
-        central = characters._central_characters
-
-        def drop_largest(*args):
-            return central(*args)[:-1]
-
-        monkeypatch.setattr(characters, "_central_characters", drop_largest)
-        monkeypatch.setattr(characters, "ROOT_EVAL_PRIME_LIMIT", 0)
-        with pytest.raises(InternalConsistencyError, match="roots among"):
-            character_table(G)
+    """Roots among every residue, at every default prime under the order cap."""
 
     def test_every_default_prime_under_the_cap_is_evaluated(self):
         # choose_prime reads only the order and the exponent, which divides it
         worst = max(choose_prime(SimpleNamespace(order=n, exponent=lambda e=e: e)).p
                     for n in range(1, DEFAULT_ORDER_CAP + 1)
                     for e in range(1, n + 1) if n % e == 0)
-        assert worst == 13711 <= ROOT_EVAL_PRIME_LIMIT
+        assert worst == 13711
 
     def test_cyclic_512_splits_by_evaluation(self):
         # its default prime, and a degree as large as its class count: the
@@ -541,12 +504,64 @@ class TestRootsByEvaluation:
         G = build_cyclic(DEFAULT_ORDER_CAP)
         wp = choose_prime(G)
         assert (wp.p, conjugacy_classes(G).class_count) == (7681, 512)
-        assert wp.p <= ROOT_EVAL_PRIME_LIMIT
         f = np.zeros(513, dtype=np.int64)
         f[[0, 512]] = [wp.p - 1, 1]
-        everything = np.arange(wp.p, dtype=np.int64)
-        assert _roots_at(f, wp.p, everything).tolist() == sorted(
+        assert _roots_at(f, wp.p).tolist() == sorted(
             wp.unity_root(j) for j in range(512))
+
+    def test_a_missing_root_raises(self, monkeypatch):
+        roots_at = characters._roots_at
+        monkeypatch.setattr(characters, "_roots_at", lambda *a: roots_at(*a)[:-1])
+        with pytest.raises(InternalConsistencyError, match="roots"):
+            character_table(build_metacyclic(MetacyclicParams(5, 4, 2)))
+
+
+class TestSizedReduction:
+    """A sized table is the default table reduced at the sized prime."""
+
+    # (spec, k_max, g_max, p): the two decompose pins at primes above 2^15
+    LARGE = [("cyclic:32", 32, 20, 76673), ("metacyclic:7,3,2", 100, 8, 58549)]
+
+    def test_sized_tables_equal_the_split_at_the_sized_prime(self, catalog):
+        cases = ([(label, G, 3, 2) for label, G in catalog]
+                 + [(spec, group_from_spec(spec), 3, 2) for spec in TABLES_SPECS]
+                 + [(spec, group_from_spec(spec), k, g) for spec, k, g, _ in self.LARGE])
+        for label, G, k_max, g_max in cases:
+            wp = choose_prime(G, k_max, g_max)
+            assert wp != choose_prime(G), label
+            T = character_table(G, k_max=k_max, g_max=g_max)
+            assert T.prime == wp, label
+            degrees, X = _sort_characters(*_class_matrix_characters(G, T.classes, wp),
+                                          wp, G.order)
+            assert T.degrees == degrees, label
+            assert np.array_equal(T.values, X), label
+        assert [choose_prime(group_from_spec(spec), k, g).p
+                for spec, k, g, _ in self.LARGE] == [p for *_, p in self.LARGE]
+
+    @pytest.mark.parametrize("sizing", [{}, {"k_max": 3}, {"k_max": 100, "g_max": 8}])
+    def test_one_split_per_table(self, monkeypatch, sizing):
+        calls = []
+        split = characters._class_matrix_characters
+        monkeypatch.setattr(characters, "_class_matrix_characters",
+                            lambda *a: calls.append(a[2].p) or split(*a))
+        G = build_metacyclic(MetacyclicParams(7, 3, 2))
+        T = character_table(G, **sizing)
+        assert calls == [choose_prime(G).p]
+        assert T.prime == choose_prime(G, **sizing)
+
+    def test_swapped_counts_fail_orthogonality(self):
+        # visited first: a class of the largest element order
+        G = build_metacyclic(MetacyclicParams(5, 4, 2))
+        T = character_table(G)
+        c = max(range(T.class_count),
+                key=lambda i: (G.elem_order(T.classes.representatives[i]), -i))
+        N = eigenvalue_counts(T, c).copy()
+        i, j = 1, len(N) - 1
+        assert (N[i] != N[j]).any()
+        N[[i, j]] = N[[j, i]]
+        T._counts[c] = N
+        with pytest.raises(InternalConsistencyError, match="not orthonormal"):
+            _reduce(T, choose_prime(G, 3, 2))
 
 
 class TestOrderCap:

@@ -336,8 +336,9 @@ ENUMERATION_STDOUT = {
     # the cw text header renders its vector like hurwitz-enumerate does
     ("cw", "cyclic:3", None, (("vector", V_GENUS6),)):
         "88683f21ae1cdf2c242f276d705059972c85fe176916f3f98146279047a2dfe1",
-    # primes above ROOT_EVAL_PRIME_LIMIT (76673 and 58549) and irrational
-    # characters, recorded while such primes split by Cantor-Zassenhaus
+    # sized primes above 2^15 (76673 and 58549), where the table is the
+    # default one reduced, and irrational characters; recorded while such
+    # primes ran a split of their own, by Cantor-Zassenhaus
     ("decompose", "cyclic:32", 20, ()):
         "a1af7132e44b46fb58847dd39c88c4b79fa631f91e9421f415d30213506b3580",
     ("decompose", "metacyclic:7,3,2", 8, (("k_max", 100),)):

@@ -347,6 +347,25 @@ class TestAxioms:
         assert (code, err.getvalue()) == (0, "")
         assert out.getvalue().splitlines()[-1] == "total: 0"
 
+    @pytest.mark.parametrize("payload", [
+        {"order": True, "mul": [[0]]},
+        {"order": 2.0, "mul": [[0, 1], [1, 0]]},
+        {"order": 2, "mul": [[0, 1], [1.7, 0]]},
+        {"order": 2, "mul": [[0, True], [1, 0]]},
+        {"order": 2, "mul": [[0, "1"], [1, 0]]},
+    ], ids=["order-true", "order-float", "entry-float", "entry-true", "entry-string"])
+    def test_non_integer_table_json_is_rejected(self, tmp_path, payload):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["group-info", "--group", f"table:{path}"], out=out, err=err)
+        assert (code, out.getvalue()) == (2, "")
+        assert "must be an integer" in err.getvalue()
+
+    def test_table_mul_must_be_a_list_of_lists(self):
+        with pytest.raises(GroupSpecError, match="lists of integers"):
+            build_from_table({"order": 2, "mul": [[0, 1], (1, 0)]})
+
     def test_light_test_matches_brute_force(self):
         # every intercalate swap away from the identity row and column of a
         # few small group tables, and random relabelings of the same tables:
