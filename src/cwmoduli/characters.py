@@ -3,14 +3,15 @@
 The table is found by the class-matrix method of Dixon (1967) and Schneider
 (1990): the structure-constant matrices of the class sums commute, and their
 simultaneous eigenvectors over GF(p) are, up to scale, the vectors
-j -> |C_j| chi(g_j) / chi(1). Here they are reached by spinning the
-identity-class vector: a Krylov sequence under one class matrix at a time
-splits it into its eigenspace components, classes of a generating set first,
-until there are as many pieces as classes. The eigenvalues of each split are
-the roots of a minimal polynomial over GF(p), central-character values
-|C_i| chi(g_i) / chi(1), found, as Dixon and Schneider do, by trying every
-residue. Degrees and values are then recovered from the norm, and the
-result is checked against the eigenvector equations and row orthogonality.
+j -> |C_j| chi(g_j) / chi(1). Here they are reached by splitting the
+identity-class vector under one class matrix at a time, classes of a
+generating set first, until there are as many pieces as classes; one Krylov
+pass per matrix splits every piece it moves into its eigenspace components.
+The eigenvalues are the roots of a minimal polynomial over GF(p), central
+characters |C_i| chi(g_i) / chi(1), found, as Dixon and Schneider do, by
+trying every residue. Degrees and values are then recovered from the norm,
+and the result is checked against the eigenvector equations and row
+orthogonality.
 The split runs once per table, at the default prime of the modular module
 (at most 13711 under the order cap); a table sized for a level and genus is
 that table read at the sized prime through its eigenvalue counts.
@@ -274,17 +275,16 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
                              wp: WorkingPrime) -> Tuple[np.ndarray, np.ndarray]:
     """Degrees and value rows mod p of all irreducible characters, in no particular order.
 
-    Spins the identity-class vector e_0 into the common eigenvectors. In the
+    Splits the identity-class vector e_0 into the common eigenvectors. In the
     basis w_chi (w_chi[0] = 1), e_0 = sum_chi chi(1)^2/|G| w_chi, and every
     partial sum of those coefficients is nonzero mod p because p > |G|. So
     each piece below is a multiple of the projection of e_0 onto a joint
     eigenspace of the class matrices used so far, scaled so that its
-    coordinate 0 is 1. For each class matrix M in turn, built one at a time,
-    each piece u is kept if M is a scalar on it, and otherwise replaced by
-    its components in the eigenspaces of M (see _spin). Classes of a greedy
-    generating set come first; the split stops at s pieces. Roots are tried
-    among every residue. Root and class order are fixed, so the outcome is
-    deterministic.
+    coordinate 0 is 1. Each class matrix M in turn, built one at a time,
+    keeps the pieces it is a scalar on and replaces all the others at once
+    by their components in its eigenspaces (_spin). Classes of a greedy
+    generating set come first; the split stops at s pieces. Root and class
+    order are fixed, so the outcome is deterministic.
     """
     s = conj.class_count
     if s == 1:
@@ -301,8 +301,7 @@ def _class_matrix_characters(G: FiniteGroup, conj: ConjugacyData,
         moved = ((images - images[:, :1] * pieces) % p).any(axis=1)
         if moved.any():
             used.append(i)
-            pieces = np.vstack([_spin(M, u, p) if m else u[None]
-                                for u, m in zip(pieces, moved)])
+            pieces = np.vstack([pieces[~moved], _spin(M, pieces[moved], images[moved], p)])
             if len(pieces) == s:
                 break
     if len(pieces) != s:
@@ -318,25 +317,29 @@ def _splitting_order(G: FiniteGroup, conj: ConjugacyData) -> List[int]:
     return list(first) + [i for i in range(1, conj.class_count) if i not in first]
 
 
-def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
-    """The components of u in the eigenspaces of M, as rows with coordinate 0 equal to 1.
+def _spin(M: np.ndarray, U: np.ndarray, images: np.ndarray, p: int) -> np.ndarray:
+    """The components of the rows of U in the eigenspaces of M, coordinate 0 scaled to 1.
 
-    M is a class matrix in float64. Builds the Krylov sequence u, Mu, M^2 u,
-    ... while keeping a reduced echelon basis of its span, each basis row
-    written as a polynomial in M applied to u, until the next vector is
-    dependent; that dependence is the monic minimal polynomial mu of M on u.
-    mu is squarefree and splits over GF(p), since u is a sum of common
-    eigenvectors, and q(M) u for q = mu / (x - lam) is the component at the
-    root lam, up to the nonzero factor q(lam), in ascending order of lam.
-    M u is exact in float64: the row sums of M are at most s |G| and the
-    entries of u are below p, so every sum is below 2^53 (2^49 at the cap).
+    M is a class matrix in float64, U the pieces it moves, images = U M^T
+    mod p. The pieces lie in distinct joint eigenspaces of the matrices used
+    before, each M-invariant, so the minimal polynomial mu of M on their sum
+    v is the lcm of those on the pieces: the first dependence of v, Mv, ...,
+    found with a reduced echelon basis whose rows keep their polynomials in
+    M applied to v. For q = mu / (x - lam), q(M) u is q(lam) times the
+    component of u at the root lam, or 0; the pieces' Krylov sequences
+    (images are step 1; a lone piece's is v's), in blocks of at most s / k
+    so that a block has no more entries than M, give all components, piece
+    by piece and ascending in lam, zeros dropped. Each piece must give two
+    or more, none zero at coordinate 0. Products by M are exact in float64:
+    its row sums are at most s |G| and the entries of U are below p, so sums
+    stay below 2^53.
     """
-    s = u.shape[0]
-    krylov = np.empty((s + 1, s), dtype=np.int64)  # rows past k are never read
+    b, s = U.shape
+    krylov = np.empty((s + 1, s), dtype=np.int64)  # of v; rows past k are never read
     basis = np.empty((s, s), dtype=np.int64)
     polys = np.empty((s, s + 1), dtype=np.int64)
     pivots: List[int] = []
-    krylov[0] = u
+    krylov[0] = U.sum(axis=0) % p
     for k in range(s + 1):
         v = krylov[k]
         c = v[pivots]
@@ -357,7 +360,7 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
         basis[rows] = (basis[rows] - col[rows, None] * basis[k]) % p
         polys[rows, :k + 1] = (polys[rows, :k + 1] - col[rows, None] * polys[k, :k + 1]) % p
         pivots.append(j)
-        krylov[k + 1] = (M @ v).astype(np.int64) % p
+        krylov[k + 1] = images.sum(axis=0) % p if k == 0 else (M @ v).astype(np.int64) % p
     lam = _roots_at(poly, p)
     if len(lam) != k:
         raise InternalConsistencyError(
@@ -367,7 +370,21 @@ def _spin(M: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
     Q[:, k - 1] = 1
     for j in range(k - 1, 0, -1):
         Q[:, j - 1] = (poly[j] + lam * Q[:, j]) % p
-    parts = _matmul_mod(Q, krylov[:k], p)
+    if b == 1:  # a lone piece is v, whose sequence is above
+        parts = _matmul_mod(Q, krylov[:k], p)[None]
+    else:
+        blocks = []
+        for rows in (slice(lo, lo + s // k) for lo in range(0, b, s // k)):
+            K = np.empty((k,) + U[rows].shape, dtype=np.int64)
+            K[:2] = (U[rows], images[rows])[:k]
+            for j in range(2, k):
+                K[j] = (K[j - 1] @ M.T).astype(np.int64) % p
+            blocks.append(_matmul_mod(Q, K.reshape(k, -1), p).reshape(K.shape).swapaxes(0, 1))
+        parts = np.concatenate(blocks)  # [piece, root, coordinate]
+    kept = parts.any(axis=2)
+    if (kept.sum(axis=1) < 2).any():
+        raise InternalConsistencyError("a moved piece has fewer than two eigenspace components")
+    parts = parts[kept]
     if not parts[:, 0].all():
         raise InternalConsistencyError("a split piece vanishes at the identity class")
     return parts * np.array([pow(int(x), p - 2, p) for x in parts[:, 0]],
@@ -411,9 +428,8 @@ def _check_common_eigenvectors(mats: Iterable[np.ndarray], W: np.ndarray,
         if ((MW - MW[0] * W.T) % p).any():
             raise InternalConsistencyError(
                 "candidate vectors are not eigenvectors of every class matrix used")
-        eigenvalues.append(MW[0])
-    tuples = set(zip(*(row.tolist() for row in eigenvalues)))
-    if len(tuples) != W.shape[0]:
+        eigenvalues.append(MW[0].tolist())  # a view of row 0 would keep all of MW
+    if len(set(zip(*eigenvalues))) != W.shape[0]:
         raise InternalConsistencyError(
             "two candidate vectors share their eigenvalues on every class matrix used")
 

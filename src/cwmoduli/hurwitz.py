@@ -226,36 +226,58 @@ def genus(v_or_data: Union[HurwitzVector, BranchingData], G: FiniteGroup) -> int
     return g
 
 
+MAX_BRANCH_ENTRIES = 10 ** 6  # branch entries over all the data of one genus
+
+
 def enumerate_branching_data(G: FiniteGroup, g: int) -> List[BranchingData]:
     """All numerically admissible (g', branch-order multiset) for target genus g.
 
     Admissibility is the exact Riemann-Hurwitz equation only; whether a vector
     realizes the data is a separate enumeration question. Sorted by quotient
-    genus, then by the order multiset.
+    genus, then by the order multiset. Each datum is listed from its counts
+    per order, so listing holds only the data listed; those hold about g^3
+    branch entries in all, so EnumerationCapExceeded is raised past
+    MAX_BRANCH_ENTRIES of them: before listing, if the longest datum alone
+    could be longer (at g' = 0, every entry of the order m with the least
+    (|G|/m)(m - 1)), and while listing, on the running total.
     """
     g = _as_int(g)
     if g < 2:
         raise ValueError(f"target genus must be >= 2, got {g}")
+    if G.order == 1:  # no branch points, so only g' = g
+        return [BranchingData(g, ())]
     orders = sorted({m for m in G.element_orders() if m > 1})
     contrib = [(G.order // m) * (m - 1) for m in orders]
     target = 2 * g - 2
+    longest = (target + 2 * G.order) // min(contrib)
+    if longest > MAX_BRANCH_ENTRIES:
+        raise EnumerationCapExceeded(
+            f"a branching datum of genus {g} can have {longest} entries, "
+            f"more than {MAX_BRANCH_ENTRIES}")
     out: List[BranchingData] = []
-    g_quot = 0
-    while G.order * (2 * g_quot - 2) <= target:
-        remaining = target - G.order * (2 * g_quot - 2)
-        stack: List[Tuple[int, int, Tuple[int, ...]]] = [(0, remaining, ())]
-        while stack:
-            idx, rem, acc = stack.pop()
-            if rem == 0:
-                out.append(BranchingData(g_quot, acc))
-                continue
-            # push in reverse so smaller orders are explored first
-            for i in range(len(orders) - 1, idx - 1, -1):
-                if contrib[i] <= rem:
-                    stack.append((i, rem - contrib[i], acc + (orders[i],)))
-        g_quot += 1
+    entries = 0
+    for g_quot in range(target // (2 * G.order) + 2):
+        for counts in _count_vectors(contrib, target - G.order * (2 * g_quot - 2)):
+            entries += sum(counts)
+            if entries > MAX_BRANCH_ENTRIES:
+                raise EnumerationCapExceeded(
+                    f"the branching data of genus {g} have more than {MAX_BRANCH_ENTRIES} entries")
+            out.append(BranchingData(g_quot, tuple(chain.from_iterable(
+                [m] * c for m, c in zip(orders, counts)))))
     out.sort(key=lambda d: (d.g_quot, d.branch_orders))
     return out
+
+
+def _count_vectors(contrib: List[int], rem: int) -> Iterator[Tuple[int, ...]]:
+    """Every tuple c of counts >= 0 with sum_i c_i contrib[i] = rem; contrib is nonempty."""
+    first, rest = contrib[0], contrib[1:]
+    if not rest:
+        if rem % first == 0:
+            yield (rem // first,)
+        return
+    for c in range(rem // first + 1):
+        for tail in _count_vectors(rest, rem - c * first):
+            yield (c,) + tail
 
 
 @dataclass(frozen=True)

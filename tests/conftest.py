@@ -3,8 +3,9 @@ counter of the validate calls made through the multiplicity memo, a counter
 of the rows checked by bulk validation and a counter of the subgroup
 closures run by the generation test. Shared helpers:
 conjugation and branching data of a vector, the item keys of a decomposition,
-the eigenvalue-count rows of a table, and the GF(p) root power sum that is
-the reference for the count matrices."""
+the eigenvalue-count rows of a table, the GF(p) root power sum that is
+the reference for the count matrices, and the per-piece class-matrix split
+that is the reference for the batched one."""
 
 from collections import Counter
 
@@ -12,6 +13,9 @@ import numpy as np
 import pytest
 
 from cwmoduli import chevalley_weil, groups
+from cwmoduli.characters import (_class_matrix, _matmul_mod, _roots_at,
+                                 _splitting_order)
+from cwmoduli.errors import InternalConsistencyError
 from cwmoduli import (
     BranchingData,
     HurwitzVector,
@@ -217,3 +221,74 @@ def root_power_sum(values, alpha, m, wp):
     for j, v in enumerate(values):
         total += v * wp.unity_root((-alpha * j % m) * stride)
     return total % wp.p * wp.inv(m) % wp.p
+
+
+def reference_spin(M, u, p):
+    """The components of one piece u in the eigenspaces of M, coordinate 0 equal to 1.
+
+    The Krylov sequence u, Mu, M^2 u, ... of u alone, a reduced echelon basis
+    of its span with each basis row written as a polynomial in M applied to
+    u, the monic minimal polynomial mu of M on u from the first dependence,
+    its roots lam in ascending order, and q(M) u for q = mu / (x - lam).
+    """
+    s = u.shape[0]
+    krylov = np.empty((s + 1, s), dtype=np.int64)  # rows past k are never read
+    basis = np.empty((s, s), dtype=np.int64)
+    polys = np.empty((s, s + 1), dtype=np.int64)
+    pivots = []
+    krylov[0] = u
+    for k in range(s + 1):
+        v = krylov[k]
+        c = v[pivots]
+        rows = np.flatnonzero(c)
+        r = (v - _matmul_mod(c[rows], basis[rows], p)) % p
+        poly = (-_matmul_mod(c[rows], polys[rows, :k + 1], p)) % p
+        poly[k] = 1
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            break
+        j = int(nonzero[0])
+        scale = pow(int(r[j]), p - 2, p)
+        basis[k] = r * scale % p
+        polys[k, :k + 1] = poly * scale % p
+        polys[k, k + 1:] = 0
+        col = basis[:k, j].copy()
+        rows = np.flatnonzero(col)
+        basis[rows] = (basis[rows] - col[rows, None] * basis[k]) % p
+        polys[rows, :k + 1] = (polys[rows, :k + 1] - col[rows, None] * polys[k, :k + 1]) % p
+        pivots.append(j)
+        krylov[k + 1] = (M @ v).astype(np.int64) % p
+    lam = _roots_at(poly, p)
+    assert len(lam) == k
+    Q = np.zeros((k, k), dtype=np.int64)  # row t: coefficients of mu / (x - lam_t)
+    Q[:, k - 1] = 1
+    for j in range(k - 1, 0, -1):
+        Q[:, j - 1] = (poly[j] + lam * Q[:, j]) % p
+    parts = _matmul_mod(Q, krylov[:k], p)
+    assert parts[:, 0].all()
+    return parts * np.array([pow(int(x), p - 2, p) for x in parts[:, 0]],
+                            dtype=np.int64)[:, None] % p
+
+
+def reference_split(G, conj, wp):
+    """The rows w_j = |C_j| chi(g_j) / chi(1) of every character, split piece by piece.
+
+    Starts from the identity-class vector and takes the class matrices in
+    the order of the library's split; every piece a matrix moves goes
+    through reference_spin on its own and is replaced in place by its
+    components. Returns the rows in the order found.
+    """
+    s, p = conj.class_count, wp.p
+    pieces = np.zeros((1, s), dtype=np.int64)
+    pieces[0, 0] = 1
+    for i in _splitting_order(G, conj):
+        if len(pieces) == s:
+            break
+        M = _class_matrix(G, conj, i).astype(np.float64)
+        images = (pieces @ M.T).astype(np.int64) % p
+        moved = ((images - images[:, :1] * pieces) % p).any(axis=1)
+        pieces = np.vstack([reference_spin(M, u, p) if m else u[None]
+                            for u, m in zip(pieces, moved)])
+    if len(pieces) != s:
+        raise InternalConsistencyError("class matrices failed to separate the eigenspaces")
+    return pieces

@@ -34,11 +34,12 @@ from cwmoduli import (
 from cwmoduli import characters
 from cwmoduli.characters import (_characters_from_vectors, _check_common_eigenvectors,
                                  _class_matrix, _class_matrix_characters, _matmul_mod,
-                                 _reduce, _roots_at, _sort_characters, _splitting_order)
+                                 _reduce, _roots_at, _sort_characters, _spin,
+                                 _splitting_order)
 from cwmoduli.groups import DEFAULT_ORDER_CAP, greedy_generators
 from cwmoduli.modular import _is_prime, choose_prime
 
-from conftest import ABELIAN_FACTOR_LISTS, S4_PERM_GENS, count_rows
+from conftest import ABELIAN_FACTOR_LISTS, S4_PERM_GENS, count_rows, reference_split
 
 
 def dual_characters(factors, wp):
@@ -445,6 +446,70 @@ class TestSpinChecks:
                                        for g in greedy_generators(G.mul_rows())))
             assert order[:len(first)] == first
             assert sorted(order) == list(range(1, conj.class_count))
+
+
+class TestBatchedSplit:
+    """One Krylov pass per class matrix against the per-piece reference split."""
+
+    CAP_SPECS = ["abelian:2,2,2,2,2,2,2,2,2", "abelian:16,32", "metacyclic:32,16,3"]
+
+    @staticmethod
+    def assert_matches_reference(G, monkeypatch):
+        seen = []
+        monkeypatch.setattr(characters, "_characters_from_vectors",
+                            lambda *a: seen.append(a[3]) or _characters_from_vectors(*a))
+        T = character_table(G)
+        wp = T.prime
+        W = reference_split(G, T.classes, wp)
+        if T.class_count > 1:  # the trivial group's table needs no split
+            [raw] = seen
+            assert sorted(map(tuple, raw.tolist())) == sorted(map(tuple, W.tolist()))
+        degrees, X = _sort_characters(*_characters_from_vectors(G, T.classes, wp, W),
+                                      wp, G.order)
+        assert T.degrees == degrees
+        assert np.array_equal(T.values, X)
+
+    def test_catalog_and_tables_workload(self, catalog, monkeypatch):
+        for _, G in catalog + [(spec, group_from_spec(spec)) for spec in TABLES_SPECS]:
+            self.assert_matches_reference(G, monkeypatch)
+
+    @pytest.mark.parametrize("spec", CAP_SPECS)
+    def test_order_cap(self, spec, monkeypatch):
+        self.assert_matches_reference(group_from_spec(spec), monkeypatch)
+
+    @pytest.fixture(scope="class")
+    def frobenius(self):
+        # F20: on the class of the order-5 elements, the four linear
+        # characters share the eigenvalue 4 and the degree-4 one has -1
+        G = build_metacyclic(MetacyclicParams(5, 4, 2))
+        T = character_table(G)
+        W = eigenvector_rows(T)
+        p = T.prime.p
+        for i in range(1, T.class_count):
+            M = _class_matrix(G, T.classes, i)
+            lam = _matmul_mod(M, W.T, p)[0].tolist()
+            if len(set(lam)) == 2 and sorted(map(lam.count, set(lam))) == [1, 4]:
+                a = next(r for r in range(len(lam)) if lam.count(lam[r]) == 1)
+                b, c = [r for r in range(len(lam)) if r != a][:2]
+                return M.astype(np.float64), W, p, a, b, c
+        raise AssertionError("no class with eigenvalue multiplicities 1 and 4")
+
+    def test_two_components_per_piece(self, frobenius):
+        M, W, p, a, b, _ = frobenius
+        U = np.array([(W[a] + W[b]) % p, W[b]])
+        parts = _spin(M, U[:1], _matmul_mod(U[:1], M.T.astype(np.int64), p), p)
+        assert sorted(map(tuple, parts.tolist())) == sorted([tuple(W[a]), tuple(W[b])])
+        # W[b] is an eigenvector, so it has one component only
+        with pytest.raises(InternalConsistencyError, match="fewer than two"):
+            _spin(M, U, _matmul_mod(U, M.T.astype(np.int64), p), p)
+
+    def test_component_vanishing_at_identity_raises(self, frobenius):
+        # the component of W[a] + W[b] - W[c] at the eigenvalue of b and c is
+        # W[b] - W[c], nonzero but 0 at the identity class
+        M, W, p, a, b, c = frobenius
+        U = ((W[a] + W[b] - W[c]) % p)[None]
+        with pytest.raises(InternalConsistencyError, match="vanishes at the identity"):
+            _spin(M, U, _matmul_mod(U, M.T.astype(np.int64), p), p)
 
 
 class TestExactArithmetic:

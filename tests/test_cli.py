@@ -3,6 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -459,6 +464,19 @@ class TestExitCodes:
         code, _, err = invoke("hurwitz-enumerate", group="cyclic:3",
                               genus=6, cap=10)
         assert code == 1 and err.startswith("error: ")
+
+    def test_branching_data_cap_is_domain_error(self):
+        # listing the data of this genus was killed for its memory before
+        # the branch-entry cap
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from cwmoduli.cli import main; sys.exit(main())",
+             "hurwitz-enumerate", "--group", "cyclic:4", "--genus", "99999999"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: a branching datum of genus 99999999 can have")
 
     def test_decompose_cap_bounds_the_whole_genus(self, monkeypatch):
         # cyclic:3 genus 6 holds 86 + 90 + 162 = 338 vectors

@@ -6,6 +6,8 @@ in the tests themselves so they do not depend on the enumerator under test.
 
 import itertools
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -281,6 +283,48 @@ class TestEnumerateBranchingData:
     def test_non_integer_genus_rejected(self, z3, g):
         with pytest.raises(TypeError):
             enumerate_branching_data(z3, g)
+
+    def test_brute_force_oracle(self, catalog_le_12):
+        # every multiset of element orders as long as Riemann-Hurwitz allows:
+        # an entry of order m adds (|G|/m)(m - 1) >= |G|/2 to 2g - 2
+        for label, G in catalog_le_12:
+            n = G.order
+            orders = sorted({G.elem_order(x) for x in G.elements()} - {1})
+            for g in range(2, 9):
+                expect = sorted(
+                    ((h, combo) for h in range(g + 1)
+                     for r in range((2 * g - 2 + 2 * n) // max(n // 2, 1) + 1)
+                     for combo in itertools.combinations_with_replacement(orders, r)
+                     if n * (2 * h - 2) + sum(n // m * (m - 1) for m in combo) == 2 * g - 2))
+                got = [(d.g_quot, d.branch_orders) for d in enumerate_branching_data(G, g)]
+                assert got == expect, (label, g)
+
+    def test_genus_300_fits_the_entry_cap(self, monkeypatch):
+        G = build_cyclic(4)
+        data = enumerate_branching_data(G, 300)
+        assert (len(data), sum(d.r for d in data), max(d.r for d in data)) == (3927, 663880, 303)
+        monkeypatch.setattr(hurwitz, "MAX_BRANCH_ENTRIES", 663880)
+        assert enumerate_branching_data(G, 300) == data
+        monkeypatch.setattr(hurwitz, "MAX_BRANCH_ENTRIES", 663879)
+        with pytest.raises(EnumerationCapExceeded, match="have more than 663879 entries"):
+            enumerate_branching_data(G, 300)
+
+    @pytest.mark.parametrize("g, match, peak_mb", [
+        (400, "have more than 1000000 entries", 16),  # 1,550,264 entries in all
+        (99_999_999, "can have 100000002 entries", 1),  # checked before listing
+    ])
+    def test_listing_past_the_cap_is_short(self, g, match, peak_mb):
+        G = build_cyclic(4)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded, match=match):
+                enumerate_branching_data(G, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2
+        assert peak < peak_mb * 2 ** 20
 
 
 class TestEnumerationCounts:
