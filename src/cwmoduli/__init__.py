@@ -6,8 +6,8 @@ the multiplicity of every irreducible character in H^0 of each pluricanonical
 bundle, and partition the vectors by those multiplicities. A companion module
 bounds the component count of the regular-representation locus for split
 metacyclic groups. All arithmetic is exact: character values live in a prime
-field sized so that every reported integer is recovered uniquely, and the
-multiplicities are integer arithmetic on the recovered eigenvalue counts.
+field whose default prime recovers degrees, inner products and eigenvalue
+counts uniquely, and the multiplicities are integer arithmetic on the counts.
 """
 
 from .errors import (AbelianGroup, CwModuliError, EnumerationCapExceeded,

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .groups import FiniteGroup, ConjugacyData, conjugacy_classes, greedy_generators
+from .groups import FiniteGroup, ConjugacyData, _as_int, conjugacy_classes, greedy_generators
 from .modular import WorkingPrime, choose_prime, recover_integer
 
 __all__ = [
@@ -53,8 +53,8 @@ class CharacterTable:
     character; the rest are sorted by degree and then by recovered values.
     Construction also fixes a read-only matrix saying which values are
     rational. None of this changes afterwards; the table memoizes the
-    eigenvalue counts of each class on first use, and the multiplicity module
-    keeps its per-table caches here. Whether a vector's entries generate G is
+    eigenvalue counts of each class on first use, and cw_character keeps its
+    per-table caches here. Whether a vector's entries generate G is
     memoized on the group instead, once per entry set per group.
     """
 
@@ -74,8 +74,8 @@ class CharacterTable:
         # (genus, sorted branch class ids, level dict); decompose adds none
         self._validated: Dict[tuple, tuple] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
-        # filled by decompose and cw_character alike and shared by the memo
-        # entries of every vector with that key
+        # filed by cw_character alone, one level per evaluation, and shared
+        # by the memo entries of every vector with that key
         self._levels: Dict[tuple, Dict[int, object]] = {}
 
     @property
@@ -180,17 +180,26 @@ def _count_matrix(T: CharacterTable, cls: int) -> np.ndarray:
     return N
 
 
+def _index(x, n: int, what: str) -> int:
+    """x checked as an id below n: an int (not a bool), with 0 <= x < n."""
+    i = _as_int(x)
+    if not 0 <= i < n:
+        raise ValueError(f"{what} {i} is not in [0, {n})")
+    return i
+
+
 def eigenvalue_counts(T: CharacterTable, class_index: int) -> np.ndarray:
     """Read-only integer matrix N[rho, a] for the given class.
 
     N[rho, a] is the multiplicity of zeta_m^a as an eigenvalue of rho(g), for
     g in the class, m its order and zeta_m = z^(e/m). Computed on first use of
     the class with one matrix product; rows are in range [0, deg] and sum to
-    the degree, which is asserted.
+    the degree, which is asserted. The memo is keyed by the checked class id.
     """
-    N = T._counts.get(class_index)
+    c = _index(class_index, T.class_count, "class id")
+    N = T._counts.get(c)
     if N is None:
-        N = T._counts[class_index] = _count_matrix(T, class_index)
+        N = T._counts[c] = _count_matrix(T, c)
     return N
 
 
@@ -200,20 +209,23 @@ def eigenvalue_multiplicities(T: CharacterTable, rho: int, c: int) -> Tuple[int,
     Entry a is row rho of the count matrix of the class of c: the number of
     eigenvalues zeta_m^a of rho(c). There are m entries, summing to the degree.
     """
+    rho = _index(rho, len(T.degrees), "character id")
+    c = _index(c, T.group.order, "element id")
     return tuple(eigenvalue_counts(T, T.classes.class_list()[c])[rho].tolist())
 
 
 def inner_product(T: CharacterTable, a: Sequence[int], b: int) -> int:
     """<a, chi_b> = |G|^-1 sum_j |C_j| a[j] chi_b(g_j^-1), recovered to an integer.
 
-    a is any class function given as field residues per class, in class order.
+    a is any class function given as integer residues per class, in class order.
     """
     wp = T.prime
     conj = T.classes
     if len(a) != conj.class_count:
         raise ValueError(
             f"class function has {len(a)} entries, expected {conj.class_count}")
-    chi = T.values[b].tolist()
+    a = [_as_int(x) for x in a]
+    chi = T.values[_index(b, len(T.degrees), "character id")].tolist()
     total = 0
     for j in range(conj.class_count):
         total += conj.class_sizes[j] * (a[j] % wp.p) * chi[conj.inverse_class(j)]
@@ -235,7 +247,8 @@ def rational_character_value(T: CharacterTable, rho: int,
     order 16 the degree-2 characters are 0 at elements of order 8 but
     irrational at their squares.
     """
-    return rational_character_values(T, rho, class_index)
+    return rational_character_values(T, _index(rho, len(T.degrees), "character id"),
+                                     _index(class_index, T.class_count, "class id"))
 
 
 def rational_character_values(T: CharacterTable, rho=slice(None), cls=slice(None)):

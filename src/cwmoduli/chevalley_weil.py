@@ -20,13 +20,13 @@ set per group. Per item list, _class_keys does the same in arrays: one
 array of entry ids per shape, validate's checks as column gathers, one
 generation lookup per distinct sorted entry row, and validate itself only on
 the first failing item, for its error. _evaluate computes every level of a
-tuple of levels for one (quotient genus, class key) as one integer matrix,
-and _fill_levels files its columns in the table's level dict of that key.
+tuple of levels for one (quotient genus, class key) as one integer matrix.
 decompose keys its items in bulk, evaluates each key once at all its
-levels, and keeps no memo entry per vector. cw_character and
-periodicity_delta add a per-vector memo on top, (genus, class key, level
-dict), so a repeated query is one lookup of the vector and one of the
-level; a missing level is evaluated alone.
+levels, reads its type tuples off those matrices, and files no level
+record. cw_character and periodicity_delta keep a per-vector memo, (genus,
+class key, level dict), so a repeated query is one lookup of the vector and
+one of the level; a missing level is evaluated alone, and cw_character files
+its record in the level dict of the key, the only writer of those dicts.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class MultiplicityVector:
     """Multiplicities of each irreducible character at pluricanonical level k.
 
     regular is n when mults = n * (degrees of the regular character), else
-    None; it is computed once, when the level is evaluated. Slotted: decompose
-    files one record per (class key, level), |G| levels per key.
+    None; it is computed once, when the level is evaluated. Slotted:
+    cw_character files one record per (class key, level) it is asked for.
     """
 
     k: int
@@ -150,23 +150,6 @@ def _class_keys(items: Sequence[HurwitzVector], T: CharacterTable
         raise InternalConsistencyError(
             f"bulk validation rejected item {worst}, which validate accepts")
     return list(key_ids), key_of
-
-
-def _fill_levels(T: CharacterTable, key: _Key, ks: Tuple[int, ...],
-                 mults: np.ndarray) -> Dict[int, MultiplicityVector]:
-    """File the level columns of mults under key in T._levels; returns the level dict.
-
-    A level already filed keeps its record, so repeated queries return the
-    same frozen object.
-    """
-    levels = T._levels.setdefault(key, {})
-    # the trivial character has degree 1, so the first entry forces n
-    regular = (mults == mults[0] * np.array(T.degrees)[:, None]).all(axis=0)
-    for k, column, is_regular in zip(ks, mults.T.tolist(), regular.tolist()):
-        if k not in levels:
-            levels[k] = MultiplicityVector(k, tuple(column),
-                                           column[0] if is_regular else None)
-    return levels
 
 
 def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
@@ -295,8 +278,9 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     v is validated on its first query against T; later queries find its memo
     entry, whose level dict is shared by every vector with the same
     (quotient genus, branch class multiset), and return the same frozen
-    object. The dimension identity sum mult * degree = g (k = 1) or
-    (2k-1)(g-1) (k >= 2) is asserted when a level is first evaluated.
+    object; a missing level is evaluated alone and filed there. The dimension
+    identity sum mult * degree = g (k = 1) or (2k-1)(g-1) (k >= 2) is asserted
+    when a level is first evaluated.
     """
     if type(k) is int:  # an equal bool or float must not read the cache
         try:
@@ -307,8 +291,10 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     g, class_key, levels = _genus_and_classes(v, T)
     hit = levels.get(k)
     if hit is None:
-        key = (v.g_quot, class_key)
-        hit = _fill_levels(T, key, (k,), _evaluate(T, (k,), v.g_quot, g, class_key))[k]
+        mults = _evaluate(T, (k,), v.g_quot, g, class_key)[:, 0].tolist()
+        # the trivial character has degree 1, so the first entry forces n
+        regular = all(x == mults[0] * d for x, d in zip(mults, T.degrees))
+        hit = levels[k] = MultiplicityVector(k, tuple(mults), mults[0] if regular else None)
     return hit
 
 

@@ -5,10 +5,11 @@ level-k decomposition; the canonical decomposition is the common refinement
 over k = 1..|G|, which periodicity proves is already the limit. The items
 are validated and keyed in arrays (chevalley_weil._class_keys), keeping no
 memo entry per item; each distinct (quotient genus, branch-class multiset)
-key is evaluated once, at all its levels as one integer matrix, and a block
-is the items of the keys that share a type tuple. The stabilization report
-re-checks the limit numerically from the distinct type tuples, numbering
-the running partition level by level.
+key is evaluated once, at all its levels as one integer matrix, whose
+columns are the key's type tuple, and a block is the items of the keys that
+share a type tuple; no level record is filed on the table. The
+stabilization report re-checks the limit numerically from the distinct type
+tuples, numbering the running partition level by level.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from .characters import CharacterTable
-from .chevalley_weil import _class_keys, _evaluate, _fill_levels, _level
+from .chevalley_weil import _class_keys, _evaluate, _level
 from .errors import InternalConsistencyError
 from .hurwitz import BranchingData, HurwitzVector, genus
 
@@ -65,8 +66,8 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
 
     Items sharing a quotient genus and a multiset of branch classes share
     their multiplicities. So the items are validated and keyed in bulk, and
-    each distinct key is evaluated once, at all levels of ks together; the
-    level records are filed in T._levels for later queries.
+    each distinct key is evaluated once, at all levels of ks together, and
+    its type tuple is read off that matrix; no level record is filed in T.
     """
     items = tuple(items)
     keys, key_of = _class_keys(items, T)
@@ -77,12 +78,9 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
     if len(genera) > 1:
         raise ValueError(f"items span several genera {genera}; "
                          "a decomposition needs a single genus")
-    types: List[BlockKey] = []
-    for key in keys:
-        g_quot, class_key = key
-        levels = _fill_levels(T, key, ks,
-                              _evaluate(T, ks, g_quot, genera[0], class_key))
-        types.append(tuple(levels[k].mults for k in ks))
+    types: List[BlockKey] = [
+        tuple(map(tuple, _evaluate(T, ks, g_quot, genera[0], class_key).T.tolist()))
+        for g_quot, class_key in keys]
     ordered = sorted(set(types))
     rank = {key: b for b, key in enumerate(ordered)}
     block_of = np.array([rank[key] for key in types], dtype=np.int64)[key_of]

@@ -1,11 +1,11 @@
 """Prime-field arithmetic for the character tables.
 
-All character data lives in GF(p) for a single working prime chosen per
-session. The prime is taken large enough that every integer we ever need to
-recover (character degrees, inner products, eigenvalue counts) sits strictly
-inside (-p/2, p/2), so lifting to the least absolute residue is exact.
-Multiplicities are integer arithmetic on the recovered counts and need no
-prime of their own.
+All character data lives in GF(p). Every table is split at the default prime
+choose_prime(G), where each integer recovered (degrees, inner products,
+eigenvalue counts) lies strictly inside (-p/2, p/2), so lifting to the least
+absolute residue is exact; a prime sized by level and genus recovers nothing
+more and only sets the row order of a sized table. Multiplicities are integer
+arithmetic on the recovered counts and need no prime of their own.
 """
 
 from __future__ import annotations

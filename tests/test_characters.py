@@ -286,6 +286,67 @@ class TestEigenvalueMultiplicities:
                     assert val == T.values[rho, cls]
 
 
+class TestIdChecks:
+    """Character, element and class ids are ints in range, checked before any read."""
+
+    def test_count_memo_holds_only_checked_class_ids(self, monkeypatch):
+        T = character_table(build_cyclic(4))
+        dfts = []
+        real = characters._count_matrix
+
+        def counting(T, cls):
+            dfts.append(cls)
+            return real(T, cls)
+
+        monkeypatch.setattr(characters, "_count_matrix", counting)
+        for bad, error in [(-1, ValueError), (4, ValueError), (True, TypeError),
+                           (1.0, TypeError), (None, TypeError)]:
+            with pytest.raises(error):
+                eigenvalue_counts(T, bad)
+        assert dfts == [] and T._counts == {}
+        # once class 1 is memoized, an equal bool or float still does not read it
+        N = eigenvalue_counts(T, 1)
+        assert eigenvalue_counts(T, np.int64(1)) is N
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError):
+                eigenvalue_counts(T, bad)
+        assert eigenvalue_counts(T, 3) is not N
+        assert dfts == [1, 3] and set(T._counts) == {1, 3}
+
+    def test_entry_points_reject_bad_ids(self):
+        T = character_table(build_cyclic(4))
+        ones = [1, 1, 1, 1]
+        calls = {
+            "character -1": lambda: eigenvalue_multiplicities(T, -1, 1),
+            "character 4": lambda: eigenvalue_multiplicities(T, 4, 1),
+            "element -1": lambda: eigenvalue_multiplicities(T, 0, -1),
+            "element 4": lambda: eigenvalue_multiplicities(T, 0, 4),
+            "rational character -1": lambda: rational_character_value(T, -1, 1),
+            "rational class -1": lambda: rational_character_value(T, 0, -1),
+            "rational class 4": lambda: rational_character_value(T, 0, 4),
+            "inner character -1": lambda: inner_product(T, ones, -1),
+            "inner character 4": lambda: inner_product(T, ones, 4),
+        }
+        for case, call in calls.items():
+            with pytest.raises(ValueError, match="is not in"):
+                call()
+        typed = {
+            "character True": lambda: eigenvalue_multiplicities(T, True, 1),
+            "element 1.0": lambda: eigenvalue_multiplicities(T, 0, 1.0),
+            "rational class True": lambda: rational_character_value(T, 0, True),
+            "inner character 0.0": lambda: inner_product(T, ones, 0.0),
+            "float entry": lambda: inner_product(T, [1.5, 1, 1, 1], 0),
+            "bool entry": lambda: inner_product(T, [True, 1, 1, 1], 0),
+        }
+        for case, call in typed.items():
+            with pytest.raises(TypeError):
+                call()
+        # numpy integers are ids and entries like any other
+        assert eigenvalue_multiplicities(T, np.int64(0), np.int64(1)) == (1, 0, 0, 0)
+        assert rational_character_value(T, np.int64(0), np.int64(2)) == 1
+        assert inner_product(T, T.values[0], np.int64(0)) == 1
+
+
 class TestInnerProduct:
     def test_regular_representation(self, catalog_le_12):
         for _, G in catalog_le_12:

@@ -341,19 +341,41 @@ class TestOnePassOracle:
             assert checked_rows == Counter((v.g_quot, v.entries) for v in items)
             assert lookups == Counter(sorted_rows)
 
-    def test_later_queries_read_the_block_keys(self, monkeypatch, s3):
+    def test_decompositions_file_no_level_records(self, s3):
+        # the multiplicity caches stay empty, and later per-item queries,
+        # evaluated on their own, give every block's key at every level
         T = character_table(s3)
         items = census(s3, 4)
-        D = stabilization_report(items, T, 8).final
+        runs = [decompose_at_k(items, T, 3), stabilization_report(items, T, 8).final,
+                canonical_decomposition(items, T).final]
+        assert T._levels == {}
+        assert T._validated == {}
+        for D in runs:
+            for block, key in zip(D.blocks, D.keys):
+                for idx in block:
+                    for k, mults in zip(D.ks, key):
+                        assert cw_character(items[idx], T, k).mults == mults
 
-        def refuse(*args):
-            raise AssertionError("level evaluated twice")
-
-        monkeypatch.setattr(chevalley_weil, "_evaluate", refuse)
-        for block, key in zip(D.blocks, D.keys):
-            for idx in block:
-                for k, mults in zip(D.ks, key):
-                    assert cw_character(items[idx], T, k).mults == mults
+    def test_decompose_reports_its_own_evaluation(self, monkeypatch, s3):
+        # level records that cw_character filed earlier, here with the rows of
+        # the two degree-1 characters swapped, do not stand in for decompose's
+        T = character_table(s3)
+        items = census(s3, 4)
+        real = chevalley_weil._evaluate
+        with monkeypatch.context() as m:
+            m.setattr(chevalley_weil, "_evaluate",
+                      lambda T, ks, g_quot, g, ck: real(T, ks, g_quot, g, ck)[[1, 0, 2]])
+            for v in items:
+                for k in range(1, 9):
+                    cw_character(v, T, k)
+        fresh = character_table(s3)
+        want = stabilization_report(items, fresh, 8)
+        assert any(cw_character(v, T, k) != cw_character(v, fresh, k)
+                   for v in items for k in range(1, 9))
+        assert stabilization_report(items, T, 8) == want
+        assert canonical_decomposition(items, T) == canonical_decomposition(items, fresh)
+        for k in (1, 2, 7):
+            assert decompose_at_k(items, T, k) == decompose_at_k(items, fresh, k)
 
     def test_one_evaluation_per_class_key(self, monkeypatch, s3, s3_table):
         # one evaluation per (g', class key) per run, at all its levels at
@@ -501,17 +523,11 @@ class TestArrayEvaluation:
 class TestPeriodicityChecksBite:
     """Multiplicities that break periodicity above |G| must be caught."""
 
-    @pytest.fixture()
-    def z3_fresh(self, z3):
-        # decompose files what it evaluates, so the broken matrices go to a
-        # table of their own
-        return character_table(z3, k_max=3, g_max=6)
-
-    def test_split_beyond_the_period_raises(self, monkeypatch, z3_fresh,
+    def test_split_beyond_the_period_raises(self, monkeypatch, z3_table,
                                             genus6_vectors):
         # both keys share one type through |G| = 3; v's type differs at level 4
         v, _ = genus6_vectors
-        target = class_key(v, z3_fresh)
+        target = class_key(v, z3_table)
 
         def collapsed(T, ks, g_quot, g, ck):
             mults = np.zeros((T.class_count, len(ks)), dtype=np.int64)
@@ -520,18 +536,18 @@ class TestPeriodicityChecksBite:
             return mults
 
         monkeypatch.setattr(decomposition, "_evaluate", collapsed)
-        rep = stabilization_report(genus6_vectors, z3_fresh, 3)
+        rep = stabilization_report(genus6_vectors, z3_table, 3)
         assert rep.final.block_count == 1
         with pytest.raises(InternalConsistencyError, match="split the refinement"):
-            stabilization_report(genus6_vectors, z3_fresh, 4)
+            stabilization_report(genus6_vectors, z3_table, 4)
 
     def test_partitions_k_and_k_plus_order_that_differ_raise(self, monkeypatch,
-                                                             z3_fresh, genus6_vectors):
+                                                             z3_table, genus6_vectors):
         # v_alt takes v's level-4 vector: level 4 merges what level 1 separates
         v, v_alt = genus6_vectors
-        target = class_key(v_alt, z3_fresh)
+        target = class_key(v_alt, z3_table)
         real_evaluate = decomposition._evaluate
-        v_quot, v_classes = class_key(v, z3_fresh)
+        v_quot, v_classes = class_key(v, z3_table)
 
         def merged(T, ks, g_quot, g, ck):
             mults = real_evaluate(T, ks, g_quot, g, ck)
@@ -541,15 +557,15 @@ class TestPeriodicityChecksBite:
             return mults
 
         monkeypatch.setattr(decomposition, "_evaluate", merged)
-        assert stabilization_report(genus6_vectors, z3_fresh, 3).final.block_count == 2
+        assert stabilization_report(genus6_vectors, z3_table, 3).final.block_count == 2
         with pytest.raises(InternalConsistencyError, match="differ"):
-            stabilization_report(genus6_vectors, z3_fresh, 4)
+            stabilization_report(genus6_vectors, z3_table, 4)
 
     def test_partitions_with_equal_block_counts_that_differ_raise(self, monkeypatch,
-                                                                  z3_fresh):
+                                                                  z3_table):
         # three keys, one per quotient genus: levels 1 and 4 both have two
         # blocks, {a, b} {c} and {a} {b, c}; levels 2 and 3 separate all three
-        items = [next(v for v in census(z3_fresh.group, 6) if v.g_quot == q)
+        items = [next(v for v in census(z3_table.group, 6) if v.g_quot == q)
                  for q in (0, 1, 2)]
         labels = {1: (0, 0, 1), 2: (0, 1, 2), 3: (0, 1, 2), 4: (0, 1, 1)}
 
@@ -559,7 +575,7 @@ class TestPeriodicityChecksBite:
             return mults
 
         monkeypatch.setattr(decomposition, "_evaluate", relabelled)
-        rep = stabilization_report(items, z3_fresh, 3)
+        rep = stabilization_report(items, z3_table, 3)
         assert [level.block_count for level in rep.levels] == [2, 3, 3]
         with pytest.raises(InternalConsistencyError, match="levels 1 and 4 differ"):
-            stabilization_report(items, z3_fresh, 4)
+            stabilization_report(items, z3_table, 4)
