@@ -24,8 +24,9 @@ from .characters import (CharacterTable, character_table, eigenvalue_counts,
                          eigenvalue_multiplicities, inner_product,
                          rational_character_value, rational_character_values)
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
-                      enumerate_branching_data, enumerate_hurwitz_vectors,
-                      enumerate_hurwitz_vectors_parallel, genus, validate)
+                      enumerate_branching_data, enumerate_hurwitz_rows,
+                      enumerate_hurwitz_vectors, enumerate_hurwitz_vectors_parallel,
+                      genus, validate)
 from .chevalley_weil import (MultiplicityVector, cw_character, periodicity_delta,
                              regular_multiple)
 from .decomposition import (Decomposition, LevelReport, StabilizationReport,
@@ -56,7 +57,7 @@ __all__ = [
     "inner_product", "rational_character_value", "rational_character_values",
     # hurwitz
     "BranchingData", "HurwitzVector", "EnumerationOptions", "validate", "genus",
-    "enumerate_branching_data", "enumerate_hurwitz_vectors",
+    "enumerate_branching_data", "enumerate_hurwitz_rows", "enumerate_hurwitz_vectors",
     "enumerate_hurwitz_vectors_parallel",
     # chevalley-weil
     "MultiplicityVector", "cw_character", "regular_multiple", "periodicity_delta",

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from itertools import islice
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import IO, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .characters import (CharacterTable, character_table, rational_character_values)
 from .chevalley_weil import cw_character
@@ -25,8 +28,8 @@ from .decomposition import stabilization_report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
-                      enumerate_branching_data, enumerate_hurwitz_vectors_parallel,
-                      genus, validate)
+                      enumerate_branching_data, enumerate_hurwitz_rows,
+                      enumerate_hurwitz_vectors_parallel, genus, validate)
 from .metacyclic import rr_component_lower_bound, schur_multiplier_order
 
 __all__ = ["run", "main", "SCHEMA"]
@@ -101,20 +104,47 @@ def _parse_vector(text: str, G: FiniteGroup) -> HurwitzVector:
     return v
 
 
-def _vector_record(v: HurwitzVector) -> dict:
-    return {"schema": SCHEMA, "g_quot": v.g_quot,
-            "handles": list(v.handles), "branches": list(v.branches)}
+def _vector_record(g_quot: int, handles: Sequence[int], branches: Sequence[int]) -> dict:
+    """The JSON record of a vector; a HurwitzVector v is _vector_record(*v)."""
+    return {"schema": SCHEMA, "g_quot": g_quot,
+            "handles": list(handles), "branches": list(branches)}
 
 
-def _vector_format(g_quot: int, r: int) -> str:
-    """The text line of a vector of this shape, as a %d format of its entries:
-    two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"."""
-    return ("  (" + " ".join(["%d"] * (2 * g_quot)) + " ; "
-            + " ".join(["%d"] * r) + ")\n")
+# what follows an entry of a vector line: another entry, the end of the
+# handles, the end of the line, or the end of a line with no branch entries
+_SEPARATORS = (" ", " ; ", ")\n", " ; )\n")
 
 
-def _vector_text(v: HurwitzVector) -> str:
-    return _vector_format(v.g_quot, len(v.branches))[2:-1] % v.entries
+def _id_strings(n: int) -> Dict[str, np.ndarray]:
+    """Per separator, the object array of each element id x < n as text, then it."""
+    ids = np.array([str(x) for x in range(n)], dtype=object)
+    return {sep: ids + sep for sep in _SEPARATORS}
+
+
+def _vector_lines(rows: np.ndarray, n_handles: int, ids: Dict[str, np.ndarray]) -> str:
+    """The text lines of the vectors whose entries are the rows, as one string.
+
+    Each line is two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"; ids is
+    _id_strings of the group. Every entry is one gather from ids, and the
+    whole block is one join.
+    """
+    count, width = rows.shape
+    if not width:
+        return "  ( ; )\n" * count
+    seps = [" "] * width
+    if n_handles:
+        seps[n_handles - 1] = " ; "
+    seps[-1] = ")\n" if width > n_handles else " ; )\n"
+    tokens = np.empty((count, width + 1), dtype=object)
+    tokens[:, 0] = "  (" if n_handles else "  ( ; "
+    for j, sep in enumerate(seps):
+        tokens[:, j + 1] = ids[sep][rows[:, j]]
+    return "".join(tokens.ravel().tolist())
+
+
+def _vector_text(v: HurwitzVector, ids: Dict[str, np.ndarray]) -> str:
+    """One vector's text line, without its indent and newline."""
+    return _vector_lines(np.array([v.entries], dtype=np.intp), len(v.handles), ids)[2:-1]
 
 
 def _data_line(data: BranchingData, count: int) -> str:
@@ -193,11 +223,12 @@ def _cmd_group_info(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
-    """Render each datum as soon as it is enumerated; only its list is held.
+    """Render each datum as soon as it is enumerated; only its rows are held.
 
-    Every text vector line of a datum comes from one format string of its
-    shape; --json lines are the records decompose --json writes. Lines are
-    written _WRITE_LINES at a time, so no string of the whole datum is built.
+    The rows of a datum are its entry blocks from enumerate_hurwitz_rows.
+    Text vector lines come from _vector_lines; --json lines are the records
+    decompose --json writes. Lines are written _WRITE_LINES at a time, so no
+    string of the whole datum is built.
     """
     G = group_from_spec(args.group)
     opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy, max_vectors=args.cap)
@@ -207,20 +238,24 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     if not args.json:
         print(f"group: {G.label}  genus: {args.genus}  "
               f"granularity: {'orbit' if args.up_to_conjugacy else 'raw'}", file=out)
+    ids = _id_strings(G.order)
     for data in branching:
-        vectors = enumerate_hurwitz_vectors_parallel(G, data, opts)
-        total += len(vectors)
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
-                              "g_quot": data.g_quot,
-                              "branch_orders": list(data.branch_orders),
-                              "count": len(vectors)}), file=out)
-            lines = (json.dumps(dict(_vector_record(v), kind="hurwitz-vector")) + "\n"
-                     for v in vectors)
-        else:
-            print(_data_line(data, len(vectors)), file=out)
-            line = _vector_format(data.g_quot, data.r)
-            lines = (line % (handles + branches) for _, handles, branches in vectors)
+        blocks = list(enumerate_hurwitz_rows(G, data, opts))
+        count = sum(map(len, blocks))
+        total += count
+        g_quot, n_handles = data.g_quot, 2 * data.g_quot
+        if not args.json:
+            print(_data_line(data, count), file=out)
+            for rows in blocks:
+                for start in range(0, len(rows), _WRITE_LINES):
+                    out.write(_vector_lines(rows[start:start + _WRITE_LINES], n_handles, ids))
+            continue
+        print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
+                          "g_quot": g_quot, "branch_orders": list(data.branch_orders),
+                          "count": count}), file=out)
+        lines = (json.dumps(dict(_vector_record(g_quot, row[:n_handles], row[n_handles:]),
+                                 kind="hurwitz-vector")) + "\n"
+                 for rows in blocks for row in rows.tolist())
         while chunk := "".join(islice(lines, _WRITE_LINES)):
             out.write(chunk)
     if args.json:
@@ -245,7 +280,8 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
             print(json.dumps({"schema": SCHEMA, "k": mv.k, "mults": list(mv.mults)}),
                   file=out)
         return
-    print(f"group: {G.label}  vector: {_vector_text(v)}  genus: {g}", file=out)
+    print(f"group: {G.label}  vector: {_vector_text(v, _id_strings(G.order))}  genus: {g}",
+          file=out)
     headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
     rows = [[str(mv.k), *(str(mult) for mult in mv.mults)] for mv in mvs]
     for line in _format_table(headers, rows):
@@ -295,7 +331,7 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
             "genus": g,
             "granularity": granularity,
             "k_values": list(D.ks),
-            "items": [_vector_record(v) for v in D.items],
+            "items": [_vector_record(*v) for v in D.items],
             "blocks": [{"key": [list(mults) for mults in key],
                         "members": list(block)}
                        for key, block in zip(D.keys, D.blocks)],
@@ -310,11 +346,12 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     print(f"levels refined: 1..{k_hi}", file=out)
     print(f"stabilization depth: {result.stabilization_depth}", file=out)
     print(f"blocks: {D.block_count}", file=out)
+    ids = _id_strings(G.order)
     for b, (key, block) in enumerate(zip(D.keys, D.blocks)):
         print(f"block {b}: {len(block)} items", file=out)
         for k, mults in zip(D.ks, key):
             print(f"  k={k}: ({', '.join(map(str, mults))})", file=out)
-        preview = " ".join(_vector_text(D.items[i]) for i in block[:4])
+        preview = " ".join(_vector_text(D.items[i], ids) for i in block[:4])
         suffix = " ..." if len(block) > 4 else ""
         print(f"  members: {preview}{suffix}", file=out)
 
@@ -340,7 +377,9 @@ def _cmd_metacyclic_rr_bound(args: argparse.Namespace, out: IO[str]) -> None:
         print(bound, file=out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="cw-moduli",
         description="Exact pluricanonical representation types of curves "

@@ -3,34 +3,37 @@
 A vector (a_1, b_1, ..., a_g', b_g'; c_1, ..., c_r) encodes a Galois cover of
 a genus-g' curve branched at r points: branch entries have order > 1, the
 surface relation prod [a_i, b_i] prod c_j = 1 holds, and the entries generate
-the group. Enumeration is one serial depth-first search in element-id
-order, so output is deterministic and lexicographic. The search is one
-generator looping over an explicit stack, one frame per placed slot
-(candidate iterator, relation product so far, conjugation rows, whether the
-entries placed so far generate G), so each vector is yielded once instead of
-passed up a chain of nested generators. A superset of a generating set
-generates, so a frame inherits True from its parent; otherwise it looks its
-prefix's entry set up when pushed, and a leaf tests its whole entry set only
-when its prefix does not generate. The lookups go to the group's memo
-(groups.generates), so the closure runs once per entry set per group. Its
-cap counts the vectors of one branching datum as they are emitted, so the
-list of one datum never grows past the cap.
+the group. Enumeration is one serial search in element-id order, so output is
+deterministic and lexicographic. It places one slot at a time for a whole
+block of prefixes held as integer rows: np.repeat pairs each prefix with the
+slot's ascending candidates, the relation product advances by a gather
+through the multiplication table (through a commutator table in the second
+slot of a handle), and the forced last entry and its order test are one
+gather each. A block is cut before it is expanded, so that no step holds
+more than ROW_BUDGET rows (fewer past slot 16), and each piece is searched
+to the last slot before the next, so the vectors come out in order, a block
+at a time. Each pending block keeps one entry per prefix and a pointer to
+the rest, so a deep search holds O(ROW_BUDGET log depth) rows.
+
+Each row carries the id of its span, the subgroup H its prefix generates.
+The ids are numbered as the search reaches them, and (span, x) -> span of
+<H, x> is a table filled as pairs are reached. A vector generates G iff the
+span of its free entries is G: the forced last entry is a word in them.
 
 Up to simultaneous conjugation, the representative of an orbit is its
 lexicographically smallest vector, and the search prunes prefixes instead of
 testing whole vectors (canonical augmentation; Breuer, LMS LN 280). A vector
 is minimal iff no conjugation makes any prefix smaller, and only conjugators
-that fix the prefix so far can still decide. So each node carries the
-conjugation rows of the non-central h that fix its prefix; placing x prunes
-the subtree if one of them maps x below x, drops those that map x above x and
-keeps those that fix it. Without conjugacy the list is empty and the search
-is the same.
+that fix the prefix so far can still decide; those are the centralizer
+C_G(H) of the prefix's span. So placing x is pruned iff some h in C_G(H) has
+h x h^-1 < x, which reads one more table filled as pairs are reached, the
+least such conjugate of x per (span, x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
-from .groups import FiniteGroup, _as_int, _row_groups, generates
+from .groups import FiniteGroup, _as_int, _row_groups, closure, generates
 
 __all__ = [
     "BranchingData",
@@ -48,6 +51,7 @@ __all__ = [
     "validate",
     "genus",
     "enumerate_branching_data",
+    "enumerate_hurwitz_rows",
     "enumerate_hurwitz_vectors",
     "enumerate_hurwitz_vectors_parallel",
 ]
@@ -282,12 +286,14 @@ def _count_vectors(contrib: List[int], rem: int) -> Iterator[Tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class EnumerationOptions:
-    """Knobs for enumerate_hurwitz_vectors.
+    """Knobs for enumerate_hurwitz_vectors and enumerate_hurwitz_rows.
 
     up_to_conjugacy keeps one vector per simultaneous-conjugation orbit.
     max_vectors caps the vectors emitted by one call, that is, for one
-    branching datum; it is checked as each vector is emitted. It may be 0,
-    so that the first vector found raises.
+    branching datum. It is checked per block of rows, before the block is
+    emitted: the block that passes it is cut at the cap, so nothing past
+    the cap is emitted and at most one block is held beyond it. It may be
+    0, so that the first vector found raises.
     """
 
     up_to_conjugacy: bool = False
@@ -298,28 +304,256 @@ class EnumerationOptions:
             raise ValueError(f"max_vectors must be >= 0, got {self.max_vectors}")
 
 
-def _conjugation_rows(G: FiniteGroup) -> List[List[int]]:
-    """The rows x -> h x h^-1 of every non-central h, in element-id order."""
-    rows = G.mul_rows()
-    out = []
-    for h in G.elements():
-        row_h, hi = rows[h], G.inv(h)
-        conj = [rows[row_h[x]][hi] for x in G.elements()]
-        if conj != rows[0]:
-            out.append(conj)
-    return out
+ROW_BUDGET = 1 << 13  # rows one array step of the search may hold (fewer past slot 16)
 
 
-def _tied(x: int, conj: List[List[int]]) -> Optional[List[List[int]]]:
-    """The conjugation rows that fix x; None if one of them moves x lower."""
-    keep = []
-    for c in conj:
-        y = c[x]
-        if y < x:
-            return None
-        if y == x:
-            keep.append(c)
-    return keep
+class _Spans:
+    """The subgroups spanned by the prefixes of one search, numbered as reached.
+
+    Span 0 is the trivial subgroup. join(ids, xs) is the span of <H, x> for
+    each row's span H and entry x, and least(ids, xs) is the least h x h^-1
+    over h in the centralizer C_G(H). Both read tables that grow by one row
+    per span and are filled only at the (span, x) pairs a search reaches.
+    The span of a single x is its powers, found for all such x at once. The
+    span of H and x is that of x when it holds H; otherwise it is closed
+    from its short generator list, H's generators and x. whole[i] is whether
+    span i is G.
+    """
+
+    def __init__(self, G: FiniteGroup, conjugacy: bool):
+        n = G.order
+        self.G, self.n = G, n
+        self.gens: List[Tuple[int, ...]] = []
+        self.masks: List[np.ndarray] = []
+        self.index: Dict[bytes, int] = {}
+        self.join_table = np.full((8, n), -1, dtype=np.int32)
+        self.whole = np.zeros(8, dtype=bool)
+        self.conj = None
+        if conjugacy:
+            mul = G.mul_table
+            self.conj = mul[mul, G.inv_table[:, None]]  # conj[h, x] = h x h^-1
+            self.least_table = np.full((8, n), -1, dtype=np.int32)
+            self.centralizers: Dict[int, np.ndarray] = {}
+        trivial = np.zeros(n, dtype=bool)
+        trivial[G.identity] = True
+        self._span((), trivial)
+
+    def _span(self, gens: Tuple[int, ...], mask: np.ndarray) -> int:
+        """The id of the subgroup whose elements are the mask, numbered if new."""
+        key = mask.tobytes()
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.gens)
+            self.gens.append(gens)
+            self.masks.append(mask)
+            if i == len(self.whole):  # double every table
+                self.join_table = np.vstack([self.join_table, np.full_like(self.join_table, -1)])
+                self.whole = np.concatenate([self.whole, np.zeros_like(self.whole)])
+                if self.conj is not None:
+                    self.least_table = np.vstack(
+                        [self.least_table, np.full_like(self.least_table, -1)])
+            self.join_table[i, mask] = i
+            self.whole[i] = mask.all()
+        return i
+
+    def join(self, ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        out = self.join_table[ids, xs]
+        miss = out < 0
+        if miss.any():
+            G, n = self.G, self.n
+            pairs = dict.fromkeys((ids[miss] * n + xs[miss]).tolist())
+            cyclic = [x for x in dict.fromkeys(code % n for code in pairs)
+                      if self.join_table[0, x] < 0]
+            if cyclic:
+                mul = G.mul_table
+                powers = np.empty((len(cyclic), G.exponent()), dtype=np.intp)
+                powers[:, 0] = G.identity
+                for j in range(1, powers.shape[1]):
+                    powers[:, j] = mul[powers[:, j - 1], cyclic]
+                masks = np.zeros((len(cyclic), n), dtype=bool)
+                masks[np.arange(len(cyclic))[:, None], powers] = True
+                for x, mask in zip(cyclic, masks):
+                    self.join_table[0, x] = self._span((x,), mask)
+            for code in pairs:
+                i, x = divmod(code, n)
+                c = self.join_table[0, x]
+                if i and not (self.masks[i] <= self.masks[c]).all():
+                    gens = self.gens[i] + (x,)
+                    mask = np.zeros(n, dtype=bool)
+                    mask[list(closure(G, gens))] = True
+                    c = self._span(gens, mask)
+                self.join_table[i, x] = c
+            out = self.join_table[ids, xs]
+        return out
+
+    def least(self, ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        out = self.least_table[ids, xs]
+        miss = out < 0
+        if miss.any():
+            n = self.n
+            by_span: Dict[int, List[int]] = {}
+            for code in dict.fromkeys((ids[miss] * n + xs[miss]).tolist()):
+                by_span.setdefault(code // n, []).append(code % n)
+            for i, x in by_span.items():
+                cent = self._centralizer(i)
+                self.least_table[i, x] = self.conj[cent[:, None], x].min(axis=0)
+            out = self.least_table[ids, xs]
+        return out
+
+    def _centralizer(self, i: int) -> np.ndarray:
+        cent = self.centralizers.get(i)
+        if cent is None:
+            gens = list(self.gens[i])
+            mul = self.G.mul_table
+            cent = self.centralizers[i] = np.flatnonzero(
+                (mul[:, gens] == mul[gens].T).all(axis=1))
+        return cent
+
+
+def _search(G: FiniteGroup, data: BranchingData, conjugacy: bool) -> Iterator[np.ndarray]:
+    """The rows of enumerate_hurwitz_rows, in blocks, without the cap.
+
+    A block of prefixes, each with its relation product and span, advances
+    one slot at a time: np.repeat pairs every prefix with the ascending
+    candidates of the slot, so the rows stay in lexicographic order, and a
+    block is cut into pieces of at most ROW_BUDGET // candidates prefixes
+    (fewer past slot 16) before it is expanded. Each piece is searched to
+    the last slot before the next, so the leaves come out in order. A block
+    keeps only the last entry of each prefix and the row of the block before
+    it that holds the rest; a leaf reads its prefix back through them.
+    """
+    n_handles, orders = 2 * data.g_quot, data.branch_orders
+    r, n = len(orders), G.order
+    order_of = np.array(G.element_orders())
+    by_order = {m: np.flatnonzero(order_of == m) for m in set(orders)}
+    if any(len(c) == 0 for c in by_order.values()):
+        return
+    # every slot but a forced last branch entry is chosen freely; a slot
+    # holds its candidates, ascending, and them repeated for a whole step
+    # (handles take all of G, filed under 1, which is no branch order)
+    by_order[1] = np.arange(n)
+    kinds = [1] * n_handles + list(orders[:-1])
+    repeated = {m: (by_order[m], np.tile(by_order[m], max(1, ROW_BUDGET // len(by_order[m]))))
+                for m in set(kinds)}
+    slots = [repeated[m] for m in kinds]
+    dtype = np.int8 if n <= 128 else np.int16  # the smallest that holds the ids
+    if not slots:
+        # no free entry: a lone branch entry is forced to the identity, and
+        # the empty vector is valid only for the trivial group
+        if not r and n == 1:
+            yield np.zeros((1, 0), dtype=dtype)
+        return
+    # the forced last entry is a word in the free ones, so when every free
+    # candidate lies in one proper subgroup no leaf generates G
+    free_orders = set(orders[:-1])
+    if not generates(G, [x for x in range(n) if n_handles or order_of[x] in free_orders]):
+        return
+    every = np.arange(max(n, ROW_BUDGET))  # the rows of a step that keeps all of them
+    mul, inv, identity = G.mul_table, G.inv_table, G.identity
+    if n_handles:
+        # comm[a, b] = a b a^-1 b^-1, the step of a handle pair
+        comm = mul[mul[mul, inv[:, None]], inv[None, :]]
+    spans = _Spans(G, conjugacy)
+    last = len(slots) - 1
+    if r:
+        last_order = orders[-1]
+    # frame d holds the prefixes of d entries that are still to be expanded:
+    # each one's last entry, the prefix of d - 1 entries it extends (a row
+    # of frame d - 1), its relation product and its span, and the first row
+    # not yet expanded. A step expands at most ROW_BUDGET rows, and fewer
+    # past slot 16, so that the frames of a deep search hold
+    # O(ROW_BUDGET log depth) rows between them.
+    stack = [[None, None, np.array([identity]), np.zeros(1, dtype=np.int32), 0]]
+    while stack:
+        frame = stack[-1]
+        entry, _, acc, span, start = frame
+        if start >= len(acc):
+            stack.pop()
+            continue
+        slot = len(stack) - 1
+        cand, tiled = slots[slot]
+        k = len(cand)
+        stop = frame[4] = start + max(1, ROW_BUDGET // (k * (1 + slot // 16)))
+        acc = acc[start:stop]
+        # rows (prefix, x) in the order of np.repeat(prefixes, k)
+        ids = np.repeat(span[start:stop], k)
+        xs = tiled[:len(ids)]
+        # placing x multiplies the relation product by x in a branch slot,
+        # by the commutator [a, x] in the second slot of a handle (a, x), and
+        # by nothing in the first
+        if slot >= n_handles:
+            prod = mul[acc[:, None], cand].ravel()
+        elif slot % 2:
+            prod = mul[acc[:, None], comm[entry[start:stop, None], cand]].ravel()
+        else:
+            prod = np.repeat(acc, k)
+        # canonical augmentation: x is placed only if no h in C_G(H) maps it
+        # below itself; those h are the conjugations that fix the prefix
+        keep = spans.least(ids, xs) == xs if conjugacy else None
+        if slot == last:
+            # A forced last branch entry needs no conjugacy test: the
+            # conjugations that fix every free entry fix their product
+            if r:
+                forced = inv[prod]
+                closes = order_of[forced] == last_order
+            else:
+                closes = prod == identity
+            keep = closes if keep is None else keep & closes
+        rows = every[:len(xs)] if keep is None else keep.nonzero()[0]
+        joined = spans.join(ids[rows], xs[rows])
+        if slot == last:  # generation: the free entries span G
+            rows = rows[spans.whole[joined]]
+        if not len(rows):
+            continue
+        parent = start + rows // k
+        if slot < last:
+            stack.append([xs[rows].astype(dtype), parent, prod[rows], joined, 0])
+            continue
+        out = np.empty((len(rows), n_handles + r), dtype=dtype)
+        out[:, slot] = xs[rows]
+        if r:
+            out[:, -1] = forced[rows]
+        for d in range(slot, 0, -1):  # read the prefix back, one entry per frame
+            out[:, d - 1] = stack[d][0][parent]
+            parent = stack[d][1][parent]
+        yield out
+
+
+def enumerate_hurwitz_rows(G: FiniteGroup, data: BranchingData,
+                           opts: Optional[EnumerationOptions] = None
+                           ) -> Iterator[np.ndarray]:
+    """The vectors of enumerate_hurwitz_vectors as blocks of integer rows.
+
+    Each row is one vector's entries, handles first, in the smallest signed
+    integer dtype that holds |G| - 1; the rows of all blocks, read in turn,
+    are in lexicographic order. No block holds more than ROW_BUDGET rows
+    (or one prefix's candidates, if more).
+    The cap is checked per block: a block that passes it is cut at the cap
+    and yielded, and EnumerationCapExceeded is raised in place of the rest.
+    """
+    opts = opts or EnumerationOptions()
+    cap, emitted = opts.max_vectors, 0
+    for rows in _search(G, data, opts.up_to_conjugacy):
+        emitted += len(rows)
+        if emitted > cap:
+            head = rows[:len(rows) - (emitted - cap)]
+            if len(head):
+                yield head
+            raise EnumerationCapExceeded(f"enumeration exceeded the cap of {cap} vectors")
+        yield rows
+
+
+def _row_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
+    """Each row as a tuple, zipped from the columns: no list per row is built."""
+    return zip(*rows.T.tolist()) if rows.shape[1] else repeat((), len(rows))
+
+
+def _row_vectors(g_quot: int, rows: np.ndarray) -> Iterator[HurwitzVector]:
+    """The HurwitzVector of each row of entries, built in bulk and unchecked."""
+    n_handles = 2 * g_quot
+    return map(tuple.__new__, repeat(HurwitzVector),
+               zip(repeat(g_quot), _row_tuples(rows[:, :n_handles]),
+                   _row_tuples(rows[:, n_handles:])))
 
 
 def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
@@ -331,105 +565,13 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     branch_orders[j]; the final branch entry is forced by the relation. With
     up_to_conjugacy only the smallest vector of each simultaneous-conjugation
     orbit is emitted, found by pruning prefixes (see the module docstring).
-    The generation test runs once on all candidates, then once per prefix
-    until the prefix generates G (a repeated entry changes no entry set and
-    needs none), and at a leaf only when its prefix does not; every emitted
-    vector generates G. Emitting more than max_vectors vectors raises
-    EnumerationCapExceeded in place of the first vector past the cap.
+    Every emitted vector generates G. The search runs block by block
+    (enumerate_hurwitz_rows), and the cap is checked per block: emitting
+    more than max_vectors vectors raises EnumerationCapExceeded in place of
+    the first vector past the cap.
     """
-    opts = opts or EnumerationOptions()
-    n_handles = 2 * data.g_quot
-    orders = data.branch_orders
-    r = len(orders)
-    total = n_handles + r
-
-    order_of = G.element_orders()
-    by_order: Dict[int, List[int]] = {}
-    for m in set(orders):
-        cand = [x for x in G.elements() if order_of[x] == m]
-        if not cand:
-            return
-        by_order[m] = cand
-    rows = G.mul_rows()
-    inv = G.inv_list()
-    all_elems = list(G.elements())
-    # placing x multiplies the relation product by step[x]: by x itself in a
-    # branch slot (the identity row), by the commutator [a, x] in the second
-    # slot of a handle (a, x), and by the identity in the first
-    as_is = rows[0]
-    if n_handles:
-        no_step = [G.identity] * G.order
-        comm = [[rows[rows[rows[a][b]][inv[a]]][inv[b]] for b in all_elems]
-                for a in all_elems]
-    # every slot but a forced last branch entry is chosen freely
-    slots = [all_elems] * n_handles + [by_order[m] for m in orders[:-1]]
-    last_order = orders[-1] if r else None
-
-    if not slots:
-        # no free entry: a lone branch entry is forced to the identity, and
-        # the empty vector is valid only for the trivial group
-        if not r and G.order == 1:
-            yield tuple.__new__(HurwitzVector, (0, (), ()))
-        return
-
-    # the forced last entry is a word in the free ones, so when every free
-    # candidate lies in one proper subgroup no leaf generates G
-    if not generates(G, set().union(*slots)):
-        return
-    identity, g_quot, cap = G.identity, data.g_quot, opts.max_vectors
-    flat = [0] * total
-    last = len(slots) - 1
-    emitted = 0
-    # one frame per placed slot: its candidate iterator, the relation product
-    # of the slots before it, the conjugation rows that fix them, and whether
-    # they already generate G
-    conj = _conjugation_rows(G) if opts.up_to_conjugacy else []
-    stack = [(iter(slots[0]), identity, conj, False)]
-    while stack:
-        slot = len(stack) - 1
-        candidates, acc, conj, gen = stack[-1]
-        if slot >= n_handles:
-            step = as_is
-        elif slot % 2:
-            step = comm[flat[slot - 1]]
-        else:
-            step = no_step
-        row_acc = rows[acc]
-        for x in candidates:
-            keep = conj
-            if conj:
-                keep = _tied(x, conj)
-                if keep is None:
-                    continue
-            flat[slot] = x
-            prod = row_acc[step[x]]
-            if slot < last:
-                # a superset of a generating set generates, so a prefix that
-                # generates G settles its whole subtree; a repeated entry
-                # leaves the entry set, and so the answer, unchanged
-                stack.append((iter(slots[slot + 1]), prod, keep,
-                              gen or (x not in flat[:slot]
-                                      and generates(G, flat[:slot + 1]))))
-                break
-            # every free slot is placed. A forced last branch entry needs no
-            # conjugacy test: the conjugators still carried fix every free
-            # entry, so they fix the product and its inverse
-            if r:
-                forced = inv[prod]
-                if order_of[forced] != last_order:
-                    continue
-                flat[-1] = forced
-            elif prod != identity:
-                continue
-            if not (gen or generates(G, flat)):
-                continue
-            emitted += 1
-            if emitted > cap:
-                raise EnumerationCapExceeded(f"enumeration exceeded the cap of {cap} vectors")
-            yield tuple.__new__(HurwitzVector, (g_quot, (), tuple(flat)) if not n_handles else
-                                (g_quot, tuple(flat[:n_handles]), tuple(flat[n_handles:])))
-        else:
-            stack.pop()
+    for rows in enumerate_hurwitz_rows(G, data, opts):
+        yield from _row_vectors(data.g_quot, rows)
 
 
 def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,
@@ -438,7 +580,10 @@ def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,
     """The vectors of enumerate_hurwitz_vectors, as a list.
 
     Enumeration is serial; this name stays because it is exported in
-    __all__, and because the benchmark's traced run times CLI enumeration by
+    __all__, and because the benchmark's traced run times enumeration by
     wrapping it by name (bench/tracing.py).
     """
-    return list(enumerate_hurwitz_vectors(G, data, opts))
+    out: List[HurwitzVector] = []
+    for rows in enumerate_hurwitz_rows(G, data, opts):
+        out.extend(_row_vectors(data.g_quot, rows))
+    return out

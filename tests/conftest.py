@@ -4,8 +4,9 @@ of the rows checked by bulk validation and a counter of the subgroup
 closures run by the generation test. Shared helpers:
 conjugation and branching data of a vector, the item keys of a decomposition,
 the eigenvalue-count rows of a table, the GF(p) root power sum that is
-the reference for the count matrices, and the per-piece class-matrix split
-that is the reference for the batched one."""
+the reference for the count matrices, the per-piece class-matrix split
+that is the reference for the batched one, and the depth-first search that
+is the reference for the row enumerator."""
 
 from collections import Counter
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from cwmoduli import chevalley_weil, groups
+from cwmoduli.groups import generates
 from cwmoduli.characters import (_class_matrix, _matmul_mod, _roots_at,
                                  _splitting_order)
 from cwmoduli.errors import InternalConsistencyError
@@ -292,3 +294,107 @@ def reference_split(G, conj, wp):
     if len(pieces) != s:
         raise InternalConsistencyError("class matrices failed to separate the eigenspaces")
     return pieces
+
+
+def conjugation_rows(G):
+    """The rows x -> h x h^-1 of every non-central h, in element-id order."""
+    rows = G.mul_rows()
+    out = []
+    for h in G.elements():
+        row_h, hi = rows[h], G.inv(h)
+        conj = [rows[row_h[x]][hi] for x in G.elements()]
+        if conj != rows[0]:
+            out.append(conj)
+    return out
+
+
+def _tied(x, conj):
+    """The conjugation rows that fix x; None if one of them moves x lower."""
+    keep = []
+    for c in conj:
+        y = c[x]
+        if y < x:
+            return None
+        if y == x:
+            keep.append(c)
+    return keep
+
+
+def reference_vectors(G, data, up_to_conjugacy=False):
+    """The entries of every Hurwitz vector of data, handles first, in order.
+
+    One depth-first search over an explicit stack, one frame per placed slot
+    (candidate iterator, relation product so far, the conjugation rows of
+    the non-central h that fix the prefix, whether the prefix generates G).
+    Placing x prunes the subtree if one carried row maps x below x, drops the
+    rows that map x above x and keeps those that fix it, so with
+    up_to_conjugacy only orbit minima are reached. The final branch entry is
+    forced by the relation. No cap.
+    """
+    n_handles = 2 * data.g_quot
+    orders = data.branch_orders
+    r = len(orders)
+    total = n_handles + r
+    order_of = G.element_orders()
+    by_order = {}
+    for m in set(orders):
+        cand = [x for x in G.elements() if order_of[x] == m]
+        if not cand:
+            return
+        by_order[m] = cand
+    rows = G.mul_rows()
+    inv = G.inv_list()
+    all_elems = list(G.elements())
+    as_is = rows[0]
+    if n_handles:
+        no_step = [G.identity] * G.order
+        comm = [[rows[rows[rows[a][b]][inv[a]]][inv[b]] for b in all_elems]
+                for a in all_elems]
+    slots = [all_elems] * n_handles + [by_order[m] for m in orders[:-1]]
+    last_order = orders[-1] if r else None
+    if not slots:
+        if not r and G.order == 1:
+            yield ()
+        return
+    if not generates(G, set().union(*slots)):
+        return
+    identity = G.identity
+    flat = [0] * total
+    last = len(slots) - 1
+    conj = conjugation_rows(G) if up_to_conjugacy else []
+    stack = [(iter(slots[0]), identity, conj, False)]
+    while stack:
+        slot = len(stack) - 1
+        candidates, acc, conj, gen = stack[-1]
+        if slot >= n_handles:
+            step = as_is
+        elif slot % 2:
+            step = comm[flat[slot - 1]]
+        else:
+            step = no_step
+        row_acc = rows[acc]
+        for x in candidates:
+            keep = conj
+            if conj:
+                keep = _tied(x, conj)
+                if keep is None:
+                    continue
+            flat[slot] = x
+            prod = row_acc[step[x]]
+            if slot < last:
+                stack.append((iter(slots[slot + 1]), prod, keep,
+                              gen or (x not in flat[:slot]
+                                      and generates(G, flat[:slot + 1]))))
+                break
+            if r:
+                forced = inv[prod]
+                if order_of[forced] != last_order:
+                    continue
+                flat[-1] = forced
+            elif prod != identity:
+                continue
+            if not (gen or generates(G, flat)):
+                continue
+            yield tuple(flat)
+        else:
+            stack.pop()

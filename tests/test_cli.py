@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cwmoduli import (
@@ -20,7 +21,7 @@ from cwmoduli import (
     run,
     validate,
 )
-from cwmoduli.cli import SCHEMA, main
+from cwmoduli.cli import SCHEMA, _id_strings, _vector_lines, _vector_text, main
 
 V_GENUS6 = '{"g_quot": 2, "handles": [1, 0, 0, 2], "branches": [2, 1]}'
 V_ALT = '{"g_quot": 0, "handles": [], "branches": [1, 1, 2, 2, 1, 1, 2, 2]}'
@@ -114,7 +115,7 @@ class TestTextReports:
     def test_hurwitz_enumerate_streams_each_datum(self, monkeypatch, output):
         # a datum's vectors are written before the next datum is enumerated
         import cwmoduli.cli as cli
-        original = cli.enumerate_hurwitz_vectors_parallel
+        original = cli.enumerate_hurwitz_rows
         calls = []
 
         def fail_on_second(G, data, opts):
@@ -123,7 +124,7 @@ class TestTextReports:
                 raise RuntimeError("second datum")
             return original(G, data, opts)
 
-        monkeypatch.setattr(cli, "enumerate_hurwitz_vectors_parallel", fail_on_second)
+        monkeypatch.setattr(cli, "enumerate_hurwitz_rows", fail_on_second)
         out = io.StringIO()
         with pytest.raises(RuntimeError):
             run(argv_of("hurwitz-enumerate", group="cyclic:2", genus=2,
@@ -165,6 +166,20 @@ class TestTextReports:
         long = blocks(k_max=7)
         assert len(long) == 12
         assert long == blocks()
+
+
+    @pytest.mark.parametrize("g_quot, r", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 2), (2, 1)])
+    def test_vector_lines_match_the_format_of_a_shape(self, g_quot, r):
+        # the text line as a %d format of its entries, written out here
+        fmt = ("  (" + " ".join(["%d"] * (2 * g_quot)) + " ; "
+               + " ".join(["%d"] * r) + ")\n")
+        rng = np.random.default_rng(2 * g_quot + r)
+        rows = rng.integers(0, 300, size=(7, 2 * g_quot + r)).astype(np.int16)
+        ids = _id_strings(300)
+        assert _vector_lines(rows, 2 * g_quot, ids) == "".join(
+            fmt % tuple(row) for row in rows.tolist())
+        v = HurwitzVector(g_quot, rows[0, :2 * g_quot], rows[0, 2 * g_quot:])
+        assert _vector_text(v, ids) == fmt[2:-1] % v.entries
 
 
 class TestJsonReports:
@@ -666,6 +681,16 @@ class TestMainEntry:
         assert out.getvalue().startswith("usage: cw-moduli")
         assert err.getvalue() == ""
         assert capsys.readouterr() == ("", "")
+
+    def test_parser_is_built_once(self):
+        from cwmoduli import cli
+        assert cli._build_parser() is cli._build_parser()
+        # a parse leaves the shared parser as it was: flags of one run do
+        # not become the defaults of the next
+        assert invoke("hurwitz-enumerate", group="cyclic:3", genus=6, cap=161)[0] == 1
+        assert invoke("hurwitz-enumerate", group="cyclic:3", genus=6)[2] == ""
+        code, out, _ = invoke("hurwitz-enumerate", group="cyclic:2", genus=2)
+        assert code == 0 and out.splitlines()[0].endswith("granularity: raw")
 
     def test_main_help_returns_zero(self, capsys):
         assert main(["group-info", "-h"]) == 0

@@ -30,14 +30,16 @@ from cwmoduli import (
     character_table,
     cw_character,
     enumerate_branching_data,
+    enumerate_hurwitz_rows,
     enumerate_hurwitz_vectors,
     enumerate_hurwitz_vectors_parallel,
     genus,
+    group_from_spec,
     validate,
 )
 import cwmoduli.hurwitz as hurwitz
-from cwmoduli.hurwitz import _conjugation_rows
-from conftest import branching_data_of, conjugate_vector
+from conftest import (branching_data_of, conjugate_vector, conjugation_rows,
+                      reference_vectors)
 
 
 def flat(v):
@@ -465,6 +467,74 @@ class TestCap:
             EnumerationOptions(max_vectors=-1)
         assert EnumerationOptions(max_vectors=0).max_vectors == 0
 
+    def test_cap_is_checked_per_block(self, monkeypatch, z3):
+        # small blocks, so that the 86 vectors come in several
+        monkeypatch.setattr(hurwitz, "ROW_BUDGET", 8)
+        data = BranchingData(0, (3,) * 8)
+        blocks = [b.tolist() for b in enumerate_hurwitz_rows(z3, data)]
+        sizes = [len(b) for b in blocks]
+        assert len(sizes) > 2 and sum(sizes) == 86 and max(sizes) <= 8
+        rows = [tuple(row) for block in blocks for row in block]
+        # no cap, hit exactly at the end of a block, one past that block,
+        # and exactly at the end of the datum
+        for cap in (0, sizes[0], sizes[0] + 1, sizes[0] + sizes[1], 86):
+            opts = EnumerationOptions(max_vectors=cap)
+            stream = enumerate_hurwitz_rows(z3, data, opts)
+            got = []
+            if cap < 86:
+                with pytest.raises(EnumerationCapExceeded):
+                    for block in stream:
+                        got.append(block.tolist())
+            else:
+                got = [block.tolist() for block in stream]
+            assert [tuple(row) for block in got for row in block] == rows[:cap]
+            # cut at the cap: the blocks before it whole, the last one's head
+            lengths = [len(block) for block in got]
+            assert all(0 < k <= s for k, s in zip(lengths, sizes))
+            assert lengths[:-1] == sizes[:len(lengths)][:-1]
+            vectors = enumerate_hurwitz_vectors(z3, data, opts)
+            assert [flat(next(vectors)) for _ in range(cap)] == rows[:cap]
+            if cap < 86:
+                with pytest.raises(EnumerationCapExceeded):
+                    next(vectors)
+            else:
+                assert next(vectors, None) is None
+
+    def test_cap_holds_one_block_past_it(self):
+        # the 15^7 prefixes of eight involutions of (Z/2)^4: a cap of 10
+        # raises after the first block, with no more held than that block
+        G = group_from_spec("abelian:2,2,2,2")
+        stream = enumerate_hurwitz_vectors(G, BranchingData(0, (2,) * 8),
+                                           EnumerationOptions(max_vectors=10))
+        tracemalloc.start()
+        try:
+            got = [next(stream) for _ in range(10)]
+            with pytest.raises(EnumerationCapExceeded):
+                next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 10
+        assert peak < 8 * 2 ** 20
+
+    def test_a_deep_search_holds_few_rows(self):
+        # 200 handle slots of Z/2 with two candidates each: the first leaf
+        # lies 200 slots deep, and each block pending above it keeps one
+        # entry per prefix, and fewer prefixes the deeper it lies
+        G = build_cyclic(2)
+        stream = enumerate_hurwitz_vectors(G, BranchingData(100, ()),
+                                           EnumerationOptions(max_vectors=3))
+        tracemalloc.start()
+        try:
+            got = [flat(next(stream)) for _ in range(3)]
+            with pytest.raises(EnumerationCapExceeded):
+                next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [(0,) * 199 + (1,), (0,) * 198 + (1, 0), (0,) * 198 + (1, 1)]
+        assert peak < 16 * 2 ** 20
+
     def test_zero_cap_raises_at_the_first_vector(self, z3):
         data = BranchingData(0, (3,) * 8)
         with pytest.raises(EnumerationCapExceeded):
@@ -503,6 +573,75 @@ class TestParallel:
         got = [flat(v) for v in enumerate_hurwitz_vectors_parallel(s3, data, exact)]
         assert got == [flat(v) for v in enumerate_hurwitz_vectors(s3, data)]
         assert len(got) == 12
+
+
+class TestReferenceOracle:
+    """The row search against the depth-first search it replaced, order included.
+
+    The reference is conftest.reference_vectors: one frame per placed slot,
+    with the conjugations that fix the prefix carried along.
+    """
+
+    @staticmethod
+    def check(G, data, up_to_conjugacy):
+        opts = EnumerationOptions(up_to_conjugacy=up_to_conjugacy)
+        got = [flat(v) for v in enumerate_hurwitz_vectors(G, data, opts)]
+        assert got == list(reference_vectors(G, data, up_to_conjugacy)), (G.label, data)
+        return len(got)
+
+    @pytest.mark.parametrize("up_to_conjugacy", [False, True])
+    def test_catalog_at_genus_2_to_5(self, catalog, up_to_conjugacy):
+        checked = 0
+        for label, G in catalog:
+            for g in range(2, 6):
+                for data in enumerate_branching_data(G, g):
+                    self.check(G, data, up_to_conjugacy)
+                    checked += 1
+        assert checked == 375
+
+    @pytest.mark.parametrize("spec, g, up_to_conjugacy, count", [
+        ("metacyclic:4,2,3", 9, False, 54400),
+        ("metacyclic:5,2,4", 11, True, 9240),
+        ("metacyclic:3,2,2", 10, True, 5876),
+        ("cyclic:8", 9, False, 4088),
+    ])
+    def test_bench_data(self, spec, g, up_to_conjugacy, count):
+        G = group_from_spec(spec)
+        assert sum(self.check(G, data, up_to_conjugacy)
+                   for data in enumerate_branching_data(G, g)) == count
+
+    @pytest.mark.parametrize("spec", ["cyclic:9", "metacyclic:6,2,5",
+                                      "perm:(1,2,3);(2,3,4)", "abelian:2,2,2"])
+    def test_free_actions_at_quotient_genus_2(self, spec):
+        G = group_from_spec(spec)
+        for up_to_conjugacy in (False, True):
+            assert self.check(G, BranchingData(2, ()), up_to_conjugacy)
+
+    def test_blocks_cut_below_one_slot(self, monkeypatch, catalog_le_12):
+        # a budget below the candidates of one slot cuts every block into
+        # pieces of one prefix, and the leaves still come out in order
+        monkeypatch.setattr(hurwitz, "ROW_BUDGET", 3)
+        G = group_from_spec("metacyclic:4,2,3")
+        for data in enumerate_branching_data(G, 5):
+            for up_to_conjugacy in (False, True):
+                self.check(G, data, up_to_conjugacy)
+                opts = EnumerationOptions(up_to_conjugacy=up_to_conjugacy)
+                assert all(len(b) <= G.order for b in enumerate_hurwitz_rows(G, data, opts))
+        for label, G in catalog_le_12:
+            for data in enumerate_branching_data(G, 3):
+                self.check(G, data, True)
+
+    def test_rows_are_compact_and_within_the_budget(self):
+        G = group_from_spec("metacyclic:4,2,3")
+        data = max(enumerate_branching_data(G, 11), key=lambda d: d.r)
+        blocks = list(enumerate_hurwitz_rows(G, data))
+        assert len(blocks) > 1
+        assert all(b.dtype == np.int8 and len(b) <= hurwitz.ROW_BUDGET for b in blocks)
+        # ids up to 199 need two bytes
+        G = build_cyclic(200)
+        rows = np.vstack(list(enumerate_hurwitz_rows(G, BranchingData(0, (200, 200)))))
+        assert rows.dtype == np.int16 and len(rows) == 80
+        assert (G.mul_table[rows[:, 0], rows[:, 1]] == G.identity).all()
 
 
 class TestMetacyclicEnumeration:
@@ -596,21 +735,28 @@ class TestGenerationPerPrefix:
         assert checked
 
     def test_fewer_lookups_than_vectors(self, monkeypatch, closure_calls):
-        # one entry-set lookup per leaf made 59,139 for these 54,400 vectors
+        # one entry-set lookup per leaf made 59,139 for these 54,400 vectors;
+        # the search tests the candidates once per datum and closes one
+        # subgroup per (span, entry) pair it meets whose span is new
         G = build_metacyclic(MetacyclicParams(4, 2, 3))
-        original = hurwitz.generates
-        calls = []
+        original, closed = hurwitz.generates, hurwitz.closure
+        calls, closures = [], []
 
         def counting(G, S):
-            # a leaf passes the list it keeps filling, so the set is taken now
             calls.append(frozenset(S))
             return original(G, S)
 
+        def closing(G, S):
+            closures.append(tuple(S))
+            return closed(G, S)
+
         monkeypatch.setattr(hurwitz, "generates", counting)
-        total = sum(1 for data in enumerate_branching_data(G, 9)
-                    for _ in enumerate_hurwitz_vectors(G, data))
+        monkeypatch.setattr(hurwitz, "closure", closing)
+        data = enumerate_branching_data(G, 9)
+        total = sum(1 for d in data for _ in enumerate_hurwitz_vectors(G, d))
         assert total == 54400
-        assert len(calls) < total // 4
+        assert len(calls) == len(data)
+        assert len(closures) < total // 100
         # the group's memo runs one closure per distinct set over all the data
         assert closure_calls == Counter(dict.fromkeys(calls, 1))
 
@@ -786,7 +932,7 @@ class TestPrefixPruning:
 
     def test_conjugators_are_the_non_central_elements(self, catalog):
         for label, G in catalog:
-            rows = _conjugation_rows(G)
+            rows = conjugation_rows(G)
             assert len(rows) == G.order - _center_order(G), label
             assert all(sorted(row) == list(range(G.order)) for row in rows), label
 
