@@ -69,9 +69,9 @@ class CharacterTable:
         self._rational = _galois_rational(values, classes.power_class)
         # class index -> eigenvalue counts of every character
         self._counts: Dict[int, np.ndarray] = {}
-        # one entry per HurwitzVector queried through cw_character or
-        # periodicity_delta (a tuple record, so equal vectors share it) ->
-        # (genus, sorted branch class ids, level dict); decompose adds none
+        # one entry per HurwitzVector queried through cw_character (a tuple
+        # record, so equal vectors share it) -> (genus, sorted branch class
+        # ids, level dict); no other caller reads or adds one
         self._validated: Dict[tuple, tuple] = {}
         # (quotient genus, class key) -> level dict {k: MultiplicityVector},
         # filed by cw_character alone, one level per evaluation, and shared

@@ -13,20 +13,20 @@ character table; after multiplying by |G| (every branch order divides |G|)
 each formula is integer arithmetic, and the final division by |G| is asserted
 to be exact. Range and dimension identities are asserted, never assumed.
 
-Per vector, _class_key validates in full and returns the sorted branch
-class key; its generation test is one lookup in the group's memo from entry
-set to whether it generates G, so the subgroup closure runs once per entry
-set per group. Per item list, _class_keys does the same in arrays: one
-array of entry ids per shape, validate's checks as column gathers, one
-generation lookup per distinct sorted entry row, and validate itself only on
-the first failing item, for its error. _evaluate computes every level of a
-tuple of levels for one (quotient genus, class key) as one integer matrix.
-decompose keys its items in bulk, evaluates each key once at all its
-levels, reads its type tuples off those matrices, and files no level
-record. cw_character and periodicity_delta keep a per-vector memo, (genus,
-class key, level dict), so a repeated query is one lookup of the vector and
-one of the level; a missing level is evaluated alone, and cw_character files
-its record in the level dict of the key, the only writer of those dicts.
+Per vector, _genus_and_key validates in full and returns the genus and the
+sorted branch class key; its generation test is one lookup in the group's
+memo from entry set to whether it generates G, so the subgroup closure runs
+once per entry set per group. Per item list, _class_keys does the same in
+arrays: one array of entry ids per shape, validate's checks as column
+gathers, one generation lookup per distinct sorted entry row, and validate
+itself only on the first failing item, for its error. _level_blocks
+evaluates one (quotient genus, class key) over a sequence of levels, one
+checked integer matrix per _LEVEL_BLOCK levels, with the sums of each class
+built once; _evaluate joins the blocks. decompose, periodicity_delta and the
+cw command evaluate so and file nothing on the table. Only cw_character
+keeps a per-vector memo, (genus, class key, level dict): a repeated query is
+two lookups, and a missing level is evaluated alone and filed in its key's
+dict.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class MultiplicityVector:
 
     regular is n when mults = n * (degrees of the regular character), else
     None; it is computed once, when the level is evaluated. Slotted:
-    cw_character files one record per (class key, level) it is asked for.
+    cw_character, their only maker, files one per (class key, level) asked.
     """
 
     k: int
@@ -65,8 +65,6 @@ class MultiplicityVector:
     regular: Optional[int]
 
 
-# (genus, sorted branch class ids, level -> MultiplicityVector)
-_Entry = Tuple[int, Tuple[int, ...], Dict[int, MultiplicityVector]]
 # (quotient genus, sorted branch class ids): what the multiplicities depend on
 _Key = Tuple[int, Tuple[int, ...]]
 
@@ -79,11 +77,11 @@ def _level(k) -> int:
     return k
 
 
-def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
-    """Validate v in full against T's group; return its sorted branch class ids."""
+def _genus_and_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, Tuple[int, ...]]:
+    """Validate v in full against T's group; return its genus and sorted branch class ids."""
     validate(v, T.group)
     class_of = T.classes.class_list()
-    return tuple(sorted([class_of[c] for c in v.branches]))
+    return genus(v, T.group), tuple(sorted([class_of[c] for c in v.branches]))
 
 
 # rows per array step of bulk validation: bounds its temporaries, whatever
@@ -152,21 +150,6 @@ def _class_keys(items: Sequence[HurwitzVector], T: CharacterTable
     return list(key_ids), key_of
 
 
-def _genus_and_classes(v: HurwitzVector, T: CharacterTable) -> _Entry:
-    """v's per-vector memo entry for repeated queries: validated once per table.
-
-    An invalid vector raises on every call and is not memoized. The level
-    dict is shared by every vector with the same quotient genus and branch
-    class multiset.
-    """
-    hit = T._validated.get(v)
-    if hit is None:
-        class_key = _class_key(v, T)
-        levels = T._levels.setdefault((v.g_quot, class_key), {})
-        hit = T._validated[v] = (genus(v, T.group), class_key, levels)
-    return hit
-
-
 def _class_columns(T: CharacterTable, cls: int) -> np.ndarray:
     """|G|/m times the count sums of one class: columns 0..m-1 for k >= 2, m for k = 1.
 
@@ -194,19 +177,19 @@ def _class_columns(T: CharacterTable, cls: int) -> np.ndarray:
 _LEVEL_BLOCK = 32
 
 
-def _evaluate(T: CharacterTable, ks: Tuple[int, ...], g_quot: int, g: int,
-              class_key: Tuple[int, ...]) -> np.ndarray:
-    """All multiplicities at every level of ks: an integer matrix, characters x levels.
+def _level_blocks(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
+                  class_key: Tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The multiplicities at the levels ks: characters x levels, _LEVEL_BLOCK levels a block.
 
     With N = counts at the class of c_i (order m_i), |G| times the multiplicity
     of rho is
       k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
       k >= 2: 2k deg (g-1) - |G| deg (g'-1)
               - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
-    with the class sums read from _class_columns, once per class. Levels are
-    evaluated _LEVEL_BLOCK at a time, each block checked as a whole (see
-    _evaluate_levels). Entries are int64 when an a-priori bound on every
-    scaled entry fits, else Python ints in an object array.
+    with the class sums read from _class_columns, once per class for all of
+    ks. Each block is checked as a whole (see _evaluate_levels) before it is
+    yielded. Entries are int64 when an a-priori bound on every scaled entry
+    over all of ks fits, else Python ints in an object array.
     """
     if g < 2:
         raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
@@ -215,15 +198,23 @@ def _evaluate(T: CharacterTable, ks: Tuple[int, ...], g_quot: int, g: int,
                              + max(T.degrees) * (g_quot + 1 + len(class_key)) + 1)
     dtype = np.int64 if bound < 2 ** 63 else object
     columns = [(times, _class_columns(T, cls)) for cls, times in Counter(class_key).items()]
-    mults = np.empty((len(T.degrees), len(ks)), dtype=dtype)
     for start in range(0, len(ks), _LEVEL_BLOCK):
-        block = ks[start:start + _LEVEL_BLOCK]
-        mults[:, start:start + len(block)] = _evaluate_levels(T, block, g_quot, g,
-                                                              columns, dtype)
+        yield _evaluate_levels(T, ks[start:start + _LEVEL_BLOCK], g_quot, g, columns, dtype)
+
+
+def _evaluate(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
+              class_key: Tuple[int, ...]) -> np.ndarray:
+    """All multiplicities at every level of ks: an integer matrix, characters x levels."""
+    # filled block by block: a list of the blocks would be held beside it
+    for block, start in zip(_level_blocks(T, ks, g_quot, g, class_key),
+                            range(0, len(ks), _LEVEL_BLOCK)):
+        if not start:
+            mults = np.empty((block.shape[0], len(ks)), dtype=block.dtype)
+        mults[:, start:start + block.shape[1]] = block
     return mults
 
 
-def _evaluate_levels(T: CharacterTable, ks: Tuple[int, ...], g_quot: int, g: int,
+def _evaluate_levels(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
                      columns: List[Tuple[int, np.ndarray]], dtype) -> np.ndarray:
     """The multiplicities at the levels ks, from (times, _class_columns) per class of the key.
 
@@ -275,12 +266,11 @@ def _evaluate_levels(T: CharacterTable, ks: Tuple[int, ...], g_quot: int, g: int
 def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVector:
     """All irreducible multiplicities of the level-k representation of v.
 
-    v is validated on its first query against T; later queries find its memo
-    entry, whose level dict is shared by every vector with the same
-    (quotient genus, branch class multiset), and return the same frozen
-    object; a missing level is evaluated alone and filed there. The dimension
-    identity sum mult * degree = g (k = 1) or (2k-1)(g-1) (k >= 2) is asserted
-    when a level is first evaluated.
+    The one user of T's per-vector memo: v is validated on its first query,
+    and its entry's level dict is shared by every vector with the same
+    (quotient genus, branch class multiset). A level is evaluated alone when
+    first asked for, with every check of _evaluate, and filed there, so
+    later queries return the same frozen object.
     """
     if type(k) is int:  # an equal bool or float must not read the cache
         try:
@@ -288,7 +278,12 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
         except KeyError:
             pass
     k = _level(k)
-    g, class_key, levels = _genus_and_classes(v, T)
+    entry = T._validated.get(v)
+    if entry is None:  # an invalid vector raises here on every call, and is not filed
+        g, class_key = _genus_and_key(v, T)
+        levels = T._levels.setdefault((v.g_quot, class_key), {})
+        entry = T._validated[v] = (g, class_key, levels)
+    g, class_key, levels = entry
     hit = levels.get(k)
     if hit is None:
         mults = _evaluate(T, (k,), v.g_quot, g, class_key)[:, 0].tolist()
@@ -313,15 +308,15 @@ def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]
 def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int, ...]:
     """Per-character difference cw(k + |G|) - cw(k), asserted against its closed form.
 
+    Both levels are two columns of one evaluation, and nothing is filed on T.
     The difference must equal 2 deg(rho)(g - 1), minus 1 on the trivial
     character when k = 1; any deviation falsifies the implementation and
     raises loudly.
     """
     k = _level(k)
-    low = cw_character(v, T, k)
-    high = cw_character(v, T, k + T.group.order)
-    g = _genus_and_classes(v, T)[0]
-    delta = tuple(b - a for a, b in zip(low.mults, high.mults))
+    g, class_key = _genus_and_key(v, T)
+    low, high = _evaluate(T, (k, k + T.group.order), v.g_quot, g, class_key).T.tolist()
+    delta = tuple(b - a for a, b in zip(low, high))
     for rho, d in enumerate(delta):
         expect = 2 * T.degrees[rho] * (g - 1) - (1 if k == 1 and rho == 0 else 0)
         if d != expect:

@@ -17,19 +17,19 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .characters import (CharacterTable, character_table, rational_character_values)
-from .chevalley_weil import cw_character
+from .chevalley_weil import _genus_and_key, _level_blocks
 from .decomposition import stabilization_report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
 from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       enumerate_branching_data, enumerate_hurwitz_rows,
-                      enumerate_hurwitz_vectors_parallel, genus, validate)
+                      enumerate_hurwitz_vectors_parallel)
 from .metacyclic import rr_component_lower_bound, schur_multiplier_order
 
 __all__ = ["run", "main", "SCHEMA"]
@@ -39,9 +39,9 @@ SCHEMA = "cw-moduli/1"
 # Past this many irreducible characters, text tables degrade to JSON lines.
 TEXT_TABLE_LIMIT = 20
 
-# hurwitz-enumerate joins at most this many vector lines per write call: an
-# in-memory stream such as io.StringIO keeps one object per write until it is
-# read, so line-by-line writes of a datum hold one string per vector
+# hurwitz-enumerate and cw --json join at most this many lines per write
+# call: an in-memory stream such as io.StringIO keeps one object per write
+# until it is read, so line-by-line writes hold one string per line
 _WRITE_LINES = 4096
 
 
@@ -266,24 +266,27 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
+    """One row per level of --k, evaluated in one pass; JSON lines go out block by block."""
     G = group_from_spec(args.group)
     k_lo, k_hi = args.k or (1, G.order)
     v = _parse_vector(args.vector, G)
-    validate(v, G)
-    g = genus(v, G)
     # the table group-info prints, so the column labels do not depend on --k
     # (multiplicities are exact on any table)
     T = character_table(G)
-    mvs = [cw_character(v, T, k) for k in range(k_lo, k_hi + 1)]
+    g, class_key = _genus_and_key(v, T)
+    ks = range(k_lo, k_hi + 1)
+    blocks = _level_blocks(T, ks, v.g_quot, g, class_key)
+    levels = zip(ks, chain.from_iterable(block.T.tolist() for block in blocks))
     if args.json or T.class_count > TEXT_TABLE_LIMIT:
-        for mv in mvs:
-            print(json.dumps({"schema": SCHEMA, "k": mv.k, "mults": list(mv.mults)}),
-                  file=out)
+        lines = (json.dumps({"schema": SCHEMA, "k": k, "mults": mults}) + "\n"
+                 for k, mults in levels)
+        while chunk := "".join(islice(lines, _WRITE_LINES)):
+            out.write(chunk)
         return
+    rows = [[str(k), *map(str, mults)] for k, mults in levels]  # an error writes nothing
     print(f"group: {G.label}  vector: {_vector_text(v, _id_strings(G.order))}  genus: {g}",
           file=out)
     headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
-    rows = [[str(mv.k), *(str(mult) for mult in mv.mults)] for mv in mvs]
     for line in _format_table(headers, rows):
         print(line, file=out)
 

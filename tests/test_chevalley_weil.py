@@ -38,7 +38,6 @@ from cwmoduli import (
     validate,
 )
 from cwmoduli import chevalley_weil
-from cwmoduli.chevalley_weil import _genus_and_classes
 from conftest import conjugate_vector, count_rows, root_power_sum
 
 
@@ -188,6 +187,24 @@ class TestPeriodicity:
                             if k == 1 and rho == 0:
                                 expect -= 1
                             assert dv == expect
+
+    def test_files_nothing_and_raises_as_cw_character(self, z3, genus6_vectors):
+        # both levels come from one evaluation, and no memo entry is kept;
+        # every rejection is the one cw_character gives
+        v = genus6_vectors[0]
+        cases = [(v, k) for k in (1, 2, 2 ** 70, np.int64(3), 0, -1, 2.5, 3.0, True, "2")]
+        cases += [(HurwitzVector(0, (), (1, 1)), 1),  # relation
+                  (HurwitzVector(0, (), (0, 1, 2)), 1),  # identity entry
+                  (HurwitzVector(0, (), (3, 1, 2)), 1),  # not an element id
+                  (HurwitzVector(0, (), (1, 1, 1)), 2)]  # genus 1
+        T = character_table(z3)
+        seen = set()
+        for w, k in cases:
+            expect = _outcome(lambda w: cw_character(w, character_table(z3), k), w)
+            assert _outcome(lambda w: periodicity_delta(w, T, k), w) is expect, (w, k)
+            seen.add(expect)
+        assert seen == {None, ValueError, TypeError, RelationViolation, OrderViolation}
+        assert T._validated == {} and T._levels == {}
 
     def test_partition_periodicity(self, z3, z3_table):
         # the k and k + |G| multiplicity vectors induce the same partition of
@@ -525,8 +542,16 @@ class TestCachedVectors:
                 for v in batch:
                     for k in (1, 2, 9):
                         cw_character(v, T, k)
-                    periodicity_delta(v, T, 2)
             assert validate_calls == Counter(items)
+            # periodicity_delta keeps no memo entry: it validates on every
+            # call, and the memo of cw_character stays as it was
+            memo = dict(T._validated), {key: dict(d) for key, d in T._levels.items()}
+            validate_calls.clear()
+            for batch in (items, copies):
+                for v in batch:
+                    periodicity_delta(v, T, 2)
+            assert validate_calls == Counter(items + items)
+            assert (T._validated, T._levels) == memo
             # decompose keeps no memo entry: each run checks every item once,
             # in bulk, and calls validate on none of them
             for batch in (items, copies, items):
@@ -620,8 +645,11 @@ class TestGenerationMemo:
         seen = Counter()
         for v in items + made + made:
             standalone = _outcome(lambda v: validate(v, s3), v)
-            memoized = _outcome(lambda v: _genus_and_classes(v, T), v)
-            assert memoized is standalone, v
+            memoized = _outcome(lambda v: cw_character(v, T, 1), v)
+            # a valid vector below genus 2 is filed, then fails the formulas
+            low = standalone is None and genus(v, s3) < 2
+            assert memoized is (ValueError if low else standalone), v
+            assert (v in T._validated) is (standalone is None), v
             seen[standalone] += 1
         assert set(seen) == {None, ValueError, OrderViolation, RelationViolation,
                              NotGenerating}

@@ -7,15 +7,23 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cwmoduli import (
+    CwModuliError,
     HurwitzVector,
     character_table,
+    chevalley_weil,
+    cli,
     cw_character,
+    enumerate_branching_data,
+    enumerate_hurwitz_vectors,
     genus,
     group_from_spec,
     run,
@@ -747,3 +755,132 @@ class TestCwLabels:
         v = HurwitzVector(0, (), (1, 1, 3))
         assert self.rows(k=k_hi and f"1..{k_hi}") == {
             k: list(cw_character(v, T, k).mults) for k in range(1, (k_hi or 5) + 1)}
+
+
+def cw_levels(out, as_json):
+    """(k, mults) of every level a cw report prints, from JSON lines or the text table."""
+    if as_json:
+        return [(rec["k"], rec["mults"]) for rec in json_lines(out)]
+    return [(int(k), [int(x) for x in mults])
+            for k, *mults in map(str.split, out.splitlines()[2:])]
+
+
+class _Sink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+class TestCwOneEvaluation:
+    """cw evaluates a validated vector over its whole level range in one pass;
+    cw_character, one level at a time, is the oracle."""
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        """Every character table the cw command builds, in order."""
+        made = []
+        real = cli.character_table
+
+        def recording(G):
+            made.append(real(G))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "character_table", recording)
+        return made
+
+    def test_matches_cw_character_on_the_catalog(self, catalog_le_12, monkeypatch,
+                                                  tables):
+        monkeypatch.setattr(cli, "group_from_spec", dict(catalog_le_12).__getitem__)
+        runs = 0
+        for label, G in catalog_le_12:
+            T = character_table(G)
+            for g in range(2, 6):
+                for data in enumerate_branching_data(G, g):
+                    for v in islice(enumerate_hurwitz_vectors(G, data), 2):
+                        want = [(k, list(cw_character(v, T, k).mults))
+                                for k in range(1, G.order + 1)]
+                        text = json.dumps(cli._vector_record(*v))
+                        for as_json in (False, True):
+                            code, out, err = invoke("cw", group=label, vector=text,
+                                                    json=as_json)
+                            assert (code, err) == (0, ""), (label, v)
+                            assert cw_levels(out, as_json) == want, (label, v, as_json)
+                            runs += 1
+        assert runs > 500
+        # one table per run, and the command filed nothing on any of them
+        assert len(tables) == runs
+        assert all(T._validated == {} and T._levels == {} for T in tables)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (5, 70),
+        # near where int64 stops bounding the scaled entries at genus 4
+        (2 ** 63 // 48 - 40, 2 ** 63 // 48 + 40),
+        # past int64: Python ints in object arrays
+        (2 ** 70 - 30, 2 ** 70 + 40),
+    ])
+    def test_level_range_matches_cw_character(self, lo, hi, tables):
+        G = group_from_spec("metacyclic:3,2,2")
+        T = character_table(G)
+        v = next(enumerate_hurwitz_vectors(G, enumerate_branching_data(G, 4)[-1]))
+        want = [(k, list(cw_character(v, T, k).mults)) for k in range(lo, hi + 1)]
+        text = json.dumps(cli._vector_record(*v))
+        for as_json in (False, True):
+            code, out, err = invoke("cw", group="metacyclic:3,2,2", vector=text,
+                                    k=f"{lo}..{hi}", json=as_json)
+            assert (code, err) == (0, "")
+            assert cw_levels(out, as_json) == want
+        assert all(T._validated == {} and T._levels == {} for T in tables)
+
+    def test_class_columns_once_per_distinct_class(self, monkeypatch):
+        calls = Counter()
+        real = chevalley_weil._class_columns
+
+        def counting(T, cls):
+            calls[cls] += 1
+            return real(T, cls)
+
+        monkeypatch.setattr(chevalley_weil, "_class_columns", counting)
+        T = character_table(group_from_spec("cyclic:5"))
+        classes = set(T.classes.class_of[[1, 1, 3]].tolist())
+        for as_json in (False, True):
+            calls.clear()
+            code, out, _ = invoke("cw", group="cyclic:5", vector=TestCwLabels.VEC,
+                                  k="1..97", json=as_json)
+            assert code == 0 and len(cw_levels(out, as_json)) == 97
+            assert calls == Counter(dict.fromkeys(classes, 1))
+
+    @pytest.mark.parametrize("text", [
+        '{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1]}',  # relation
+        '{"g_quot": 0, "handles": [], "branches": [0, 1, 2]}',  # identity entry
+        '{"g_quot": 0, "handles": [], "branches": [1, 1, 1]}',  # genus 1
+    ])
+    def test_errors_are_those_of_cw_character(self, text, tables):
+        G = group_from_spec("cyclic:3")
+        data = json.loads(text)
+        v = HurwitzVector(data["g_quot"], data["handles"], data["branches"])
+        with pytest.raises((ValueError, CwModuliError)) as exc:
+            cw_character(v, character_table(G), 1)
+        assert invoke("cw", group="cyclic:3", vector=text) == (1, "", f"error: {exc.value}\n")
+        assert all(T._validated == {} and T._levels == {} for T in tables)
+
+    def test_json_holds_a_chunk_not_the_range(self):
+        argv = ["cw", "--json", "--group", "cyclic:3", "--vector", V_GENUS6, "--k"]
+        assert run(argv + ["1..2"], out=_Sink()) == 0  # imports and first-use caches
+        peaks, sizes = {}, {}
+        for n in (cli._WRITE_LINES, 20_000):  # one write chunk, then five
+            sink = _Sink()
+            tracemalloc.start()
+            try:
+                assert run(argv + [f"1..{n}"], out=sink) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes[n] = sink.size
+        # about one chunk is held at a time; one record per level would grow
+        # the peak fivefold, to several times the output
+        assert peaks[20_000] < 2 * peaks[cli._WRITE_LINES]
+        assert peaks[20_000] < sizes[20_000]
