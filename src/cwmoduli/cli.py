@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 from itertools import chain, islice
-from typing import IO, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,13 +152,20 @@ def _data_line(data: BranchingData, count: int) -> str:
     return f"branching data g_quot={data.g_quot} orders=[{orders}]: {count} vectors"
 
 
+def _table_line(cells: Sequence[str], widths: Sequence[int]) -> str:
+    return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+
+
 def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return lines
+    return [_table_line(row, widths) for row in [headers, *rows]]
+
+
+def _write_lines(out: IO[str], lines: Iterator[str]) -> None:
+    """Write the lines, each ending in a newline, _WRITE_LINES per write call."""
+    while chunk := "".join(islice(lines, _WRITE_LINES)):
+        out.write(chunk)
 
 
 def _character_cell(T: CharacterTable, rho: int, cls: int, val: Optional[int]) -> str:
@@ -253,11 +260,9 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
         print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
                           "g_quot": g_quot, "branch_orders": list(data.branch_orders),
                           "count": count}), file=out)
-        lines = (json.dumps(dict(_vector_record(g_quot, row[:n_handles], row[n_handles:]),
-                                 kind="hurwitz-vector")) + "\n"
-                 for rows in blocks for row in rows.tolist())
-        while chunk := "".join(islice(lines, _WRITE_LINES)):
-            out.write(chunk)
+        _write_lines(out, (json.dumps(dict(_vector_record(g_quot, r[:n_handles], r[n_handles:]),
+                                           kind="hurwitz-vector")) + "\n"
+                           for rows in blocks for r in rows.tolist()))
     if args.json:
         print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
               file=out)
@@ -266,7 +271,13 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
-    """One row per level of --k, evaluated in one pass; JSON lines go out block by block."""
+    """One row per level of --k, evaluated block by block; lines go out as they come.
+
+    JSON lines need one pass. The text table needs its column widths first:
+    a first pass over the levels runs every check and keeps only each
+    column's largest entry, so an error writes nothing, and a second pass
+    prints the rows.
+    """
     G = group_from_spec(args.group)
     k_lo, k_hi = args.k or (1, G.order)
     v = _parse_vector(args.vector, G)
@@ -275,31 +286,33 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
     T = character_table(G)
     g, class_key = _genus_and_key(v, T)
     ks = range(k_lo, k_hi + 1)
-    blocks = _level_blocks(T, ks, v.g_quot, g, class_key)
-    levels = zip(ks, chain.from_iterable(block.T.tolist() for block in blocks))
+    blocks = functools.partial(_level_blocks, T, ks, v.g_quot, g, class_key)
+    levels = zip(ks, chain.from_iterable(block.T.tolist() for block in blocks()))
     if args.json or T.class_count > TEXT_TABLE_LIMIT:
-        lines = (json.dumps({"schema": SCHEMA, "k": k, "mults": mults}) + "\n"
-                 for k, mults in levels)
-        while chunk := "".join(islice(lines, _WRITE_LINES)):
-            out.write(chunk)
+        _write_lines(out, (json.dumps({"schema": SCHEMA, "k": k, "mults": mults}) + "\n"
+                           for k, mults in levels))
         return
-    rows = [[str(k), *map(str, mults)] for k, mults in levels]  # an error writes nothing
+    # multiplicities are nonnegative, so a column's widest entry is its largest
+    top = functools.reduce(np.maximum, (block.max(axis=1) for block in blocks()))
+    headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
+    widths = [max(len(h), len(str(x))) for h, x in zip(headers, [k_hi, *top.tolist()])]
     print(f"group: {G.label}  vector: {_vector_text(v, _id_strings(G.order))}  genus: {g}",
           file=out)
-    headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
-    for line in _format_table(headers, rows):
-        print(line, file=out)
+    print(_table_line(headers, widths), file=out)
+    _write_lines(out, (_table_line([str(k), *map(str, mults)], widths) + "\n"
+                       for k, mults in levels))
 
 
 def _enumerate_genus(G: FiniteGroup, args: argparse.Namespace
-                     ) -> List[Tuple[BranchingData, List[HurwitzVector]]]:
-    """Each branching datum of the genus with its vectors, --cap counting them all.
+                     ) -> Tuple[List[Tuple[BranchingData, int]], Tuple[HurwitzVector, ...]]:
+    """Each branching datum of the genus with its vector count, and all the vectors.
 
-    Each datum's enumeration may emit only what remains of the cap, possibly
-    nothing, so no vector past the cap is held before EnumerationCapExceeded
-    is raised.
+    --cap counts the vectors of all data. Each datum's enumeration may emit
+    only what remains of the cap, possibly nothing, so no vector past the
+    cap is held before EnumerationCapExceeded is raised.
     """
-    groups = []
+    counts = []
+    items: List[HurwitzVector] = []
     remaining = args.cap
     for data in enumerate_branching_data(G, args.genus):
         opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy,
@@ -311,17 +324,15 @@ def _enumerate_genus(G: FiniteGroup, args: argparse.Namespace
                 f"genus {args.genus} has more than {args.cap} vectors over all "
                 "its branching data; raise --cap") from None
         remaining -= len(vectors)
-        groups.append((data, vectors))
-    return groups
+        counts.append((data, len(vectors)))
+        items.extend(vectors)
+    return counts, tuple(items)
 
 
 def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     G = group_from_spec(args.group)
     g = args.genus
-    groups = _enumerate_genus(G, args)
-    items: List[HurwitzVector] = []
-    for _, vectors in groups:
-        items.extend(vectors)
+    counts, items = _enumerate_genus(G, args)
     k_hi = args.k_max or G.order
     T = character_table(G, k_max=k_hi, g_max=max(g, 2))
     granularity = "orbit" if args.up_to_conjugacy else "raw"
@@ -335,25 +346,24 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
             "granularity": granularity,
             "k_values": list(D.ks),
             "items": [_vector_record(*v) for v in D.items],
-            "blocks": [{"key": [list(mults) for mults in key],
-                        "members": list(block)}
-                       for key, block in zip(D.keys, D.blocks)],
+            "blocks": [{"key": D.types[b].tolist(), "members": list(block)}
+                       for b, block in enumerate(D.blocks)],
             "stabilization_depth": result.stabilization_depth,
         }
         print(json.dumps(record), file=out)
         return
     print(f"group: {G.label}  genus: {g}  granularity: {granularity}", file=out)
-    for data, vectors in groups:
-        print(_data_line(data, len(vectors)), file=out)
+    for data, count in counts:
+        print(_data_line(data, count), file=out)
     print(f"items: {len(items)}", file=out)
     print(f"levels refined: 1..{k_hi}", file=out)
     print(f"stabilization depth: {result.stabilization_depth}", file=out)
     print(f"blocks: {D.block_count}", file=out)
     ids = _id_strings(G.order)
-    for b, (key, block) in enumerate(zip(D.keys, D.blocks)):
+    for b, block in enumerate(D.blocks):
         print(f"block {b}: {len(block)} items", file=out)
-        for k, mults in zip(D.ks, key):
-            print(f"  k={k}: ({', '.join(map(str, mults))})", file=out)
+        _write_lines(out, (f"  k={k}: ({', '.join(map(str, mults.tolist()))})\n"
+                           for k, mults in zip(D.ks, D.types[b])))
         preview = " ".join(_vector_text(D.items[i], ids) for i in block[:4])
         suffix = " ..." if len(block) > 4 else ""
         print(f"  members: {preview}{suffix}", file=out)

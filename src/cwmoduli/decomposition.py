@@ -5,17 +5,15 @@ level-k decomposition; the canonical decomposition is the common refinement
 over k = 1..|G|, which periodicity proves is already the limit. The items
 are validated and keyed in arrays (chevalley_weil._class_keys), keeping no
 memo entry per item; each distinct (quotient genus, branch-class multiset)
-key is evaluated once, at all its levels as one integer matrix, whose
-columns are the key's type tuple, and a block is the items of the keys that
-share a type tuple; no level record is filed on the table. The
-stabilization report re-checks the limit numerically from the distinct type
-tuples, numbering the running partition level by level.
+key is evaluated once, at all its levels as one integer matrix, which is
+kept as its type; no level record is filed on the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from functools import cmp_to_key
+from typing import FrozenSet, Sequence, Tuple
 
 import numpy as np
 
@@ -34,30 +32,60 @@ __all__ = [
     "stabilization_report",
 ]
 
-# A block key is one multiplicity tuple per covered level, in level order.
-BlockKey = Tuple[Tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """A partition of an item sequence, blocks keyed by representation type.
 
-    blocks[b] lists item indices ascending; keys[b] is the shared key; blocks
-    are ordered by key, lexicographically, so reports are diffable.
+    blocks[b] lists item indices ascending. types is a read-only array,
+    blocks x levels x characters: types[b, j] is block b's multiplicity
+    vector at level ks[j]. Blocks are ordered by type, lexicographically over
+    (level, character), so reports are diffable. Equality compares every
+    field, the values of types included.
     """
 
     items: Tuple[HurwitzVector, ...]
     ks: Tuple[int, ...]
     blocks: Tuple[Tuple[int, ...], ...]
-    keys: Tuple[BlockKey, ...]
+    types: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Decomposition) and np.array_equal(self.types, other.types)
+                and (self.items, self.ks, self.blocks) == (other.items, other.ks, other.blocks))
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
     def partition(self) -> FrozenSet[FrozenSet[int]]:
-        """The underlying set partition, forgetting keys and order."""
+        """The underlying set partition, forgetting types and order."""
         return frozenset(frozenset(b) for b in self.blocks)
+
+
+def _compare(x: np.ndarray, y: np.ndarray) -> int:
+    """-1, 0 or 1 as x sorts before, with or after y: their first unequal entry decides."""
+    unequal = (x != y).ravel()
+    i = int(unequal.argmax())
+    return 0 if not unequal[i] else -1 if x.flat[i] < y.flat[i] else 1
+
+
+def _partition(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...], values: np.ndarray,
+               key_of: np.ndarray) -> Decomposition:
+    """The decomposition in which item i has type values[key_of[i]]; sorted, equal types meet."""
+    by_type = cmp_to_key(lambda a, b: _compare(values[a], values[b]))
+    ordered = sorted(range(len(values)), key=by_type)
+    starts = [not i or _compare(values[ordered[i - 1]], values[a]) != 0
+              for i, a in enumerate(ordered)]
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[ordered] = np.cumsum(starts) - 1
+    types = values[np.array(ordered, dtype=np.intp)[starts]]
+    types.flags.writeable = False
+    block_of = rank[key_of]
+    ends = np.cumsum(np.bincount(block_of, minlength=len(types))).tolist()
+    # int32 halves what is held beside the block tuples; indices stay below 2^31
+    members = np.argsort(block_of, kind="stable").astype(np.int32)
+    blocks = tuple(tuple(members[a:b].tolist()) for a, b in zip([0] + ends, ends))
+    return Decomposition(items, ks, blocks, types)
 
 
 def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
@@ -66,8 +94,9 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
 
     Items sharing a quotient genus and a multiset of branch classes share
     their multiplicities. So the items are validated and keyed in bulk, and
-    each distinct key is evaluated once, at all levels of ks together, and
-    its type tuple is read off that matrix; no level record is filed in T.
+    each distinct key is evaluated once, at all levels of ks together, into
+    one array in the smallest signed dtype that holds the dimension at the
+    largest level. No level record is filed in T.
     """
     items = tuple(items)
     keys, key_of = _class_keys(items, T)
@@ -78,19 +107,14 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
     if len(genera) > 1:
         raise ValueError(f"items span several genera {genera}; "
                          "a decomposition needs a single genus")
-    types: List[BlockKey] = [
-        tuple(map(tuple, _evaluate(T, ks, g_quot, genera[0], class_key).T.tolist()))
-        for g_quot, class_key in keys]
-    ordered = sorted(set(types))
-    rank = {key: b for b, key in enumerate(ordered)}
-    block_of = np.array([rank[key] for key in types], dtype=np.int64)[key_of]
-    del key_of  # the item arrays go before the block tuples are built
-    ends = np.cumsum(np.bincount(block_of, minlength=len(ordered))).tolist()
-    # int32 halves what is held beside the block tuples; indices stay below 2^31
-    members = np.argsort(block_of, kind="stable").astype(np.int32)
-    del block_of
-    blocks = tuple(tuple(members[a:b].tolist()) for a, b in zip([0] + ends, ends))
-    return Decomposition(items, ks, blocks, tuple(ordered))
+    # every multiplicity lies in [0, dim], and dim grows with the level
+    k = max(ks)
+    dims = [g if k == 1 else (2 * k - 1) * (g - 1) for g in genera]
+    values = np.empty((len(keys), len(ks), T.class_count),
+                      dtype=np.min_scalar_type(-max(dims, default=1)))
+    for i, (g_quot, class_key) in enumerate(keys):
+        values[i] = _evaluate(T, ks, g_quot, genera[0], class_key).T
+    return _partition(items, ks, values, key_of)
 
 
 def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
@@ -102,20 +126,19 @@ def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
 def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
     """Common refinement: blocks are the nonempty pairwise intersections.
 
-    Keys concatenate, so a refined block is keyed by the representation type
-    over both level sets. Requires the identical item sequence.
+    Types join along the level axis, one per pair of blocks that meet.
+    Requires the identical item sequence.
     """
     if D1.items != D2.items:
         raise ValueError("decompositions cover different item sequences")
-    key2 = {idx: key for block, key in zip(D2.blocks, D2.keys) for idx in block}
-    # a refined block lies inside one block of D1, so its indices stay ascending
-    groups: Dict[BlockKey, List[int]] = {}
-    for block, key in zip(D1.blocks, D1.keys):
-        for idx in block:
-            groups.setdefault(key + key2[idx], []).append(idx)
-    ordered = sorted(groups)
-    return Decomposition(D1.items, D1.ks + D2.ks,
-                         tuple(tuple(groups[key]) for key in ordered), tuple(ordered))
+    block_of = np.zeros(len(D1.items), dtype=np.int64)
+    for D, scale in ((D1, len(D2.blocks)), (D2, 1)):  # the pair (b1, b2) as b1 * |D2| + b2
+        for b, block in enumerate(D.blocks):
+            block_of[list(block)] += b * scale
+    pairs, pair_of = np.unique(block_of, return_inverse=True)
+    first, second = np.divmod(pairs, len(D2.blocks))
+    return _partition(D1.items, D1.ks + D2.ks,
+                      np.concatenate([D1.types[first], D2.types[second]], axis=1), pair_of)
 
 
 def canonical_decomposition(items: Sequence[HurwitzVector],
@@ -129,7 +152,7 @@ def canonical_decomposition(items: Sequence[HurwitzVector],
     return stabilization_report(items, T, T.group.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelReport:
     """One level of the stabilization scan.
 
@@ -163,38 +186,33 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
     k_max = _level(k_max)
     order = T.group.order
     final = _decompose(items, T, tuple(range(1, k_max + 1)))
-
-    def ids(values) -> List[int]:
-        """Each value's index among the distinct values, numbered as they appear."""
-        seen: Dict[object, int] = {}
-        return [seen.setdefault(x, len(seen)) for x in values]
-
-    def count(numbers: List[int]) -> int:
-        return max(numbers, default=-1) + 1
-
-    # at_level[k - 1] numbers the block keys by their level-k type, and
-    # running numbers them by their types at levels 1..k
-    at_level = [ids(key[k] for key in final.keys) for k in range(k_max)]
-    running = [0] * len(final.keys)
-    prefixes = count(running)
-    levels: List[LevelReport] = []
-    depth = 1
-    for k in range(1, k_max + 1):
-        # level k splits the running partition iff it adds a length-k prefix
-        running = ids(zip(running, at_level[k - 1]))
-        split = count(running) > prefixes
-        if split:
-            depth = k
-            if k > order:
-                raise InternalConsistencyError(
-                    f"level {k} split the refinement of levels 1..{k - 1} although "
-                    f"periodicity caps new splits at |G| = {order}")
-        levels.append(LevelReport(k, count(at_level[k - 1]), split))
-        prefixes = count(running)
-    for k, (low, high) in enumerate(zip(at_level, at_level[order:]), start=1):
-        # two partitions agree iff each has as many blocks as their meet
-        if not count(low) == count(high) == count(ids(zip(low, high))):
-            raise InternalConsistencyError(
-                f"partitions at levels {k} and {k + order} differ, contradicting "
-                "the periodicity of the multiplicity formulas")
-    return StabilizationReport(tuple(levels), depth, final)
+    types = final.types
+    # blocks are sorted by type, so the blocks sharing their types at levels
+    # 1..k stand together: level k splits the running partition iff two
+    # neighbouring blocks first differ there
+    splits = set(((types[1:] != types[:-1]).any(axis=2).argmax(axis=1) + 1).tolist())
+    late = min((k for k in splits if k > order), default=None)
+    if late:
+        raise InternalConsistencyError(
+            f"level {late} split the refinement of levels 1..{late - 1} although "
+            f"periodicity caps new splits at |G| = {order}")
+    # each level's blocks in the order of their types there; the sort is
+    # stable, so heads[j, b] is the lowest block whose level-j type is b's
+    by_type = np.lexsort(types.transpose(2, 1, 0), axis=-1)
+    ranked = types[by_type, np.arange(k_max)[:, None]]
+    starts = np.ones(by_type.shape, dtype=bool)
+    starts[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=2)
+    del ranked  # a copy of all types, freed before one record per level is built
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(final.block_count), 0), axis=1)
+    heads = np.empty_like(by_type)
+    np.put_along_axis(heads, by_type, np.take_along_axis(by_type, run_start, axis=1), axis=1)
+    later = heads[order:]
+    differ = (heads[:len(later)] != later).any(axis=1)
+    if differ.any():
+        k = int(differ.argmax()) + 1
+        raise InternalConsistencyError(
+            f"partitions at levels {k} and {k + order} differ, contradicting "
+            "the periodicity of the multiplicity formulas")
+    levels = tuple(LevelReport(k, n, k in splits)
+                   for k, n in enumerate(starts.sum(axis=1).tolist(), start=1))
+    return StabilizationReport(levels, max(splits, default=1), final)

@@ -583,7 +583,4 @@ def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,
     __all__, and because the benchmark's traced run times enumeration by
     wrapping it by name (bench/tracing.py).
     """
-    out: List[HurwitzVector] = []
-    for rows in enumerate_hurwitz_rows(G, data, opts):
-        out.extend(_row_vectors(data.g_quot, rows))
-    return out
+    return list(enumerate_hurwitz_vectors(G, data, opts))

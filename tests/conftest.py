@@ -191,10 +191,15 @@ def branching_data_of(v, G):
     return BranchingData(v.g_quot, tuple(G.elem_order(c) for c in v.branches))
 
 
+def block_types(D):
+    """Each block's type read off D.types, as one tuple of multiplicities per level."""
+    return tuple(tuple(map(tuple, levels)) for levels in D.types.tolist())
+
+
 def item_keys(D):
-    """The block key of every item of a decomposition, in item order."""
+    """The block type of every item of a decomposition, in item order."""
     keys = [None] * len(D.items)
-    for block, key in zip(D.blocks, D.keys):
+    for block, key in zip(D.blocks, block_types(D)):
         for idx in block:
             keys[idx] = key
     return keys

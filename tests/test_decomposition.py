@@ -1,5 +1,6 @@
 """Representation-type partitions, refinement laws, and stabilization scans."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -30,7 +31,7 @@ from cwmoduli import (
     validate,
 )
 from cwmoduli.groups import _row_groups
-from conftest import conjugate_vector, item_keys
+from conftest import block_types, conjugate_vector, item_keys
 
 
 def census(G, g):
@@ -98,7 +99,8 @@ class TestDecomposeAtK:
     def test_blocks_sorted_by_key_and_indices_ascending(self, z3, z3_table):
         items = census(z3, 6)
         D = decompose_at_k(items, z3_table, 1)
-        assert list(D.keys) == sorted(D.keys)
+        types = block_types(D)
+        assert list(types) == sorted(set(types))
         for block in D.blocks:
             assert list(block) == sorted(block)
         covered = sorted(i for b in D.blocks for i in b)
@@ -107,9 +109,22 @@ class TestDecomposeAtK:
     def test_keys_match_cw(self, z3, z3_table):
         items = census(z3, 6)
         D = decompose_at_k(items, z3_table, 2)
-        for block, key in zip(D.blocks, D.keys):
+        assert D.types.shape == (D.block_count, 1, z3_table.class_count)
+        for block, key in zip(D.blocks, block_types(D)):
             for i in block:
                 assert key == (cw_character(items[i], z3_table, 2).mults,)
+
+    def test_types_are_read_only_and_part_of_equality(self, z3_table, genus6_vectors):
+        # genus 6 at level 1 has dimension 6: the types fit int8
+        D = decompose_at_k(genus6_vectors, z3_table, 1)
+        refined = refine(D, decompose_at_k(genus6_vectors, z3_table, 2))
+        assert D.types.dtype == np.int8 and refined.types.shape == (2, 2, 3)
+        for types in (D.types, refined.types):
+            with pytest.raises(ValueError, match="read-only"):
+                types[0, 0, 0] = 1
+        assert D == decompose_at_k(list(genus6_vectors), z3_table, 1)
+        shifted = dataclasses.replace(D, types=D.types + 1)
+        assert shifted.partition() == D.partition() and shifted != D
 
     def test_mixed_genus_rejected(self, z2, z2_table):
         a = HurwitzVector(2, (1, 0, 0, 0), ())  # genus 3
@@ -146,7 +161,7 @@ class TestRefine:
         v, v_alt = genus6_vectors
         D = refine(decompose_at_k([v, v_alt], z3_table, 1),
                    decompose_at_k([v, v_alt], z3_table, 2))
-        assert D.keys == (((0, 3, 3), (5, 5, 5)), ((2, 2, 2), (5, 5, 5)))
+        assert D.types.tolist() == [[[0, 3, 3], [5, 5, 5]], [[2, 2, 2], [5, 5, 5]]]
 
     def test_item_mismatch_rejected(self, z3_table, genus6_vectors):
         v, v_alt = genus6_vectors
@@ -173,7 +188,7 @@ class TestCanonical:
         D = CD.final
         assert D.block_count == 3
         assert [len(b) for b in D.blocks] == [8, 70, 8]
-        assert [key[0] for key in D.keys] == [(0, 2, 4), (0, 3, 3), (0, 4, 2)]
+        assert D.types[:, 0].tolist() == [[0, 2, 4], [0, 3, 3], [0, 4, 2]]
         assert CD.stabilization_depth == 1
         # twos count per block: 7, 4, 1
         for block, twos in zip(D.blocks, (7, 4, 1)):
@@ -222,9 +237,9 @@ class TestCanonical:
         raw = list(enumerate_hurwitz_vectors(s3, data))
         reps = list(enumerate_hurwitz_vectors(
             s3, data, EnumerationOptions(up_to_conjugacy=True)))
-        raw_keys = {canonical_decomposition(raw, s3_table).final.keys}
-        rep_keys = {canonical_decomposition(reps, s3_table).final.keys}
-        assert raw_keys == rep_keys
+        raw_types = canonical_decomposition(raw, s3_table).final.types
+        rep_types = canonical_decomposition(reps, s3_table).final.types
+        assert np.array_equal(raw_types, rep_types)
 
 
 class TestStabilizationReport:
@@ -281,7 +296,7 @@ class TestOnePassOracle:
                     final, depth, levels = reference_report(items, T, k_max)
                     rep = stabilization_report(items, T, k_max)
                     case = (label, g, k_max)
-                    assert rep.final == final, case  # items, ks, blocks, keys
+                    assert rep.final == final, case  # items, ks, blocks, types
                     assert rep.stabilization_depth == depth, case
                     assert list(rep.levels) == levels, case
                     if k_max == G.order:
@@ -310,7 +325,7 @@ class TestOnePassOracle:
                 assert D.items == tuple(items), case
                 assert D.ks == ks, case
                 assert D.blocks == tuple(tuple(by_type[key]) for key in keys), case
-                assert D.keys == tuple(keys), case
+                assert block_types(D) == tuple(keys), case
                 if g == 3:
                     assert D == reference_report(items, T, G.order)[0], case
 
@@ -351,7 +366,7 @@ class TestOnePassOracle:
         assert T._levels == {}
         assert T._validated == {}
         for D in runs:
-            for block, key in zip(D.blocks, D.keys):
+            for block, key in zip(D.blocks, block_types(D)):
                 for idx in block:
                     for k, mults in zip(D.ks, key):
                         assert cw_character(items[idx], T, k).mults == mults
@@ -511,13 +526,16 @@ class TestArrayEvaluation:
                 np.int64 if k < 2 ** 62 else object)
             want = cw_character(items[0], reference, k).mults
             D = decompose_at_k(items, T, k)
-            assert D.keys == ((want,),) and D.blocks == (tuple(range(len(items))),)
-            assert all(type(m) is int for m in D.keys[0][0])
+            assert block_types(D) == ((want,),) and D.blocks == (tuple(range(len(items))),)
+            # the smallest signed dtype that holds the dimension at level k
+            assert D.types.dtype == (np.int64 if k < 2 ** 62 else object)
+            if k >= 2 ** 62:
+                assert all(type(m) is int for m in D.types.ravel())
         k_max = 2 * G.order + 1
         rep = stabilization_report(items, character_table(G), k_max)
         key = tuple(cw_character(items[0], reference, k).mults for k in range(1, k_max + 1))
-        assert rep.final.keys == (key,)
-        assert all(type(m) is int for mults in rep.final.keys[0] for m in mults)
+        assert block_types(rep.final) == (key,)
+        assert rep.final.types.dtype == np.int16
 
 
 class TestPeriodicityChecksBite:

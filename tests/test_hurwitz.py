@@ -29,6 +29,7 @@ from cwmoduli import (
     build_metacyclic,
     character_table,
     cw_character,
+    eigenvalue_counts,
     enumerate_branching_data,
     enumerate_hurwitz_rows,
     enumerate_hurwitz_vectors,
@@ -901,6 +902,37 @@ class TestCountingOracle:
                     raw = sum(1 for _ in enumerate_hurwitz_vectors(G, data))
                     orbits = sum(1 for _ in enumerate_hurwitz_vectors(G, data, opts))
                     assert raw * z == orbits * G.order, (label, data)
+
+
+class TestFrobeniusCount:
+    """The relation count from class structure constants: Frobenius's formula
+    |G|^(2g'-1) sum_chi chi(1)^(2-2g') prod_j sum_{c: ord c = m_j} |C_c| chi(g_c)/chi(1)
+    counts the tuples of every datum, generating or not, from the characters alone."""
+
+    def test_matches_the_relation_count(self, catalog):
+        checked = 0
+        for label, G in catalog:
+            T = character_table(G)
+            orders = [G.elem_order(x) for x in T.classes.representatives]
+            # chi(g_c) from the eigenvalue counts, reading zeta_m as exp(2 pi i / m)
+            chi = np.column_stack([eigenvalue_counts(T, c) @ np.exp(2j * np.pi * np.arange(m) / m)
+                                   for c, m in enumerate(orders)])
+            degrees = np.array(T.degrees, dtype=float)
+            sums = {m: sum(T.classes.class_sizes[c] * chi[:, c]
+                           for c in range(T.class_count) if orders[c] == m) / degrees
+                    for m in set(orders)}
+            for g in TestCountingOracle.GENERA:
+                for data in enumerate_branching_data(G, g):
+                    h = data.g_quot
+                    terms = float(G.order) ** (2 * h - 1) * degrees ** (2 - 2 * h)
+                    for m in data.branch_orders:
+                        terms = terms * sums[m]
+                    total = complex(terms.sum())
+                    count = round(total.real)
+                    assert abs(total - count) < 1e-6, (label, data, total)
+                    assert count == _relation_count(G, range(G.order), data), (label, data)
+                    checked += 1
+        assert checked == 488
 
 
 def _is_orbit_minimum(G, t):
