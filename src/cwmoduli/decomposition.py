@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import FrozenSet, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,23 +64,14 @@ class Decomposition:
 
 def _compare(x: np.ndarray, y: np.ndarray) -> int:
     """-1, 0 or 1 as x sorts before, with or after y: their first unequal entry decides."""
-    unequal = (x != y).ravel()
-    i = int(unequal.argmax())
-    return 0 if not unequal[i] else -1 if x.flat[i] < y.flat[i] else 1
+    unequal = np.flatnonzero(x != y)
+    return 0 if not unequal.size else -1 if x.flat[unequal[0]] < y.flat[unequal[0]] else 1
 
 
-def _partition(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...], values: np.ndarray,
-               key_of: np.ndarray) -> Decomposition:
-    """The decomposition in which item i has type values[key_of[i]]; sorted, equal types meet."""
-    by_type = cmp_to_key(lambda a, b: _compare(values[a], values[b]))
-    ordered = sorted(range(len(values)), key=by_type)
-    starts = [not i or _compare(values[ordered[i - 1]], values[a]) != 0
-              for i, a in enumerate(ordered)]
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[ordered] = np.cumsum(starts) - 1
-    types = values[np.array(ordered, dtype=np.intp)[starts]]
+def _partition(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...], types: np.ndarray,
+               block_of: np.ndarray) -> Decomposition:
+    """The decomposition whose block b, of type types[b], holds the items i with block_of[i] = b."""
     types.flags.writeable = False
-    block_of = rank[key_of]
     ends = np.cumsum(np.bincount(block_of, minlength=len(types))).tolist()
     # int32 halves what is held beside the block tuples; indices stay below 2^31
     members = np.argsort(block_of, kind="stable").astype(np.int32)
@@ -108,13 +99,19 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
         raise ValueError(f"items span several genera {genera}; "
                          "a decomposition needs a single genus")
     # every multiplicity lies in [0, dim], and dim grows with the level
-    k = max(ks)
-    dims = [g if k == 1 else (2 * k - 1) * (g - 1) for g in genera]
-    values = np.empty((len(keys), len(ks), T.class_count),
-                      dtype=np.min_scalar_type(-max(dims, default=1)))
+    g, k = max(genera, default=2), max(ks)
+    dim = g if k == 1 else (2 * k - 1) * (g - 1)
+    values = np.empty((len(keys), len(ks), T.class_count), dtype=np.min_scalar_type(-dim - 1))
     for i, (g_quot, class_key) in enumerate(keys):
-        values[i] = _evaluate(T, ks, g_quot, genera[0], class_key).T
-    return _partition(items, ks, values, key_of)
+        values[i] = _evaluate(T, ks, g_quot, g, class_key).T
+    # the distinct types in the tuple order, and each key's rank among them
+    rank = np.empty(len(keys), dtype=np.int64)
+    distinct: List[int] = []
+    for a in sorted(range(len(keys)), key=cmp_to_key(lambda a, b: _compare(values[a], values[b]))):
+        if not distinct or _compare(values[distinct[-1]], values[a]):
+            distinct.append(a)
+        rank[a] = len(distinct) - 1
+    return _partition(items, ks, values[distinct], rank[key_of])
 
 
 def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
@@ -126,8 +123,9 @@ def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
 def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
     """Common refinement: blocks are the nonempty pairwise intersections.
 
-    Types join along the level axis, one per pair of blocks that meet.
-    Requires the identical item sequence.
+    Types join along the level axis, one per pair of blocks that meet; both
+    type arrays are sorted, so the pairs in ascending order are the joined
+    types in order. Requires the identical item sequence.
     """
     if D1.items != D2.items:
         raise ValueError("decompositions cover different item sequences")

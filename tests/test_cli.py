@@ -163,6 +163,11 @@ class TestTextReports:
         assert "stabilization depth: 1" in lines
         assert "blocks: 6" in lines
 
+    def test_decompose_prints_a_multiplicity_equal_to_the_genus(self):
+        # the trivial group at genus 128: one block, level-1 multiplicity 128
+        code, out, _ = invoke("decompose", group="cyclic:1", genus=128)
+        assert code == 0 and "block 0: 1 items\n  k=1: (128)\n" in out
+
     def test_decompose_past_the_period_keeps_the_blocks(self):
         # --k-max 7 > |G| also runs both periodicity checks
         def blocks(**kw):

@@ -18,6 +18,7 @@ from cwmoduli import (
     LevelReport,
     MetacyclicParams,
     StabilizationReport,
+    build_cyclic,
     build_metacyclic,
     canonical_decomposition,
     character_table,
@@ -537,6 +538,18 @@ class TestArrayEvaluation:
         assert block_types(rep.final) == (key,)
         assert rep.final.types.dtype == np.int16
 
+
+    @pytest.mark.parametrize("order, item, want, dtype", [
+        (1, HurwitzVector(128, (0,) * 256, ()), [128], np.int16),
+        (1, HurwitzVector(32768, (0,) * 65536, ()), [32768], np.int32),
+        (2, HurwitzVector(0, (), (1,) * 258), [0, 128], np.int16),  # hyperelliptic
+    ], ids=["trivial-128", "trivial-32768", "sign-128"])
+    def test_a_multiplicity_equal_to_a_power_of_two_dimension_fits(self, order, item,
+                                                                   want, dtype):
+        # at level 1 the dimension is g, which one character may take whole:
+        # the dtype must hold +dim, one past what -dim alone asks for
+        D = decompose_at_k([item], character_table(build_cyclic(order)), 1)
+        assert D.types.tolist() == [[want]] and D.types.dtype == dtype
 
 class TestPeriodicityChecksBite:
     """Multiplicities that break periodicity above |G| must be caught."""
