@@ -29,9 +29,8 @@ from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
                       genus, validate)
 from .chevalley_weil import (MultiplicityVector, cw_character, periodicity_delta,
                              regular_multiple)
-from .decomposition import (Decomposition, LevelReport, StabilizationReport,
-                            canonical_decomposition, decompose_at_k, refine,
-                            stabilization_report)
+from .decomposition import (Decomposition, StabilizationReport, canonical_decomposition,
+                            decompose_at_k, refine, stabilization_report)
 from .metacyclic import SchurResult, rr_component_lower_bound, schur_multiplier_order
 from .cli import run
 
@@ -62,7 +61,7 @@ __all__ = [
     # chevalley-weil
     "MultiplicityVector", "cw_character", "regular_multiple", "periodicity_delta",
     # decomposition
-    "Decomposition", "LevelReport", "StabilizationReport", "decompose_at_k", "refine",
+    "Decomposition", "StabilizationReport", "decompose_at_k", "refine",
     "canonical_decomposition", "stabilization_report",
     # metacyclic
     "SchurResult", "schur_multiplier_order", "rr_component_lower_bound",

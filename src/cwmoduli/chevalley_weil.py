@@ -305,20 +305,22 @@ def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]
     return mv.regular
 
 
-def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int, ...]:
-    """Per-character difference cw(k + |G|) - cw(k), asserted against its closed form.
+def _period_shift(T: CharacterTable, g: int, k: int) -> List[int]:
+    """cw(k + |G|) - cw(k) at genus g in closed form, per character: 2 deg(rho)(g - 1),
+    less 1 on the trivial character at k = 1."""
+    return [2 * d * (g - 1) - (k == 1 and rho == 0) for rho, d in enumerate(T.degrees)]
 
-    Both levels are two columns of one evaluation, and nothing is filed on T.
-    The difference must equal 2 deg(rho)(g - 1), minus 1 on the trivial
-    character when k = 1; any deviation falsifies the implementation and
-    raises loudly.
+
+def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int, ...]:
+    """Per-character difference cw(k + |G|) - cw(k), asserted against _period_shift.
+
+    Both levels are two columns of one evaluation; nothing is filed on T.
     """
     k = _level(k)
     g, class_key = _genus_and_key(v, T)
     low, high = _evaluate(T, (k, k + T.group.order), v.g_quot, g, class_key).T.tolist()
     delta = tuple(b - a for a, b in zip(low, high))
-    for rho, d in enumerate(delta):
-        expect = 2 * T.degrees[rho] * (g - 1) - (1 if k == 1 and rho == 0 else 0)
+    for rho, (d, expect) in enumerate(zip(delta, _period_shift(T, g, k))):
         if d != expect:
             raise InternalConsistencyError(
                 f"periodicity failed at rho={rho}, k={k}: delta {d}, expected {expect}")

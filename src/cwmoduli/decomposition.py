@@ -1,12 +1,12 @@
 """Partitions of Hurwitz items by representation type, and their refinements.
 
-Items carrying equal multiplicity vectors at level k share a block of the
-level-k decomposition; the canonical decomposition is the common refinement
-over k = 1..|G|, which periodicity proves is already the limit. The items
-are validated and keyed in arrays (chevalley_weil._class_keys), keeping no
-memo entry per item; each distinct (quotient genus, branch-class multiset)
-key is evaluated once, at all its levels as one integer matrix, which is
-kept as its type; no level record is filed on the table.
+Items with equal multiplicity vectors at level k share a block of the
+level-k decomposition; the canonical one refines over k = 1..|G|, the limit
+by periodicity, which a scan past |G| asserts in closed form. Items are
+validated and keyed in arrays (chevalley_weil._class_keys), with no memo
+entry per item; each distinct (quotient genus, branch-class multiset) key
+is evaluated once, at all its levels as one integer matrix kept as its
+type. Nothing is filed on the table, and a scan keeps no record per level.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from typing import FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from .characters import CharacterTable
-from .chevalley_weil import _class_keys, _evaluate, _level
+from .chevalley_weil import _class_keys, _evaluate, _level, _period_shift
 from .errors import InternalConsistencyError
 from .hurwitz import BranchingData, HurwitzVector, genus
 
 __all__ = [
     "Decomposition",
-    "LevelReport",
     "StabilizationReport",
     "decompose_at_k",
     "refine",
@@ -150,36 +149,36 @@ def canonical_decomposition(items: Sequence[HurwitzVector],
     return stabilization_report(items, T, T.group.order)
 
 
-@dataclass(frozen=True, slots=True)
-class LevelReport:
-    """One level of the stabilization scan.
+@dataclass(frozen=True, eq=False)
+class StabilizationReport:
+    """One scan of levels 1..k_max; block_counts is read-only, one entry per level.
 
-    block_count is the standalone level-k partition size; split_running says
-    whether level k strictly refined the running refinement of levels < k.
+    block_counts[j] is the size of the standalone level-(j + 1) partition;
+    split_levels are the levels, ascending, that split the refinement of the
+    levels below; final, the refinement of all, is already reached at
+    stabilization_depth, the largest split level or 1. Equality compares
+    the values of block_counts.
     """
 
-    k: int
-    block_count: int
-    split_running: bool
-
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    """The levels scanned and their common refinement final, which the refinement
-    through stabilization_depth already equals."""
-
-    levels: Tuple[LevelReport, ...]
-    stabilization_depth: int
+    block_counts: np.ndarray
+    split_levels: Tuple[int, ...]
     final: Decomposition
+    stabilization_depth: int
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, StabilizationReport)
+                and np.array_equal(self.block_counts, other.block_counts)
+                and (self.split_levels, self.final, self.stabilization_depth)
+                == (other.split_levels, other.final, other.stabilization_depth))
 
 
 def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
                          k_max: int) -> StabilizationReport:
-    """Scan levels 1..k_max and verify the two periodicity consequences.
+    """Scan levels 1..k_max and verify that periodicity holds beyond |G|.
 
-    Checks, raising on violation: no level beyond |G| refines the running
-    partition further, and the standalone partitions at k and k + |G| are
-    identical whenever both are in range.
+    Raises if a level beyond |G| splits the running refinement, or if a
+    block's type at k + |G| is not its type at k plus _period_shift. That
+    shift is the same on every block, so only levels 1..|G| are numbered.
     """
     k_max = _level(k_max)
     order = T.group.order
@@ -188,29 +187,27 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
     # blocks are sorted by type, so the blocks sharing their types at levels
     # 1..k stand together: level k splits the running partition iff two
     # neighbouring blocks first differ there
-    splits = set(((types[1:] != types[:-1]).any(axis=2).argmax(axis=1) + 1).tolist())
-    late = min((k for k in splits if k > order), default=None)
+    splits = sorted(set(((types[1:] != types[:-1]).any(axis=2).argmax(axis=1) + 1).tolist()))
+    late = [k for k in splits if k > order]
     if late:
         raise InternalConsistencyError(
-            f"level {late} split the refinement of levels 1..{late - 1} although "
+            f"level {late[0]} split the refinement of levels 1..{late[0] - 1} although "
             f"periodicity caps new splits at |G| = {order}")
-    # each level's blocks in the order of their types there; the sort is
-    # stable, so heads[j, b] is the lowest block whose level-j type is b's
-    by_type = np.lexsort(types.transpose(2, 1, 0), axis=-1)
-    ranked = types[by_type, np.arange(k_max)[:, None]]
+    if final.items and k_max > order:  # the items are validated: read g from them
+        g = genus(final.items[0], T.group)
+        delta = types[:, order:] - types[:, :-order]
+        differ = (delta != _period_shift(T, g, 2)).any(axis=(0, 2))
+        differ[0] = (delta[:, 0] != _period_shift(T, g, 1)).any()
+        if differ.any():
+            k = int(differ.argmax()) + 1
+            raise InternalConsistencyError(
+                f"levels {k} and {k + order} differ by other than {_period_shift(T, g, k)}, "
+                "contradicting the periodicity of the multiplicity formulas")
+    # each level's blocks in the order of their types there
+    by_type = np.lexsort(types[:, :order].transpose(2, 1, 0), axis=-1)
+    ranked = types[by_type, np.arange(len(by_type))[:, None]]
     starts = np.ones(by_type.shape, dtype=bool)
     starts[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=2)
-    del ranked  # a copy of all types, freed before one record per level is built
-    run_start = np.maximum.accumulate(np.where(starts, np.arange(final.block_count), 0), axis=1)
-    heads = np.empty_like(by_type)
-    np.put_along_axis(heads, by_type, np.take_along_axis(by_type, run_start, axis=1), axis=1)
-    later = heads[order:]
-    differ = (heads[:len(later)] != later).any(axis=1)
-    if differ.any():
-        k = int(differ.argmax()) + 1
-        raise InternalConsistencyError(
-            f"partitions at levels {k} and {k + order} differ, contradicting "
-            "the periodicity of the multiplicity formulas")
-    levels = tuple(LevelReport(k, n, k in splits)
-                   for k, n in enumerate(starts.sum(axis=1).tolist(), start=1))
-    return StabilizationReport(levels, max(splits, default=1), final)
+    block_counts = np.resize(starts.sum(axis=1), k_max)
+    block_counts.flags.writeable = False
+    return StabilizationReport(block_counts, tuple(splits), final, max(splits, default=1))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,6 @@ from cwmoduli import (
     EnumerationOptions,
     HurwitzVector,
     InternalConsistencyError,
-    LevelReport,
     MetacyclicParams,
     StabilizationReport,
     build_cyclic,
@@ -51,24 +51,25 @@ def class_key(v, T):
 def reference_report(items, T, k_max):
     """The level-by-level algorithm: decompose_at_k at every level, then refine.
 
-    Returns the final refinement, the stabilization depth and the level
-    reports, comparing partitions level by level; periodicity is asserted.
+    Returns the final refinement, the stabilization depth, every level's
+    standalone block count and the levels that split the running
+    refinement, comparing partitions level by level; periodicity is asserted.
     """
     per_level = [decompose_at_k(items, T, k) for k in range(1, k_max + 1)]
     running = None
     before = frozenset([frozenset(range(len(items)))] if items else [])
-    depth, levels = 1, []
+    depth, counts, splits = 1, [], []
     for k, Dk in enumerate(per_level, start=1):
         running = Dk if running is None else refine(running, Dk)
-        split = running.partition() != before
-        if split:
+        if running.partition() != before:
             depth = k
-        levels.append(LevelReport(k, Dk.block_count, split))
+            splits.append(k)
+        counts.append(Dk.block_count)
         before = running.partition()
     order = T.group.order
     for k in range(1, k_max - order + 1):
         assert per_level[k - 1].partition() == per_level[k + order - 1].partition()
-    return running, depth, levels
+    return running, depth, counts, splits
 
 
 def meet_by_hand(p1, p2, n):
@@ -247,38 +248,52 @@ class TestStabilizationReport:
     def test_two_loci_schedule(self, z3_table, genus6_vectors):
         rep = stabilization_report(genus6_vectors, z3_table, 6)
         assert rep.stabilization_depth == 1
-        got = [(lv.k, lv.block_count, lv.split_running) for lv in rep.levels]
-        assert got == [
-            (1, 2, True),
-            (2, 1, False),
-            (3, 2, False),
-            (4, 2, False),
-            (5, 1, False),
-            (6, 2, False),
-        ]
+        assert rep.block_counts.tolist() == [2, 1, 2, 2, 1, 2]
+        assert not rep.block_counts.flags.writeable
+        assert rep == stabilization_report(genus6_vectors, z3_table, 6)
+        assert rep != stabilization_report(genus6_vectors, z3_table, 5)
+        assert rep.split_levels == (1,)
         assert rep.final.partition() == frozenset({frozenset({0}), frozenset({1})})
 
     def test_census_depth_one(self, z3, z3_table):
         items = census(z3, 6)
         rep = stabilization_report(items, z3_table, 9)
         assert rep.stabilization_depth == 1
-        assert [lv.split_running for lv in rep.levels] == [True] + [False] * 8
+        assert len(rep.block_counts) == 9
+        assert rep.split_levels == (1,)
 
     def test_single_item(self, z3_table, genus6_vectors):
         v, _ = genus6_vectors
         rep = stabilization_report([v], z3_table, 4)
-        assert all(not lv.split_running for lv in rep.levels)
-        assert all(lv.block_count == 1 for lv in rep.levels)
+        assert rep.split_levels == ()
+        assert rep.block_counts.tolist() == [1] * 4
 
     def test_k_max_validation(self, z3_table, genus6_vectors):
         with pytest.raises(ValueError):
             stabilization_report(list(genus6_vectors), z3_table, 0)
 
+    def test_long_scan_retains_arrays_not_level_records(self):
+        # 200,000 levels on two blocks: what the report keeps is its types,
+        # its ks and one block count per level, not one object per level
+        G = build_cyclic(2)
+        T = character_table(G)
+        items = census(G, 2)
+        stabilization_report(items, T, 2)  # builds what the table caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = stabilization_report(items, T, 200_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.block_counts.tolist() == [2] * 200_000 and rep.split_levels == (1,)
+        assert retained < 15e6, retained
+
     def test_s3_long_scan_consistent(self, s3, s3_table):
         # runs the internal periodicity cross-checks out to 2|G| + 2
         items = census(s3, 2)
         rep = stabilization_report(items, s3_table, 14)
-        assert rep.levels[-1].k == 14
+        assert len(rep.block_counts) == 14 and rep.final.ks[-1] == 14
         assert rep.stabilization_depth <= 6
 
 
@@ -294,12 +309,13 @@ class TestOnePassOracle:
                 items = [v for d in enumerate_branching_data(G, g)
                          for v in enumerate_hurwitz_vectors(G, d, opts)]
                 for k_max in sorted({1, G.order, 2 * G.order + 1}):
-                    final, depth, levels = reference_report(items, T, k_max)
+                    final, depth, counts, splits = reference_report(items, T, k_max)
                     rep = stabilization_report(items, T, k_max)
                     case = (label, g, k_max)
                     assert rep.final == final, case  # items, ks, blocks, types
                     assert rep.stabilization_depth == depth, case
-                    assert list(rep.levels) == levels, case
+                    assert rep.block_counts.tolist() == counts, case
+                    assert list(rep.split_levels) == splits, case
                     if k_max == G.order:
                         CD = canonical_decomposition(items, T)
                         assert CD.final == final, case
@@ -607,6 +623,28 @@ class TestPeriodicityChecksBite:
 
         monkeypatch.setattr(decomposition, "_evaluate", relabelled)
         rep = stabilization_report(items, z3_table, 3)
-        assert [level.block_count for level in rep.levels] == [2, 3, 3]
+        assert rep.block_counts.tolist() == [2, 3, 3]
         with pytest.raises(InternalConsistencyError, match="levels 1 and 4 differ"):
             stabilization_report(items, z3_table, 4)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_a_shift_shared_by_every_block_is_caught(self, monkeypatch, z3_table,
+                                                     genus6_vectors, level):
+        # one character gains 1 at level + |G| on every key alike: every
+        # standalone partition stays as it was, but the shift between levels
+        # level and level + |G| leaves its closed form
+        real_evaluate = decomposition._evaluate
+        k = level + z3_table.group.order
+
+        def shifted(T, ks, g_quot, g, ck):
+            mults = real_evaluate(T, ks, g_quot, g, ck)
+            if k in ks:
+                mults[1, ks.index(k)] += 1
+            return mults
+
+        monkeypatch.setattr(decomposition, "_evaluate", shifted)
+        assert (decompose_at_k(genus6_vectors, z3_table, k).partition()
+                == decompose_at_k(genus6_vectors, z3_table, level).partition())
+        assert stabilization_report(genus6_vectors, z3_table, k - 1).final.block_count == 2
+        with pytest.raises(InternalConsistencyError, match=f"levels {level} and {k} differ"):
+            stabilization_report(genus6_vectors, z3_table, k)
