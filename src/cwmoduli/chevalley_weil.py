@@ -17,23 +17,24 @@ Per vector, _genus_and_key validates in full and returns the genus and the
 sorted branch class key; its generation test is one lookup in the group's
 memo from entry set to whether it generates G, so the subgroup closure runs
 once per entry set per group. Per item list, _class_keys does the same in
-arrays: one array of entry ids per shape, validate's checks as column
-gathers, one generation lookup per distinct sorted entry row, and validate
-itself only on the first failing item, for its error. _level_blocks
-evaluates one (quotient genus, class key) over a sequence of levels, one
-checked integer matrix per _LEVEL_BLOCK levels, with the sums of each class
-built once; _evaluate joins the blocks. decompose, periodicity_delta and the
-cw command evaluate so and file nothing on the table. Only cw_character
-keeps a per-vector memo, (genus, class key, level dict): a repeated query is
-two lookups, and a missing level is evaluated alone and filed in its key's
-dict.
+arrays on the items' integer rows (a hurwitz._VectorRows view: the search's
+own rows for the decompose command, the caller's vectors read into rows
+once for the library): each row is checked once, by validate's checks as
+column gathers and one generation lookup per distinct sorted entry row, and
+validate itself runs only on the first failing item, for its error.
+_level_blocks evaluates one (quotient genus, class key) over a sequence of
+levels, one checked integer matrix per _LEVEL_BLOCK levels, with the sums of
+each class built once; _evaluate joins the blocks. decompose,
+periodicity_delta and the cw command evaluate so and file nothing on the
+table. Only cw_character keeps a per-vector memo, (genus, class key, level
+dict): a repeated query is two lookups, and a missing level is evaluated
+alone and filed in its key's dict.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from .characters import CharacterTable, eigenvalue_counts
 from .errors import InternalConsistencyError
 from .groups import _as_int, _row_groups
-from .hurwitz import HurwitzVector, _entry_rows, _invalid_rows, genus, validate
+from .hurwitz import HurwitzVector, _VectorRows, _invalid_rows, genus, validate
 
 __all__ = [
     "MultiplicityVector",
@@ -89,55 +90,35 @@ def _genus_and_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, Tuple[int,
 _CHUNK = 1 << 14
 
 
-def _shape_runs(items: Sequence[HurwitzVector]) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """The item indices of each shape (g', handle count, branch count), ascending."""
-    n = len(items)
-    if not n:
-        return {}
-    # the items of one shape usually come in runs, one per branching datum
-    try:
-        values = np.fromiter(map(itemgetter(0), items), np.int64, n)
-    except OverflowError:  # no record has that many handles: all such are invalid
-        values = np.fromiter((g if abs(g) < 2 ** 62 else -1 for g in map(itemgetter(0), items)),
-                             np.int64, n)
-    change = values[1:] != values[:-1]
-    for column in (map(len, map(itemgetter(1), items)), map(len, map(itemgetter(2), items))):
-        values = np.fromiter(column, np.int64, n)
-        change |= values[1:] != values[:-1]
-    starts = [0] + (np.flatnonzero(change) + 1).tolist()
-    runs: Dict[Tuple[int, int, int], List[np.ndarray]] = {}
-    for a, b in zip(starts, starts[1:] + [n]):
-        v = items[a]
-        runs.setdefault((v.g_quot, len(v.handles), len(v.branches)), []).append(np.arange(a, b))
-    return {shape: spans[0] if len(spans) == 1 else np.concatenate(spans)
-            for shape, spans in runs.items()}
+def _class_keys(items: _VectorRows, T: CharacterTable) -> Tuple[List[_Key], np.ndarray]:
+    """Validate every item's row in bulk; return the distinct keys and each item's key id.
 
-
-def _class_keys(items: Sequence[HurwitzVector], T: CharacterTable
-                ) -> Tuple[List[_Key], np.ndarray]:
-    """Validate every item in bulk; return the distinct keys and each item's key id.
-
-    A key is (quotient genus, sorted branch class ids). Items are taken by
-    shape (g', handle count, branch count), up to _CHUNK at a time; each
-    step is one array of entry ids, checked by hurwitz._invalid_rows and
-    keyed by one class_of gather and a row sort. If any item fails, validate
-    runs on the failing item of lowest index, so the error is the one a
-    per-item pass raises first.
+    A key is (quotient genus, sorted branch class ids). Rows are taken by
+    shape (g', handle count, width), up to _CHUNK at a time; each step is
+    checked by hurwitz._invalid_rows and keyed by one class_of gather and a
+    row sort. If any row fails, validate runs on the failing item of lowest
+    index, so the error is the one a per-item pass raises first.
     """
-    G, n = T.group, len(items)
+    G = T.group
+    by_shape: Dict[Tuple[int, int, int], List[Tuple[int, np.ndarray]]] = {}
+    n = 0
+    for g_quot, n_handles, rows in items.blocks:
+        by_shape.setdefault((g_quot, n_handles, rows.shape[1]), []).append((n, rows))
+        n += len(rows)
     key_ids: Dict[_Key, int] = {}
     key_of = np.empty(n, dtype=np.int64)
-    worst = n  # the lowest index of an invalid item so far
-    for (g_quot, n_handles, r), members in _shape_runs(items).items():
-        for start in range(0, len(members), _CHUNK):
-            idx = members[start:start + _CHUNK]
-            rows = _entry_rows(G, [items[i] for i in idx.tolist()], n_handles + r)
-            bad = np.flatnonzero(_invalid_rows(G, g_quot, rows, n_handles))
+    worst = n  # the lowest index of an invalid row so far
+    for (g_quot, n_handles, _), parts in by_shape.items():
+        rows = parts[0][1] if len(parts) == 1 else np.concatenate([r for _, r in parts])
+        first = np.concatenate([np.arange(at, at + len(r)) for at, r in parts])
+        for start in range(0, len(rows), _CHUNK):
+            chunk, idx = rows[start:start + _CHUNK], first[start:start + _CHUNK]
+            bad = np.flatnonzero(_invalid_rows(G, g_quot, chunk, n_handles))
             if bad.size:
                 worst = min(worst, int(idx[bad[0]]))
-            if worst < n:  # no key is needed once an item has failed
+            if worst < n:  # no key is needed once a row has failed
                 continue
-            classes = T.classes.class_of[rows[:, n_handles:]]
+            classes = T.classes.class_of[chunk[:, n_handles:]]
             classes.sort(axis=1)
             one, group = _row_groups(classes, T.class_count)
             ids = [key_ids.setdefault((g_quot, tuple(row)), len(key_ids))

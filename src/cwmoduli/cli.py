@@ -24,12 +24,11 @@ import numpy as np
 
 from .characters import (CharacterTable, character_table, rational_character_values)
 from .chevalley_weil import _genus_and_key, _level_blocks
-from .decomposition import stabilization_report
+from .decomposition import _report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
-from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector,
-                      enumerate_branching_data, enumerate_hurwitz_rows,
-                      enumerate_hurwitz_vectors_parallel)
+from .hurwitz import (BranchingData, EnumerationOptions, HurwitzVector, _VectorRows,
+                      enumerate_branching_data, enumerate_hurwitz_rows)
 from .metacyclic import rr_component_lower_bound, schur_multiplier_order
 
 __all__ = ["run", "main", "SCHEMA"]
@@ -163,7 +162,8 @@ def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
 
 
 def _write_lines(out: IO[str], lines: Iterator[str]) -> None:
-    """Write the lines, each ending in a newline, _WRITE_LINES per write call."""
+    """Write the pieces, _WRITE_LINES per write call: lines, each ending in a
+    newline, or the comma-led entries of one long JSON list."""
     while chunk := "".join(islice(lines, _WRITE_LINES)):
         out.write(chunk)
 
@@ -304,29 +304,32 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _enumerate_genus(G: FiniteGroup, args: argparse.Namespace
-                     ) -> Tuple[List[Tuple[BranchingData, int]], Tuple[HurwitzVector, ...]]:
+                     ) -> Tuple[List[Tuple[BranchingData, int]], _VectorRows]:
     """Each branching datum of the genus with its vector count, and all the vectors.
 
-    --cap counts the vectors of all data. Each datum's enumeration may emit
-    only what remains of the cap, possibly nothing, so no vector past the
-    cap is held before EnumerationCapExceeded is raised.
+    The vectors stay the search's integer rows (enumerate_hurwitz_rows);
+    no HurwitzVector is built. --cap counts the vectors of all data. Each
+    datum's enumeration may emit only what remains of the cap, possibly
+    nothing, so no vector past the cap is held before
+    EnumerationCapExceeded is raised.
     """
     counts = []
-    items: List[HurwitzVector] = []
+    blocks = []
     remaining = args.cap
     for data in enumerate_branching_data(G, args.genus):
         opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy,
                                   max_vectors=remaining)
         try:
-            vectors = enumerate_hurwitz_vectors_parallel(G, data, opts)
+            rows = list(enumerate_hurwitz_rows(G, data, opts))
         except EnumerationCapExceeded:
             raise EnumerationCapExceeded(
                 f"genus {args.genus} has more than {args.cap} vectors over all "
                 "its branching data; raise --cap") from None
-        remaining -= len(vectors)
-        counts.append((data, len(vectors)))
-        items.extend(vectors)
-    return counts, tuple(items)
+        count = sum(map(len, rows))
+        remaining -= count
+        counts.append((data, count))
+        blocks.extend((data.g_quot, 2 * data.g_quot, r) for r in rows)
+    return counts, _VectorRows(blocks)
 
 
 def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
@@ -336,21 +339,24 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     k_hi = args.k_max or G.order
     T = character_table(G, k_max=k_hi, g_max=max(g, 2))
     granularity = "orbit" if args.up_to_conjugacy else "raw"
-    result = stabilization_report(items, T, k_hi)
+    result = _report(items, T, k_hi)
     D = result.final
     if args.json:
-        record = {
-            "schema": SCHEMA,
-            "group": G.label,
-            "genus": g,
-            "granularity": granularity,
-            "k_values": list(D.ks),
-            "items": [_vector_record(*v) for v in D.items],
-            "blocks": [{"key": D.types[b].tolist(), "members": list(block)}
-                       for b, block in enumerate(D.blocks)],
-            "stabilization_depth": result.stabilization_depth,
-        }
-        print(json.dumps(record), file=out)
+        # one JSON object, as json.dumps writes it, with its items streamed
+        # from the rows _WRITE_LINES at a time between the fields before and
+        # after them
+        head = {"schema": SCHEMA, "group": G.label, "genus": g,
+                "granularity": granularity, "k_values": list(D.ks)}
+        tail = {"blocks": [{"key": D.types[b].tolist(), "members": list(block)}
+                           for b, block in enumerate(D.blocks)],
+                "stabilization_depth": result.stabilization_depth}
+        records = (json.dumps(_vector_record(g_quot, r[:n_handles], r[n_handles:]))
+                   for g_quot, n_handles, rows in D.items.blocks
+                   for start in range(0, len(rows), _WRITE_LINES)
+                   for r in rows[start:start + _WRITE_LINES].tolist())
+        out.write(json.dumps(head)[:-1] + ', "items": [')
+        _write_lines(out, ((", " if i else "") + record for i, record in enumerate(records)))
+        out.write("], " + json.dumps(tail)[1:] + "\n")
         return
     print(f"group: {G.label}  genus: {g}  granularity: {granularity}", file=out)
     for data, count in counts:
@@ -364,7 +370,10 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
         print(f"block {b}: {len(block)} items", file=out)
         _write_lines(out, (f"  k={k}: ({', '.join(map(str, mults.tolist()))})\n"
                            for k, mults in zip(D.ks, D.types[b])))
-        preview = " ".join(_vector_text(D.items[i], ids) for i in block[:4])
+        # each member's line read from its row, without its indent and newline
+        members = map(D.items.row, block[:4])
+        preview = " ".join(_vector_lines(row[None], n_handles, ids)[2:-1]
+                           for _, n_handles, row in members)
         suffix = " ..." if len(block) > 4 else ""
         print(f"  members: {preview}{suffix}", file=out)
 

@@ -3,6 +3,9 @@
 Items with equal multiplicity vectors at level k share a block of the
 level-k decomposition; the canonical one refines over k = 1..|G|, the limit
 by periodicity, which a scan past |G| asserts in closed form. Items are
+held as integer rows (hurwitz._VectorRows): the library entry points read
+their HurwitzVector arguments into rows once, and the decompose command
+passes the search's rows with no HurwitzVector built. The rows are
 validated and keyed in arrays (chevalley_weil._class_keys), with no memo
 entry per item; each distinct (quotient genus, branch-class multiset) key
 is evaluated once, at all its levels as one integer matrix kept as its
@@ -20,7 +23,7 @@ import numpy as np
 from .characters import CharacterTable
 from .chevalley_weil import _class_keys, _evaluate, _level, _period_shift
 from .errors import InternalConsistencyError
-from .hurwitz import BranchingData, HurwitzVector, genus
+from .hurwitz import BranchingData, HurwitzVector, _row_blocks, _VectorRows, genus
 
 __all__ = [
     "Decomposition",
@@ -36,6 +39,9 @@ __all__ = [
 class Decomposition:
     """A partition of an item sequence, blocks keyed by representation type.
 
+    items is a read-only, lazy view of the Hurwitz vectors as integer rows
+    (one block per run of a shape); indexing and iteration yield
+    HurwitzVectors, and it equals any sequence of the same vectors.
     blocks[b] lists item indices ascending. types is a read-only array,
     blocks x levels x characters: types[b, j] is block b's multiplicity
     vector at level ks[j]. Blocks are ordered by type, lexicographically over
@@ -43,7 +49,7 @@ class Decomposition:
     field, the values of types included.
     """
 
-    items: Tuple[HurwitzVector, ...]
+    items: _VectorRows
     ks: Tuple[int, ...]
     blocks: Tuple[Tuple[int, ...], ...]
     types: np.ndarray
@@ -67,7 +73,7 @@ def _compare(x: np.ndarray, y: np.ndarray) -> int:
     return 0 if not unequal.size else -1 if x.flat[unequal[0]] < y.flat[unequal[0]] else 1
 
 
-def _partition(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...], types: np.ndarray,
+def _partition(items: _VectorRows, ks: Tuple[int, ...], types: np.ndarray,
                block_of: np.ndarray) -> Decomposition:
     """The decomposition whose block b, of type types[b], holds the items i with block_of[i] = b."""
     types.flags.writeable = False
@@ -78,17 +84,15 @@ def _partition(items: Tuple[HurwitzVector, ...], ks: Tuple[int, ...], types: np.
     return Decomposition(items, ks, blocks, types)
 
 
-def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
-               ks: Tuple[int, ...]) -> Decomposition:
+def _decompose(items: _VectorRows, T: CharacterTable, ks: Tuple[int, ...]) -> Decomposition:
     """Partition items by their multiplicity vectors at every level in ks.
 
     Items sharing a quotient genus and a multiset of branch classes share
-    their multiplicities. So the items are validated and keyed in bulk, and
+    their multiplicities. So the rows are validated and keyed in bulk, and
     each distinct key is evaluated once, at all levels of ks together, into
     one array in the smallest signed dtype that holds the dimension at the
     largest level. No level record is filed in T.
     """
-    items = tuple(items)
     keys, key_of = _class_keys(items, T)
     # the genus depends only on the key, through the branch orders
     order_of = [T.group.elem_order(x) for x in T.classes.representatives]
@@ -116,7 +120,8 @@ def _decompose(items: Sequence[HurwitzVector], T: CharacterTable,
 def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
                    k: int) -> Decomposition:
     """Partition items by their level-k multiplicity vector."""
-    return _decompose(items, T, (_level(k),))
+    k = _level(k)
+    return _decompose(_VectorRows(_row_blocks(items)), T, (k,))
 
 
 def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
@@ -181,6 +186,11 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
     shift is the same on every block, so only levels 1..|G| are numbered.
     """
     k_max = _level(k_max)
+    return _report(_VectorRows(_row_blocks(items)), T, k_max)
+
+
+def _report(items: _VectorRows, T: CharacterTable, k_max: int) -> StabilizationReport:
+    """stabilization_report on a row view, such as the decompose command's search rows."""
     order = T.group.order
     final = _decompose(items, T, tuple(range(1, k_max + 1)))
     types = final.types

@@ -28,13 +28,20 @@ that fix the prefix so far can still decide; those are the centralizer
 C_G(H) of the prefix's span. So placing x is pruned iff some h in C_G(H) has
 h x h^-1 < x, which reads one more table filled as pairs are reached, the
 least such conjugate of x per (span, x).
+
+_VectorRows holds vectors as such integer rows, a block per run of one
+shape, and builds a HurwitzVector only when one is read. The decompositions
+keep their items in it: the decompose command the search's own rows, the
+library the rows of its vector arguments (_row_blocks).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, groupby, repeat
+from operator import add, eq, itemgetter
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -155,22 +162,21 @@ def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     return v
 
 
-def _entry_rows(G: FiniteGroup, vectors: Sequence[HurwitzVector], width: int) -> np.ndarray:
+def _entry_rows(vectors: Sequence[HurwitzVector], width: int) -> np.ndarray:
     """The entries of vectors of width entries each: one int64 row per vector.
 
-    Handles come first, then branches, as in validate. An entry beyond int64
-    is no element id either, and reads as -1.
+    Handles come first, then branches, as in validate. If an entry is beyond
+    int64 (so no element id either), the rows are an object array of the
+    entries as given, so the vector read back from its row is the same.
     """
     def entries() -> Iterator[int]:
         return chain.from_iterable(map(add, map(itemgetter(1), vectors),
                                        map(itemgetter(2), vectors)))
 
-    count = len(vectors) * width
     try:
-        flat = np.fromiter(entries(), np.int64, count)
+        flat = np.fromiter(entries(), np.int64, len(vectors) * width)
     except OverflowError:
-        flat = np.fromiter((x if 0 <= x < G.order else -1 for x in entries()),
-                           np.int64, count)
+        flat = np.array(list(entries()), dtype=object)
     return flat.reshape(len(vectors), width)
 
 
@@ -178,18 +184,21 @@ def _invalid_rows(G: FiniteGroup, g_quot: int, entries: np.ndarray,
                   n_handles: int) -> np.ndarray:
     """validate's checks on many vectors of one shape at once.
 
-    entries is an integer matrix, one row per vector: its n_handles handle
-    entries, then its branch entries. Returns a mask of the rows that
-    validate rejects. The relation is a column gather through the table per
-    entry, and generation is one groups.generates call per distinct sorted
-    entry row, so the closure still runs once per entry set per group.
+    entries is a matrix of integers (an object array if one is beyond int64),
+    one row per vector: its n_handles handle entries, then its branch
+    entries. Returns a mask of the rows that validate rejects. The relation
+    is a column gather through the table per entry, and generation is one
+    groups.generates call per distinct sorted entry row, so the closure
+    still runs once per entry set per group.
     """
     if n_handles != 2 * g_quot:
         return np.ones(len(entries), dtype=bool)
     n, identity = G.order, G.identity
     bad = ((entries < 0) | (entries >= n)).any(axis=1)
-    if bad.any():  # numpy reads a negative index from the end: gather only ids
-        entries = np.where(bad[:, None], identity, entries)
+    if bad.any():
+        # gather only ids: numpy reads a negative index from the end, and no
+        # index from an object array (rows with an entry beyond int64)
+        entries = np.where(bad[:, None], identity, entries).astype(np.int64)
     bad |= (entries[:, n_handles:] == identity).any(axis=1)
     mul, inv = G.mul_table, G.inv_table
     prod = np.full(len(entries), identity)
@@ -548,12 +557,85 @@ def _row_tuples(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
     return zip(*rows.T.tolist()) if rows.shape[1] else repeat((), len(rows))
 
 
-def _row_vectors(g_quot: int, rows: np.ndarray) -> Iterator[HurwitzVector]:
+def _row_vectors(g_quot: int, n_handles: int, rows: np.ndarray) -> Iterator[HurwitzVector]:
     """The HurwitzVector of each row of entries, built in bulk and unchecked."""
-    n_handles = 2 * g_quot
     return map(tuple.__new__, repeat(HurwitzVector),
                zip(repeat(g_quot), _row_tuples(rows[:, :n_handles]),
                    _row_tuples(rows[:, n_handles:])))
+
+
+# a block of vectors of one shape: quotient genus, handle count, and an
+# integer matrix with one row of entries per vector, handles first
+_Rows = Tuple[int, int, np.ndarray]
+
+
+def _row_blocks(vectors: Iterable[HurwitzVector]) -> List[_Rows]:
+    """The vectors as row blocks, one per run of one shape, in order (see _entry_rows).
+
+    The shape is (g', handle count, branch count), read off each record
+    as it stands, so an invalid record is kept as it is for validate.
+    """
+    runs = groupby(vectors, key=lambda v: (v.g_quot, len(v.handles), len(v.branches)))
+    return [(g_quot, n_handles, _entry_rows(list(run), n_handles + r))
+            for (g_quot, n_handles, r), run in runs]
+
+
+class _VectorRows(SequenceABC):
+    """Hurwitz vectors held as integer rows: a read-only, lazy sequence view.
+
+    blocks holds (quotient genus, handle count, rows) triples, rows a
+    read-only matrix with one vector's entries per row, handles first.
+    Reading an item builds its HurwitzVector, unchecked. Consecutive blocks
+    of one shape are joined and empty ones dropped, so two views of the
+    same vectors hold equal blocks: views compare block by block, and a view
+    equals any other sequence of the same vectors.
+    """
+
+    __slots__ = ("blocks", "_ends")
+
+    def __init__(self, blocks: Iterable[_Rows]):
+        nonempty = (block for block in blocks if len(block[2]))
+        runs = groupby(nonempty, key=lambda block: (*block[:2], block[2].shape[1]))
+        self.blocks: Tuple[_Rows, ...] = tuple(
+            (g_quot, n_handles, _joined([rows for _, _, rows in run]))
+            for (g_quot, n_handles, _), run in runs)
+        self._ends = list(accumulate(len(rows) for _, _, rows in self.blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def row(self, i: int) -> _Rows:
+        """(quotient genus, handle count, entries) of item i, read from its block."""
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"item {i} of {n}")
+        i %= n
+        b = bisect_right(self._ends, i)
+        g_quot, n_handles, rows = self.blocks[b]
+        return g_quot, n_handles, rows[i - self._ends[b] + len(rows)]
+
+    def __getitem__(self, i: int) -> HurwitzVector:
+        g_quot, n_handles, row = self.row(i)
+        return next(_row_vectors(g_quot, n_handles, row[None]))
+
+    def __iter__(self) -> Iterator[HurwitzVector]:
+        return chain.from_iterable(_row_vectors(*block) for block in self.blocks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _VectorRows):
+            return len(self.blocks) == len(other.blocks) and all(
+                a[:2] == b[:2] and np.array_equal(a[2], b[2])
+                for a, b in zip(self.blocks, other.blocks))
+        if isinstance(other, SequenceABC) and not isinstance(other, str):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The rows of the parts as one read-only matrix; a lone part is viewed, not copied."""
+    rows = np.concatenate(parts) if len(parts) > 1 else parts[0].view()
+    rows.flags.writeable = False
+    return rows
 
 
 def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
@@ -571,7 +653,7 @@ def enumerate_hurwitz_vectors(G: FiniteGroup, data: BranchingData,
     the first vector past the cap.
     """
     for rows in enumerate_hurwitz_rows(G, data, opts):
-        yield from _row_vectors(data.g_quot, rows)
+        yield from _row_vectors(data.g_quot, 2 * data.g_quot, rows)
 
 
 def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,
@@ -579,8 +661,9 @@ def enumerate_hurwitz_vectors_parallel(G: FiniteGroup, data: BranchingData,
                                        ) -> List[HurwitzVector]:
     """The vectors of enumerate_hurwitz_vectors, as a list.
 
-    Enumeration is serial; this name stays because it is exported in
-    __all__, and because the benchmark's traced run times enumeration by
-    wrapping it by name (bench/tracing.py).
+    No command calls it: hurwitz-enumerate and decompose read the rows of
+    enumerate_hurwitz_rows. Its callers are the tests and the benchmark's
+    traced run, which times enumeration by wrapping it by name
+    (bench/tracing.py); it stays exported in __all__.
     """
     return list(enumerate_hurwitz_vectors(G, data, opts))

@@ -17,7 +17,11 @@ import pytest
 
 from cwmoduli import (
     CwModuliError,
+    EnumerationOptions,
     HurwitzVector,
+    NotGenerating,
+    OrderViolation,
+    RelationViolation,
     character_table,
     chevalley_weil,
     cli,
@@ -27,6 +31,7 @@ from cwmoduli import (
     genus,
     group_from_spec,
     run,
+    stabilization_report,
     validate,
 )
 from cwmoduli.cli import SCHEMA, _id_strings, _vector_lines, _vector_text, main
@@ -509,14 +514,14 @@ class TestExitCodes:
     def test_decompose_cap_bounds_the_whole_genus(self, monkeypatch):
         # cyclic:3 genus 6 holds 86 + 90 + 162 = 338 vectors
         import cwmoduli.cli as cli
-        original = cli.enumerate_hurwitz_vectors_parallel
+        original = cli.enumerate_hurwitz_rows
         caps = []
 
         def recording(G, data, opts):
             caps.append(opts.max_vectors)
             return original(G, data, opts)
 
-        monkeypatch.setattr(cli, "enumerate_hurwitz_vectors_parallel", recording)
+        monkeypatch.setattr(cli, "enumerate_hurwitz_rows", recording)
         code, out, err = invoke("decompose", group="cyclic:3", genus=6, cap=200)
         assert (code, out) == (1, "")
         assert err == ("error: genus 6 has more than 200 vectors over all its "
@@ -903,3 +908,145 @@ class TestCwOneEvaluation:
         # JSON lines do; one row held per level would grow the peak fivefold
         peaks, _ = self.peaks_and_sizes([])
         assert peaks[20_000] < 2 * peaks[cli._WRITE_LINES]
+
+
+class TestDecomposeFromRows:
+    """decompose keys the search's integer rows, builds no HurwitzVector, and
+    still checks every row; the library's vector path is the oracle."""
+
+    @staticmethod
+    def bad_row(kind, G, row):
+        """A g' = 0 row that fails validate's check of that kind alone.
+
+        row is a valid g' = 0 row. Its last entry swapped for another of the
+        same order breaks the relation; the identity joined in front breaks
+        only the order check; an involution twice spans a proper subgroup.
+        """
+        last = int(row[-1])
+        if kind == "relation":
+            other = next(x for x in G.elements()
+                         if x != last and G.elem_order(x) == G.elem_order(last))
+            return np.append(row[:-1], other)
+        if kind == "identity branch":
+            return np.insert(row, 0, G.identity)
+        involution = next(x for x in G.elements() if G.elem_order(x) == 2)
+        return np.array([involution, involution])
+
+    @pytest.mark.parametrize("kind, error", [
+        ("relation", RelationViolation),
+        ("identity branch", OrderViolation),
+        ("not generating", NotGenerating),
+    ])
+    def test_a_bad_search_row_is_a_domain_error(self, monkeypatch, kind, error):
+        # the row source yields one bad row after the first datum's rows;
+        # decompose must reject it and print nothing
+        G = group_from_spec("metacyclic:3,2,2")
+        real = cli.enumerate_hurwitz_rows
+        injected = []
+
+        def source(G, data, opts):
+            blocks = list(real(G, data, opts))
+            if not injected and data.g_quot == 0 and blocks:
+                injected.append(self.bad_row(kind, G, blocks[0][0]))
+                blocks.append(injected[0][None].astype(blocks[0].dtype))
+            return iter(blocks)
+
+        monkeypatch.setattr(cli, "enumerate_hurwitz_rows", source)
+        for flags in ({}, {"up_to_conjugacy": True}):
+            injected.clear()
+            code, out, err = invoke("decompose", group="metacyclic:3,2,2", genus=4, **flags)
+            v = HurwitzVector(0, (), injected[0].tolist())
+            with pytest.raises(error) as exc:
+                validate(v, G)
+            assert (code, out, err) == (1, "", f"error: {exc.value}\n"), (kind, flags)
+
+    @pytest.mark.parametrize("flags", [{}, {"up_to_conjugacy": True}], ids=["raw", "orbit"])
+    def test_every_search_row_is_checked_once_in_bulk(self, monkeypatch, flags,
+                                                      checked_rows, validate_calls):
+        emitted = Counter()
+        real = cli.enumerate_hurwitz_rows
+
+        def recording(G, data, opts):
+            for rows in real(G, data, opts):
+                emitted.update((data.g_quot, tuple(row)) for row in rows.tolist())
+                yield rows
+
+        monkeypatch.setattr(cli, "enumerate_hurwitz_rows", recording)
+        code, out, _ = invoke("decompose", group="metacyclic:3,2,2", genus=6, **flags)
+        assert code == 0 and f"items: {sum(emitted.values())}\n" in out
+        assert len(emitted) > 100 and set(emitted.values()) == {1}
+        assert checked_rows == emitted
+        assert validate_calls == Counter()  # validate runs only on a failing row
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["raw", "orbit"])
+    def test_row_report_matches_the_vector_report(self, catalog, monkeypatch, orbits):
+        # the report decompose builds from the search rows, against
+        # stabilization_report on the vectors of enumerate_hurwitz_vectors
+        monkeypatch.setattr(cli, "group_from_spec", dict(catalog).__getitem__)
+        reports = []
+        real = cli._report
+
+        def recording(items, T, k_max):
+            reports.append((T, real(items, T, k_max)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(cli, "_report", recording)
+        opts = EnumerationOptions(up_to_conjugacy=orbits)
+        compared = 0
+        for label, G in catalog:
+            for g in range(2, 6):
+                reports.clear()
+                code, _, err = invoke("decompose", group=label, genus=g, up_to_conjugacy=orbits)
+                assert (code, err) == (0, ""), (label, g)
+                (T, rep), = reports
+                vectors = [v for d in enumerate_branching_data(G, g)
+                           for v in enumerate_hurwitz_vectors(G, d, opts)]
+                want = stabilization_report(vectors, T, G.order)
+                case = (label, g)
+                assert rep.final.items == vectors, case
+                assert rep.final.ks == want.final.ks, case
+                assert rep.final.blocks == want.final.blocks, case
+                assert np.array_equal(rep.final.types, want.final.types), case
+                assert rep == want, case
+                compared += len(vectors)
+        assert compared > 1000
+
+    def test_json_streams_its_items_from_the_rows(self):
+        # one record, as json.dumps writes it, whose items are the vectors
+        code, out, _ = invoke("decompose", group="cyclic:3", genus=6, json=True)
+        record = json.loads(out)
+        assert code == 0 and out == json.dumps(record) + "\n"
+        G = group_from_spec("cyclic:3")
+        assert record["items"] == [cli._vector_record(*v) for d in enumerate_branching_data(G, 6)
+                                   for v in enumerate_hurwitz_vectors(G, d)]
+        # the items are written a chunk at a time, not held as a list of
+        # records, which peaked at nine times the output
+        argv = ["decompose", "--json", "--group", "metacyclic:4,2,3", "--genus", "9",
+                "--up-to-conjugacy"]
+        assert run(argv[:4] + ["--genus", "3"], out=_Sink()) == 0  # imports and first-use caches
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            assert run(argv, out=sink) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 10 ** 6 and peak < 3 * sink.size, (peak, sink.size)
+
+    def test_peak_memory_at_504000_items(self):
+        # 504,000 orbit representatives: the CI digest, within 120 MB; one
+        # HurwitzVector per item took the command to 155 MB
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import resource, sys\n"
+             "from cwmoduli.cli import main\n"
+             "code = main()\n"
+             "sys.stdout.flush()\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)\n"
+             "sys.exit(code)",
+             "decompose", "--group", "abelian:2,2,2,2", "--genus", "9", "--up-to-conjugacy"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "e971b275e7cb9fdab3bf31cdf925801b7a870229bab3b70bbab84f6041937088")
+        assert int(proc.stderr) <= 120, int(proc.stderr)

@@ -648,3 +648,74 @@ class TestPeriodicityChecksBite:
         assert stabilization_report(genus6_vectors, z3_table, k - 1).final.block_count == 2
         with pytest.raises(InternalConsistencyError, match=f"levels {level} and {k} differ"):
             stabilization_report(genus6_vectors, z3_table, k)
+
+
+class TestVectorRows:
+    """Decomposition.items: a read-only, lazy view of the vectors as integer rows."""
+
+    @staticmethod
+    def search_rows(G, g):
+        """The view the decompose command builds: one block per search block."""
+        return hurwitz._VectorRows(
+            (d.g_quot, 2 * d.g_quot, rows)
+            for d in enumerate_branching_data(G, g)
+            for rows in hurwitz.enumerate_hurwitz_rows(G, d))
+
+    def test_reads_like_the_vectors(self, s3):
+        items = census(s3, 4)
+        view = decompose_at_k(items, character_table(s3), 1).items
+        assert len(view) == len(items) and list(view) == items
+        assert [view[i] for i in range(len(items))] == items
+        assert all(type(v) is HurwitzVector for v in view)
+        assert view[-1] == items[-1] and view[-len(items)] == items[0]
+        assert view.index(items[5]) == 5 and items[7] in view
+        for i in (len(items), -len(items) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+
+    def test_equality_is_by_value(self, s3):
+        items = census(s3, 4)
+        view = decompose_at_k(items, character_table(s3), 1).items
+        assert view == items and items == view and view == tuple(items)
+        assert view != items[:-1] and view != items[::-1] and view != "abc"
+        assert view != items[:-1] + [HurwitzVector(0, (), (1, 1))]
+        # search blocks (int8, several per datum) against the vectors' runs (int64)
+        rows = self.search_rows(s3, 4)
+        assert rows == view and rows.blocks[0][2].dtype != view.blocks[0][2].dtype
+        assert [b[:2] for b in rows.blocks] == [b[:2] for b in view.blocks]
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_blocks_of_one_shape_are_joined(self, s3):
+        G, g = s3, 4
+        pieces = [(d.g_quot, 2 * d.g_quot, rows[i:i + 5])
+                  for d in enumerate_branching_data(G, g)
+                  for rows in hurwitz.enumerate_hurwitz_rows(G, d)
+                  for i in range(0, len(rows) + 5, 5)]  # empty pieces too
+        view = hurwitz._VectorRows(pieces)
+        assert view == self.search_rows(G, g) == census(G, g)
+        shapes = [(g_quot, n_handles, rows.shape[1]) for g_quot, n_handles, rows in view.blocks]
+        assert len(set(shapes)) == len(shapes) and all(len(b[2]) for b in view.blocks)
+
+    def test_rows_are_read_only_and_the_callers_stay_writeable(self, s3):
+        blocks = [(0, 0, np.array([[1, 1, 1, 3]], dtype=np.int8))]
+        view = hurwitz._VectorRows(blocks)
+        with pytest.raises(ValueError):
+            view.blocks[0][2][0, 0] = 2
+        blocks[0][2][0, 0] = 5
+        assert view[0] == HurwitzVector(0, (), (5, 1, 1, 3))  # a view, not a copy
+        D = decompose_at_k(census(s3, 3), character_table(s3), 2)
+        with pytest.raises(ValueError):
+            D.items.blocks[0][2][0, 0] = 0
+
+    def test_refine_and_equality_across_the_two_paths(self, s3, s3_table):
+        # the command's rows and the library's vectors give equal decompositions
+        items = census(s3, 4)
+        for k in (1, 2, 5):
+            from_rows = decomposition._decompose(self.search_rows(s3, 4), s3_table, (k,))
+            assert from_rows == decompose_at_k(items, s3_table, k)
+        D1 = decomposition._decompose(self.search_rows(s3, 4), s3_table, (1,))
+        D2 = decompose_at_k(items, s3_table, 2)
+        assert refine(D1, D2) == refine(decompose_at_k(items, s3_table, 1), D2)
+        with pytest.raises(ValueError, match="different item sequences"):
+            refine(D1, decompose_at_k(items[:-1], s3_table, 2))
