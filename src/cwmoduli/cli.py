@@ -8,6 +8,8 @@ namespace, and every parse error (missing or malformed flag, unknown command)
 becomes one `usage error: ...` line on err. Exit codes: 0 success, 1 domain
 error, 2 usage error. Output is byte-identical for identical inputs; --seed
 is accepted and changes nothing.
+Every integer row printed, text or JSON, is rendered by _lines from tables
+of value strings; padded tables (group-info, cw) go through _table_line.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import chain, islice
-from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import groupby, islice
+from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .characters import (CharacterTable, character_table, rational_character_values)
-from .chevalley_weil import _genus_and_key, _level_blocks
+from .chevalley_weil import _LEVEL_BLOCK, _genus_and_key, _level_blocks
 from .decomposition import _report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
@@ -38,9 +40,8 @@ SCHEMA = "cw-moduli/1"
 # Past this many irreducible characters, text tables degrade to JSON lines.
 TEXT_TABLE_LIMIT = 20
 
-# hurwitz-enumerate and cw --json join at most this many lines per write
-# call: an in-memory stream such as io.StringIO keeps one object per write
-# until it is read, so line-by-line writes hold one string per line
+# lines per write and per _lines call, at most: an in-memory stream such as
+# io.StringIO keeps one object per write until it is read
 _WRITE_LINES = 4096
 
 
@@ -109,41 +110,52 @@ def _vector_record(g_quot: int, handles: Sequence[int], branches: Sequence[int])
             "handles": list(handles), "branches": list(branches)}
 
 
-# what follows an entry of a vector line: another entry, the end of the
-# handles, the end of the line, or the end of a line with no branch entries
-_SEPARATORS = (" ", " ; ", ")\n", " ; )\n")
+# stands in for each entry of a template record: entries, levels and g_quot are nonnegative
+_ENTRY = -1
 
 
-def _id_strings(n: int) -> Dict[str, np.ndarray]:
-    """Per separator, the object array of each element id x < n as text, then it."""
-    ids = np.array([str(x) for x in range(n)], dtype=object)
-    return {sep: ids + sep for sep in _SEPARATORS}
+def _separators(template: str) -> List[str]:
+    """The seps of _lines for records like template, whose entries are _ENTRY."""
+    return template.split(str(_ENTRY))
 
 
-def _vector_lines(rows: np.ndarray, n_handles: int, ids: Dict[str, np.ndarray]) -> str:
-    """The text lines of the vectors whose entries are the rows, as one string.
+def _vector_templates(g_quot: int, n_branches: int) -> Tuple[str, dict]:
+    """The text "(a_1 b_1 ... ; c_1 ... c_r)" and the _vector_record of a template vector."""
+    handles, branches = [_ENTRY] * (2 * g_quot), [_ENTRY] * n_branches
+    return (f"({' '.join(map(str, handles))} ; {' '.join(map(str, branches))})",
+            _vector_record(g_quot, handles, branches))
 
-    Each line is two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"; ids is
-    _id_strings of the group. Every entry is one gather from ids, and the
-    whole block is one join.
+
+def _texts(values: Iterable[int]) -> Callable[[str], np.ndarray]:
+    """Per separator, the object array of each value's text with it joined on, built once."""
+    strings = np.array(list(map(str, values)), dtype=object)
+    return functools.cache(lambda sep: strings + sep)
+
+
+def _lines(rows: np.ndarray, seps: Sequence[str],
+           texts: Optional[Callable[[str], np.ndarray]] = None) -> str:
+    """The integer rows as text, one string: per row seps[0], then entry j and seps[j + 1].
+
+    Entries are positions in texts, such as element ids, else in the _texts of
+    min..max if they use its values twice on average, else %-formatted by row.
+    Each run of columns that share a separator is one gather, and the rows
+    one join.
     """
-    count, width = rows.shape
-    if not width:
-        return "  ( ; )\n" * count
-    seps = [" "] * width
-    if n_handles:
-        seps[n_handles - 1] = " ; "
-    seps[-1] = ")\n" if width > n_handles else " ; )\n"
-    tokens = np.empty((count, width + 1), dtype=object)
-    tokens[:, 0] = "  (" if n_handles else "  ( ; "
-    for j, sep in enumerate(seps):
-        tokens[:, j + 1] = ids[sep][rows[:, j]]
+    if texts is None:  # an empty block, or an object array, takes the format
+        lo, hi = ((int(rows.min()), int(rows.max())) if rows.size and rows.dtype != object
+                  else (0, rows.size))
+        if 2 * (hi - lo + 1) > rows.size:
+            row_format = "%d".join(sep.replace("%", "%%") for sep in seps)
+            return "".join([row_format % row for row in map(tuple, rows.tolist())])
+        texts, rows = _texts(range(lo, hi + 1)), np.subtract(rows, lo, dtype=np.intp)
+    tokens = np.empty((len(rows), len(seps)), dtype=object)
+    tokens[:, 0] = seps[0]
+    j = 0
+    for sep, run in groupby(seps[1:]):
+        n = len(list(run))
+        tokens[:, j + 1:j + 1 + n] = texts(sep)[rows[:, j:j + n]]
+        j += n
     return "".join(tokens.ravel().tolist())
-
-
-def _vector_text(v: HurwitzVector, ids: Dict[str, np.ndarray]) -> str:
-    """One vector's text line, without its indent and newline."""
-    return _vector_lines(np.array([v.entries], dtype=np.intp), len(v.handles), ids)[2:-1]
 
 
 def _data_line(data: BranchingData, count: int) -> str:
@@ -151,21 +163,14 @@ def _data_line(data: BranchingData, count: int) -> str:
     return f"branching data g_quot={data.g_quot} orders=[{orders}]: {count} vectors"
 
 
-def _table_line(cells: Sequence[str], widths: Sequence[int]) -> str:
-    return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
+def _table_line(cells: Sequence, widths: Sequence[int]) -> str:
+    return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
 
 
 def _format_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     return [_table_line(row, widths) for row in [headers, *rows]]
-
-
-def _write_lines(out: IO[str], lines: Iterator[str]) -> None:
-    """Write the pieces, _WRITE_LINES per write call: lines, each ending in a
-    newline, or the comma-led entries of one long JSON list."""
-    while chunk := "".join(islice(lines, _WRITE_LINES)):
-        out.write(chunk)
 
 
 def _character_cell(T: CharacterTable, rho: int, cls: int, val: Optional[int]) -> str:
@@ -233,9 +238,8 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     """Render each datum as soon as it is enumerated; only its rows are held.
 
     The rows of a datum are its entry blocks from enumerate_hurwitz_rows.
-    Text vector lines come from _vector_lines; --json lines are the records
-    decompose --json writes. Lines are written _WRITE_LINES at a time, so no
-    string of the whole datum is built.
+    Its text lines or --json records are _lines of _WRITE_LINES rows at a
+    time, gathered from one id table per command.
     """
     G = group_from_spec(args.group)
     opts = EnumerationOptions(up_to_conjugacy=args.up_to_conjugacy, max_vectors=args.cap)
@@ -245,27 +249,25 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
     if not args.json:
         print(f"group: {G.label}  genus: {args.genus}  "
               f"granularity: {'orbit' if args.up_to_conjugacy else 'raw'}", file=out)
-    ids = _id_strings(G.order)
+    ids = _texts(range(G.order))
     for data in branching:
         blocks = list(enumerate_hurwitz_rows(G, data, opts))
         count = sum(map(len, blocks))
         total += count
-        g_quot, n_handles = data.g_quot, 2 * data.g_quot
-        if not args.json:
+        text, record = _vector_templates(data.g_quot, len(data.branch_orders))
+        if args.json:
+            print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
+                              "g_quot": data.g_quot, "branch_orders": list(data.branch_orders),
+                              "count": count}), file=out)
+            seps = _separators(json.dumps(dict(record, kind="hurwitz-vector")) + "\n")
+        else:
             print(_data_line(data, count), file=out)
-            for rows in blocks:
-                for start in range(0, len(rows), _WRITE_LINES):
-                    out.write(_vector_lines(rows[start:start + _WRITE_LINES], n_handles, ids))
-            continue
-        print(json.dumps({"schema": SCHEMA, "kind": "branching-data",
-                          "g_quot": g_quot, "branch_orders": list(data.branch_orders),
-                          "count": count}), file=out)
-        _write_lines(out, (json.dumps(dict(_vector_record(g_quot, r[:n_handles], r[n_handles:]),
-                                           kind="hurwitz-vector")) + "\n"
-                           for rows in blocks for r in rows.tolist()))
+            seps = _separators(f"  {text}\n")
+        for rows in blocks:
+            for start in range(0, len(rows), _WRITE_LINES):
+                out.write(_lines(rows[start:start + _WRITE_LINES], seps, ids))
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}),
-              file=out)
+        print(json.dumps({"schema": SCHEMA, "kind": "total", "count": total}), file=out)
     else:
         print(f"total: {total}", file=out)
 
@@ -273,10 +275,10 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
 def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
     """One row per level of --k, evaluated block by block; lines go out as they come.
 
-    JSON lines need one pass. The text table needs its column widths first:
-    a first pass over the levels runs every check and keeps only each
-    column's largest entry, so an error writes nothing, and a second pass
-    prints the rows.
+    JSON lines are _lines of rows [k, mults...]. The text table needs its
+    column widths first: a first pass over the levels runs every check and
+    keeps each column's largest entry, so an error writes nothing, and a
+    second pass pads the rows with _table_line.
     """
     G = group_from_spec(args.group)
     k_lo, k_hi = args.k or (1, G.order)
@@ -287,20 +289,25 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
     g, class_key = _genus_and_key(v, T)
     ks = range(k_lo, k_hi + 1)
     blocks = functools.partial(_level_blocks, T, ks, v.g_quot, g, class_key)
-    levels = zip(ks, chain.from_iterable(block.T.tolist() for block in blocks()))
     if args.json or T.class_count > TEXT_TABLE_LIMIT:
-        _write_lines(out, (json.dumps({"schema": SCHEMA, "k": k, "mults": mults}) + "\n"
-                           for k, mults in levels))
-        return
-    # multiplicities are nonnegative, so a column's widest entry is its largest
-    top = functools.reduce(np.maximum, (block.max(axis=1) for block in blocks()))
-    headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
-    widths = [max(len(h), len(str(x))) for h, x in zip(headers, [k_hi, *top.tolist()])]
-    print(f"group: {G.label}  vector: {_vector_text(v, _id_strings(G.order))}  genus: {g}",
-          file=out)
-    print(_table_line(headers, widths), file=out)
-    _write_lines(out, (_table_line([str(k), *map(str, mults)], widths) + "\n"
-                       for k, mults in levels))
+        seps = _separators(json.dumps({"schema": SCHEMA, "k": _ENTRY,
+                                       "mults": [_ENTRY] * T.class_count}) + "\n")
+        lines = (_lines(np.column_stack([np.array(range(k, k + block.shape[1])), block.T]), seps)
+                 for k, block in zip(ks[::_LEVEL_BLOCK], blocks()))
+    else:
+        # multiplicities are nonnegative, so a column's widest entry is its largest
+        top = functools.reduce(np.maximum, (block.max(axis=1) for block in blocks()))
+        headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
+        widths = [max(len(h), len(str(x))) for h, x in zip(headers, [k_hi, *top.tolist()])]
+        vector = _lines(np.array([v.entries], dtype=np.intp),
+                        _separators(_vector_templates(v.g_quot, len(v.branches))[0]))
+        print(f"group: {G.label}  vector: {vector}  genus: {g}", file=out)
+        print(_table_line(headers, widths), file=out)
+        lines = ("".join(_table_line([k, *mults], widths) + "\n"
+                         for k, mults in enumerate(block.T.tolist(), start))
+                 for start, block in zip(ks[::_LEVEL_BLOCK], blocks()))
+    while text := "".join(islice(lines, _WRITE_LINES // _LEVEL_BLOCK)):
+        out.write(text)
 
 
 def _enumerate_genus(G: FiniteGroup, args: argparse.Namespace
@@ -341,21 +348,22 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     granularity = "orbit" if args.up_to_conjugacy else "raw"
     result = _report(items, T, k_hi)
     D = result.final
+    ids = _texts(range(G.order))
     if args.json:
-        # one JSON object, as json.dumps writes it, with its items streamed
-        # from the rows _WRITE_LINES at a time between the fields before and
-        # after them
+        # one JSON object, as json.dumps writes it, its items streamed from the
+        # rows between the fields before and after them, less the first ", "
         head = {"schema": SCHEMA, "group": G.label, "genus": g,
                 "granularity": granularity, "k_values": list(D.ks)}
         tail = {"blocks": [{"key": D.types[b].tolist(), "members": list(block)}
                            for b, block in enumerate(D.blocks)],
                 "stabilization_depth": result.stabilization_depth}
-        records = (json.dumps(_vector_record(g_quot, r[:n_handles], r[n_handles:]))
+        records = (_lines(rows[start:start + _WRITE_LINES], _separators(", " + json.dumps(
+                       _vector_templates(g_quot, rows.shape[1] - n_handles)[1])), ids)
                    for g_quot, n_handles, rows in D.items.blocks
-                   for start in range(0, len(rows), _WRITE_LINES)
-                   for r in rows[start:start + _WRITE_LINES].tolist())
-        out.write(json.dumps(head)[:-1] + ', "items": [')
-        _write_lines(out, ((", " if i else "") + record for i, record in enumerate(records)))
+                   for start in range(0, len(rows), _WRITE_LINES))
+        out.write(json.dumps(head)[:-1] + ', "items": [' + next(records, ", ")[2:])
+        for text in records:
+            out.write(text)
         out.write("], " + json.dumps(tail)[1:] + "\n")
         return
     print(f"group: {G.label}  genus: {g}  granularity: {granularity}", file=out)
@@ -365,38 +373,29 @@ def _cmd_decompose(args: argparse.Namespace, out: IO[str]) -> None:
     print(f"levels refined: 1..{k_hi}", file=out)
     print(f"stabilization depth: {result.stabilization_depth}", file=out)
     print(f"blocks: {D.block_count}", file=out)
-    ids = _id_strings(G.order)
+    k_seps = _separators(f"  k={_ENTRY}: ({', '.join([str(_ENTRY)] * T.class_count)})\n")
     for b, block in enumerate(D.blocks):
         print(f"block {b}: {len(block)} items", file=out)
-        _write_lines(out, (f"  k={k}: ({', '.join(map(str, mults.tolist()))})\n"
-                           for k, mults in zip(D.ks, D.types[b])))
-        # each member's line read from its row, without its indent and newline
-        members = map(D.items.row, block[:4])
-        preview = " ".join(_vector_lines(row[None], n_handles, ids)[2:-1]
-                           for _, n_handles, row in members)
-        suffix = " ..." if len(block) > 4 else ""
-        print(f"  members: {preview}{suffix}", file=out)
+        for start in range(0, len(D.ks), _WRITE_LINES):
+            mults = D.types[b, start:start + _WRITE_LINES]
+            out.write(_lines(np.column_stack([D.ks[start:start + len(mults)], mults]), k_seps))
+        # the first four members, " (...)" each, one _lines per run of a shape
+        members = groupby(map(D.items.row, block[:4]), key=lambda m: (m[0], len(m[2]) - m[1]))
+        preview = "".join(_lines(np.array([row for _, _, row in run]),
+                                 _separators(f" {_vector_templates(*shape)[0]}"), ids)
+                          for shape, run in members)
+        print(f"  members:{preview}{' ...' if len(block) > 4 else ''}", file=out)
 
 
-def _cmd_metacyclic_h2(args: argparse.Namespace, out: IO[str]) -> None:
+def _cmd_metacyclic(args: argparse.Namespace, out: IO[str]) -> None:
+    """metacyclic-h2: the Schur multiplier order d; metacyclic-rr-bound: the bound."""
     params = MetacyclicParams(args.m, args.n, args.r)
-    res = schur_multiplier_order(params)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "m": params.m, "n": params.n,
-                          "r": params.r, "d": res.d}), file=out)
+    if args.command == "metacyclic-h2":
+        fields = {"d": schur_multiplier_order(params).d}
     else:
-        print(res.d, file=out)
-
-
-def _cmd_metacyclic_rr_bound(args: argparse.Namespace, out: IO[str]) -> None:
-    params = MetacyclicParams(args.m, args.n, args.r)
-    g = args.genus
-    bound = rr_component_lower_bound(params, g)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "m": params.m, "n": params.n,
-                          "r": params.r, "genus": g, "bound": bound}), file=out)
-    else:
-        print(bound, file=out)
+        fields = {"genus": args.genus, "bound": rr_component_lower_bound(params, args.genus)}
+    record = {"schema": SCHEMA, "m": params.m, "n": params.n, "r": params.r, **fields}
+    print(json.dumps(record) if args.json else list(fields.values())[-1], file=out)
 
 
 @functools.cache
@@ -447,10 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on the vectors of the whole genus, over all "
                         "branching data (default 1000000)")
 
-    for name, handler, summary in (
-            ("metacyclic-h2", _cmd_metacyclic_h2, "Schur multiplier order"),
-            ("metacyclic-rr-bound", _cmd_metacyclic_rr_bound, "component lower bound")):
-        p = command(name, handler, summary, group=False)
+    for name, summary in (("metacyclic-h2", "Schur multiplier order"),
+                          ("metacyclic-rr-bound", "component lower bound")):
+        p = command(name, _cmd_metacyclic, summary, group=False)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--r", type=int, required=True)

@@ -5,15 +5,17 @@ closures run by the generation test. Shared helpers:
 conjugation and branching data of a vector, the item keys of a decomposition,
 the eigenvalue-count rows of a table, the GF(p) root power sum that is
 the reference for the count matrices, the per-piece class-matrix split
-that is the reference for the batched one, and the depth-first search that
-is the reference for the row enumerator."""
+that is the reference for the batched one, the depth-first search that
+is the reference for the row enumerator, and the CLI's formatters of
+integer rows that are the reference for its one renderer, cli._lines."""
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cwmoduli import chevalley_weil, groups
+from cwmoduli import chevalley_weil, cli, groups
 from cwmoduli.groups import generates
 from cwmoduli.characters import (_class_matrix, _matmul_mod, _roots_at,
                                  _splitting_order)
@@ -403,3 +405,59 @@ def reference_vectors(G, data, up_to_conjugacy=False):
             yield tuple(flat)
         else:
             stack.pop()
+
+
+# The CLI's formatters of integer rows before cli._lines: a gather from id
+# strings for vector text, and one join or json.dumps per record otherwise
+
+# what follows an entry of a vector line: another entry, the end of the
+# handles, the end of the line, or the end of a line with no branch entries
+_SEPARATORS = (" ", " ; ", ")\n", " ; )\n")
+
+
+def reference_id_strings(n):
+    """Per separator, the object array of each element id x < n as text, then it."""
+    ids = np.array([str(x) for x in range(n)], dtype=object)
+    return {sep: ids + sep for sep in _SEPARATORS}
+
+
+def reference_vector_lines(rows, n_handles, ids):
+    """The text lines of the vectors whose entries are the rows, as one string:
+    each is two spaces and "(a_1 b_1 ... ; c_1 ... c_r)"; ids is
+    reference_id_strings of the group."""
+    count, width = rows.shape
+    if not width:
+        return "  ( ; )\n" * count
+    seps = [" "] * width
+    if n_handles:
+        seps[n_handles - 1] = " ; "
+    seps[-1] = ")\n" if width > n_handles else " ; )\n"
+    tokens = np.empty((count, width + 1), dtype=object)
+    tokens[:, 0] = "  (" if n_handles else "  ( ; "
+    for j, sep in enumerate(seps):
+        tokens[:, j + 1] = ids[sep][rows[:, j]]
+    return "".join(tokens.ravel().tolist())
+
+
+def reference_vector_text(v, ids):
+    """One vector's text line, without its indent and newline."""
+    return reference_vector_lines(np.array([v.entries], dtype=np.intp), len(v.handles),
+                                  ids)[2:-1]
+
+
+def reference_level_lines(ks, types):
+    """decompose's text lines "  k=K: (m_1, ..., m_s)" of a block's type, one per level."""
+    return "".join(f"  k={k}: ({', '.join(map(str, mults.tolist()))})\n"
+                   for k, mults in zip(ks, types))
+
+
+def reference_cw_records(ks, types):
+    """cw --json's lines, one record per level."""
+    return "".join(json.dumps({"schema": cli.SCHEMA, "k": k, "mults": mults}) + "\n"
+                   for k, mults in zip(ks, types.tolist()))
+
+
+def reference_vector_records(g_quot, n_handles, rows, **fields):
+    """The JSON record of each row's vector, with the fields added, one string per row."""
+    return [json.dumps(dict(cli._vector_record(g_quot, r[:n_handles], r[n_handles:]), **fields))
+            for r in rows.tolist()]

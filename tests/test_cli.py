@@ -34,7 +34,10 @@ from cwmoduli import (
     stabilization_report,
     validate,
 )
-from cwmoduli.cli import SCHEMA, _id_strings, _vector_lines, _vector_text, main
+from cwmoduli.cli import SCHEMA, main
+
+from conftest import (reference_cw_records, reference_id_strings, reference_level_lines,
+                      reference_vector_lines, reference_vector_records, reference_vector_text)
 
 V_GENUS6 = '{"g_quot": 2, "handles": [1, 0, 0, 2], "branches": [2, 1]}'
 V_ALT = '{"g_quot": 0, "handles": [], "branches": [1, 1, 2, 2, 1, 1, 2, 2]}'
@@ -186,18 +189,56 @@ class TestTextReports:
         assert long == blocks()
 
 
-    @pytest.mark.parametrize("g_quot, r", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("g_quot, r", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 2), (2, 1),
+                                           (2, 0)])
     def test_vector_lines_match_the_format_of_a_shape(self, g_quot, r):
-        # the text line as a %d format of its entries, written out here
-        fmt = ("  (" + " ".join(["%d"] * (2 * g_quot)) + " ; "
-               + " ".join(["%d"] * r) + ")\n")
+        # cli._lines with the separators of every record kind, against the
+        # formatters it replaced: int8 to int64 rows, Python ints past 2^63,
+        # blocks of 0 rows, and width 0 for (0, 0) and (2, 0)
+        n_handles, width = 2 * g_quot, 2 * g_quot + r
+        text, record = cli._vector_templates(g_quot, r)
+        vector_seps = {
+            "line": cli._separators(f"  {text}\n"),
+            "member": cli._separators(f" {text}"),
+            "header": cli._separators(text),
+            "enumerate": cli._separators(json.dumps(dict(record, kind="hurwitz-vector")) + "\n"),
+            "item": cli._separators(", " + json.dumps(record)),
+        }
+        level_seps = cli._separators(f"  k={cli._ENTRY}: ({', '.join(['-1'] * width)})\n")
+        cw_seps = cli._separators(json.dumps({"schema": SCHEMA, "k": cli._ENTRY,
+                                              "mults": [cli._ENTRY] * width}) + "\n")
+        ids, old_ids = cli._texts(range(300)), reference_id_strings(300)
         rng = np.random.default_rng(2 * g_quot + r)
-        rows = rng.integers(0, 300, size=(7, 2 * g_quot + r)).astype(np.int16)
-        ids = _id_strings(300)
-        assert _vector_lines(rows, 2 * g_quot, ids) == "".join(
-            fmt % tuple(row) for row in rows.tolist())
-        v = HurwitzVector(g_quot, rows[0, :2 * g_quot], rows[0, 2 * g_quot:])
-        assert _vector_text(v, ids) == fmt[2:-1] % v.entries
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            info = np.iinfo(dtype)
+            # a table of the distinct values when the values span more than
+            # the entries (7 rows of full-range values), else of the range,
+            # whose positions overflow int8
+            for count, lo, hi in ((0, info.min, info.max), (7, info.min, info.max), (7, -2, 2),
+                                  (300, info.min, info.max), (300, -100, 100)):
+                rows = rng.integers(0, min(300, int(info.max) + 1), size=(count, width),
+                                    dtype=dtype)
+                vectors = [HurwitzVector(g_quot, row[:n_handles], row[n_handles:])
+                           for row in rows.tolist()]
+                want = {
+                    "line": reference_vector_lines(rows, n_handles, old_ids),
+                    "member": "".join(" " + reference_vector_text(v, old_ids) for v in vectors),
+                    "header": "".join(reference_vector_text(v, old_ids) for v in vectors),
+                    "enumerate": "".join(record + "\n" for record in reference_vector_records(
+                        g_quot, n_handles, rows, kind="hurwitz-vector")),
+                    "item": "".join(", " + record for record in reference_vector_records(
+                        g_quot, n_handles, rows)),
+                }
+                for kind, seps in vector_seps.items():
+                    assert cli._lines(rows, seps, ids) == want[kind], (kind, dtype, count)
+                # rows [k, mults...], from a table of their own values
+                levels = rng.integers(lo, hi, endpoint=True, size=(count, width + 1),
+                                      dtype=dtype)
+                for rows in (levels, levels.astype(object) * 2 ** 64 + 2 ** 63):
+                    assert cli._lines(rows, level_seps) == reference_level_lines(
+                        rows[:, 0].tolist(), rows[:, 1:]), (dtype, count, lo)
+                    assert cli._lines(rows, cw_seps) == reference_cw_records(
+                        rows[:, 0].tolist(), rows[:, 1:]), (dtype, count, lo)
 
 
 class TestJsonReports:
@@ -1050,3 +1091,54 @@ class TestDecomposeFromRows:
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "e971b275e7cb9fdab3bf31cdf925801b7a870229bab3b70bbab84f6041937088")
         assert int(proc.stderr) <= 120, int(proc.stderr)
+
+
+class TestRendering:
+    """Every integer row the commands print goes through cli._lines."""
+
+    def test_level_lines_hold_a_chunk_not_the_levels(self, monkeypatch):
+        # decompose over 200,000 levels into a sink, traced from the moment
+        # its report is built: rendering peaks below the size of its output.
+        # A token per entry of the types, or a head per level, would not.
+        real = cli._report
+
+        def report(*args):
+            result = real(*args)
+            tracemalloc.start()
+            return result
+
+        monkeypatch.setattr(cli, "_report", report)
+        argv = ["decompose", "--group", "cyclic:2", "--genus", "2", "--k-max"]
+        assert run(argv + ["10"], out=_Sink()) == 0  # imports and first-use caches
+        tracemalloc.stop()
+        sink = _Sink()
+        try:
+            assert run(argv + ["200000"], out=sink) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 10 ** 7 and peak < sink.size, (peak, sink.size)
+
+    @pytest.mark.parametrize("argv", [
+        ["hurwitz-enumerate", "--group", "metacyclic:4,2,3", "--genus", "5"],
+        ["hurwitz-enumerate", "--json", "--group", "metacyclic:4,2,3", "--genus", "5",
+         "--up-to-conjugacy"],
+        ["cw", "--group", "cyclic:3", "--vector", V_GENUS6, "--k", "1..20000"],
+        # past level 4096 the values span more than a chunk's entries
+        ["cw", "--json", "--group", "cyclic:3", "--vector", V_GENUS6, "--k", "1..20000"],
+        ["decompose", "--group", "metacyclic:4,2,3", "--genus", "5"],
+        ["decompose", "--json", "--group", "metacyclic:4,2,3", "--genus", "5",
+         "--up-to-conjugacy"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_commands_never_import_numpy_ma(self, argv):
+        # np.unique's first call imports numpy.ma, about 15 ms of each
+        # process's setup
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             "from cwmoduli.cli import main\n"
+             "code = main()\n"
+             "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+             "sys.exit(code)", *argv],
+            env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"False\n")
