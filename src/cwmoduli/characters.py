@@ -73,10 +73,11 @@ class CharacterTable:
         # record, so equal vectors share it) -> (genus, sorted branch class
         # ids, level dict); no other caller reads or adds one
         self._validated: Dict[tuple, tuple] = {}
-        # (quotient genus, class key) -> level dict {k: MultiplicityVector},
-        # filed by cw_character alone, one level per evaluation, and shared
-        # by the memo entries of every vector with that key
-        self._levels: Dict[tuple, Dict[int, object]] = {}
+        # (quotient genus, class key) -> the one memo entry of every vector
+        # with that key: (genus, class key, level dict {k:
+        # MultiplicityVector}), filed by cw_character alone, one level per
+        # evaluation
+        self._levels: Dict[tuple, tuple] = {}
 
     @property
     def class_count(self) -> int:

@@ -22,19 +22,24 @@ own rows for the decompose command, the caller's vectors read into rows
 once for the library): each row is checked once, by validate's checks as
 column gathers and one generation lookup per distinct sorted entry row, and
 validate itself runs only on the first failing item, for its error.
-_level_blocks evaluates one (quotient genus, class key) over a sequence of
-levels, one checked integer matrix per _LEVEL_BLOCK levels, with the sums of
-each class built once; _evaluate joins the blocks. decompose,
-periodicity_delta and the cw command evaluate so and file nothing on the
-table. Only cw_character keeps a per-vector memo, (genus, class key, level
-dict): a repeated query is two lookups, and a missing level is evaluated
-alone and filed in its key's dict.
+_evaluate_keys evaluates every (quotient genus, class key) of an item list
+at once, building each class's columns once per run and adding them into
+the keys that hold the class, _ENTRIES entries (keys x levels x characters)
+an array step; _extend continues its types past two periods by the
+closed-form shift. _level_blocks evaluates one key over a sequence of
+levels, one checked matrix per _LEVEL_BLOCK levels; _evaluate joins its
+blocks, for cw_character, periodicity_delta and the cw command. Both paths
+share _checked. Nothing is filed on the table except by cw_character, whose
+per-vector memo entry (genus, class key, level dict) is shared by every
+vector of one key: a repeated query is two lookups, and a missing level is
+evaluated alone and filed in its key's dict.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +47,8 @@ import numpy as np
 from .characters import CharacterTable, eigenvalue_counts
 from .errors import InternalConsistencyError
 from .groups import _as_int, _row_groups
-from .hurwitz import HurwitzVector, _VectorRows, _invalid_rows, genus, validate
+from .hurwitz import (BranchingData, HurwitzVector, _VectorRows, _invalid_rows, genus,
+                      validate)
 
 __all__ = [
     "MultiplicityVector",
@@ -78,11 +84,24 @@ def _level(k) -> int:
     return k
 
 
-def _genus_and_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, Tuple[int, ...]]:
-    """Validate v in full against T's group; return its genus and sorted branch class ids."""
+def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
+    """Validate v in full against T's group; return its sorted branch class ids."""
     validate(v, T.group)
     class_of = T.classes.class_list()
-    return genus(v, T.group), tuple(sorted([class_of[c] for c in v.branches]))
+    return tuple(sorted([class_of[c] for c in v.branches]))
+
+
+def _genus_and_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, Tuple[int, ...]]:
+    """Validate v in full against T's group; return its genus and sorted branch class ids."""
+    class_key = _class_key(v, T)
+    return genus(v, T.group), class_key
+
+
+def _key_genus(T: CharacterTable, key: _Key) -> int:
+    """The genus of every vector with this key: it reads only the branch orders."""
+    G = T.group
+    reps = T.classes.representatives
+    return genus(BranchingData(key[0], [G.elem_order(reps[c]) for c in key[1]]), G)
 
 
 # rows per array step of bulk validation: bounds its temporaries, whatever
@@ -154,7 +173,7 @@ def _class_columns(T: CharacterTable, cls: int) -> np.ndarray:
     return out
 
 
-# levels per array step of _evaluate: bounds its temporaries on long level ranges
+# levels per array step of _level_blocks: bounds its temporaries on long level ranges
 _LEVEL_BLOCK = 32
 
 
@@ -168,7 +187,7 @@ def _level_blocks(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
       k >= 2: 2k deg (g-1) - |G| deg (g'-1)
               - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
     with the class sums read from _class_columns, once per class for all of
-    ks. Each block is checked as a whole (see _evaluate_levels) before it is
+    ks. Each block is checked as a whole (see _checked) before it is
     yielded. Entries are int64 when an a-priori bound on every scaled entry
     over all of ks fits, else Python ints in an object array.
     """
@@ -197,14 +216,7 @@ def _evaluate(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
 
 def _evaluate_levels(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
                      columns: List[Tuple[int, np.ndarray]], dtype) -> np.ndarray:
-    """The multiplicities at the levels ks, from (times, _class_columns) per class of the key.
-
-    Every check runs on the whole matrix: exact division by |G|, the range
-    [0, dim], the trivial multiplicity against its closed form from
-    Riemann-Roch on the quotient orbifold (g' at k = 1,
-    (2k-1)(g'-1) + sum_i floor(k (m_i - 1) / m_i) at k >= 2), and the
-    dimension identity.
-    """
+    """The multiplicities at the levels ks, from (times, _class_columns) per class of the key."""
     order = T.group.order
     k = np.array(ks, dtype=dtype)
     degrees = np.array(T.degrees, dtype=dtype)
@@ -220,38 +232,167 @@ def _evaluate_levels(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
         scaled += piece
         trivial = trivial + np.where(first, 0, times * (k * (m - 1) // m))
     dim = np.where(first, g, (2 * k - 1) * (g - 1))
-    mults, rem = scaled // order, scaled % order
-    # each check reports its first failure in level order, then character order
-    bad = (rem != 0) | (mults < 0) | (mults > dim)
+    return _checked(scaled.T[None], ks, dim, trivial[None], degrees, order)[0].T
+
+
+def _checked(scaled: np.ndarray, ks: Sequence[int], dim: np.ndarray, trivial: np.ndarray,
+             degrees: np.ndarray, order: int = 1) -> np.ndarray:
+    """scaled / order after every check: keys x levels x characters, at the levels ks.
+
+    The division by |G| = order must be exact; then come the range [0, dim]
+    (dim per level), the trivial multiplicity against trivial (keys x
+    levels), its closed form from Riemann-Roch on the quotient orbifold (g'
+    at k = 1, (2k-1)(g'-1) + sum_i floor(k (m_i - 1) / m_i) at k >= 2), and
+    the dimension identity. Each check reports its first failure in key,
+    level, then character order. order = 1 checks values already divided.
+    """
+    mults, rem = (scaled, None) if order == 1 else (scaled // order, scaled % order)
+    bad = (mults < 0) | (mults > dim[:, None])
+    if rem is not None:
+        bad |= rem != 0
     if bad.any():
-        c, rho = divmod(int(np.argmax(bad.T)), len(degrees))
-        if rem[rho, c]:
+        i, c, rho = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        if rem is not None and rem[i, c, rho]:
             raise InternalConsistencyError(
-                f"level-{ks[c]} multiplicity {scaled[rho, c]}/{order} is not an integer")
+                f"level-{ks[c]} multiplicity {scaled[i, c, rho]}/{order} is not an integer")
         raise InternalConsistencyError(
-            f"level-{ks[c]} multiplicity {mults[rho, c]} falls outside [0, {dim[c]}]")
-    bad = mults[0] != trivial
+            f"level-{ks[c]} multiplicity {mults[i, c, rho]} falls outside [0, {dim[c]}]")
+    bad = mults[:, :, 0] != trivial
     if bad.any():
-        c = int(np.argmax(bad))
+        i, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise InternalConsistencyError(
-            f"level-{ks[c]} trivial multiplicity {mults[0, c]}, expected {trivial[c]}")
-    total = degrees @ mults
+            f"level-{ks[c]} trivial multiplicity {mults[i, c, 0]}, expected {trivial[i, c]}")
+    total = mults @ degrees
     bad = total != dim
     if bad.any():
-        c = int(np.argmax(bad))
+        i, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise InternalConsistencyError(
-            f"multiplicities contract to dimension {total[c]}, expected {dim[c]}")
+            f"multiplicities contract to dimension {total[i, c]}, expected {dim[c]}")
     return mults
+
+
+# entries (keys x levels x characters) per array step of _evaluate_keys and
+# _extend: bounds their temporaries, whatever the counts of each
+_ENTRIES = 1 << 16
+
+
+def _key_terms(T: CharacterTable, keys: Sequence[_Key]):
+    """What the formulas read of the keys, as arrays.
+
+    Returns each key's quotient genus; the distinct branch orders and each
+    key's count of branch points of each (keys x orders), which give the
+    trivial closed form; and, per class held by any key, (class, the keys
+    that hold it, how often each does).
+    """
+    n = len(keys)
+    sizes = [len(ck) for _, ck in keys]
+    flat = np.fromiter(chain.from_iterable(ck for _, ck in keys), dtype=np.int64,
+                       count=sum(sizes))
+    owner = np.repeat(np.arange(n), sizes)
+    order_of = np.array([T.group.elem_order(x) for x in T.classes.representatives])
+    orders, at = np.unique(order_of[flat], return_inverse=True)
+    counts = np.zeros((n, len(orders)), dtype=np.int64)
+    np.add.at(counts, (owner, at.ravel()), 1)
+    # (class, key) pairs sorted by class, so each class's keys are one run
+    pairs, times = np.unique(flat * n + owner, return_counts=True)
+    cls, rows = np.divmod(pairs, max(n, 1))
+    starts = np.flatnonzero(np.diff(cls, prepend=-1))
+    held = [(int(cls[a]), rows[a:b], times[a:b])
+            for a, b in zip(starts, [*starts[1:], len(cls)])]
+    return np.array([q for q, _ in keys], dtype=np.int64), orders, counts, held
+
+
+def _trivial(k: np.ndarray, g_quot: np.ndarray, orders: np.ndarray,
+             counts: np.ndarray) -> np.ndarray:
+    """Each key's trivial multiplicity in closed form at the levels k: keys x levels."""
+    floors = k * (orders[:, None] - 1) // orders[:, None]
+    g_quot = g_quot.astype(k.dtype)[:, None]
+    return np.where(k == 1, g_quot, (2 * k - 1) * (g_quot - 1) + counts @ floors)
+
+
+def _evaluate_keys(T: CharacterTable, keys: Sequence[_Key], g: int,
+                   ks: Sequence[int]) -> np.ndarray:
+    """Every key's multiplicities at every level of ks: keys x levels x characters.
+
+    The formula of _level_blocks, for all keys at once. Each class held by
+    any key has its columns built once per call, read at every level once,
+    and added, times its multiplicity, into the keys that hold it; the sums
+    stay in the smallest signed dtype that holds the a-priori bound of
+    _level_blocks (Python ints in an object array past int64). Every check
+    of _checked runs on each step of keys. The result is in the smallest
+    signed dtype that holds the dimension at the largest level.
+    """
+    if g < 2:
+        raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
+    order, n, chars = T.group.order, len(keys), T.class_count
+    g_quot, orders, counts, held = _key_terms(T, keys)
+    bound = order * (2 * max(ks) * g + max(T.degrees) * (
+        int(g_quot.max(initial=0)) + 1 + int(counts.sum(axis=1).max(initial=0))) + 1)
+    wide = np.int64 if bound < 2 ** 63 else object
+    k = np.array(ks, dtype=wide)
+    first = k == 1
+    degrees = np.array(T.degrees, dtype=wide)
+    # every key starts from deg times its affine term in k and g'
+    term = (np.where(first, 1, -1) * order * (g_quot.astype(wide)[:, None] - 1)
+            + np.where(first, 0, 2 * k * (g - 1)))
+    scaled = np.multiply(term[:, :, None], degrees,
+                         out=np.empty((n, len(ks), chars), dtype=np.min_scalar_type(-bound)))
+    scaled[:, first, 0] += order
+    step = max(1, _ENTRIES // (len(ks) * chars))
+    for cls, rows, times in held:
+        col = _class_columns(T, cls)
+        m = col.shape[1] - 1
+        piece = col[:, np.where(first, m, -k % m).astype(np.intp)].T
+        for a in range(0, len(rows), step):
+            scaled[rows[a:a + step]] += times[a:a + step, None, None] * piece
+    dim = np.where(first, g, (2 * k - 1) * (g - 1))
+    trivial = _trivial(k, g_quot, orders, counts)
+    dtype = np.min_scalar_type(-dim.max() - 1)
+    # each step is checked before it is written, so the sums may take their place
+    values = scaled if scaled.dtype == dtype else np.empty(scaled.shape, dtype=dtype)
+    for a in range(0, n, step):
+        values[a:a + step] = _checked(scaled[a:a + step], ks, dim, trivial[a:a + step],
+                                      degrees, order)
+    return values
+
+
+def _extend(T: CharacterTable, keys: Sequence[_Key], g: int, head: np.ndarray,
+            k_max: int) -> np.ndarray:
+    """head, keys x levels 1..2e x characters (e = exp(G)), continued to levels 1..k_max.
+
+    Past level 2e, each level is the one e below plus _period_shift(T, g, 2,
+    e), the same on every key; stabilization_report asserts that shift on
+    the evaluated second period. Each filled step passes every check of
+    _checked but the division, against each key's own closed forms.
+    """
+    e = T.group.exponent()
+    n, _, chars = head.shape
+    out = np.empty((n, k_max, chars), dtype=np.min_scalar_type(-(2 * k_max - 1) * (g - 1) - 1))
+    out[:, :2 * e] = head
+    wide = object if out.dtype == object else np.int64
+    g_quot, orders, counts, _ = _key_terms(T, keys)
+    shift = np.array(_period_shift(T, g, 2, e), dtype=wide)
+    degrees = np.array(T.degrees, dtype=wide)
+    step = max(1, _ENTRIES // max(n * chars, 1))
+    for a in range(2 * e, k_max, step):
+        j = np.arange(a, min(a + step, k_max)).astype(wide) - e  # the level e below, 0-based
+        filled = out[:, e + (j % e).astype(np.intp)] + (j // e)[:, None] * shift
+        k = j + e + 1
+        out[:, a:a + len(j)] = _checked(filled, range(a + 1, a + len(j) + 1),
+                                        (2 * k - 1) * (g - 1),
+                                        _trivial(k, g_quot, orders, counts), degrees)
+    return out
 
 
 def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVector:
     """All irreducible multiplicities of the level-k representation of v.
 
     The one user of T's per-vector memo: v is validated on its first query,
-    and its entry's level dict is shared by every vector with the same
-    (quotient genus, branch class multiset). A level is evaluated alone when
-    first asked for, with every check of _evaluate, and filed there, so
-    later queries return the same frozen object.
+    and its entry, (genus, class key, level dict), is the one entry of its
+    (quotient genus, branch class multiset), made with its genus on that
+    key's first query. A level is evaluated alone when first asked for,
+    with every check of _evaluate, and filed there, so later queries return
+    the same frozen object.
     """
     if type(k) is int:  # an equal bool or float must not read the cache
         try:
@@ -261,9 +402,11 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     k = _level(k)
     entry = T._validated.get(v)
     if entry is None:  # an invalid vector raises here on every call, and is not filed
-        g, class_key = _genus_and_key(v, T)
-        levels = T._levels.setdefault((v.g_quot, class_key), {})
-        entry = T._validated[v] = (g, class_key, levels)
+        key = (v.g_quot, _class_key(v, T))
+        entry = T._levels.get(key)
+        if entry is None:
+            entry = T._levels[key] = (_key_genus(T, key), key[1], {})
+        T._validated[v] = entry
     g, class_key, levels = entry
     hit = levels.get(k)
     if hit is None:
@@ -286,10 +429,17 @@ def regular_multiple(mv: MultiplicityVector, T: CharacterTable) -> Optional[int]
     return mv.regular
 
 
-def _period_shift(T: CharacterTable, g: int, k: int) -> List[int]:
-    """cw(k + |G|) - cw(k) at genus g in closed form, per character: 2 deg(rho)(g - 1),
-    less 1 on the trivial character at k = 1."""
-    return [2 * d * (g - 1) - (k == 1 and rho == 0) for rho, d in enumerate(T.degrees)]
+def _period_shift(T: CharacterTable, g: int, k: int, period: int) -> List[int]:
+    """cw(k + period) - cw(k) at genus g in closed form, per character, for a period
+    that exp(G) divides: deg(rho) period (2g - 2) / |G|, less 1 on the trivial
+    character at k = 1.
+
+    The class sums depend on k only mod the branch orders, which divide
+    exp(G). The quotient is an integer by Riemann-Hurwitz: period (2g - 2) /
+    |G| = period (2g' - 2) + sum_i period (1 - 1/m_i).
+    """
+    step = period * (2 * g - 2) // T.group.order
+    return [d * step - (k == 1 and rho == 0) for rho, d in enumerate(T.degrees)]
 
 
 def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int, ...]:
@@ -301,7 +451,7 @@ def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int,
     g, class_key = _genus_and_key(v, T)
     low, high = _evaluate(T, (k, k + T.group.order), v.g_quot, g, class_key).T.tolist()
     delta = tuple(b - a for a, b in zip(low, high))
-    for rho, (d, expect) in enumerate(zip(delta, _period_shift(T, g, k))):
+    for rho, (d, expect) in enumerate(zip(delta, _period_shift(T, g, k, T.group.order))):
         if d != expect:
             raise InternalConsistencyError(
                 f"periodicity failed at rho={rho}, k={k}: delta {d}, expected {expect}")

@@ -1,29 +1,33 @@
 """Partitions of Hurwitz items by representation type, and their refinements.
 
 Items with equal multiplicity vectors at level k share a block of the
-level-k decomposition; the canonical one refines over k = 1..|G|, the limit
-by periodicity, which a scan past |G| asserts in closed form. Items are
-held as integer rows (hurwitz._VectorRows): the library entry points read
-their HurwitzVector arguments into rows once, and the decompose command
-passes the search's rows with no HurwitzVector built. The rows are
-validated and keyed in arrays (chevalley_weil._class_keys), with no memo
-entry per item; each distinct (quotient genus, branch-class multiset) key
-is evaluated once, at all its levels as one integer matrix kept as its
-type. Nothing is filed on the table, and a scan keeps no record per level.
+level-k decomposition. The multiplicities depend on k only mod the branch
+orders, all of which divide e = exp(G), up to one shift per period that is
+the same on every item; so the canonical decomposition, the refinement over
+k = 1..|G|, is already reached at k = e, and a scan over 1..k_max evaluates
+levels 1..2e only, asserts the shift between the two periods, and continues
+by it. Items are held as integer rows (hurwitz._VectorRows): the library
+entry points read their HurwitzVector arguments into rows once, and the
+decompose command passes the search's rows with no HurwitzVector built. The
+rows are validated and keyed in arrays (chevalley_weil._class_keys), with
+no memo entry per item; every distinct (quotient genus, branch-class
+multiset) key is evaluated at once (chevalley_weil._evaluate_keys), and the
+distinct types are sorted by one np.unique per step of columns. Nothing is
+filed on the table, and a scan keeps no record per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 import numpy as np
 
 from .characters import CharacterTable
-from .chevalley_weil import _class_keys, _evaluate, _level, _period_shift
+from .chevalley_weil import (_ENTRIES, _class_keys, _evaluate_keys, _extend, _key_genus, _level,
+                             _period_shift)
 from .errors import InternalConsistencyError
-from .hurwitz import BranchingData, HurwitzVector, _row_blocks, _VectorRows, genus
+from .hurwitz import HurwitzVector, _row_blocks, _VectorRows, genus
 
 __all__ = [
     "Decomposition",
@@ -41,22 +45,25 @@ class Decomposition:
 
     items is a read-only, lazy view of the Hurwitz vectors as integer rows
     (one block per run of a shape); indexing and iteration yield
-    HurwitzVectors, and it equals any sequence of the same vectors.
-    blocks[b] lists item indices ascending. types is a read-only array,
-    blocks x levels x characters: types[b, j] is block b's multiplicity
-    vector at level ks[j]. Blocks are ordered by type, lexicographically over
-    (level, character), so reports are diffable. Equality compares every
-    field, the values of types included.
+    HurwitzVectors, and it equals any sequence of the same vectors. ks is a
+    range (one level for decompose_at_k, 1..k_max for a report); refine
+    joins two into a tuple. blocks[b] lists item indices ascending. types is
+    a read-only array, blocks x levels x characters: types[b, j] is block
+    b's multiplicity vector at level ks[j]. Blocks are ordered by type,
+    lexicographically over (level, character), so reports are diffable.
+    Equality compares every field by value: the levels, and the values of
+    types.
     """
 
     items: _VectorRows
-    ks: Tuple[int, ...]
+    ks: Sequence[int]
     blocks: Tuple[Tuple[int, ...], ...]
     types: np.ndarray
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Decomposition) and np.array_equal(self.types, other.types)
-                and (self.items, self.ks, self.blocks) == (other.items, other.ks, other.blocks))
+                and tuple(self.ks) == tuple(other.ks)
+                and (self.items, self.blocks) == (other.items, other.blocks))
 
     @property
     def block_count(self) -> int:
@@ -67,13 +74,7 @@ class Decomposition:
         return frozenset(frozenset(b) for b in self.blocks)
 
 
-def _compare(x: np.ndarray, y: np.ndarray) -> int:
-    """-1, 0 or 1 as x sorts before, with or after y: their first unequal entry decides."""
-    unequal = np.flatnonzero(x != y)
-    return 0 if not unequal.size else -1 if x.flat[unequal[0]] < y.flat[unequal[0]] else 1
-
-
-def _partition(items: _VectorRows, ks: Tuple[int, ...], types: np.ndarray,
+def _partition(items: _VectorRows, ks: Sequence[int], types: np.ndarray,
                block_of: np.ndarray) -> Decomposition:
     """The decomposition whose block b, of type types[b], holds the items i with block_of[i] = b."""
     types.flags.writeable = False
@@ -84,44 +85,71 @@ def _partition(items: _VectorRows, ks: Tuple[int, ...], types: np.ndarray,
     return Decomposition(items, ks, blocks, types)
 
 
-def _decompose(items: _VectorRows, T: CharacterTable, ks: Tuple[int, ...]) -> Decomposition:
+def _type_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One key of each distinct type, the types in lexicographic order, and each key's rank.
+
+    values is keys x levels x characters, all entries >= 0. Big-endian
+    entries that are >= 0 compare bytewise as numbers, so np.unique on one
+    void item per row sorts rows lexicographically, at far less cost than
+    np.unique(axis=0) on wide rows. The columns go _ENTRIES entries a step,
+    each step's rows led by their rank over the columns before; the steps
+    stop once every key has a type of its own. Python ints (past int64) take
+    an exact path of their own.
+    """
+    n, levels, chars = values.shape
+    rows = values.reshape(n, levels * chars)
+    if rows.dtype == object:
+        first_of = {}
+        for i, row in enumerate(map(tuple, rows.tolist())):
+            first_of.setdefault(row, i)
+        rank_of = {row: r for r, row in enumerate(sorted(first_of))}
+        return (np.array([first_of[row] for row in rank_of], dtype=np.int64),
+                np.array([rank_of[row] for row in map(tuple, rows.tolist())], dtype=np.int64))
+    rank = np.zeros(n, dtype=np.int64)
+    width = max(1, _ENTRIES // max(n, 1))
+    for start in range(0, rows.shape[1], width):
+        part = rows[:, start:start + width]
+        chunk = np.empty((n, 1 + part.shape[1]), dtype=">i8")
+        chunk[:, 0], chunk[:, 1:] = rank, part
+        whole = chunk.view(np.dtype((np.void, chunk.itemsize * chunk.shape[1]))).ravel()
+        _, first, rank = np.unique(whole, return_index=True, return_inverse=True)
+        rank = rank.ravel()  # its shape differs between numpy 1.x and 2.x
+        if len(first) == n:
+            break
+    return first, rank
+
+
+def _decompose(items: _VectorRows, T: CharacterTable, ks: Sequence[int]) -> Decomposition:
     """Partition items by their multiplicity vectors at every level in ks.
 
     Items sharing a quotient genus and a multiset of branch classes share
     their multiplicities. So the rows are validated and keyed in bulk, and
-    each distinct key is evaluated once, at all levels of ks together, into
-    one array in the smallest signed dtype that holds the dimension at the
-    largest level. No level record is filed in T.
+    the distinct keys are evaluated together, at all levels of ks, into one
+    array in the smallest signed dtype that holds the dimension at the
+    largest level. When ks is 1..k_max past two periods, only levels 1..2e
+    are evaluated, and the distinct types are continued by _extend. No
+    level record is filed in T.
     """
     keys, key_of = _class_keys(items, T)
-    # the genus depends only on the key, through the branch orders
-    order_of = [T.group.elem_order(x) for x in T.classes.representatives]
-    genera = sorted({genus(BranchingData(g_quot, [order_of[c] for c in class_key]), T.group)
-                     for g_quot, class_key in keys})
+    genera = sorted({_key_genus(T, key) for key in keys})
     if len(genera) > 1:
         raise ValueError(f"items span several genera {genera}; "
                          "a decomposition needs a single genus")
-    # every multiplicity lies in [0, dim], and dim grows with the level
-    g, k = max(genera, default=2), max(ks)
-    dim = g if k == 1 else (2 * k - 1) * (g - 1)
-    values = np.empty((len(keys), len(ks), T.class_count), dtype=np.min_scalar_type(-dim - 1))
-    for i, (g_quot, class_key) in enumerate(keys):
-        values[i] = _evaluate(T, ks, g_quot, g, class_key).T
-    # the distinct types in the tuple order, and each key's rank among them
-    rank = np.empty(len(keys), dtype=np.int64)
-    distinct: List[int] = []
-    for a in sorted(range(len(keys)), key=cmp_to_key(lambda a, b: _compare(values[a], values[b]))):
-        if not distinct or _compare(values[distinct[-1]], values[a]):
-            distinct.append(a)
-        rank[a] = len(distinct) - 1
-    return _partition(items, ks, values[distinct], rank[key_of])
+    g, e = max(genera, default=2), T.group.exponent()
+    periodic = ks == range(1, len(ks) + 1) and len(ks) > 2 * e
+    values = _evaluate_keys(T, keys, g, range(1, 2 * e + 1) if periodic else ks)
+    first, rank = _type_order(values)
+    types = values[first]
+    if periodic:
+        types = _extend(T, [keys[i] for i in first.tolist()], g, types, len(ks))
+    return _partition(items, ks, types, rank[key_of])
 
 
 def decompose_at_k(items: Sequence[HurwitzVector], T: CharacterTable,
                    k: int) -> Decomposition:
     """Partition items by their level-k multiplicity vector."""
     k = _level(k)
-    return _decompose(_VectorRows(_row_blocks(items)), T, (k,))
+    return _decompose(_VectorRows(_row_blocks(items)), T, range(k, k + 1))
 
 
 def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
@@ -129,7 +157,8 @@ def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
 
     Types join along the level axis, one per pair of blocks that meet; both
     type arrays are sorted, so the pairs in ascending order are the joined
-    types in order. Requires the identical item sequence.
+    types in order, and the levels are the tuple of both. Requires the
+    identical item sequence.
     """
     if D1.items != D2.items:
         raise ValueError("decompositions cover different item sequences")
@@ -139,7 +168,7 @@ def refine(D1: Decomposition, D2: Decomposition) -> Decomposition:
             block_of[list(block)] += b * scale
     pairs, pair_of = np.unique(block_of, return_inverse=True)
     first, second = np.divmod(pairs, len(D2.blocks))
-    return _partition(D1.items, D1.ks + D2.ks,
+    return _partition(D1.items, (*D1.ks, *D2.ks),
                       np.concatenate([D1.types[first], D2.types[second]], axis=1), pair_of)
 
 
@@ -147,9 +176,10 @@ def canonical_decomposition(items: Sequence[HurwitzVector],
                             T: CharacterTable) -> StabilizationReport:
     """The stabilization report through k = |G|; its final is the canonical decomposition.
 
-    The periodicity of the multiplicity formulas makes levels beyond |G|
-    redundant, so the common refinement of the level-k partitions for
-    k = 1..|G| is the full representation-type decomposition.
+    The periodicity of the multiplicity formulas makes levels beyond
+    exp(G), which divides |G|, redundant, so the common refinement of the
+    level-k partitions for k = 1..|G| is the full representation-type
+    decomposition; the report's evaluation stops at level 2 exp(G).
     """
     return stabilization_report(items, T, T.group.order)
 
@@ -179,11 +209,12 @@ class StabilizationReport:
 
 def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
                          k_max: int) -> StabilizationReport:
-    """Scan levels 1..k_max and verify that periodicity holds beyond |G|.
+    """Scan levels 1..k_max and verify that periodicity holds beyond e = exp(G).
 
-    Raises if a level beyond |G| splits the running refinement, or if a
-    block's type at k + |G| is not its type at k plus _period_shift. That
-    shift is the same on every block, so only levels 1..|G| are numbered.
+    Raises if a level beyond e splits the running refinement, or if a
+    block's type at k + e is not its type at k plus _period_shift on the
+    evaluated levels, 1..2e; later levels are continued by that shift. The
+    shift is the same on every block, so only levels 1..e are numbered.
     """
     k_max = _level(k_max)
     return _report(_VectorRows(_row_blocks(items)), T, k_max)
@@ -191,33 +222,33 @@ def stabilization_report(items: Sequence[HurwitzVector], T: CharacterTable,
 
 def _report(items: _VectorRows, T: CharacterTable, k_max: int) -> StabilizationReport:
     """stabilization_report on a row view, such as the decompose command's search rows."""
-    order = T.group.order
-    final = _decompose(items, T, tuple(range(1, k_max + 1)))
+    e = T.group.exponent()
+    final = _decompose(items, T, range(1, k_max + 1))
     types = final.types
+    # the evaluated levels: blocks that agree there agree at every level
+    evaluated = types[:, :2 * e]
     # blocks are sorted by type, so the blocks sharing their types at levels
     # 1..k stand together: level k splits the running partition iff two
     # neighbouring blocks first differ there
-    splits = sorted(set(((types[1:] != types[:-1]).any(axis=2).argmax(axis=1) + 1).tolist()))
-    late = [k for k in splits if k > order]
+    splits = sorted(set(((evaluated[1:] != evaluated[:-1]).any(axis=2).argmax(axis=1)
+                         + 1).tolist()))
+    late = [k for k in splits if k > e]
     if late:
         raise InternalConsistencyError(
             f"level {late[0]} split the refinement of levels 1..{late[0] - 1} although "
-            f"periodicity caps new splits at |G| = {order}")
-    if final.items and k_max > order:  # the items are validated: read g from them
+            f"periodicity caps new splits at exp(G) = {e}")
+    if final.items and k_max > e:  # the items are validated: read g from them
         g = genus(final.items[0], T.group)
-        delta = types[:, order:] - types[:, :-order]
-        differ = (delta != _period_shift(T, g, 2)).any(axis=(0, 2))
-        differ[0] = (delta[:, 0] != _period_shift(T, g, 1)).any()
+        delta = evaluated[:, e:] - evaluated[:, :-e]
+        differ = (delta != _period_shift(T, g, 2, e)).any(axis=(0, 2))
+        differ[0] = (delta[:, 0] != _period_shift(T, g, 1, e)).any()
         if differ.any():
             k = int(differ.argmax()) + 1
             raise InternalConsistencyError(
-                f"levels {k} and {k + order} differ by other than {_period_shift(T, g, k)}, "
+                f"levels {k} and {k + e} differ by other than {_period_shift(T, g, k, e)}, "
                 "contradicting the periodicity of the multiplicity formulas")
-    # each level's blocks in the order of their types there
-    by_type = np.lexsort(types[:, :order].transpose(2, 1, 0), axis=-1)
-    ranked = types[by_type, np.arange(len(by_type))[:, None]]
-    starts = np.ones(by_type.shape, dtype=bool)
-    starts[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=2)
-    block_counts = np.resize(starts.sum(axis=1), k_max)
+    # the standalone partitions repeat with period e: count the types of each
+    block_counts = np.resize([len(_type_order(types[:, j:j + 1])[0])
+                              for j in range(min(e, k_max))], k_max)
     block_counts.flags.writeable = False
     return StabilizationReport(block_counts, tuple(splits), final, max(splits, default=1))

@@ -524,12 +524,35 @@ class TestCachedVectors:
         tables.append(z3_table)
         stored = Counter()
         for T in tables:
-            for levels in T._levels.values():
+            for _, _, levels in T._levels.values():
                 for mv in levels.values():
                     assert mv.regular == _regular_by_search(mv.mults, T.degrees)
                     assert regular_multiple(mv, T) is mv.regular
                     stored[mv.regular is None] += 1
         assert stored[True] and stored[False]
+
+    def test_one_entry_and_one_genus_per_class_key(self, monkeypatch, s3):
+        # the vectors of one (g', class key) share one memo entry, whose
+        # genus is computed on that key's first query
+        T = character_table(s3)
+        items = [v for d in enumerate_branching_data(s3, 3)
+                 for v in enumerate_hurwitz_vectors(s3, d)]
+        genera = Counter()
+        real = chevalley_weil._key_genus
+
+        def counting(T, key):
+            genera[key] += 1
+            return real(T, key)
+
+        monkeypatch.setattr(chevalley_weil, "_key_genus", counting)
+        for k in (1, 2):
+            for v in items:
+                cw_character(v, T, k)
+        assert 1 < len(T._levels) < len(items)
+        assert genera == Counter(dict.fromkeys(T._levels, 1))
+        for v in items:
+            g, class_key, _ = entry = T._validated[v]
+            assert T._levels[(v.g_quot, class_key)] is entry and g == genus(v, s3)
 
     def test_each_vector_validated_once_per_table(self, validate_calls, checked_rows, s3):
         items = [v for d in enumerate_branching_data(s3, 3)
@@ -545,7 +568,8 @@ class TestCachedVectors:
             assert validate_calls == Counter(items)
             # periodicity_delta keeps no memo entry: it validates on every
             # call, and the memo of cw_character stays as it was
-            memo = dict(T._validated), {key: dict(d) for key, d in T._levels.items()}
+            memo = dict(T._validated), {key: (g, ck, dict(levels))
+                                        for key, (g, ck, levels) in T._levels.items()}
             validate_calls.clear()
             for batch in (items, copies):
                 for v in batch:

@@ -27,6 +27,7 @@ from cwmoduli import (
     enumerate_branching_data,
     enumerate_hurwitz_vectors,
     genus,
+    group_from_spec,
     refine,
     stabilization_report,
     validate,
@@ -86,7 +87,7 @@ class TestDecomposeAtK:
         for k, blocks in ((1, 2), (2, 1), (3, 2)):
             D = decompose_at_k([v, v_alt], z3_table, k)
             assert D.block_count == blocks
-            assert D.ks == (k,)
+            assert D.ks == range(k, k + 1)
 
     def test_domain_errors(self, z3_table, genus6_vectors):
         v, _ = genus6_vectors
@@ -179,7 +180,7 @@ class TestCanonical:
         assert isinstance(CD, StabilizationReport)
         assert CD.final.block_count == 2
         assert CD.stabilization_depth == 1
-        assert CD.final.ks == (1, 2, 3)
+        assert CD.final.ks == range(1, 4)
 
     def test_eight_branch_census_splits_in_three(self, z3, z3_table):
         # the 86 vectors with eight order-3 branch points carry three distinct
@@ -273,8 +274,9 @@ class TestStabilizationReport:
             stabilization_report(list(genus6_vectors), z3_table, 0)
 
     def test_long_scan_retains_arrays_not_level_records(self):
-        # 200,000 levels on two blocks: what the report keeps is its types,
-        # its ks and one block count per level, not one object per level
+        # 200,000 levels on two blocks: what the report keeps is its types
+        # (3.2 MB) and one block count per level (1.6 MB); its ks is a range,
+        # not one object per level
         G = build_cyclic(2)
         T = character_table(G)
         items = census(G, 2)
@@ -287,7 +289,8 @@ class TestStabilizationReport:
         finally:
             tracemalloc.stop()
         assert rep.block_counts.tolist() == [2] * 200_000 and rep.split_levels == (1,)
-        assert retained < 15e6, retained
+        assert isinstance(rep.final.ks, range)
+        assert retained < 5e6, retained
 
     def test_s3_long_scan_consistent(self, s3, s3_table):
         # runs the internal periodicity cross-checks out to 2|G| + 2
@@ -340,7 +343,7 @@ class TestOnePassOracle:
                 D = canonical_decomposition(items, T).final
                 case = (label, g)
                 assert D.items == tuple(items), case
-                assert D.ks == ks, case
+                assert D.ks == range(1, G.order + 1), case
                 assert D.blocks == tuple(tuple(by_type[key]) for key in keys), case
                 assert block_types(D) == tuple(keys), case
                 if g == 3:
@@ -389,56 +392,94 @@ class TestOnePassOracle:
                         assert cw_character(items[idx], T, k).mults == mults
 
     def test_decompose_reports_its_own_evaluation(self, monkeypatch, s3):
-        # level records that cw_character filed earlier, here with the rows of
-        # the two degree-1 characters swapped, do not stand in for decompose's
+        # with the one-key path swapping the rows of the two degree-1
+        # characters, cw_character files swapped records; decompose, which
+        # evaluates its keys in one batch, neither reads them nor calls it
         T = character_table(s3)
         items = census(s3, 4)
-        real = chevalley_weil._evaluate
-        with monkeypatch.context() as m:
-            m.setattr(chevalley_weil, "_evaluate",
-                      lambda T, ks, g_quot, g, ck: real(T, ks, g_quot, g, ck)[[1, 0, 2]])
-            for v in items:
-                for k in range(1, 9):
-                    cw_character(v, T, k)
         fresh = character_table(s3)
         want = stabilization_report(items, fresh, 8)
-        assert any(cw_character(v, T, k) != cw_character(v, fresh, k)
-                   for v in items for k in range(1, 9))
+        records = [cw_character(v, fresh, k) for v in items for k in range(1, 9)]
+        real = chevalley_weil._evaluate
+        monkeypatch.setattr(chevalley_weil, "_evaluate",
+                            lambda T, ks, g_quot, g, ck: real(T, ks, g_quot, g, ck)[[1, 0, 2]])
+        swapped = [cw_character(v, T, k) for v in items for k in range(1, 9)]
+        assert swapped != records
         assert stabilization_report(items, T, 8) == want
         assert canonical_decomposition(items, T) == canonical_decomposition(items, fresh)
         for k in (1, 2, 7):
             assert decompose_at_k(items, T, k) == decompose_at_k(items, fresh, k)
 
     def test_one_evaluation_per_class_key(self, monkeypatch, s3, s3_table):
-        # one evaluation per (g', class key) per run, at all its levels at
-        # once, and the bulk keys are the per-item class keys
+        # one batched evaluation of every (g', class key) per run, at the
+        # levels it needs (at most two periods), one _class_columns per class,
+        # and the bulk keys are the per-item class keys
         items = census(s3, 3)
         keys = {class_key(v, s3_table) for v in items}
         assert 1 < len(keys) < len(items)
-        evaluations, bulk_keys = Counter(), []
-        real_evaluate = decomposition._evaluate
+        evaluations, columns, bulk_keys = [], Counter(), []
+        real_evaluate = decomposition._evaluate_keys
+        real_columns = chevalley_weil._class_columns
         real_keys = decomposition._class_keys
 
-        def counting(T, ks, g_quot, g, ck):
-            evaluations[(g_quot, ck, ks)] += 1
-            return real_evaluate(T, ks, g_quot, g, ck)
+        def counting(T, batch, g, ks):
+            evaluations.append((sorted(batch), ks))
+            return real_evaluate(T, batch, g, ks)
+
+        def building(T, cls):
+            columns[cls] += 1
+            return real_columns(T, cls)
 
         def recording(batch, T):
             found, key_of = real_keys(batch, T)
             bulk_keys.append([found[i] for i in key_of.tolist()])
             return found, key_of
 
-        monkeypatch.setattr(decomposition, "_evaluate", counting)
+        monkeypatch.setattr(decomposition, "_evaluate_keys", counting)
+        monkeypatch.setattr(chevalley_weil, "_class_columns", building)
         monkeypatch.setattr(decomposition, "_class_keys", recording)
-        runs = [(lambda: decompose_at_k(items, s3_table, 4), (4,)),
+        classes = {c for _, ck in keys for c in ck}
+        # exp(S3) = |S3| = 6: a scan past 12 levels evaluates levels 1..12
+        runs = [(lambda: decompose_at_k(items, s3_table, 4), range(4, 5)),
                 (lambda: canonical_decomposition(items, s3_table), range(1, 7)),
-                (lambda: stabilization_report(items, s3_table, 13), range(1, 14))]
+                (lambda: stabilization_report(items, s3_table, 13), range(1, 13)),
+                (lambda: stabilization_report(items, s3_table, 500), range(1, 13))]
         for call, ks in runs:
             evaluations.clear()
+            columns.clear()
             bulk_keys.clear()
             call()
-            assert evaluations == Counter({key + (tuple(ks),): 1 for key in keys})
+            assert evaluations == [(sorted(keys), ks)]
+            assert columns == Counter(dict.fromkeys(classes, 1))
             assert bulk_keys == [[class_key(v, s3_table) for v in items]]
+
+    @pytest.mark.parametrize("spec", ["abelian:2,2", "abelian:2,4", "metacyclic:3,2,2",
+                                      "cyclic:5"])
+    def test_a_report_evaluates_at_most_two_periods(self, monkeypatch, spec):
+        # at any k_max, levels 1..min(k_max, 2e) and no others; past them the
+        # report continues by the shift, and matches one-key evaluation at
+        # every level
+        G = group_from_spec(spec)
+        T, e = character_table(G), G.exponent()
+        items = census(G, 3)
+        evaluated = []
+        real = decomposition._evaluate_keys
+
+        def counting(T, keys, g, ks):
+            evaluated.append(ks)
+            return real(T, keys, g, ks)
+
+        monkeypatch.setattr(decomposition, "_evaluate_keys", counting)
+        for k_max in (1, e, 2 * e, 2 * e + 1, 5 * G.order + 3, 20_000):
+            evaluated.clear()
+            rep = stabilization_report(items, T, k_max)
+            assert evaluated == [range(1, min(k_max, 2 * e) + 1)], (spec, k_max)
+            assert rep.stabilization_depth <= e
+            for block, types in zip(rep.final.blocks, rep.final.types):
+                g_quot, ck = class_key(items[block[0]], T)
+                want = chevalley_weil._evaluate(T, range(1, k_max + 1), g_quot,
+                                                genus(items[0], G), ck)
+                assert np.array_equal(types, want.T), (spec, k_max)
 
 
 def _raised(call):
@@ -530,6 +571,68 @@ class TestBulkValidation:
 
 
 class TestArrayEvaluation:
+    def test_batched_matches_one_key_evaluation_on_the_catalog(self, catalog):
+        # every key of the catalog at genus 2..6, at levels 1..2e, at one
+        # level past them, and continued to 2|G| + 5 by _extend, against
+        # _evaluate on each key alone
+        opts = EnumerationOptions(up_to_conjugacy=True)
+        checked = 0
+        for label, G in catalog:
+            T, e, k_max = character_table(G), G.exponent(), 2 * G.order + 5
+            for g in range(2, 7):
+                rows = hurwitz._VectorRows(
+                    (d.g_quot, 2 * d.g_quot, r) for d in enumerate_branching_data(G, g)
+                    for r in hurwitz.enumerate_hurwitz_rows(G, d, opts))
+                keys = chevalley_weil._class_keys(rows, T)[0]
+                head = chevalley_weil._evaluate_keys(T, keys, g, range(1, 2 * e + 1))
+                last = chevalley_weil._evaluate_keys(T, keys, g, range(k_max, k_max + 1))
+                full = chevalley_weil._extend(T, keys, g, head, k_max)
+                for i, (g_quot, ck) in enumerate(keys):
+                    want = chevalley_weil._evaluate(T, range(1, k_max + 1), g_quot, g, ck).T
+                    assert np.array_equal(full[i], want), (label, g, i)
+                    assert np.array_equal(last[i], want[-1:]), (label, g, i)
+                    checked += 1
+        assert checked > 700
+
+    @pytest.mark.parametrize("change, message", [
+        ({1: 1}, "contract to dimension"),
+        ({0: -1, 1: 1}, "trivial multiplicity"),
+        ({1: -10 ** 6, 2: 10 ** 6}, "falls outside"),
+    ], ids=["dimension", "trivial", "range"])
+    def test_filled_levels_are_checked(self, monkeypatch, change, message):
+        # a shift that breaks a closed form, used past the two evaluated
+        # periods (the report's own shift check reads the evaluated ones)
+        G = group_from_spec("abelian:2,2")
+        T, items = character_table(G), census(G, 3)
+        real = chevalley_weil._period_shift
+
+        def wrong(T, g, k, period):
+            shift = real(T, g, k, period)
+            for rho, d in change.items():
+                shift[rho] += d
+            return shift
+
+        monkeypatch.setattr(chevalley_weil, "_period_shift", wrong)
+        stabilization_report(items, T, 2 * G.exponent())  # nothing is filled
+        with pytest.raises(InternalConsistencyError, match=message):
+            stabilization_report(items, T, 2 * G.exponent() + 1)
+
+    def test_several_keys_past_int64(self, s3):
+        # S3 at genus 4 at a level whose dimension passes int64: the types are
+        # Python ints, ordered on their own exact path
+        T, reference = character_table(s3), character_table(s3)
+        items = census(s3, 4)
+        k = 2 ** 70
+        by_type = {}
+        for idx, v in enumerate(items):
+            by_type.setdefault(cw_character(v, reference, k).mults, []).append(idx)
+        assert len({class_key(v, T) for v in items}) > 2 and len(by_type) > 2
+        D = decompose_at_k(items, T, k)
+        assert D.types.dtype == object
+        assert all(type(m) is int for m in D.types.ravel())
+        assert block_types(D) == tuple((key,) for key in sorted(by_type))
+        assert D.blocks == tuple(tuple(by_type[key]) for key in sorted(by_type))
+
     def test_levels_beyond_int64_stay_exact(self):
         # a free action of S3: Python ints replace int64 once the scaled
         # entries could pass 2^63
@@ -568,42 +671,65 @@ class TestArrayEvaluation:
         assert D.types.tolist() == [[want]] and D.types.dtype == dtype
 
 class TestPeriodicityChecksBite:
-    """Multiplicities that break periodicity above |G| must be caught."""
+    """Multiplicities that break periodicity above exp(G) must be caught.
+
+    Each test replaces the batched evaluation (decomposition._evaluate_keys:
+    keys x levels x characters) with one that breaks periodicity.
+    """
 
     def test_split_beyond_the_period_raises(self, monkeypatch, z3_table,
                                             genus6_vectors):
-        # both keys share one type through |G| = 3; v's type differs at level 4
+        # both keys share one type through exp(G) = |G| = 3; v's type
+        # differs at level 4
         v, _ = genus6_vectors
         target = class_key(v, z3_table)
 
-        def collapsed(T, ks, g_quot, g, ck):
-            mults = np.zeros((T.class_count, len(ks)), dtype=np.int64)
-            if (g_quot, ck) == target:
-                mults[0] = [k > T.group.order for k in ks]
+        def collapsed(T, keys, g, ks):
+            mults = np.zeros((len(keys), len(ks), T.class_count), dtype=np.int64)
+            mults[keys.index(target), :, 0] = [k > T.group.order for k in ks]
             return mults
 
-        monkeypatch.setattr(decomposition, "_evaluate", collapsed)
+        monkeypatch.setattr(decomposition, "_evaluate_keys", collapsed)
         rep = stabilization_report(genus6_vectors, z3_table, 3)
         assert rep.final.block_count == 1
         with pytest.raises(InternalConsistencyError, match="split the refinement"):
             stabilization_report(genus6_vectors, z3_table, 4)
+
+    def test_a_split_between_the_exponent_and_the_order_raises(self, monkeypatch):
+        # abelian:2,2 has exp(G) = 2 < |G| = 4: a split at level 3 comes after
+        # the period, though within |G|
+        G = group_from_spec("abelian:2,2")
+        T = character_table(G)
+        items = census(G, 3)
+        target = class_key(items[0], T)
+
+        def late(T, keys, g, ks):
+            mults = np.zeros((len(keys), len(ks), T.class_count), dtype=np.int64)
+            mults[keys.index(target), :, 0] = [k == 3 for k in ks]
+            return mults
+
+        monkeypatch.setattr(decomposition, "_evaluate_keys", late)
+        assert stabilization_report(items, T, 2).final.block_count == 1
+        with pytest.raises(InternalConsistencyError,
+                           match=r"level 3 split .* new splits at exp\(G\) = 2"):
+            stabilization_report(items, T, G.order)
 
     def test_partitions_k_and_k_plus_order_that_differ_raise(self, monkeypatch,
                                                              z3_table, genus6_vectors):
         # v_alt takes v's level-4 vector: level 4 merges what level 1 separates
         v, v_alt = genus6_vectors
         target = class_key(v_alt, z3_table)
-        real_evaluate = decomposition._evaluate
-        v_quot, v_classes = class_key(v, z3_table)
+        real = decomposition._evaluate_keys
 
-        def merged(T, ks, g_quot, g, ck):
-            mults = real_evaluate(T, ks, g_quot, g, ck)
+        def merged(T, keys, g, ks):
+            mults = real(T, keys, g, ks)
             k = T.group.order + 1
-            if (g_quot, ck) == target and k in ks:
-                mults[:, ks.index(k)] = real_evaluate(T, (k,), v_quot, g, v_classes)[:, 0]
+            if k in ks:
+                mults[keys.index(target), ks.index(k)] = real(
+                    T, [class_key(v, T)], g, range(k, k + 1))[0, 0]
             return mults
 
-        monkeypatch.setattr(decomposition, "_evaluate", merged)
+        monkeypatch.setattr(decomposition, "_evaluate_keys", merged)
         assert stabilization_report(genus6_vectors, z3_table, 3).final.block_count == 2
         with pytest.raises(InternalConsistencyError, match="differ"):
             stabilization_report(genus6_vectors, z3_table, 4)
@@ -616,12 +742,13 @@ class TestPeriodicityChecksBite:
                  for q in (0, 1, 2)]
         labels = {1: (0, 0, 1), 2: (0, 1, 2), 3: (0, 1, 2), 4: (0, 1, 1)}
 
-        def relabelled(T, ks, g_quot, g, ck):
-            mults = np.zeros((T.class_count, len(ks)), dtype=np.int64)
-            mults[0] = [labels[k][g_quot] for k in ks]
+        def relabelled(T, keys, g, ks):
+            mults = np.zeros((len(keys), len(ks), T.class_count), dtype=np.int64)
+            for i, (g_quot, _) in enumerate(keys):
+                mults[i, :, 0] = [labels[k][g_quot] for k in ks]
             return mults
 
-        monkeypatch.setattr(decomposition, "_evaluate", relabelled)
+        monkeypatch.setattr(decomposition, "_evaluate_keys", relabelled)
         rep = stabilization_report(items, z3_table, 3)
         assert rep.block_counts.tolist() == [2, 3, 3]
         with pytest.raises(InternalConsistencyError, match="levels 1 and 4 differ"):
@@ -630,19 +757,19 @@ class TestPeriodicityChecksBite:
     @pytest.mark.parametrize("level", [1, 2])
     def test_a_shift_shared_by_every_block_is_caught(self, monkeypatch, z3_table,
                                                      genus6_vectors, level):
-        # one character gains 1 at level + |G| on every key alike: every
+        # one character gains 1 at level + exp(G) on every key alike: every
         # standalone partition stays as it was, but the shift between levels
-        # level and level + |G| leaves its closed form
-        real_evaluate = decomposition._evaluate
-        k = level + z3_table.group.order
+        # level and level + exp(G) leaves its closed form
+        real = decomposition._evaluate_keys
+        k = level + z3_table.group.exponent()
 
-        def shifted(T, ks, g_quot, g, ck):
-            mults = real_evaluate(T, ks, g_quot, g, ck)
+        def shifted(T, keys, g, ks):
+            mults = real(T, keys, g, ks)
             if k in ks:
-                mults[1, ks.index(k)] += 1
+                mults[:, ks.index(k), 1] += 1
             return mults
 
-        monkeypatch.setattr(decomposition, "_evaluate", shifted)
+        monkeypatch.setattr(decomposition, "_evaluate_keys", shifted)
         assert (decompose_at_k(genus6_vectors, z3_table, k).partition()
                 == decompose_at_k(genus6_vectors, z3_table, level).partition())
         assert stabilization_report(genus6_vectors, z3_table, k - 1).final.block_count == 2
