@@ -13,34 +13,33 @@ character table; after multiplying by |G| (every branch order divides |G|)
 each formula is integer arithmetic, and the final division by |G| is asserted
 to be exact. Range and dimension identities are asserted, never assumed.
 
-Per vector, _genus_and_key validates in full and returns the genus and the
-sorted branch class key; its generation test is one lookup in the group's
-memo from entry set to whether it generates G, so the subgroup closure runs
-once per entry set per group. Per item list, _class_keys does the same in
-arrays on the items' integer rows (a hurwitz._VectorRows view: the search's
-own rows for the decompose command, the caller's vectors read into rows
-once for the library): each row is checked once, by validate's checks as
-column gathers and one generation lookup per distinct sorted entry row, and
-validate itself runs only on the first failing item, for its error.
-_evaluate_keys evaluates every (quotient genus, class key) of an item list
-at once, building each class's columns once per run and adding them into
-the keys that hold the class, _ENTRIES entries (keys x levels x characters)
-an array step; _extend continues its types past two periods by the
-closed-form shift. _level_blocks evaluates one key over a sequence of
-levels, one checked matrix per _LEVEL_BLOCK levels; _evaluate joins its
-blocks, for cw_character, periodicity_delta and the cw command. Both paths
-share _checked. Nothing is filed on the table except by cw_character, whose
-per-vector memo entry (genus, class key, level dict) is shared by every
-vector of one key: a repeated query is two lookups, and a missing level is
-evaluated alone and filed in its key's dict.
+Per vector, _class_key validates in full and returns the sorted branch class
+key, and _key_genus reads the genus off the key; the generation test is one
+lookup in the group's memo from entry set to whether it generates G, so the
+subgroup closure runs once per entry set per group. Per item list,
+_class_keys does the same in arrays on the items' integer rows (a
+hurwitz._VectorRows view: the search's own rows for the decompose command,
+the caller's vectors read into rows once for the library): each row is
+checked once, by validate's checks as column gathers and one generation
+lookup per distinct sorted entry row, and validate itself runs only on the
+first failing item, for its error.
+_evaluate_keys is the one evaluation of the formulas: every (quotient genus,
+class key) of an item list at once, or one key (cw_character,
+periodicity_delta, each step of the cw command), building each class's
+columns once per call and adding them into the keys that hold the class,
+_ENTRIES entries (keys x levels x characters) an array step; _extend
+continues its types past two periods by the closed-form shift. Both check
+their values with _checked. Nothing is filed on the table except by
+cw_character, whose per-vector memo entry (genus, class key, level dict) is
+shared by every vector of one key: a repeated query is two lookups, and a
+missing level is evaluated alone and filed in its key's dict.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +88,6 @@ def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
     validate(v, T.group)
     class_of = T.classes.class_list()
     return tuple(sorted([class_of[c] for c in v.branches]))
-
-
-def _genus_and_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, Tuple[int, ...]]:
-    """Validate v in full against T's group; return its genus and sorted branch class ids."""
-    class_key = _class_key(v, T)
-    return genus(v, T.group), class_key
 
 
 def _key_genus(T: CharacterTable, key: _Key) -> int:
@@ -171,68 +164,6 @@ def _class_columns(T: CharacterTable, cls: int) -> np.ndarray:
     out[:, :m] *= -(T.group.order // m)
     out[:, m] *= T.group.order // m
     return out
-
-
-# levels per array step of _level_blocks: bounds its temporaries on long level ranges
-_LEVEL_BLOCK = 32
-
-
-def _level_blocks(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
-                  class_key: Tuple[int, ...]) -> Iterator[np.ndarray]:
-    """The multiplicities at the levels ks: characters x levels, _LEVEL_BLOCK levels a block.
-
-    With N = counts at the class of c_i (order m_i), |G| times the multiplicity
-    of rho is
-      k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
-      k >= 2: 2k deg (g-1) - |G| deg (g'-1)
-              - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
-    with the class sums read from _class_columns, once per class for all of
-    ks. Each block is checked as a whole (see _checked) before it is
-    yielded. Entries are int64 when an a-priori bound on every scaled entry
-    over all of ks fits, else Python ints in an object array.
-    """
-    if g < 2:
-        raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
-    # bounds |scaled| and sum deg * mult below: every class term is at most |G| deg
-    bound = T.group.order * (2 * max(ks) * g
-                             + max(T.degrees) * (g_quot + 1 + len(class_key)) + 1)
-    dtype = np.int64 if bound < 2 ** 63 else object
-    columns = [(times, _class_columns(T, cls)) for cls, times in Counter(class_key).items()]
-    for start in range(0, len(ks), _LEVEL_BLOCK):
-        yield _evaluate_levels(T, ks[start:start + _LEVEL_BLOCK], g_quot, g, columns, dtype)
-
-
-def _evaluate(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
-              class_key: Tuple[int, ...]) -> np.ndarray:
-    """All multiplicities at every level of ks: an integer matrix, characters x levels."""
-    # filled block by block: a list of the blocks would be held beside it
-    for block, start in zip(_level_blocks(T, ks, g_quot, g, class_key),
-                            range(0, len(ks), _LEVEL_BLOCK)):
-        if not start:
-            mults = np.empty((block.shape[0], len(ks)), dtype=block.dtype)
-        mults[:, start:start + block.shape[1]] = block
-    return mults
-
-
-def _evaluate_levels(T: CharacterTable, ks: Sequence[int], g_quot: int, g: int,
-                     columns: List[Tuple[int, np.ndarray]], dtype) -> np.ndarray:
-    """The multiplicities at the levels ks, from (times, _class_columns) per class of the key."""
-    order = T.group.order
-    k = np.array(ks, dtype=dtype)
-    degrees = np.array(T.degrees, dtype=dtype)
-    first = k == 1
-    scaled = degrees[:, None] * np.where(first, order * (g_quot - 1),
-                                         2 * k * (g - 1) - order * (g_quot - 1))
-    scaled[0, first] += order
-    trivial = np.where(first, g_quot, (2 * k - 1) * (g_quot - 1))
-    for times, col in columns:
-        m = col.shape[1] - 1
-        piece = col[:, np.where(first, m, -k % m).astype(np.intp)].astype(dtype, copy=False)
-        piece *= times
-        scaled += piece
-        trivial = trivial + np.where(first, 0, times * (k * (m - 1) // m))
-    dim = np.where(first, g, (2 * k - 1) * (g - 1))
-    return _checked(scaled.T[None], ks, dim, trivial[None], degrees, order)[0].T
 
 
 def _checked(scaled: np.ndarray, ks: Sequence[int], dim: np.ndarray, trivial: np.ndarray,
@@ -314,18 +245,24 @@ def _evaluate_keys(T: CharacterTable, keys: Sequence[_Key], g: int,
                    ks: Sequence[int]) -> np.ndarray:
     """Every key's multiplicities at every level of ks: keys x levels x characters.
 
-    The formula of _level_blocks, for all keys at once. Each class held by
-    any key has its columns built once per call, read at every level once,
-    and added, times its multiplicity, into the keys that hold it; the sums
-    stay in the smallest signed dtype that holds the a-priori bound of
-    _level_blocks (Python ints in an object array past int64). Every check
-    of _checked runs on each step of keys. The result is in the smallest
-    signed dtype that holds the dimension at the largest level.
+    With N = counts at the class of c_i (order m_i), |G| times the multiplicity
+    of rho is
+      k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
+      k >= 2: 2k deg (g-1) - |G| deg (g'-1)
+              - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
+    with the class sums read from _class_columns. Each class held by any key
+    has its columns built once per call, read at every level once, and
+    added, times its multiplicity, into the keys that hold it; the sums stay
+    in the smallest signed dtype that holds an a-priori bound on every
+    scaled entry over all of ks (Python ints in an object array past int64).
+    Every check of _checked runs on each step of keys. The result is in the
+    smallest signed dtype that holds the dimension at the largest level.
     """
     if g < 2:
         raise ValueError(f"genus {g} is below 2; the formulas need g >= 2")
     order, n, chars = T.group.order, len(keys), T.class_count
     g_quot, orders, counts, held = _key_terms(T, keys)
+    # bounds |scaled| and sum deg * mult below: every class term is at most |G| deg
     bound = order * (2 * max(ks) * g + max(T.degrees) * (
         int(g_quot.max(initial=0)) + 1 + int(counts.sum(axis=1).max(initial=0))) + 1)
     wide = np.int64 if bound < 2 ** 63 else object
@@ -391,8 +328,8 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     and its entry, (genus, class key, level dict), is the one entry of its
     (quotient genus, branch class multiset), made with its genus on that
     key's first query. A level is evaluated alone when first asked for,
-    with every check of _evaluate, and filed there, so later queries return
-    the same frozen object.
+    by _evaluate_keys with every check of _checked, and filed there, so
+    later queries return the same frozen object.
     """
     if type(k) is int:  # an equal bool or float must not read the cache
         try:
@@ -410,7 +347,7 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
     g, class_key, levels = entry
     hit = levels.get(k)
     if hit is None:
-        mults = _evaluate(T, (k,), v.g_quot, g, class_key)[:, 0].tolist()
+        mults = _evaluate_keys(T, [(v.g_quot, class_key)], g, (k,))[0, 0].tolist()
         # the trivial character has degree 1, so the first entry forces n
         regular = all(x == mults[0] * d for x, d in zip(mults, T.degrees))
         hit = levels[k] = MultiplicityVector(k, tuple(mults), mults[0] if regular else None)
@@ -445,11 +382,12 @@ def _period_shift(T: CharacterTable, g: int, k: int, period: int) -> List[int]:
 def periodicity_delta(v: HurwitzVector, T: CharacterTable, k: int) -> Tuple[int, ...]:
     """Per-character difference cw(k + |G|) - cw(k), asserted against _period_shift.
 
-    Both levels are two columns of one evaluation; nothing is filed on T.
+    Both levels come from one evaluation; nothing is filed on T.
     """
     k = _level(k)
-    g, class_key = _genus_and_key(v, T)
-    low, high = _evaluate(T, (k, k + T.group.order), v.g_quot, g, class_key).T.tolist()
+    key = (v.g_quot, _class_key(v, T))
+    g = _key_genus(T, key)
+    low, high = _evaluate_keys(T, [key], g, (k, k + T.group.order))[0].tolist()
     delta = tuple(b - a for a, b in zip(low, high))
     for rho, (d, expect) in enumerate(zip(delta, _period_shift(T, g, k, T.group.order))):
         if d != expect:

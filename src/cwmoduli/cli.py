@@ -19,13 +19,13 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import groupby, islice
+from itertools import groupby
 from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .characters import (CharacterTable, character_table, rational_character_values)
-from .chevalley_weil import _LEVEL_BLOCK, _genus_and_key, _level_blocks
+from .chevalley_weil import _class_key, _evaluate_keys, _key_genus
 from .decomposition import _report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
@@ -273,7 +273,7 @@ def _cmd_hurwitz_enumerate(args: argparse.Namespace, out: IO[str]) -> None:
 
 
 def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
-    """One row per level of --k, evaluated block by block; lines go out as they come.
+    """One row per level of --k; each step of levels is one _evaluate_keys call and one write.
 
     JSON lines are _lines of rows [k, mults...]. The text table needs its
     column widths first: a first pass over the levels runs every check and
@@ -286,17 +286,26 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
     # the table group-info prints, so the column labels do not depend on --k
     # (multiplicities are exact on any table)
     T = character_table(G)
-    g, class_key = _genus_and_key(v, T)
-    ks = range(k_lo, k_hi + 1)
-    blocks = functools.partial(_level_blocks, T, ks, v.g_quot, g, class_key)
+    key = (v.g_quot, _class_key(v, T))
+    g = _key_genus(T, key)
+    # levels per step: each call rebuilds the key's class columns, so a step
+    # spans many levels, and rendering one holds several times its text, so
+    # it is a quarter of the most lines a write may hold
+    ks, step = range(k_lo, k_hi + 1), _WRITE_LINES // 4
+
+    def steps():  # each step's levels and their multiplicities, levels x characters
+        for a in range(0, len(ks), step):
+            levels = ks[a:a + step]
+            yield levels, _evaluate_keys(T, [key], g, levels)[0]
+
     if args.json or T.class_count > TEXT_TABLE_LIMIT:
         seps = _separators(json.dumps({"schema": SCHEMA, "k": _ENTRY,
                                        "mults": [_ENTRY] * T.class_count}) + "\n")
-        lines = (_lines(np.column_stack([np.array(range(k, k + block.shape[1])), block.T]), seps)
-                 for k, block in zip(ks[::_LEVEL_BLOCK], blocks()))
+        lines = (_lines(np.column_stack([np.array(levels), block]), seps)
+                 for levels, block in steps())
     else:
         # multiplicities are nonnegative, so a column's widest entry is its largest
-        top = functools.reduce(np.maximum, (block.max(axis=1) for block in blocks()))
+        top = functools.reduce(np.maximum, (block.max(axis=0) for _, block in steps()))
         headers = ["k", *(f"chi_{rho}" for rho in range(T.class_count))]
         widths = [max(len(h), len(str(x))) for h, x in zip(headers, [k_hi, *top.tolist()])]
         vector = _lines(np.array([v.entries], dtype=np.intp),
@@ -304,9 +313,9 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
         print(f"group: {G.label}  vector: {vector}  genus: {g}", file=out)
         print(_table_line(headers, widths), file=out)
         lines = ("".join(_table_line([k, *mults], widths) + "\n"
-                         for k, mults in enumerate(block.T.tolist(), start))
-                 for start, block in zip(ks[::_LEVEL_BLOCK], blocks()))
-    while text := "".join(islice(lines, _WRITE_LINES // _LEVEL_BLOCK)):
+                         for k, mults in zip(levels, block.tolist()))
+                 for levels, block in steps())
+    for text in lines:
         out.write(text)
 
 

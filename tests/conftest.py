@@ -4,7 +4,8 @@ of the rows checked by bulk validation and a counter of the subgroup
 closures run by the generation test. Shared helpers:
 conjugation and branching data of a vector, the item keys of a decomposition,
 the eigenvalue-count rows of a table, the GF(p) root power sum that is
-the reference for the count matrices, the per-piece class-matrix split
+the reference for the count matrices, the one-key multiplicity formula that
+is the reference for the batched evaluator, the per-piece class-matrix split
 that is the reference for the batched one, the depth-first search that
 is the reference for the row enumerator, and the CLI's formatters of
 integer rows that are the reference for its one renderer, cli._lines."""
@@ -217,6 +218,36 @@ def count_rows(T):
     """
     stacked = np.hstack([eigenvalue_counts(T, c) for c in range(T.class_count)])
     return [row.tobytes() for row in stacked]
+
+
+def reference_key_levels(T, ks, g_quot, g, class_key):
+    """One key's multiplicities at the levels ks, characters x levels: the
+    reference for chevalley_weil._evaluate_keys.
+
+    With N = counts at the class of c_i (order m_i), |G| times the
+    multiplicity of rho is
+      k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
+      k >= 2: 2k deg (g-1) - |G| deg (g'-1)
+              - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
+    each class sum one product of the counts with its weights at every
+    level, in int64 (asserted to hold every term).
+    """
+    order, k = T.group.order, np.array(ks, dtype=np.int64)
+    degrees = np.array(T.degrees, dtype=np.int64)[:, None]
+    assert order * (2 * int(k.max()) * g + int(degrees.max()) * (g_quot + 1 + len(class_key))
+                    + 1) < 2 ** 63
+    first = k == 1
+    scaled = degrees * np.where(first, order * (g_quot - 1),
+                                2 * k * (g - 1) - order * (g_quot - 1))
+    scaled[0, first] += order
+    for cls in class_key:
+        N = eigenvalue_counts(T, cls).astype(np.int64)
+        m = N.shape[1]
+        a = np.arange(m)[:, None]
+        scaled += order // m * (N @ np.where(first, a, -((-a - k) % m)))
+    mults, rem = np.divmod(scaled, order)
+    assert not rem.any()
+    return mults
 
 
 def root_power_sum(values, alpha, m, wp):

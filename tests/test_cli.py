@@ -869,6 +869,9 @@ class TestCwOneEvaluation:
 
     @pytest.mark.parametrize("lo, hi", [
         (5, 70),
+        # three whole steps of cw's evaluation (a quarter of a write each),
+        # then one level more
+        (1, 3 * (cli._WRITE_LINES // 4) + 1),
         # near where int64 stops bounding the scaled entries at genus 4
         (2 ** 63 // 48 - 40, 2 ** 63 // 48 + 40),
         # past int64: Python ints in object arrays
@@ -903,6 +906,7 @@ class TestCwOneEvaluation:
             code, out, _ = invoke("cw", group="cyclic:5", vector=TestCwLabels.VEC,
                                   k="1..97", json=as_json)
             assert code == 0 and len(cw_levels(out, as_json)) == 97
+            # once per class per step of levels, and 97 levels are one step;
             # text sizes its columns in a pass of its own before it prints
             assert calls == Counter(dict.fromkeys(classes, 1 if as_json else 2))
 

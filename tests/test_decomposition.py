@@ -33,7 +33,7 @@ from cwmoduli import (
     validate,
 )
 from cwmoduli.groups import _row_groups
-from conftest import block_types, conjugate_vector, item_keys
+from conftest import block_types, conjugate_vector, item_keys, reference_key_levels
 
 
 def census(G, g):
@@ -392,17 +392,17 @@ class TestOnePassOracle:
                         assert cw_character(items[idx], T, k).mults == mults
 
     def test_decompose_reports_its_own_evaluation(self, monkeypatch, s3):
-        # with the one-key path swapping the rows of the two degree-1
-        # characters, cw_character files swapped records; decompose, which
-        # evaluates its keys in one batch, neither reads them nor calls it
+        # with cw_character's evaluation swapping the two degree-1
+        # characters, it files swapped records; decompose, which evaluates
+        # its keys through its own binding, neither reads them nor calls it
         T = character_table(s3)
         items = census(s3, 4)
         fresh = character_table(s3)
         want = stabilization_report(items, fresh, 8)
         records = [cw_character(v, fresh, k) for v in items for k in range(1, 9)]
-        real = chevalley_weil._evaluate
-        monkeypatch.setattr(chevalley_weil, "_evaluate",
-                            lambda T, ks, g_quot, g, ck: real(T, ks, g_quot, g, ck)[[1, 0, 2]])
+        real = chevalley_weil._evaluate_keys
+        monkeypatch.setattr(chevalley_weil, "_evaluate_keys",
+                            lambda T, keys, g, ks: real(T, keys, g, ks)[:, :, [1, 0, 2]])
         swapped = [cw_character(v, T, k) for v in items for k in range(1, 9)]
         assert swapped != records
         assert stabilization_report(items, T, 8) == want
@@ -478,8 +478,8 @@ class TestOnePassOracle:
             assert rep.stabilization_depth <= e
             for block, types in zip(rep.final.blocks, rep.final.types):
                 g_quot, ck = class_key(items[block[0]], T)
-                want = chevalley_weil._evaluate(T, range(1, k_max + 1), g_quot,
-                                                genus(items[0], G), ck)
+                want = reference_key_levels(T, range(1, k_max + 1), g_quot,
+                                            genus(items[0], G), ck)
                 assert np.array_equal(types, want.T), (spec, k_max)
 
 
@@ -575,7 +575,7 @@ class TestArrayEvaluation:
     def test_batched_matches_one_key_evaluation_on_the_catalog(self, catalog):
         # every key of the catalog at genus 2..6, at levels 1..2e, at one
         # level past them, and continued to 2|G| + 5 by _extend, against
-        # _evaluate on each key alone
+        # the one-key formula on each key alone
         opts = EnumerationOptions(up_to_conjugacy=True)
         checked = 0
         for label, G in catalog:
@@ -589,7 +589,7 @@ class TestArrayEvaluation:
                 last = chevalley_weil._evaluate_keys(T, keys, g, range(k_max, k_max + 1))
                 full = chevalley_weil._extend(T, keys, g, head, k_max)
                 for i, (g_quot, ck) in enumerate(keys):
-                    want = chevalley_weil._evaluate(T, range(1, k_max + 1), g_quot, g, ck).T
+                    want = reference_key_levels(T, range(1, k_max + 1), g_quot, g, ck).T
                     assert np.array_equal(full[i], want), (label, g, i)
                     assert np.array_equal(last[i], want[-1:]), (label, g, i)
                     checked += 1
@@ -641,9 +641,8 @@ class TestArrayEvaluation:
         items = list(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
         g = genus(items[0], G)
         T, reference = character_table(G), character_table(G)
-        assert chevalley_weil._evaluate(T, (2 ** 50,), 2, g, ()).dtype == np.int64
         for k in (2 ** 50, 2 ** 62, 2 ** 70):
-            assert chevalley_weil._evaluate(T, (k,), 2, g, ()).dtype == (
+            assert chevalley_weil._evaluate_keys(T, [(2, ())], g, (k,)).dtype == (
                 np.int64 if k < 2 ** 62 else object)
             want = cw_character(items[0], reference, k).mults
             D = decompose_at_k(items, T, k)
