@@ -25,13 +25,13 @@ lookup per distinct sorted entry row, and validate itself runs only on the
 first failing item, for its error.
 _evaluate_keys is the one evaluation of the formulas: every (quotient genus,
 class key) of an item list at once, or one key (cw_character,
-periodicity_delta, each step of the cw command), building each class's
-columns once per call and adding them into the keys that hold the class,
-_ENTRIES entries (keys x levels x characters) an array step; _extend
-continues its types past two periods by the closed-form shift. Both check
-their values with _checked. Nothing is filed on the table except by
-cw_character, whose per-vector memo entry (genus, class key, level dict) is
-shared by every vector of one key: a repeated query is two lookups, and a
+periodicity_delta, each step of the cw command, which builds the class
+columns once for all its steps), adding each class's columns into the keys
+that hold the class, _ENTRIES entries (keys x levels x characters) an array
+step; _extend continues its types past two periods by the closed-form shift.
+Both check their values with _checked. Nothing is filed on the table except
+by cw_character, whose per-vector memo entry (genus, class key, level dict)
+is shared by every vector of one key: a repeated query is two lookups, and a
 missing level is evaluated alone and filed in its key's dict.
 """
 
@@ -86,8 +86,7 @@ def _level(k) -> int:
 def _class_key(v: HurwitzVector, T: CharacterTable) -> Tuple[int, ...]:
     """Validate v in full against T's group; return its sorted branch class ids."""
     validate(v, T.group)
-    class_of = T.classes.class_list()
-    return tuple(sorted([class_of[c] for c in v.branches]))
+    return tuple(sorted(map(T.classes.class_list().__getitem__, v[2])))
 
 
 def _key_genus(T: CharacterTable, key: _Key) -> int:
@@ -211,25 +210,28 @@ def _key_terms(T: CharacterTable, keys: Sequence[_Key]):
     """What the formulas read of the keys, as arrays.
 
     Returns each key's quotient genus; the distinct branch orders and each
-    key's count of branch points of each (keys x orders), which give the
-    trivial closed form; and, per class held by any key, (class, the keys
-    that hold it, how often each does).
+    key's count of branch points of each (keys x orders), for the trivial
+    closed form; and, per class held by any key, (class, the keys that hold
+    it, how often each does). Each tally is an np.bincount, empty without keys.
     """
     n = len(keys)
     sizes = [len(ck) for _, ck in keys]
     flat = np.fromiter(chain.from_iterable(ck for _, ck in keys), dtype=np.int64,
                        count=sum(sizes))
-    owner = np.repeat(np.arange(n), sizes)
-    order_of = np.array([T.group.elem_order(x) for x in T.classes.representatives])
-    orders, at = np.unique(order_of[flat], return_inverse=True)
-    counts = np.zeros((n, len(orders)), dtype=np.int64)
-    np.add.at(counts, (owner, at.ravel()), 1)
+    owner = np.arange(n).repeat(sizes)
+    order_of = np.array([T.group.elem_order(x) for x in T.classes.representatives])[flat]
+    orders = np.bincount(order_of).nonzero()[0]
+    cell = owner * len(orders) + orders.searchsorted(order_of)  # (key, order) per point
+    counts = np.bincount(cell, minlength=n * len(orders)).reshape(n, len(orders))
     # (class, key) pairs sorted by class, so each class's keys are one run
-    pairs, times = np.unique(flat * n + owner, return_counts=True)
-    cls, rows = np.divmod(pairs, max(n, 1))
-    starts = np.flatnonzero(np.diff(cls, prepend=-1))
-    held = [(int(cls[a]), rows[a:b], times[a:b])
-            for a, b in zip(starts, [*starts[1:], len(cls)])]
+    pairs = np.sort(flat * n + owner)
+    new = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    times = np.bincount(new.cumsum() - 1)
+    cls, rows = np.divmod(pairs[new], max(n, 1))
+    size = np.bincount(cls)  # keys per class: class c's run ends at the size sum to c
+    held = [(c, rows[b - m:b], times[b - m:b])
+            for c, (m, b) in enumerate(zip(size.tolist(), size.cumsum().tolist())) if m]
     return np.array([q for q, _ in keys], dtype=np.int64), orders, counts, held
 
 
@@ -241,8 +243,8 @@ def _trivial(k: np.ndarray, g_quot: np.ndarray, orders: np.ndarray,
     return np.where(k == 1, g_quot, (2 * k - 1) * (g_quot - 1) + counts @ floors)
 
 
-def _evaluate_keys(T: CharacterTable, keys: Sequence[_Key], g: int,
-                   ks: Sequence[int]) -> np.ndarray:
+def _evaluate_keys(T: CharacterTable, keys: Sequence[_Key], g: int, ks: Sequence[int],
+                   columns: Optional[Dict[int, np.ndarray]] = None) -> np.ndarray:
     """Every key's multiplicities at every level of ks: keys x levels x characters.
 
     With N = counts at the class of c_i (order m_i), |G| times the multiplicity
@@ -250,11 +252,11 @@ def _evaluate_keys(T: CharacterTable, keys: Sequence[_Key], g: int,
       k = 1:  |G| deg (g'-1) + sum_i (|G|/m_i) sum_a a N[rho, a]  (+|G| if trivial),
       k >= 2: 2k deg (g-1) - |G| deg (g'-1)
               - sum_i (|G|/m_i) sum_a N[rho, a] [-a-k]_{m_i},
-    with the class sums read from _class_columns. Each class held by any key
-    has its columns built once per call, read at every level once, and
-    added, times its multiplicity, into the keys that hold it; the sums stay
-    in the smallest signed dtype that holds an a-priori bound on every
-    scaled entry over all of ks (Python ints in an object array past int64).
+    with the class sums read from _class_columns (passed as columns when the
+    caller built them, else built once per call), each read at every level
+    once and added, times its multiplicity, into the keys that hold it; the
+    sums stay in the smallest signed dtype that holds an a-priori bound on
+    every scaled entry over all of ks (Python ints in an object array past int64).
     Every check of _checked runs on each step of keys. The result is in the
     smallest signed dtype that holds the dimension at the largest level.
     """
@@ -277,7 +279,7 @@ def _evaluate_keys(T: CharacterTable, keys: Sequence[_Key], g: int,
     scaled[:, first, 0] += order
     step = max(1, _ENTRIES // (len(ks) * chars))
     for cls, rows, times in held:
-        col = _class_columns(T, cls)
+        col = _class_columns(T, cls) if columns is None else columns[cls]
         m = col.shape[1] - 1
         piece = col[:, np.where(first, m, -k % m).astype(np.intp)].T
         for a in range(0, len(rows), step):
@@ -336,10 +338,10 @@ def cw_character(v: HurwitzVector, T: CharacterTable, k: int) -> MultiplicityVec
             return T._validated[v][2][k]
         except KeyError:
             pass
-    k = _level(k)
+    k = k if type(k) is int and k > 0 else _level(k)
     entry = T._validated.get(v)
     if entry is None:  # an invalid vector raises here on every call, and is not filed
-        key = (v.g_quot, _class_key(v, T))
+        key = (v[0], _class_key(v, T))
         entry = T._levels.get(key)
         if entry is None:
             entry = T._levels[key] = (_key_genus(T, key), key[1], {})

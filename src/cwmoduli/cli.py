@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characters import (CharacterTable, character_table, rational_character_values)
-from .chevalley_weil import _class_key, _evaluate_keys, _key_genus
+from .chevalley_weil import _class_columns, _class_key, _evaluate_keys, _key_genus
 from .decomposition import _report
 from .errors import CwModuliError, EnumerationCapExceeded, GroupSpecError
 from .groups import FiniteGroup, MetacyclicParams, group_from_spec
@@ -288,15 +288,15 @@ def _cmd_cw(args: argparse.Namespace, out: IO[str]) -> None:
     T = character_table(G)
     key = (v.g_quot, _class_key(v, T))
     g = _key_genus(T, key)
-    # levels per step: each call rebuilds the key's class columns, so a step
-    # spans many levels, and rendering one holds several times its text, so
-    # it is a quarter of the most lines a write may hold
+    # the columns serve every step of both passes; a step is a quarter of the
+    # most lines a write may hold, as rendering one holds several times its text
+    columns = {cls: _class_columns(T, cls) for cls in set(key[1])}
     ks, step = range(k_lo, k_hi + 1), _WRITE_LINES // 4
 
     def steps():  # each step's levels and their multiplicities, levels x characters
         for a in range(0, len(ks), step):
             levels = ks[a:a + step]
-            yield levels, _evaluate_keys(T, [key], g, levels)[0]
+            yield levels, _evaluate_keys(T, [key], g, levels, columns)[0]
 
     if args.json or T.class_count > TEXT_TABLE_LIMIT:
         seps = _separators(json.dumps({"schema": SCHEMA, "k": _ENTRY,

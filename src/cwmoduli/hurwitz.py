@@ -122,13 +122,12 @@ class HurwitzVector(_VectorFields):
 
 
 def _relation_product(v: HurwitzVector, G: FiniteGroup) -> int:
-    """prod [a_i, b_i] prod c_j, on the list rows of the table."""
-    rows, inv = G.mul_rows(), G.inv_list()
-    acc = G.identity
-    if v.handles:  # skips building two empty slices when g' = 0
-        for a, b in zip(v.handles[::2], v.handles[1::2]):
-            acc = rows[acc][rows[rows[rows[a][b]][inv[a]]][inv[b]]]
-    for c in v.branches:
+    """prod [a_i, b_i] prod c_j on G's list rows, pairing the handles off one iterator."""
+    rows, inv, it = G._rows, G._inv_list, iter(v[1])
+    acc = 0  # the identity
+    for a, b in zip(it, it):
+        acc = rows[acc][rows[rows[rows[a][b]][inv[a]]][inv[b]]]
+    for c in v[2]:
         acc = rows[acc][c]
     return acc
 
@@ -140,21 +139,20 @@ def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     an element id, OrderViolation if a branch entry is the identity,
     RelationViolation if the surface relation fails, NotGenerating if the
     entries span a proper subgroup (a lookup in G's memo, see
-    groups.generates). Returns the vector unchanged on success.
+    groups.generates). Returns v unchanged on success; v is read as a tuple.
     """
-    if len(v.handles) != 2 * v.g_quot:
-        raise ValueError(f"expected {2 * v.g_quot} handle entries, got {len(v.handles)}")
-    entries = v.handles + v.branches
-    n, identity = G.order, G.identity
-    if entries and (min(entries) < 0 or max(entries) >= n):
-        x = next(x for x in entries if not 0 <= x < n)
+    g_quot, handles, branches = v
+    if len(handles) != 2 * g_quot:
+        raise ValueError(f"expected {2 * g_quot} handle entries, got {len(handles)}")
+    entries = handles + branches
+    if entries and (min(entries) < 0 or max(entries) >= G.order):
+        x = next(x for x in entries if not 0 <= x < G.order)
         raise ValueError(f"entry {x} is not an element id of {G.label}")
-    # the identity is the one element of order 1
-    if identity in v.branches:
-        j = v.branches.index(identity)
-        raise OrderViolation(f"branch entry c_{j + 1} = {identity} has order 1")
+    # the identity, id 0, is the one element of order 1
+    if 0 in branches:
+        raise OrderViolation(f"branch entry c_{branches.index(0) + 1} = 0 has order 1")
     prod = _relation_product(v, G)
-    if prod != identity:
+    if prod:
         raise RelationViolation(
             f"surface relation product is element {prod}, not the identity")
     if not generates(G, entries):

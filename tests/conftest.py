@@ -5,13 +5,15 @@ closures run by the generation test. Shared helpers:
 conjugation and branching data of a vector, the item keys of a decomposition,
 the eigenvalue-count rows of a table, the GF(p) root power sum that is
 the reference for the count matrices, the one-key multiplicity formula that
-is the reference for the batched evaluator, the per-piece class-matrix split
+is the reference for the batched evaluator, the np.unique tally of the keys'
+terms that is the reference for chevalley_weil._key_terms, the per-piece class-matrix split
 that is the reference for the batched one, the depth-first search that
 is the reference for the row enumerator, and the CLI's formatters of
 integer rows that are the reference for its one renderer, cli._lines."""
 
 import json
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -248,6 +250,32 @@ def reference_key_levels(T, ks, g_quot, g, class_key):
     mults, rem = np.divmod(scaled, order)
     assert not rem.any()
     return mults
+
+
+def reference_key_terms(T, keys):
+    """The keys' terms by np.unique and np.add.at: the reference for
+    chevalley_weil._key_terms.
+
+    Returns each key's quotient genus, the distinct branch orders, each key's
+    count of branch points of each order (keys x orders), and per class held
+    by any key (class, the keys that hold it, how often each does).
+    """
+    n = len(keys)
+    sizes = [len(ck) for _, ck in keys]
+    flat = np.fromiter(chain.from_iterable(ck for _, ck in keys), dtype=np.int64,
+                       count=sum(sizes))
+    owner = np.repeat(np.arange(n), sizes)
+    order_of = np.array([T.group.elem_order(x) for x in T.classes.representatives])
+    orders, at = np.unique(order_of[flat], return_inverse=True)
+    counts = np.zeros((n, len(orders)), dtype=np.int64)
+    np.add.at(counts, (owner, at.ravel()), 1)
+    # (class, key) pairs sorted by class, so each class's keys are one run
+    pairs, times = np.unique(flat * n + owner, return_counts=True)
+    cls, rows = np.divmod(pairs, max(n, 1))
+    starts = np.flatnonzero(np.diff(cls, prepend=-1))
+    held = [(int(cls[a]), rows[a:b], times[a:b])
+            for a, b in zip(starts, [*starts[1:], len(cls)])]
+    return np.array([q for q, _ in keys], dtype=np.int64), orders, counts, held
 
 
 def root_power_sum(values, alpha, m, wp):

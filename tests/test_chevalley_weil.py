@@ -14,6 +14,7 @@ import pytest
 
 from cwmoduli import (
     BranchingData,
+    EnumerationOptions,
     HurwitzVector,
     InternalConsistencyError,
     MetacyclicParams,
@@ -24,6 +25,7 @@ from cwmoduli import (
     cw_character,
     decompose_at_k,
     enumerate_branching_data,
+    enumerate_hurwitz_rows,
     enumerate_hurwitz_vectors,
     eigenvalue_counts,
     genus,
@@ -37,8 +39,8 @@ from cwmoduli import (
     stabilization_report,
     validate,
 )
-from cwmoduli import chevalley_weil
-from conftest import conjugate_vector, count_rows, root_power_sum
+from cwmoduli import chevalley_weil, hurwitz
+from conftest import conjugate_vector, count_rows, reference_key_terms, root_power_sum
 
 
 class TestGoldenValues:
@@ -223,6 +225,51 @@ class TestPeriodicity:
                     cw_character(v, z3_table, k + 3).mults, set()).add(i)
             assert (sorted(map(sorted, at_k.values()))
                     == sorted(map(sorted, at_k_shift.values())))
+
+
+def _assert_same_terms(T, keys):
+    """chevalley_weil._key_terms(T, keys) equals the np.unique reference, dtypes aside;
+    returns its per-class terms as {class: (keys, times)}."""
+    g_quot, orders, counts, held = chevalley_weil._key_terms(T, keys)
+    want_g_quot, want_orders, want_counts, want_held = reference_key_terms(T, keys)
+    assert np.array_equal(g_quot, want_g_quot) and np.array_equal(orders, want_orders)
+    assert counts.shape == want_counts.shape and np.array_equal(counts, want_counts)
+    assert [c for c, _, _ in held] == [c for c, _, _ in want_held]
+    for (_, rows, times), (_, want_rows, want_times) in zip(held, want_held):
+        assert np.array_equal(rows, want_rows) and np.array_equal(times, want_times)
+    return {c: (rows.tolist(), times.tolist()) for c, rows, times in held}
+
+
+class TestKeyTerms:
+    def test_matches_the_reference_on_the_catalog(self, catalog):
+        # every catalog group's keys at genus 2..5, as _class_keys returns them
+        opts = EnumerationOptions(up_to_conjugacy=True)
+        checked = 0
+        for label, G in catalog:
+            T = character_table(G)
+            for g in range(2, 6):
+                rows = hurwitz._VectorRows(
+                    (d.g_quot, 2 * d.g_quot, r) for d in enumerate_branching_data(G, g)
+                    for r in enumerate_hurwitz_rows(G, d, opts))
+                keys = chevalley_weil._class_keys(rows, T)[0]
+                _assert_same_terms(T, keys)
+                checked += len(keys)
+        assert checked > 500
+
+    def test_empty_repeated_and_shared_classes(self):
+        G = group_from_spec("metacyclic:6,2,5")
+        T = character_table(G)
+        x, y = 2, 1  # x and y of the presentation, of orders 6 and 2
+        a, b = (T.classes.class_list()[e] for e in (x, y))
+        assert _assert_same_terms(T, []) == {}
+        assert _assert_same_terms(T, [(2, ())]) == {}
+        assert _assert_same_terms(T, [(0, tuple(sorted((a, a, a, b))))]) == {
+            a: ([0], [3]), b: ([0], [1])}
+        keys = [(0, tuple(sorted((a, a, b)))), (1, (b,)), (3, ()),
+                (0, tuple(sorted((a, b, b)))), (2, (a, a))]
+        assert _assert_same_terms(T, keys) == {a: ([0, 3, 4], [2, 1, 2]),
+                                               b: ([0, 1, 3], [1, 1, 2])}
+        assert chevalley_weil._key_terms(T, keys)[1].tolist() == [2, 6]
 
 
 class TestSessionWidening:
@@ -600,6 +647,32 @@ class TestCachedVectors:
         assert validate_calls == Counter({bad: 5})
         assert T._validated == {}
 
+    def test_free_law_work_counts(self, monkeypatch, validate_calls):
+        # the free-action loop of the regular law: each vector validated on
+        # its first query only, one evaluation per level (the vectors share
+        # one class key), and every vector handed the filed level record
+        G = group_from_spec("metacyclic:6,2,5")
+        T = character_table(G)
+        vectors = list(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
+        evaluated = []
+        real = chevalley_weil._evaluate_keys
+
+        def counting(T, keys, g, ks, *rest):
+            evaluated.append((keys, tuple(ks)))
+            return real(T, keys, g, ks, *rest)
+
+        monkeypatch.setattr(chevalley_weil, "_evaluate_keys", counting)
+        levels = range(2, 2 * G.order + 1)
+        records = {}
+        for v in vectors:
+            for k in levels:
+                mv = cw_character(v, T, k)
+                assert records.setdefault(k, mv) is mv, (v, k)
+                assert regular_multiple(mv, T) == 2 * k - 1
+        assert validate_calls == Counter(vectors)
+        assert len(evaluated) == 2 * G.order - 1
+        assert evaluated == [([(2, ())], (k,)) for k in levels]
+
 
 def _outcome(check, v):
     """The exception type check(v) raises, or None if it accepts v."""
@@ -716,6 +789,23 @@ class TestDomainChecks:
                 decompose_at_k(items, T, k)
             with pytest.raises(TypeError):
                 stabilization_report(items, T, k)
+
+    @pytest.mark.parametrize("k, error", [
+        (True, TypeError), (2.0, TypeError), (0, ValueError), (-1, ValueError),
+        (np.int64(3), None)])
+    def test_level_checked_on_a_vectors_first_query(self, genus6_vectors, k, error):
+        # the level is checked before the vector, and a rejected query files
+        # nothing; an accepted numpy level is filed as a Python int
+        T = character_table(build_cyclic(3))
+        v, bad = genus6_vectors[0], HurwitzVector(0, (), (1, 1))
+        assert _outcome(lambda w: cw_character(w, T, k), bad) is (error or RelationViolation)
+        assert _outcome(lambda w: cw_character(w, T, k), v) is error
+        if error is None:
+            assert list(T._validated) == [v] and list(T._validated[v][2]) == [3]
+            mv = cw_character(v, T, 3)
+            assert type(mv.k) is int and mv.k == 3 and cw_character(v, T, k) is mv
+        else:
+            assert T._validated == {} and T._levels == {}
 
     def test_genus_below_two_rejected(self, z2_table):
         v = HurwitzVector(1, (1, 0), ())  # genus 1 cover

@@ -899,16 +899,17 @@ class TestCwOneEvaluation:
             return real(T, cls)
 
         monkeypatch.setattr(chevalley_weil, "_class_columns", counting)
+        monkeypatch.setattr(cli, "_class_columns", counting)
         T = character_table(group_from_spec("cyclic:5"))
         classes = set(T.classes.class_of[[1, 1, 3]].tolist())
         for as_json in (False, True):
             calls.clear()
             code, out, _ = invoke("cw", group="cyclic:5", vector=TestCwLabels.VEC,
-                                  k="1..97", json=as_json)
-            assert code == 0 and len(cw_levels(out, as_json)) == 97
-            # once per class per step of levels, and 97 levels are one step;
+                                  k="1..2100", json=as_json)
+            assert code == 0 and len(cw_levels(out, as_json)) == 2100
+            # once per class per command: 2,100 levels are three steps, and
             # text sizes its columns in a pass of its own before it prints
-            assert calls == Counter(dict.fromkeys(classes, 1 if as_json else 2))
+            assert calls == Counter(dict.fromkeys(classes, 1))
 
     @pytest.mark.parametrize("text", [
         '{"g_quot": 0, "handles": [], "branches": [1, 1, 1, 1]}',  # relation

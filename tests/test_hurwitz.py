@@ -218,6 +218,31 @@ class TestValidate:
             assert type(exc.value) is error and str(exc.value) == message
         assert G._generated == ({frozenset({0}): False} if error is NotGenerating else {})
 
+    @pytest.mark.parametrize("g_quot", [1, 2])
+    def test_relation_message_on_a_nonabelian_group(self, s3, g_quot):
+        # every vector of S3 with g' handle pairs and one branch entry whose
+        # relation fails reports prod [a_i, b_i] * c, each commutator from
+        # its own pair
+        def commutator(a, b):
+            return s3.mul(s3.mul(s3.mul(a, b), s3.inv(a)), s3.inv(b))
+
+        failed = set()
+        for handles in itertools.product(range(s3.order), repeat=2 * g_quot):
+            for c in range(1, s3.order):
+                prod = s3.identity
+                for a, b in zip(handles[::2], handles[1::2]):
+                    prod = s3.mul(prod, commutator(a, b))
+                prod = s3.mul(prod, c)
+                if prod == s3.identity:
+                    continue
+                with pytest.raises(RelationViolation) as exc:
+                    validate(HurwitzVector(g_quot, handles, (c,)), s3)
+                assert str(exc.value) == (
+                    f"surface relation product is element {prod}, not the identity")
+                failed.add(prod)
+        # the failures reach every nonidentity product
+        assert failed == set(range(1, s3.order))
+
     def test_conjugate_preserves_validity(self, s3):
         rng = random.Random(29)
         data = BranchingData(0, (2, 2, 3, 3))
