@@ -19,10 +19,11 @@ lookup in the group's memo from entry set to whether it generates G, so the
 subgroup closure runs once per entry set per group. Per item list,
 _class_keys does the same in arrays on the items' integer rows (a
 hurwitz._VectorRows view: the search's own rows for the decompose command,
-the caller's vectors read into rows once for the library): each row is
-checked once, by validate's checks as column gathers and one generation
-lookup per distinct sorted entry row, and validate itself runs only on the
-first failing item, for its error.
+the caller's vectors read into rows once for the library), walked in item
+order a step of rows at a time: hurwitz._rows_valid answers whether
+validate accepts every row of a step (its checks as column gathers, one
+generation lookup per distinct sorted entry row), and validate itself runs
+only on the items of the first step it rejects, for the first error.
 _evaluate_keys is the one evaluation of the formulas: every (quotient genus,
 class key) of an item list at once, or one key (cw_character,
 periodicity_delta, each step of the cw command, which builds the class
@@ -45,9 +46,9 @@ import numpy as np
 
 from .characters import CharacterTable, eigenvalue_counts
 from .errors import InternalConsistencyError
-from .groups import _as_int, _row_groups
-from .hurwitz import (BranchingData, HurwitzVector, _VectorRows, _invalid_rows, genus,
-                      validate)
+from .groups import _ENTRIES, _as_int, _row_groups
+from .hurwitz import (BranchingData, HurwitzVector, _rows_valid, _row_vectors, _VectorRows,
+                      genus, validate)
 
 __all__ = [
     "MultiplicityVector",
@@ -104,41 +105,33 @@ _CHUNK = 1 << 14
 def _class_keys(items: _VectorRows, T: CharacterTable) -> Tuple[List[_Key], np.ndarray]:
     """Validate every item's row in bulk; return the distinct keys and each item's key id.
 
-    A key is (quotient genus, sorted branch class ids). Rows are taken by
-    shape (g', handle count, width), up to _CHUNK at a time; each step is
-    checked by hurwitz._invalid_rows and keyed by one class_of gather and a
-    row sort. If any row fails, validate runs on the failing item of lowest
-    index, so the error is the one a per-item pass raises first.
+    A key is (quotient genus, sorted branch class ids). The blocks of rows
+    are walked in item order, up to _CHUNK rows at a time; each step is
+    checked by hurwitz._rows_valid and keyed by one class_of gather and a
+    row sort. The first step that fails holds the first invalid item, so
+    validate runs on its items in order and raises the error a per-item
+    pass raises first.
     """
     G = T.group
-    by_shape: Dict[Tuple[int, int, int], List[Tuple[int, np.ndarray]]] = {}
-    n = 0
-    for g_quot, n_handles, rows in items.blocks:
-        by_shape.setdefault((g_quot, n_handles, rows.shape[1]), []).append((n, rows))
-        n += len(rows)
     key_ids: Dict[_Key, int] = {}
-    key_of = np.empty(n, dtype=np.int64)
-    worst = n  # the lowest index of an invalid row so far
-    for (g_quot, n_handles, _), parts in by_shape.items():
-        rows = parts[0][1] if len(parts) == 1 else np.concatenate([r for _, r in parts])
-        first = np.concatenate([np.arange(at, at + len(r)) for at, r in parts])
+    key_of = np.empty(len(items), dtype=np.int64)
+    at = 0
+    for g_quot, n_handles, rows in items.blocks:
         for start in range(0, len(rows), _CHUNK):
-            chunk, idx = rows[start:start + _CHUNK], first[start:start + _CHUNK]
-            bad = np.flatnonzero(_invalid_rows(G, g_quot, chunk, n_handles))
-            if bad.size:
-                worst = min(worst, int(idx[bad[0]]))
-            if worst < n:  # no key is needed once a row has failed
-                continue
+            chunk = rows[start:start + _CHUNK]
+            if not _rows_valid(G, g_quot, chunk, n_handles):
+                for v in _row_vectors(g_quot, n_handles, chunk):
+                    validate(v, G)
+                raise InternalConsistencyError(
+                    f"bulk validation rejected items {at}..{at + len(chunk) - 1}, "
+                    "which validate accepts")
             classes = T.classes.class_of[chunk[:, n_handles:]]
             classes.sort(axis=1)
-            one, group = _row_groups(classes, T.class_count)
+            one, group = _row_groups(classes)
             ids = [key_ids.setdefault((g_quot, tuple(row)), len(key_ids))
                    for row in classes[one].tolist()]
-            key_of[idx] = np.array(ids, dtype=np.int64)[group]
-    if worst < n:
-        validate(items[worst], G)
-        raise InternalConsistencyError(
-            f"bulk validation rejected item {worst}, which validate accepts")
+            key_of[at:at + len(chunk)] = np.array(ids, dtype=np.int64)[group]
+            at += len(chunk)
     return list(key_ids), key_of
 
 
@@ -199,11 +192,6 @@ def _checked(scaled: np.ndarray, ks: Sequence[int], dim: np.ndarray, trivial: np
         raise InternalConsistencyError(
             f"multiplicities contract to dimension {total[i, c]}, expected {dim[c]}")
     return mults
-
-
-# entries (keys x levels x characters) per array step of _evaluate_keys and
-# _extend: bounds their temporaries, whatever the counts of each
-_ENTRIES = 1 << 16
 
 
 def _key_terms(T: CharacterTable, keys: Sequence[_Key]):

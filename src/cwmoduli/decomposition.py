@@ -12,8 +12,9 @@ decompose command passes the search's rows with no HurwitzVector built. The
 rows are validated and keyed in arrays (chevalley_weil._class_keys), with
 no memo entry per item; every distinct (quotient genus, branch-class
 multiset) key is evaluated at once (chevalley_weil._evaluate_keys), and the
-distinct types are sorted by one np.unique per step of columns. Nothing is
-filed on the table, and a scan keeps no record per level.
+distinct types are found and sorted by groups._row_groups, the one row
+grouping that validation and keying use too. Nothing is filed on the
+table, and a scan keeps no record per level.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from typing import FrozenSet, Sequence, Tuple
 import numpy as np
 
 from .characters import CharacterTable
-from .chevalley_weil import (_ENTRIES, _class_keys, _evaluate_keys, _extend, _key_genus, _level,
+from .chevalley_weil import (_class_keys, _evaluate_keys, _extend, _key_genus, _level,
                              _period_shift)
 from .errors import InternalConsistencyError
+from .groups import _row_groups
 from .hurwitz import HurwitzVector, _row_blocks, _VectorRows, genus
 
 __all__ = [
@@ -85,40 +87,6 @@ def _partition(items: _VectorRows, ks: Sequence[int], types: np.ndarray,
     return Decomposition(items, ks, blocks, types)
 
 
-def _type_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One key of each distinct type, the types in lexicographic order, and each key's rank.
-
-    values is keys x levels x characters, all entries >= 0. Big-endian
-    entries that are >= 0 compare bytewise as numbers, so np.unique on one
-    void item per row sorts rows lexicographically, at far less cost than
-    np.unique(axis=0) on wide rows. The columns go _ENTRIES entries a step,
-    each step's rows led by their rank over the columns before; the steps
-    stop once every key has a type of its own. Python ints (past int64) take
-    an exact path of their own.
-    """
-    n, levels, chars = values.shape
-    rows = values.reshape(n, levels * chars)
-    if rows.dtype == object:
-        first_of = {}
-        for i, row in enumerate(map(tuple, rows.tolist())):
-            first_of.setdefault(row, i)
-        rank_of = {row: r for r, row in enumerate(sorted(first_of))}
-        return (np.array([first_of[row] for row in rank_of], dtype=np.int64),
-                np.array([rank_of[row] for row in map(tuple, rows.tolist())], dtype=np.int64))
-    rank = np.zeros(n, dtype=np.int64)
-    width = max(1, _ENTRIES // max(n, 1))
-    for start in range(0, rows.shape[1], width):
-        part = rows[:, start:start + width]
-        chunk = np.empty((n, 1 + part.shape[1]), dtype=">i8")
-        chunk[:, 0], chunk[:, 1:] = rank, part
-        whole = chunk.view(np.dtype((np.void, chunk.itemsize * chunk.shape[1]))).ravel()
-        _, first, rank = np.unique(whole, return_index=True, return_inverse=True)
-        rank = rank.ravel()  # its shape differs between numpy 1.x and 2.x
-        if len(first) == n:
-            break
-    return first, rank
-
-
 def _decompose(items: _VectorRows, T: CharacterTable, ks: Sequence[int]) -> Decomposition:
     """Partition items by their multiplicity vectors at every level in ks.
 
@@ -138,10 +106,10 @@ def _decompose(items: _VectorRows, T: CharacterTable, ks: Sequence[int]) -> Deco
     g, e = max(genera, default=2), T.group.exponent()
     periodic = ks == range(1, len(ks) + 1) and len(ks) > 2 * e
     values = _evaluate_keys(T, keys, g, range(1, 2 * e + 1) if periodic else ks)
-    first, rank = _type_order(values)
-    types = values[first]
+    one, rank = _row_groups(values)
+    types = values[one]
     if periodic:
-        types = _extend(T, [keys[i] for i in first.tolist()], g, types, len(ks))
+        types = _extend(T, [keys[i] for i in one.tolist()], g, types, len(ks))
     return _partition(items, ks, types, rank[key_of])
 
 
@@ -248,7 +216,7 @@ def _report(items: _VectorRows, T: CharacterTable, k_max: int) -> StabilizationR
                 f"levels {k} and {k + e} differ by other than {_period_shift(T, g, k, e)}, "
                 "contradicting the periodicity of the multiplicity formulas")
     # the standalone partitions repeat with period e: count the types of each
-    block_counts = np.resize([len(_type_order(types[:, j:j + 1])[0])
+    block_counts = np.resize([len(_row_groups(types[:, j])[0])
                               for j in range(min(e, k_max))], k_max)
     block_counts.flags.writeable = False
     return StabilizationReport(block_counts, tuple(splits), final, max(splits, default=1))

@@ -12,7 +12,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -290,26 +290,51 @@ def closure(G: FiniteGroup, S: Iterable[int]) -> Set[int]:
     return seen
 
 
-def _row_groups(rows: np.ndarray, bound: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Equal rows of a matrix of integers in 0..bound-1, grouped.
+# entries per array step of _row_groups, and of chevalley_weil's
+# _evaluate_keys and _extend: bounds their temporaries, whatever the counts
+_ENTRIES = 1 << 16
+
+
+def _row_groups(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Equal rows of an array of integers >= 0, grouped; row i is all of rows[i].
 
     Returns the index of one row of each group and the group of every row;
     groups are numbered in lexicographic order of their rows. A row is read
-    as one int64 code when its bits fit, else numpy compares whole rows.
+    as one int64 code when its bits (read from the data) fit. Else its
+    entries are big-endian int64s, which compare bytewise as numbers, so
+    np.unique on one void item per row sorts rows lexicographically: the
+    columns go _ENTRIES entries a step, each step's rows led by their group
+    over the columns before, and the steps stop once every row is alone.
+    Python ints (past int64) take an exact path of their own.
     """
-    n, width = rows.shape
-    bits = max(bound - 1, 1).bit_length()
-    if width * bits < 63:
+    n = len(rows)
+    rows = rows.reshape(n, prod(rows.shape[1:]))
+    bits = int(rows.max(initial=0)).bit_length()
+    if rows.dtype == object:
+        keys = list(map(tuple, rows.tolist()))
+        distinct = sorted(set(keys))
+        rank_of = {row: r for r, row in enumerate(distinct)}
+        group = np.array([rank_of[row] for row in keys], dtype=np.int64)
+    elif rows.shape[1] * bits < 63:
         codes = np.zeros(n, dtype=np.int64)
-        for j in range(width):
+        for column in rows.T:
             codes <<= bits
-            codes |= rows[:, j]
-        group = np.unique(codes, return_inverse=True)[1]
+            codes |= column
+        distinct, group = np.unique(codes, return_inverse=True)
     else:
-        group = np.unique(rows, axis=0, return_inverse=True)[1]
+        group = np.zeros(n, dtype=np.int64)
+        width = max(1, _ENTRIES // max(n, 1))
+        for start in range(0, rows.shape[1], width):
+            part = rows[:, start:start + width]
+            step = np.empty((n, 1 + part.shape[1]), dtype=">i8")
+            step[:, 0], step[:, 1:] = group, part
+            whole = step.view(np.dtype((np.void, step.itemsize * step.shape[1]))).ravel()
+            distinct, group = np.unique(whole, return_inverse=True)
+            if len(distinct) == n:
+                break
     group = group.ravel()  # its shape differs between numpy 1.x and 2.x
     # rows of a group are equal, so any one of them stands for it
-    one = np.empty(group.max(initial=-1) + 1, dtype=np.int64)
+    one = np.empty(len(distinct), dtype=np.int64)
     one[group] = np.arange(n)
     return one, group
 

@@ -178,26 +178,21 @@ def _entry_rows(vectors: Sequence[HurwitzVector], width: int) -> np.ndarray:
     return flat.reshape(len(vectors), width)
 
 
-def _invalid_rows(G: FiniteGroup, g_quot: int, entries: np.ndarray,
-                  n_handles: int) -> np.ndarray:
-    """validate's checks on many vectors of one shape at once.
+def _rows_valid(G: FiniteGroup, g_quot: int, entries: np.ndarray, n_handles: int) -> bool:
+    """Whether validate accepts every vector of one shape, checked at once.
 
-    entries is a matrix of integers (an object array if one is beyond int64),
-    one row per vector: its n_handles handle entries, then its branch
-    entries. Returns a mask of the rows that validate rejects. The relation
-    is a column gather through the table per entry, and generation is one
-    groups.generates call per distinct sorted entry row, so the closure
-    still runs once per entry set per group.
+    entries is a matrix of integers (an object array if one is beyond int64,
+    so no element id: not valid), one row per vector: its n_handles handle
+    entries, then its branch entries. The relation is a column gather
+    through the table per entry, and generation is one groups.generates
+    call per distinct sorted entry row, so the closure still runs once per
+    entry set per group.
     """
-    if n_handles != 2 * g_quot:
-        return np.ones(len(entries), dtype=bool)
     n, identity = G.order, G.identity
-    bad = ((entries < 0) | (entries >= n)).any(axis=1)
-    if bad.any():
-        # gather only ids: numpy reads a negative index from the end, and no
-        # index from an object array (rows with an entry beyond int64)
-        entries = np.where(bad[:, None], identity, entries).astype(np.int64)
-    bad |= (entries[:, n_handles:] == identity).any(axis=1)
+    if (entries.dtype == object or n_handles != 2 * g_quot
+            or entries.min(initial=0) < 0 or entries.max(initial=0) >= n
+            or (entries[:, n_handles:] == identity).any()):
+        return False
     mul, inv = G.mul_table, G.inv_table
     prod = np.full(len(entries), identity)
     for i in range(0, n_handles, 2):
@@ -205,14 +200,10 @@ def _invalid_rows(G: FiniteGroup, g_quot: int, entries: np.ndarray,
         prod = mul[prod, mul[mul[mul[a, b], inv[a]], inv[b]]]
     for j in range(n_handles, entries.shape[1]):
         prod = mul[prod, entries[:, j]]
-    bad |= prod != identity
-    ok = np.flatnonzero(~bad)
-    rows = entries[ok]
-    rows.sort(axis=1)
-    one, group = _row_groups(rows, n)
-    spans = np.array([generates(G, rows[i].tolist()) for i in one.tolist()], dtype=bool)
-    bad[ok] = ~spans[group]
-    return bad
+    if (prod != identity).any():
+        return False
+    rows = np.sort(entries, axis=1)
+    return all(generates(G, rows[i].tolist()) for i in _row_groups(rows)[0].tolist())
 
 
 def genus(v_or_data: Union[HurwitzVector, BranchingData], G: FiniteGroup) -> int:
@@ -250,12 +241,18 @@ def enumerate_branching_data(G: FiniteGroup, g: int) -> List[BranchingData]:
     branch entries in all, so EnumerationCapExceeded is raised past
     MAX_BRANCH_ENTRIES of them: before listing, if the longest datum alone
     could be longer (at g' = 0, every entry of the order m with the least
-    (|G|/m)(m - 1)), and while listing, on the running total.
+    (|G|/m)(m - 1)), and while listing, on the running total. The trivial
+    group's one datum has no branch entries; its g handle pairs are
+    counted instead, since the search holds them.
     """
     g = _as_int(g)
     if g < 2:
         raise ValueError(f"target genus must be >= 2, got {g}")
     if G.order == 1:  # no branch points, so only g' = g
+        if g > MAX_BRANCH_ENTRIES:
+            raise EnumerationCapExceeded(
+                f"the branching datum of genus {g} has {g} handle pairs, "
+                f"more than {MAX_BRANCH_ENTRIES}")
         return [BranchingData(g, ())]
     orders = sorted({m for m in G.element_orders() if m > 1})
     contrib = [(G.order // m) * (m - 1) for m in orders]

@@ -159,13 +159,13 @@ def validate_calls(monkeypatch):
 def checked_rows(monkeypatch):
     """Counter of the (quotient genus, entries) rows checked by bulk validation."""
     rows = Counter()
-    real = chevalley_weil._invalid_rows
+    real = chevalley_weil._rows_valid
 
     def counting(G, g_quot, entries, n_handles):
         rows.update((g_quot, tuple(row)) for row in entries.tolist())
         return real(G, g_quot, entries, n_handles)
 
-    monkeypatch.setattr(chevalley_weil, "_invalid_rows", counting)
+    monkeypatch.setattr(chevalley_weil, "_rows_valid", counting)
     return rows
 
 

@@ -552,6 +552,17 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error: a branching datum of genus 99999999 can have")
 
+    def test_trivial_group_genus_cap_is_domain_error(self, monkeypatch):
+        # the trivial group's one datum has g handle pairs: refused before
+        # any search starts
+        import cwmoduli.cli as cli
+        monkeypatch.setattr(cli, "enumerate_hurwitz_rows", None)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["decompose", "--group", "cyclic:1", "--genus", "1000001"], out=out, err=err)
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith(
+            "error: the branching datum of genus 1000001 has 1000001 handle pairs")
+
     def test_decompose_cap_bounds_the_whole_genus(self, monkeypatch):
         # cyclic:3 genus 6 holds 86 + 90 + 162 = 338 vectors
         import cwmoduli.cli as cli

@@ -17,6 +17,7 @@ from cwmoduli import (
     HurwitzVector,
     InternalConsistencyError,
     MetacyclicParams,
+    RelationViolation,
     StabilizationReport,
     build_cyclic,
     build_metacyclic,
@@ -547,28 +548,88 @@ class TestBulkValidation:
     def test_a_row_validate_accepts_is_an_internal_error(self, monkeypatch, s3):
         T = character_table(s3)
         items = census(s3, 3)
-        monkeypatch.setattr(chevalley_weil, "_invalid_rows",
-                            lambda G, g_quot, entries, n_handles: np.ones(len(entries), bool))
-        with pytest.raises(InternalConsistencyError,
-                           match="bulk validation rejected item 0, which validate accepts"):
+        monkeypatch.setattr(chevalley_weil, "_rows_valid",
+                            lambda G, g_quot, entries, n_handles: False)
+        # the first step holds the first run of one shape
+        last = len(hurwitz._row_blocks(items)[0][2]) - 1
+        message = f"bulk validation rejected items 0..{last}, which validate accepts"
+        with pytest.raises(InternalConsistencyError, match=message):
             decompose_at_k(items, T, 1)
 
-    @pytest.mark.parametrize("width, bound", [(6, 10), (31, 3), (7, 512), (32, 3)])
+    def test_interleaved_shapes_raise_the_first_invalid_item(self, s3):
+        # blocks A (shape 1), B (shape 2), C (shape 1): B's invalid vector
+        # comes first, although A reached C's shape before B
+        T = character_table(s3)
+        items = census(s3, 4)
+        shapes = [(v.g_quot, len(v.branches)) for v in items]
+        one, two = sorted(set(shapes), key=shapes.index)[:2]
+        A = [v for v, s in zip(items, shapes) if s == one]
+        B = [v for v, s in zip(items, shapes) if s == two]
+        other = next(x for x in s3.elements() if x not in (0, B[0].branches[-1]))
+        bad_b = HurwitzVector(*B[0][:2], B[0].branches[:-1] + (other,))
+        bad_c = HurwitzVector(*A[-1][:2], A[-1].branches[:-1] + (s3.order,))
+        assert _raised(lambda: validate(bad_b, s3))[0] is RelationViolation
+        assert _raised(lambda: validate(bad_c, s3))[0] is ValueError
+        batch = A[:3] + B[1:3] + [bad_b] + A[3:5] + [bad_c] + A[5:7]
+        assert len(hurwitz._VectorRows(hurwitz._row_blocks(batch)).blocks) == 3
+        assert _raised(lambda: decompose_at_k(batch, T, 1)) == _raised(
+            lambda: validate(bad_b, s3))
+
+    def test_validate_runs_only_on_the_failing_step(self, validate_calls, s3):
+        # the one invalid vector is in the second step of _CHUNK rows: no
+        # item of the first step is validated one by one
+        T = character_table(s3)
+        good = next(v for v in census(s3, 3) if v.g_quot == 0)
+        bad = HurwitzVector(0, (), good.branches[:-1] + (s3.order,))
+        batch = [good] * (chevalley_weil._CHUNK + 2) + [bad]
+        with pytest.raises(ValueError, match=f"entry {s3.order} is not an element id"):
+            decompose_at_k(batch, T, 1)
+        assert validate_calls == Counter({good: 2, bad: 1})
+
+    @pytest.mark.parametrize("width, bound", [(6, 10), (31, 3), (7, 512), (32, 3), (0, 3)])
     def test_row_groups_match_grouping_by_hand(self, width, bound):
-        # (7, 512) and (32, 3) are too wide for one int64 code per row
+        # entries in 0..bound - 1: (7, 512) and (32, 3) are too wide for one
+        # int64 code per row, and (0, 3) is one group of empty rows
         rng = np.random.default_rng(width)
         rows = rng.integers(0, min(bound, 3), size=(200, width))
         rows[::7] = bound - 1
-        one, group = _row_groups(rows, bound)
-        by_hand = {}
-        for i, row in enumerate(map(tuple, rows.tolist())):
-            by_hand.setdefault(row, []).append(i)
-        assert len(one) == len(by_hand)
-        for members in by_hand.values():
-            assert len(set(group[members].tolist())) == 1
-            assert tuple(rows[one[group[members[0]]]]) == tuple(rows[members[0]])
-        # groups are numbered in lexicographic order of their rows
-        assert [tuple(r) for r in rows[one].tolist()] == sorted(by_hand)
+        _check_row_groups(rows)
+
+    @pytest.mark.parametrize("shared, steps", [(0, 1), (2000, 3)])
+    def test_wide_rows_take_void_steps_until_every_row_is_alone(self, monkeypatch, shared, steps):
+        # rows of 3,000 entries: 32 distinct ones go 2,048 columns a step,
+        # and the first step tells them apart; 64, each with a twin, go
+        # 1,024 columns a step, and alike in their first 2,000 columns they
+        # need all three
+        rng = np.random.default_rng(shared)
+        rows = rng.integers(0, 3, size=(32, 3000))
+        rows[:, :shared] = 1
+        if shared:
+            rows = np.concatenate([rows, rows])
+        calls = []
+        real = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        _check_row_groups(rows)
+        assert len(calls) == steps
+
+    def test_row_groups_past_int64_and_without_rows(self):
+        rows = np.array([[2 ** 70, 1], [3, 2 ** 64], [2 ** 70, 1], [3, 5]], dtype=object)
+        _check_row_groups(rows)
+        for shape in ((0, 5), (0, 0), (0, 3, 4)):
+            one, group = _row_groups(np.zeros(shape, dtype=np.int64))
+            assert (one.tolist(), group.tolist()) == ([], [])
+        _check_row_groups(np.array([[[3, 1], [0, 2]], [[3, 0], [9, 9]], [[3, 1], [0, 2]]]))
+
+
+def _check_row_groups(rows):
+    """_row_groups against grouping by hand: each row's representative is
+    equal to it, and the representatives are distinct and sorted."""
+    one, group = _row_groups(rows)
+    flat = [tuple(np.ravel(row).tolist()) for row in rows]
+    assert len(group) == len(flat)
+    assert [flat[i] for i in one[group].tolist()] == flat
+    # groups are numbered in lexicographic order of their rows
+    assert [flat[i] for i in one.tolist()] == sorted(set(flat))
 
 
 class TestArrayEvaluation:

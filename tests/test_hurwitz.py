@@ -297,6 +297,12 @@ class TestEnumerateBranchingData:
     def test_trivial_group(self):
         G = build_cyclic(1)
         assert enumerate_branching_data(G, 2) == [BranchingData(2, ())]
+        # its one datum has no branch entries but g handle pairs, which the
+        # search would hold: they are capped like branch entries
+        assert enumerate_branching_data(G, 10 ** 6) == [BranchingData(10 ** 6, ())]
+        with pytest.raises(EnumerationCapExceeded,
+                           match="genus 1000001 has 1000001 handle pairs, more than 1000000"):
+            enumerate_branching_data(G, 10 ** 6 + 1)
 
     def test_every_datum_hits_the_genus(self, s3):
         for g in (2, 3, 4, 5):

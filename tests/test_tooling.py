@@ -1,5 +1,6 @@
 """Names the package exports, and those the benchmark's traced run wraps, must
-exist; every exported name must have a caller outside the tests."""
+exist; every exported name must have a caller outside the tests, and every
+private module-level name a use in the package."""
 
 import ast
 import importlib
@@ -73,3 +74,30 @@ def test_every_export_has_a_caller_outside_the_tests(module, used_outside_tests)
     unused = [name for name in importlib.import_module(module).__all__
               if not name.startswith("__") and name not in used_outside_tests]
     assert not unused, f"{module}.__all__ names {unused}, which only tests use"
+
+
+def _private_definitions(path):
+    """The module-level names a module defines with one leading underscore."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_has_a_use_in_the_package():
+    # a use is a name read or an attribute, not the assignment that defines it
+    used = set()
+    for path in sorted((ROOT / "src" / "cwmoduli").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = {path.name: sorted(_private_definitions(path) - used)
+            for path in sorted((ROOT / "src" / "cwmoduli").glob("*.py"))}
+    assert not any(dead.values()), f"private names with no use in src/cwmoduli: {dead}"
