@@ -54,8 +54,8 @@ class CharacterTable:
     Construction also fixes a read-only matrix saying which values are
     rational. None of this changes afterwards; the table memoizes the
     eigenvalue counts of each class on first use, and cw_character keeps its
-    per-table caches here. Whether a vector's entries generate G is
-    memoized on the group instead, once per entry set per group.
+    per-table caches here. Whether a vector's entries generate G is read
+    off the group's subgroup lattice instead, shared by all its tables.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyData,

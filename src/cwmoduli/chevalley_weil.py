@@ -14,16 +14,16 @@ each formula is integer arithmetic, and the final division by |G| is asserted
 to be exact. Range and dimension identities are asserted, never assumed.
 
 Per vector, _class_key validates in full and returns the sorted branch class
-key, and _key_genus reads the genus off the key; the generation test is one
-lookup in the group's memo from entry set to whether it generates G, so the
-subgroup closure runs once per entry set per group. Per item list,
-_class_keys does the same in arrays on the items' integer rows (a
-hurwitz._VectorRows view: the search's own rows for the decompose command,
-the caller's vectors read into rows once for the library), walked in item
-order a step of rows at a time: hurwitz._rows_valid answers whether
-validate accepts every row of a step (its checks as column gathers, one
-generation lookup per distinct sorted entry row), and validate itself runs
-only on the items of the first step it rejects, for the first error.
+key, and _key_genus reads the genus off the key; the generation test folds
+the entries through the group's subgroup lattice, which closes each
+(subgroup, entry) pair once per group. Per item list, _class_keys does the
+same in arrays on the items' integer rows (a hurwitz._VectorRows view: the
+search's own rows for the decompose command, the caller's vectors read into
+rows once for the library), walked in item order a step of rows at a time:
+hurwitz._rows_valid answers whether validate accepts every row of a step
+(its checks as column gathers, generation a column fold through the same
+lattice), and validate itself runs only on the items of the first step it
+rejects, for the first error.
 _evaluate_keys is the one evaluation of the formulas: every (quotient genus,
 class key) of an item list at once, or one key (cw_character,
 periodicity_delta, each step of the cw command, which builds the class

@@ -11,9 +11,11 @@ import json
 import operator
 import os
 import re
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm, prod
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,9 +77,11 @@ class FiniteGroup:
         # element orders as Python ints, read by elem_order in hot loops
         self._order_of = tuple(_element_orders(tbl).tolist())
         self._exponent = lcm(*self._order_of)
-        # entry set -> whether it generates the group, read and filled only by
-        # generates; a proper subgroup is stored as False
-        self._generated: Dict[FrozenSet[int], bool] = {}
+
+    @cached_property
+    def _spans(self) -> _Spans:
+        """The subgroup lattice, made on first use: the one generation oracle."""
+        return _Spans(self)
 
     @property
     def identity(self) -> int:
@@ -339,16 +343,108 @@ def _row_groups(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return one, group
 
 
+class _Spans:
+    """The subgroups of one group met so far, numbered as reached.
+
+    One per group (FiniteGroup._spans), shared by every generation test on
+    it. Span 0 is the trivial subgroup, span top is G. join(ids, xs) is
+    the span of <H, x> for each row's span H and entry x; least(ids, xs) the
+    least h x h^-1 over h in C_G(H). Their tables grow by reallocation, so
+    read join_table and view after a call that may grow them. The span of x
+    alone is its powers, found for all such x at once; that of H and x is
+    x's when it holds H, else closed from H's generators and x, so every
+    entry, filled when its (span, x) pair is first met, is a proof.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.group, self.n = weakref.ref(G), G.order  # no cycle: G is freed when dropped
+        self.gens: List[Tuple[int, ...]] = []
+        self.masks: List[np.ndarray] = []
+        self.index: Dict[bytes, int] = {}
+        self.join_table = np.full((8, self.n), -1, dtype=np.int32)
+        self.least_table = np.full((8, self.n), -1, dtype=np.int32)
+        self.view = memoryview(self.join_table)  # join_table[i, x] as a Python int
+        self.conj: Optional[np.ndarray] = None  # conj[h, x] = h x h^-1, made by least
+        self._span((), np.arange(self.n) == G.identity)
+        self.top = self._span(tuple(greedy_generators(G.mul_rows())), np.ones(self.n, dtype=bool))
+
+    def _span(self, gens: Tuple[int, ...], mask: np.ndarray) -> int:
+        """The id of the subgroup whose elements are the mask, numbered if new."""
+        key = mask.tobytes()
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.gens)
+            self.gens.append(gens)
+            self.masks.append(mask)
+            if i == len(self.join_table):  # double both tables
+                self.join_table, self.least_table = (np.vstack([t, np.full_like(t, -1)])
+                                                     for t in (self.join_table, self.least_table))
+                self.view = memoryview(self.join_table)
+            self.join_table[i, mask] = i
+        return i
+
+    def join(self, ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        out = self.join_table[ids, xs]
+        miss = out < 0
+        if miss.any():
+            G, n = self.group(), self.n
+            pairs = dict.fromkeys((ids[miss] * n + xs[miss]).tolist())
+            cyclic = [x for x in dict.fromkeys(code % n for code in pairs)
+                      if self.join_table[0, x] < 0]
+            if cyclic:
+                mul = G.mul_table
+                powers = np.empty((len(cyclic), G.exponent()), dtype=np.intp)
+                powers[:, 0] = G.identity
+                for j in range(1, powers.shape[1]):
+                    powers[:, j] = mul[powers[:, j - 1], cyclic]
+                masks = np.zeros((len(cyclic), n), dtype=bool)
+                masks[np.arange(len(cyclic))[:, None], powers] = True
+                for x, mask in zip(cyclic, masks):
+                    self.join_table[0, x] = self._span((x,), mask)
+            for code in pairs:
+                i, x = divmod(code, n)
+                c = self.join_table[0, x]
+                if i and not (self.masks[i] <= self.masks[c]).all():
+                    gens = self.gens[i] + (x,)
+                    mask = np.zeros(n, dtype=bool)
+                    mask[list(closure(G, gens))] = True
+                    c = self._span(gens, mask)
+                self.join_table[i, x] = c
+            out = self.join_table[ids, xs]
+        return out
+
+    def least(self, ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        out = self.least_table[ids, xs]
+        miss = out < 0
+        if miss.any():
+            n, mul = self.n, self.group().mul_table
+            if self.conj is None:
+                self.conj = mul[mul, self.group().inv_table[:, None]]
+            by_span: Dict[int, List[int]] = {}
+            for code in dict.fromkeys((ids[miss] * n + xs[miss]).tolist()):
+                by_span.setdefault(code // n, []).append(code % n)
+            for i, x in by_span.items():
+                gens = list(self.gens[i])
+                cent = np.flatnonzero((mul[:, gens] == mul[gens].T).all(axis=1))
+                self.least_table[i, x] = self.conj[cent[:, None], x].min(axis=0)
+            out = self.least_table[ids, xs]
+        return out
+
+
 def generates(G: FiniteGroup, S: Iterable[int]) -> bool:
     """True iff the closure of S under multiplication equals all of G.
 
-    Memoized on G by the set of S, so closure runs once per entry set per group.
+    Folds S through G's subgroup lattice (_Spans) until the span is G: each
+    step is a table hit or, when its (span, x) pair is first met, a closure.
     """
-    key = frozenset(S)
-    ok = G._generated.get(key)
-    if ok is None:
-        ok = G._generated[key] = len(closure(G, key)) == G.order
-    return ok
+    spans, i = G._spans, 0
+    top = spans.top
+    for x in S:
+        if i == top:  # G joined with anything is G
+            break
+        j = spans.view[i, x]
+        i = j if j >= 0 else spans.join(np.array([i]), np.array([x])).item()
+    return i == top
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ to the last slot before the next, so the vectors come out in order, a block
 at a time. Each pending block keeps one entry per prefix and a pointer to
 the rest, so a deep search holds O(ROW_BUDGET log depth) rows.
 
-Each row carries the id of its span, the subgroup H its prefix generates.
-The ids are numbered as the search reaches them, and (span, x) -> span of
-<H, x> is a table filled as pairs are reached. A vector generates G iff the
-span of its free entries is G: the forced last entry is a word in them.
+Each row carries the id of its span, the subgroup H its prefix generates,
+in G's subgroup lattice (groups._Spans), which every search and validation
+on G shares. A vector generates G iff the span of its free entries is G:
+the forced last entry is a word in them.
 
 Up to simultaneous conjugation, the representative of an orbit is its
 lexicographically smallest vector, and the search prunes prefixes instead of
@@ -26,8 +26,8 @@ testing whole vectors (canonical augmentation; Breuer, LMS LN 280). A vector
 is minimal iff no conjugation makes any prefix smaller, and only conjugators
 that fix the prefix so far can still decide; those are the centralizer
 C_G(H) of the prefix's span. So placing x is pruned iff some h in C_G(H) has
-h x h^-1 < x, which reads one more table filled as pairs are reached, the
-least such conjugate of x per (span, x).
+h x h^-1 < x, which reads one more table of the lattice, filled as pairs
+are reached: the least such conjugate of x per (span, x).
 
 _VectorRows holds vectors as such integer rows, a block per run of one
 shape, and builds a HurwitzVector only when one is read. The decompositions
@@ -42,14 +42,13 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, repeat
 from operator import add, eq, itemgetter
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import (EnumerationCapExceeded, NegativeGenus, NonIntegralGenus,
                      NotGenerating, OrderViolation, RelationViolation)
-from .groups import FiniteGroup, _as_int, _row_groups, closure, generates
+from .groups import FiniteGroup, _as_int, generates
 
 __all__ = [
     "BranchingData",
@@ -138,7 +137,7 @@ def validate(v: HurwitzVector, G: FiniteGroup) -> HurwitzVector:
     Raises ValueError if v does not have 2g' handle entries or an entry is not
     an element id, OrderViolation if a branch entry is the identity,
     RelationViolation if the surface relation fails, NotGenerating if the
-    entries span a proper subgroup (a lookup in G's memo, see
+    entries span a proper subgroup (a fold through G's subgroup lattice, see
     groups.generates). Returns v unchanged on success; v is read as a tuple.
     """
     g_quot, handles, branches = v
@@ -184,9 +183,9 @@ def _rows_valid(G: FiniteGroup, g_quot: int, entries: np.ndarray, n_handles: int
     entries is a matrix of integers (an object array if one is beyond int64,
     so no element id: not valid), one row per vector: its n_handles handle
     entries, then its branch entries. The relation is a column gather
-    through the table per entry, and generation is one groups.generates
-    call per distinct sorted entry row, so the closure still runs once per
-    entry set per group.
+    through the table per entry, and generation a column fold through G's
+    subgroup lattice until every row spans G: on the search's own rows
+    every join is a table hit, and any other join is closed, so a proof.
     """
     n, identity = G.order, G.identity
     if (entries.dtype == object or n_handles != 2 * g_quot
@@ -202,8 +201,12 @@ def _rows_valid(G: FiniteGroup, g_quot: int, entries: np.ndarray, n_handles: int
         prod = mul[prod, entries[:, j]]
     if (prod != identity).any():
         return False
-    rows = np.sort(entries, axis=1)
-    return all(generates(G, rows[i].tolist()) for i in _row_groups(rows)[0].tolist())
+    spans, ids = G._spans, np.zeros(len(entries), dtype=np.int32)
+    for column in entries.T:
+        if (ids == spans.top).all():  # G joined with anything is G
+            break
+        ids = spans.join(ids, column)
+    return bool((ids == spans.top).all())
 
 
 def genus(v_or_data: Union[HurwitzVector, BranchingData], G: FiniteGroup) -> int:
@@ -311,109 +314,6 @@ class EnumerationOptions:
 ROW_BUDGET = 1 << 13  # rows one array step of the search may hold (fewer past slot 16)
 
 
-class _Spans:
-    """The subgroups spanned by the prefixes of one search, numbered as reached.
-
-    Span 0 is the trivial subgroup. join(ids, xs) is the span of <H, x> for
-    each row's span H and entry x, and least(ids, xs) is the least h x h^-1
-    over h in the centralizer C_G(H). Both read tables that grow by one row
-    per span and are filled only at the (span, x) pairs a search reaches.
-    The span of a single x is its powers, found for all such x at once. The
-    span of H and x is that of x when it holds H; otherwise it is closed
-    from its short generator list, H's generators and x. whole[i] is whether
-    span i is G.
-    """
-
-    def __init__(self, G: FiniteGroup, conjugacy: bool):
-        n = G.order
-        self.G, self.n = G, n
-        self.gens: List[Tuple[int, ...]] = []
-        self.masks: List[np.ndarray] = []
-        self.index: Dict[bytes, int] = {}
-        self.join_table = np.full((8, n), -1, dtype=np.int32)
-        self.whole = np.zeros(8, dtype=bool)
-        self.conj = None
-        if conjugacy:
-            mul = G.mul_table
-            self.conj = mul[mul, G.inv_table[:, None]]  # conj[h, x] = h x h^-1
-            self.least_table = np.full((8, n), -1, dtype=np.int32)
-            self.centralizers: Dict[int, np.ndarray] = {}
-        trivial = np.zeros(n, dtype=bool)
-        trivial[G.identity] = True
-        self._span((), trivial)
-
-    def _span(self, gens: Tuple[int, ...], mask: np.ndarray) -> int:
-        """The id of the subgroup whose elements are the mask, numbered if new."""
-        key = mask.tobytes()
-        i = self.index.get(key)
-        if i is None:
-            i = self.index[key] = len(self.gens)
-            self.gens.append(gens)
-            self.masks.append(mask)
-            if i == len(self.whole):  # double every table
-                self.join_table = np.vstack([self.join_table, np.full_like(self.join_table, -1)])
-                self.whole = np.concatenate([self.whole, np.zeros_like(self.whole)])
-                if self.conj is not None:
-                    self.least_table = np.vstack(
-                        [self.least_table, np.full_like(self.least_table, -1)])
-            self.join_table[i, mask] = i
-            self.whole[i] = mask.all()
-        return i
-
-    def join(self, ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        out = self.join_table[ids, xs]
-        miss = out < 0
-        if miss.any():
-            G, n = self.G, self.n
-            pairs = dict.fromkeys((ids[miss] * n + xs[miss]).tolist())
-            cyclic = [x for x in dict.fromkeys(code % n for code in pairs)
-                      if self.join_table[0, x] < 0]
-            if cyclic:
-                mul = G.mul_table
-                powers = np.empty((len(cyclic), G.exponent()), dtype=np.intp)
-                powers[:, 0] = G.identity
-                for j in range(1, powers.shape[1]):
-                    powers[:, j] = mul[powers[:, j - 1], cyclic]
-                masks = np.zeros((len(cyclic), n), dtype=bool)
-                masks[np.arange(len(cyclic))[:, None], powers] = True
-                for x, mask in zip(cyclic, masks):
-                    self.join_table[0, x] = self._span((x,), mask)
-            for code in pairs:
-                i, x = divmod(code, n)
-                c = self.join_table[0, x]
-                if i and not (self.masks[i] <= self.masks[c]).all():
-                    gens = self.gens[i] + (x,)
-                    mask = np.zeros(n, dtype=bool)
-                    mask[list(closure(G, gens))] = True
-                    c = self._span(gens, mask)
-                self.join_table[i, x] = c
-            out = self.join_table[ids, xs]
-        return out
-
-    def least(self, ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        out = self.least_table[ids, xs]
-        miss = out < 0
-        if miss.any():
-            n = self.n
-            by_span: Dict[int, List[int]] = {}
-            for code in dict.fromkeys((ids[miss] * n + xs[miss]).tolist()):
-                by_span.setdefault(code // n, []).append(code % n)
-            for i, x in by_span.items():
-                cent = self._centralizer(i)
-                self.least_table[i, x] = self.conj[cent[:, None], x].min(axis=0)
-            out = self.least_table[ids, xs]
-        return out
-
-    def _centralizer(self, i: int) -> np.ndarray:
-        cent = self.centralizers.get(i)
-        if cent is None:
-            gens = list(self.gens[i])
-            mul = self.G.mul_table
-            cent = self.centralizers[i] = np.flatnonzero(
-                (mul[:, gens] == mul[gens].T).all(axis=1))
-        return cent
-
-
 def _search(G: FiniteGroup, data: BranchingData, conjugacy: bool) -> Iterator[np.ndarray]:
     """The rows of enumerate_hurwitz_rows, in blocks, without the cap.
 
@@ -428,6 +328,13 @@ def _search(G: FiniteGroup, data: BranchingData, conjugacy: bool) -> Iterator[np
     """
     n_handles, orders = 2 * data.g_quot, data.branch_orders
     r, n = len(orders), G.order
+    dtype = np.int8 if n <= 128 else np.int16  # the smallest that holds the ids
+    if n == 1:
+        # the trivial group has no branch entry and one vector: every handle
+        # the identity
+        if not r:
+            yield np.zeros((1, n_handles), dtype=dtype)
+        return
     order_of = np.array(G.element_orders())
     by_order = {m: np.flatnonzero(order_of == m) for m in set(orders)}
     if any(len(c) == 0 for c in by_order.values()):
@@ -440,12 +347,9 @@ def _search(G: FiniteGroup, data: BranchingData, conjugacy: bool) -> Iterator[np
     repeated = {m: (by_order[m], np.tile(by_order[m], max(1, ROW_BUDGET // len(by_order[m]))))
                 for m in set(kinds)}
     slots = [repeated[m] for m in kinds]
-    dtype = np.int8 if n <= 128 else np.int16  # the smallest that holds the ids
     if not slots:
-        # no free entry: a lone branch entry is forced to the identity, and
-        # the empty vector is valid only for the trivial group
-        if not r and n == 1:
-            yield np.zeros((1, 0), dtype=dtype)
+        # no free entry: the empty vector spans only the identity, and a
+        # lone branch entry is forced to be it
         return
     # the forced last entry is a word in the free ones, so when every free
     # candidate lies in one proper subgroup no leaf generates G
@@ -457,7 +361,7 @@ def _search(G: FiniteGroup, data: BranchingData, conjugacy: bool) -> Iterator[np
     if n_handles:
         # comm[a, b] = a b a^-1 b^-1, the step of a handle pair
         comm = mul[mul[mul, inv[:, None]], inv[None, :]]
-    spans = _Spans(G, conjugacy)
+    spans = G._spans
     last = len(slots) - 1
     if r:
         last_order = orders[-1]
@@ -506,7 +410,7 @@ def _search(G: FiniteGroup, data: BranchingData, conjugacy: bool) -> Iterator[np
         rows = every[:len(xs)] if keep is None else keep.nonzero()[0]
         joined = spans.join(ids[rows], xs[rows])
         if slot == last:  # generation: the free entries span G
-            rows = rows[spans.whole[joined]]
+            rows = rows[joined == spans.top]
         if not len(rows):
             continue
         parent = start + rows // k

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cwmoduli import chevalley_weil, cli, groups
-from cwmoduli.groups import generates
+from cwmoduli.groups import closure
 from cwmoduli.characters import (_class_matrix, _matmul_mod, _roots_at,
                                  _splitting_order)
 from cwmoduli.errors import InternalConsistencyError
@@ -171,12 +171,14 @@ def checked_rows(monkeypatch):
 
 @pytest.fixture()
 def closure_calls(monkeypatch):
-    """Counter of the closure calls made by generates, per generating set."""
+    """Counter of the closure calls made through the groups module, per
+    generator tuple as passed (the subgroup lattice passes a span's
+    generators, then the entry it joins)."""
     calls = Counter()
     real = groups.closure
 
     def counting(G, S):
-        S = frozenset(S)
+        S = tuple(S)
         calls[S] += 1
         return real(G, S)
 
@@ -395,8 +397,18 @@ def reference_vectors(G, data, up_to_conjugacy=False):
     Placing x prunes the subtree if one carried row maps x below x, drops the
     rows that map x above x and keeps those that fix it, so with
     up_to_conjugacy only orbit minima are reached. The final branch entry is
-    forced by the relation. No cap.
+    forced by the relation. No cap. Generation is tested by closure, with
+    a memo by entry set local to the call, so the reference shares no
+    subgroup lattice with the enumerator.
     """
+    memo = {}
+
+    def generates(G, S):
+        key = frozenset(S)
+        if key not in memo:
+            memo[key] = len(closure(G, key)) == G.order
+        return memo[key]
+
     n_handles = 2 * data.g_quot
     orders = data.branch_orders
     r = len(orders)

@@ -684,34 +684,50 @@ def _outcome(check, v):
 
 
 class TestGenerationMemo:
-    def test_one_closure_per_entry_set_per_group(self, closure_calls):
-        # a group of its own, so that no other test has filled its memo
+    """The group's subgroup lattice is its one generation memo."""
+
+    def test_one_closure_per_span_and_entry_per_group(self, closure_calls):
+        # a group of its own, so that no other test has filled its lattice
         G = group_from_spec("metacyclic:3,2,2")
-        vectors = list(enumerate_hurwitz_vectors(G, BranchingData(2, ())))
-        entry_sets = {frozenset(v.entries) for v in vectors}
-        assert len(entry_sets) < len(vectors)
-        totals = [sum(closure_calls.values())]
+        data = enumerate_branching_data(G, 4)
+        assert len(data) > 1 and "_spans" not in vars(G)
+
+        def census():
+            return [v for d in data for orbits in (False, True)
+                    for v in enumerate_hurwitz_vectors(
+                        G, d, EnumerationOptions(up_to_conjugacy=orbits))]
+
+        vectors = census()
+        # one closure per (span, x) pair over all the data: a span's
+        # generators, then an entry outside it
+        spans = G._spans
+        assert closure_calls and set(closure_calls.values()) == {1}
+        for gens in closure_calls:
+            i = spans.gens.index(gens[:-1])
+            assert i and not spans.masks[i][gens[-1]]
+        closed = sum(closure_calls.values())
+        # a second search, validation and both tables' queries all hit it
+        assert census() == vectors
         for v in vectors:
             validate(v, G)
-        totals.append(sum(closure_calls.values()))
-        # both tables find every set in the group's memo: no closure at all
         for T in (character_table(G), character_table(G)):
             for v in vectors:
                 for k in (1, 2):
                     cw_character(v, T, k)
-            totals.append(sum(closure_calls.values()))
-        assert totals[1] == totals[2] == totals[3]
-        # enumeration and validation together test each set once
-        assert set(closure_calls.values()) == {1}
-        assert entry_sets <= set(closure_calls) == set(G._generated)
-        assert all(G._generated[s] for s in entry_sets)
-        # a group rebuilt from its spec starts with an empty memo
+        assert sum(closure_calls.values()) == closed and G._spans is spans
+        # a lattice per datum, as on a group rebuilt for each, closes more
+        closure_calls.clear()
+        for d in data:
+            list(enumerate_hurwitz_vectors(group_from_spec("metacyclic:3,2,2"), d))
+        assert sum(closure_calls.values()) > closed
+        # a group rebuilt from its spec starts with a fresh lattice
         rebuilt = group_from_spec("metacyclic:3,2,2")
+        assert "_spans" not in vars(rebuilt)
         closure_calls.clear()
         for v in vectors + vectors:
             validate(v, rebuilt)
-        assert closure_calls == Counter(dict.fromkeys(entry_sets, 1))
-        assert rebuilt._generated == dict.fromkeys(entry_sets, True)
+        assert rebuilt._spans is not spans
+        assert closure_calls and set(closure_calls.values()) == {1}
 
     def test_non_generating_vector_raises_on_every_call(self, closure_calls):
         G = group_from_spec("metacyclic:3,2,2")
@@ -723,8 +739,10 @@ class TestGenerationMemo:
                 cw_character(v, T, 2)
             with pytest.raises(NotGenerating):
                 validate(v, G)
-        assert closure_calls == Counter({frozenset({1}): 1})
-        assert G._generated == {frozenset({1}): False}
+        # <y> is the powers of y: no closure, and every later call a hit;
+        # spans 0 and 1 are the trivial subgroup and G
+        assert closure_calls == Counter()
+        assert G._spans.gens[2:] == [(1,)]
         assert T._validated == {}
 
     def test_memoized_and_standalone_validation_agree(self, s3):
@@ -750,7 +768,6 @@ class TestGenerationMemo:
             seen[standalone] += 1
         assert set(seen) == {None, ValueError, OrderViolation, RelationViolation,
                              NotGenerating}
-        assert False in s3._generated.values()
 
 
 class TestDomainChecks:

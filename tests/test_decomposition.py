@@ -351,31 +351,24 @@ class TestOnePassOracle:
                     assert D == reference_report(items, T, G.order)[0], case
 
     def test_one_validation_per_item_and_no_memo_entry(self, monkeypatch, validate_calls,
-                                                       checked_rows, s3):
-        # every item's row is checked once in bulk, validate runs on none, and
-        # generation is one lookup per distinct sorted entry row
+                                                       checked_rows, closure_calls, s3):
+        # every item's row is checked once in bulk and validate runs on none;
+        # generation folds each row through the lattice the search filled,
+        # so no generates call and no closure is made
         T = character_table(s3)
         items = census(s3, 4)
         copies = [HurwitzVector(v.g_quot, v.handles, v.branches) for v in items]
-        lookups = Counter()
-        real_generates = hurwitz.generates
-
-        def counting(G, S):
-            lookups[tuple(S)] += 1
-            return real_generates(G, S)
-
-        monkeypatch.setattr(hurwitz, "generates", counting)
-        sorted_rows = {tuple(sorted(v.entries)) for v in items}
-        assert len(sorted_rows) < len(items)
+        closure_calls.clear()
+        lookups = []
+        monkeypatch.setattr(hurwitz, "generates", lambda G, S: lookups.append(S))
         for batch in (items, copies):
             validate_calls.clear()
             checked_rows.clear()
-            lookups.clear()
             stabilization_report(batch, T, 8)
             assert T._validated == {}
             assert validate_calls == Counter()
             assert checked_rows == Counter((v.g_quot, v.entries) for v in items)
-            assert lookups == Counter(sorted_rows)
+        assert lookups == [] and closure_calls == Counter()
 
     def test_decompositions_file_no_level_records(self, s3):
         # the multiplicity caches stay empty, and later per-item queries,

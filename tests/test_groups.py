@@ -575,6 +575,24 @@ class TestClosure:
         assert not generates(G, [x])
         assert closure(G, [x]) == {0, 4, 8, 12, 16}
 
+    def test_lattice_agrees_with_closure_on_random_sets(self, catalog):
+        # an oracle that shares no table with the lattice: random entry
+        # lists of every length up to 8, in any order and with repeats, on
+        # each catalog group (lattice shared with other tests) and on a
+        # fresh (Z/2)^5, whose subgroups are the 374 subspaces of F_2^5
+        rng = random.Random(37)
+        groups = [G for _, G in catalog] + [group_from_spec("abelian:2,2,2,2,2")]
+        for G in groups:
+            met = set()
+            for _ in range(300):
+                S = rng.choices(range(G.order), k=rng.randrange(9))
+                expected = len(closure(G, S)) == G.order
+                met.add(expected)
+                assert generates(G, S) is expected, (G.label, S)
+                rng.shuffle(S)
+                assert generates(G, S + S[:2]) is expected, (G.label, S)
+            assert met == {True, False} or G.order <= 2, G.label
+
 
 class TestGreedyGenerators:
     def test_generates_with_at_most_log2_order_elements(self, catalog):

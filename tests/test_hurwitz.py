@@ -210,13 +210,16 @@ class TestValidate:
     ], ids=["high-id", "negative-id", "identity-branch", "relation", "subgroup"])
     def test_failure_messages(self, v, error, message):
         # the first offending entry, in order, is the one reported; a group of
-        # its own, so the generation test misses its memo first, then hits
+        # its own, whose subgroup lattice only the generation test makes
         G = build_cyclic(3)
         for _ in range(2):
             with pytest.raises(error) as exc:
                 validate(v, G)
             assert type(exc.value) is error and str(exc.value) == message
-        assert G._generated == ({frozenset({0}): False} if error is NotGenerating else {})
+        if error is NotGenerating:  # entries (0, 0) meet only the trivial span
+            assert len(G._spans.gens) == 2  # it and G, numbered when the lattice is made
+        else:
+            assert "_spans" not in vars(G)
 
     @pytest.mark.parametrize("g_quot", [1, 2])
     def test_relation_message_on_a_nonabelian_group(self, s3, g_quot):
@@ -567,6 +570,28 @@ class TestCap:
         assert got == [(0,) * 199 + (1,), (0,) * 198 + (1, 0), (0,) * 198 + (1, 1)]
         assert peak < 16 * 2 ** 20
 
+    def test_trivial_group_yields_its_one_row_without_a_search(self):
+        # every handle is the identity, so the one vector needs no frame per
+        # slot: at genus 10^5 the search held about 150 MB
+        G = build_cyclic(1)
+        for g in (2, 3, 7):
+            for orbits in (False, True):
+                opts = EnumerationOptions(up_to_conjugacy=orbits)
+                blocks = list(enumerate_hurwitz_rows(G, BranchingData(g, ()), opts))
+                assert len(blocks) == 1 and blocks[0].dtype == np.int8
+                assert np.array_equal(blocks[0], np.zeros((1, 2 * g), dtype=np.int8))
+                assert [tuple(row) for row in blocks[0].tolist()] == list(
+                    reference_vectors(G, BranchingData(g, ()), orbits))
+        tracemalloc.start()
+        try:
+            blocks = list(enumerate_hurwitz_rows(G, BranchingData(10 ** 5, ())))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [block.shape for block in blocks] == [(1, 2 * 10 ** 5)]
+        assert not blocks[0].any()
+        assert peak < 2 ** 20
+
     def test_zero_cap_raises_at_the_first_vector(self, z3):
         data = BranchingData(0, (3,) * 8)
         with pytest.raises(EnumerationCapExceeded):
@@ -771,26 +796,23 @@ class TestGenerationPerPrefix:
         # the search tests the candidates once per datum and closes one
         # subgroup per (span, entry) pair it meets whose span is new
         G = build_metacyclic(MetacyclicParams(4, 2, 3))
-        original, closed = hurwitz.generates, hurwitz.closure
-        calls, closures = [], []
+        original = hurwitz.generates
+        calls = []
 
         def counting(G, S):
             calls.append(frozenset(S))
             return original(G, S)
 
-        def closing(G, S):
-            closures.append(tuple(S))
-            return closed(G, S)
-
         monkeypatch.setattr(hurwitz, "generates", counting)
-        monkeypatch.setattr(hurwitz, "closure", closing)
         data = enumerate_branching_data(G, 9)
         total = sum(1 for d in data for _ in enumerate_hurwitz_vectors(G, d))
         assert total == 54400
         assert len(calls) == len(data)
-        assert len(closures) < total // 100
-        # the group's memo runs one closure per distinct set over all the data
-        assert closure_calls == Counter(dict.fromkeys(calls, 1))
+        # the group's lattice closes each (span, x) pair once over all the data
+        closed = sum(closure_calls.values())
+        assert 0 < closed < total // 100 and set(closure_calls.values()) == {1}
+        assert sum(1 for d in data for _ in enumerate_hurwitz_vectors(G, d)) == total
+        assert sum(closure_calls.values()) == closed
 
     def test_candidates_in_a_proper_subgroup_end_the_search(self, monkeypatch):
         # the involutions of A4 span only V4: with twelve of them there are
